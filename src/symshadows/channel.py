@@ -18,9 +18,15 @@ only -- a correction that couples symplectically paired coordinates:
 with a (:attr:`ChannelWeights.mixing_weight`) and b
 (:attr:`ChannelWeights.dephasing_weight`) exact rationals in d and the block
 signature, and a = b whenever the parent is not symplectic.  This module
-evaluates those rationals exactly, applies the channel, materializes its
-superoperator matrix, diagonalizes it into invariant sectors, and builds the
-Moore-Penrose pseudo-inverse used by the shadow estimator.
+evaluates those rationals exactly and applies the channel.  The formula fixes
+the eigenvectors: every channel, of every parent, is diagonal on a handful of
+named operator sectors (identity, traceless diagonal, off-diagonal, split
+further by transpose symmetry for orthogonal parents and by the symplectic
+pairing i <-> i# for symplectic ones), so its spectrum and its
+Moore-Penrose pseudo-inverse are closed form and the pseudo-inverse acts by
+O(d^2) elementwise sector projections.  The dense d^2 x d^2 superoperator and
+Choi matrix are still materialized, for small d only, as an independent
+oracle for tests and the verify suite.
 
 The DIII weight follows the matrix-dimension convention a = 3/(d^2 - 1),
 confirmed empirically by the coefficient fits of
@@ -35,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .haar import symplectic_form
+from .haar import symplectic_form, symplectic_pairing
 from .spaces import SpaceSpec
 
 __all__ = [
@@ -55,6 +61,11 @@ __all__ = [
 #: Eigenvalues at or below this magnitude count as null sectors when
 #: pseudo-inverting a channel.
 NULL_TOL = 1e-9
+
+#: Largest dimension for which :func:`build_superoperator` materializes the
+#: dense superoperator.  The matrix-unit batch, its image and the result are
+#: three d^4 complex arrays: 0.8 GB at d = 64, 12.9 GB at d = 128.
+DENSE_MAX_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -269,15 +280,30 @@ def build_superoperator(spec: SpaceSpec) -> np.ndarray:
     Returns
     -------
     ndarray, shape (d**2, d**2)
+
+    Raises
+    ------
+    ValueError
+        Before allocating anything, when d exceeds :data:`DENSE_MAX_DIM`.
     """
     d = spec.dim
+    if d > DENSE_MAX_DIM:
+        need = 3 * np.dtype(complex).itemsize * d**4
+        raise ValueError(
+            f"dense superoperator of {spec.label()} at d = {d} needs {need} bytes "
+            f"({need / 1e9:.1f} GB); the limit is d <= {DENSE_MAX_DIM}"
+        )
     images = apply_channel(spec, _matrix_units(d))
     # images[a*d+b] = M(E_ab); transpose so rows index the output entry.
     return images.reshape(d * d, d * d).T.copy()
 
 
 def choi_matrix(spec: SpaceSpec) -> np.ndarray:
-    """Choi matrix sum_ab E_ab (x) M(E_ab); PSD iff the channel is CP."""
+    """Choi matrix sum_ab E_ab (x) M(E_ab); PSD iff the channel is CP.
+
+    Built from :func:`build_superoperator`, so refused above
+    :data:`DENSE_MAX_DIM` in the same way.
+    """
     d = spec.dim
     s = build_superoperator(spec)
     return s.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
@@ -290,9 +316,8 @@ class SectorSpectrum:
     Attributes
     ----------
     labels : tuple of str
-        Sector names (``"identity"``, ``"diagonal"``, ... or
-        ``"cluster_k"`` for numerically extracted symplectic-parent
-        spectra).
+        Sector names, e.g. ``"identity"``, ``"diagonal"``,
+        ``"off_diagonal"``; see :func:`channel_spectrum` for every parent.
     eigenvalues : tuple of float
         One eigenvalue per sector.
     multiplicities : tuple of int
@@ -316,26 +341,26 @@ class SectorSpectrum:
         return np.sort(flat)[::-1]
 
 
-def _cluster_descending(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """Group a descending array into (mean, count) runs within ``tol``."""
-    clusters: list[list[float]] = []
-    for v in values:
-        if clusters and abs(v - clusters[-1][0]) <= tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [(float(np.mean(c)), len(c)) for c in clusters]
+def channel_spectrum(spec: SpaceSpec) -> SectorSpectrum:
+    """Eigenvalues of the measurement channel by invariant sector, exactly.
 
+    With off = (1 - a)/(d + 1) for unitary and symplectic parents and
+    off = 2(1 - a)/(d + 2) for orthogonal ones, the sectors are:
 
-def channel_spectrum(spec: SpaceSpec, cluster_tol: float = 1e-9) -> SectorSpectrum:
-    """Eigenvalues of the measurement channel by invariant sector.
-
-    Unitary- and orthogonal-parent channels are diagonalized in closed
-    form (identity / traceless-diagonal / off-diagonal sectors, with the
-    off-diagonal sector splitting into symmetric and antisymmetric parts
-    for orthogonal parents).  Symplectic-parent quotients are diagonalized
-    numerically from :func:`build_superoperator` and grouped into
-    degenerate clusters within ``cluster_tol``.
+    - groups U(d), SP(d): ``identity`` (1), ``traceless`` (1/(d+1));
+    - groups O(d), SO(d): ``identity``, ``symmetric_traceless`` (2/(d+2)),
+      ``antisymmetric`` (0);
+    - unitary-parent quotients: ``identity``, ``diagonal`` (traceless
+      diagonal, off + a), ``off_diagonal`` (off);
+    - orthogonal-parent quotients: ``identity``, ``diagonal`` (off + a),
+      ``symmetric_off_diagonal`` (off), ``antisymmetric`` (0);
+    - symplectic-parent quotients, with n = d/2 and i# the partner index of
+      :func:`symshadows.haar.symplectic_pairing`: ``identity``,
+      ``diagonal_pair_symmetric`` (traceless diagonal with x_i = x_{i#},
+      off + a, multiplicity n - 1), ``diagonal_pair_antisymmetric``
+      (x_i = -x_{i#}, off + 2b - a, n), ``pair_off_diagonal`` (the entries
+      E_{i,i#}, off + a - b, d) and ``off_diagonal`` (every other E_ij,
+      off, d^2 - 2d); sectors of multiplicity zero are dropped.
 
     Examples
     --------
@@ -372,22 +397,67 @@ def channel_spectrum(spec: SpaceSpec, cluster_tol: float = 1e-9) -> SectorSpectr
             eigenvalues=(1.0, float(off + a), float(off), 0.0),
             multiplicities=(1, d - 1, d * (d - 1) // 2, d * (d - 1) // 2),
         )
-    vals = np.linalg.eigvalsh(build_superoperator(spec))[::-1]
-    clusters = _cluster_descending(vals, cluster_tol)
-    return SectorSpectrum(
-        labels=tuple(f"cluster_{k}" for k in range(len(clusters))),
-        eigenvalues=tuple(v for v, _ in clusters),
-        multiplicities=tuple(n for _, n in clusters),
-    )
+    b = w.dephasing_weight
+    n = d // 2
+    off = Fraction(1 - a, d + 1)
+    sectors = [
+        ("identity", Fraction(1), 1),
+        ("diagonal_pair_symmetric", off + a, n - 1),
+        ("diagonal_pair_antisymmetric", off + 2 * b - a, n),
+        ("pair_off_diagonal", off + a - b, d),
+        ("off_diagonal", off, d * d - 2 * d),
+    ]
+    kept = [(label, float(lam), mult) for label, lam, mult in sectors if mult > 0]
+    labels, eigenvalues, multiplicities = zip(*kept)
+    return SectorSpectrum(labels, eigenvalues, multiplicities)
+
+
+def _sector_parts(spec: SpaceSpec, m: np.ndarray) -> dict[str, np.ndarray]:
+    """Orthogonal projections of ``m`` onto the sectors of :func:`channel_spectrum`.
+
+    Keyed by sector label; the parts sum to ``m`` (sectors of multiplicity
+    zero get an all-zero part) and each one is an O(d^2) elementwise
+    operation on the entries of ``m``, batched over leading axes.
+    """
+    d = spec.dim
+    parts = {}
+    if spec.parent in ("O", "SO"):
+        sym = (m + np.swapaxes(m, -1, -2)) / 2.0
+        parts["antisymmetric"] = m - sym
+        m = sym
+    trace_part = np.trace(m, axis1=-2, axis2=-1)[..., None, None] / d * np.eye(d)
+    parts["identity"] = trace_part
+    if spec.is_group:
+        label = "traceless" if spec.parent in ("U", "SP") else "symmetric_traceless"
+        parts[label] = m - trace_part
+        return parts
+    diag_part = dephase(m) - trace_part
+    off_part = m - dephase(m)
+    if spec.parent == "U":
+        parts["diagonal"], parts["off_diagonal"] = diag_part, off_part
+    elif spec.parent == "O":
+        parts["diagonal"], parts["symmetric_off_diagonal"] = diag_part, off_part
+    else:
+        jperm, _ = symplectic_pairing(d)
+        swapped = diag_part[..., jperm, :][..., :, jperm]
+        parts["diagonal_pair_symmetric"] = (diag_part + swapped) / 2.0
+        parts["diagonal_pair_antisymmetric"] = (diag_part - swapped) / 2.0
+        pair = np.zeros((d, d), dtype=bool)
+        pair[np.arange(d), jperm] = True
+        parts["pair_off_diagonal"] = np.where(pair, off_part, 0.0)
+        parts["off_diagonal"] = np.where(pair, 0.0, off_part)
+    return parts
 
 
 class ChannelInverse:
     """Moore-Penrose pseudo-inverse of a measurement channel.
 
-    Reciprocates the channel eigenvalue on every sector with |eigenvalue|
-    above :data:`NULL_TOL` and annihilates the rest (the antisymmetric
-    sector of orthogonal parents is always null; the off-diagonal sector
-    joins it for fully dephasing quotients).  Instances are cached and must
+    Reciprocates the channel eigenvalue on every sector of
+    :func:`channel_spectrum` with |eigenvalue| above :data:`NULL_TOL` and
+    annihilates the rest (the antisymmetric sector of orthogonal parents is
+    always null; the off-diagonal sectors join it for fully dephasing
+    quotients).  Building one costs only the exact channel weights, and
+    applying it is O(d^2) for every parent.  Instances are cached and must
     be treated as immutable.
 
     Use :meth:`apply` (or call the object) for M+(m), and
@@ -398,89 +468,39 @@ class ChannelInverse:
     def __init__(self, spec: SpaceSpec, null_tol: float = NULL_TOL):
         self.spec = spec
         self.null_tol = float(null_tol)
-        self._pinv: np.ndarray | None = None
-        self._null_proj: np.ndarray | None = None
-        d = spec.dim
-        if spec.parent in ("U", "O") or spec.is_group:
-            spectrum = channel_spectrum(spec)
-            self._diag_eig = (
-                spectrum.eigenvalue("diagonal")
-                if "diagonal" in spectrum.labels
-                else spectrum.eigenvalues[1]
+        spectrum = channel_spectrum(spec)
+        sectors = list(zip(spectrum.labels, spectrum.eigenvalues))
+        self._kept = tuple((lab, lam) for lab, lam in sectors if abs(lam) > null_tol)
+        self._null = tuple(lab for lab, lam in sectors if abs(lam) <= null_tol)
+        if all(label == "identity" for label, _ in self._kept):
+            raise ValueError(
+                f"{spec.label()} channel is null on every non-identity sector"
             )
-            off_label = {
-                "U": "off_diagonal" if not spec.is_group else "traceless",
-                "SP": "traceless",
-                "O": (
-                    "symmetric_off_diagonal"
-                    if not spec.is_group
-                    else "symmetric_traceless"
-                ),
-            }[spec.parent]
-            self._off_eig = spectrum.eigenvalue(off_label)
-            if abs(self._diag_eig) <= null_tol and abs(self._off_eig) <= null_tol:
-                raise ValueError(
-                    f"{spec.label()} channel is null on every non-identity sector"
-                )
-        else:
-            s = build_superoperator(spec)
-            vals, vecs = np.linalg.eigh(s)
-            keep = np.abs(vals) > null_tol
-            if keep.sum() <= 1:
-                raise ValueError(
-                    f"{spec.label()} channel is null on every non-identity sector"
-                )
-            inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-            self._pinv = (vecs * inv_vals) @ vecs.conj().T
-            self._null_proj = (vecs * ~keep) @ vecs.conj().T
 
-    def _split(self, m: np.ndarray):
-        """Identity / traceless-diagonal / kept-off-diagonal / null parts."""
-        spec = self.spec
-        d = spec.dim
-        m = np.asarray(m, dtype=complex)
-        null = np.zeros_like(m)
-        if spec.parent == "O":
-            sym = (m + np.swapaxes(m, -1, -2)) / 2.0
-            null = m - sym
-            m = sym
-        trace_part = (
-            np.trace(m, axis1=-2, axis2=-1)[..., None, None] / d * np.eye(d)
-        )
-        diag_part = dephase(m) - trace_part
-        off_part = m - dephase(m)
-        return trace_part, diag_part, off_part, null
-
-    def apply(self, m: np.ndarray) -> np.ndarray:
-        """Evaluate M+(m); components in null sectors are projected out."""
+    def _parts(self, m: np.ndarray) -> dict[str, np.ndarray]:
         m = np.asarray(m, dtype=complex)
         d = self.spec.dim
-        if m.shape[-1] != d or m.shape[-2] != d:
+        if m.shape[-2:] != (d, d):
             raise ValueError(
                 f"matrix shape {m.shape} does not match ensemble dimension {d}"
             )
-        if self._pinv is not None:
-            batch = m.shape[:-2]
-            vec = m.reshape(*batch, d * d)
-            return (vec @ self._pinv.T).reshape(*batch, d, d)
-        trace_part, diag_part, off_part, _ = self._split(m)
-        out = trace_part + diag_part / self._diag_eig
-        if abs(self._off_eig) > self.null_tol:
-            out = out + off_part / self._off_eig
+        return _sector_parts(self.spec, m)
+
+    def apply(self, m: np.ndarray) -> np.ndarray:
+        """Evaluate M+(m); components in null sectors are projected out."""
+        parts = self._parts(m)
+        out = parts["identity"]
+        for label, lam in self._kept:
+            if label != "identity":
+                out = out + parts[label] / lam
         return out
 
     __call__ = apply
 
     def removed_norm(self, m: np.ndarray) -> float:
         """Hilbert-Schmidt norm of the null-sector component of ``m``."""
-        m = np.asarray(m, dtype=complex)
-        d = self.spec.dim
-        if self._null_proj is not None:
-            return float(np.linalg.norm(self._null_proj @ m.reshape(d * d)))
-        _, _, off_part, null = self._split(m)
-        removed_sq = float(np.linalg.norm(null) ** 2)
-        if abs(self._off_eig) <= self.null_tol:
-            removed_sq += float(np.linalg.norm(off_part) ** 2)
+        parts = self._parts(m)
+        removed_sq = sum(float(np.linalg.norm(parts[lab]) ** 2) for lab in self._null)
         return removed_sq**0.5
 
     def is_projected(self, m: np.ndarray) -> bool:

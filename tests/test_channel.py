@@ -9,8 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from symshadows import channel
 from symshadows.channel import (
+    DENSE_MAX_DIM,
+    NULL_TOL,
     ChannelWeights,
     apply_channel,
     build_superoperator,
@@ -22,7 +27,8 @@ from symshadows.channel import (
     parent_channel,
 )
 from symshadows.rng import RngStream
-from symshadows.spaces import make_space
+from symshadows.shadows import random_observable, random_pure_state, run_estimation
+from symshadows.spaces import ALL_FAMILIES, GROUP_FAMILIES, make_space
 
 ALL_D4_SPECS = [
     make_space("U", 4),
@@ -289,6 +295,15 @@ def test_pseudo_inverse_of_fully_dephasing_quotient():
     assert inv.is_projected(m)
 
 
+def test_pseudo_inverse_of_fully_dephasing_symplectic_quotient():
+    # one-sided quaternionic blocks: a = b = 1, so M is exact dephasing
+    spec = make_space("CII", 8, 4, 0)
+    inv = invert_channel(spec)
+    m = _random_hermitian(8, seed=12)
+    np.testing.assert_allclose(inv(m), dephase(m), atol=1e-13)
+    assert inv.is_projected(m)
+
+
 def test_invert_channel_is_cached():
     spec = make_space("CI", 4)
     assert invert_channel(spec) is invert_channel(make_space("CI", 4))
@@ -298,3 +313,91 @@ def test_pseudo_inverse_rejects_wrong_shape():
     inv = invert_channel(make_space("U", 4))
     with pytest.raises(ValueError):
         inv(np.eye(3))
+
+
+# ------------------------------------------- closed form vs the dense oracle
+
+
+_EVEN_DIM = {"SP", "AII", "DIII", "CI", "CII"}
+
+
+@st.composite
+def _admissible_specs(draw):
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    if family in _EVEN_DIM:
+        d = 2 * draw(st.integers(1, 12))
+    else:
+        d = draw(st.integers(1 if family in GROUP_FAMILIES else 2, 24))
+    if family in ("AIII", "BDI"):
+        p = draw(st.integers(0, d))
+        return make_space(family, d, p, d - p)
+    if family == "CII":
+        p = draw(st.integers(0, d // 2))
+        return make_space(family, d, p, d // 2 - p)
+    return make_space(family, d)
+
+
+def _dense_pinv_and_null_projector(spec):
+    vals, vecs = np.linalg.eigh(build_superoperator(spec))
+    keep = np.abs(vals) > NULL_TOL
+    inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
+    pinv = (vecs * inv_vals) @ vecs.conj().T
+    null_proj = (vecs * ~keep) @ vecs.conj().T
+    return pinv, null_proj, vals
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(spec=_admissible_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec=make_space("CII", 2, 1, 0), seed=0)
+@example(spec=make_space("CII", 8, 4, 0), seed=1)
+@example(spec=make_space("CI", 2), seed=2)
+@example(spec=make_space("AIII", 2, 2, 0), seed=3)
+@example(spec=make_space("BDI", 5, 0, 5), seed=4)
+@example(spec=make_space("SP", 2), seed=5)
+@example(spec=make_space("O", 1), seed=6)
+def test_closed_form_inverse_matches_dense_oracle(spec, seed):
+    d = spec.dim
+    gen = np.random.default_rng(seed)
+    m = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    m /= np.linalg.norm(m)
+    pinv, null_proj, vals = _dense_pinv_and_null_projector(spec)
+    inv = invert_channel(spec)
+    dense_out = (pinv @ m.reshape(-1)).reshape(d, d)
+    assert np.max(np.abs(inv.apply(m) - dense_out)) <= 1e-10
+    assert abs(inv.removed_norm(m) - np.linalg.norm(null_proj @ m.reshape(-1))) <= 1e-10
+    np.testing.assert_allclose(
+        channel_spectrum(spec).dense(), np.sort(vals)[::-1], atol=1e-10
+    )
+    once = apply_channel(spec, m)
+    np.testing.assert_allclose(apply_channel(spec, inv(once)), once, atol=1e-10)
+
+
+def test_dense_superoperator_refuses_large_dimension():
+    spec = make_space("CI", DENSE_MAX_DIM + 2)
+    with pytest.raises(ValueError, match=r"d = 66 needs \d+ bytes .*limit is d <= 64"):
+        build_superoperator(spec)
+    with pytest.raises(ValueError, match="limit is d <= 64"):
+        choi_matrix(spec)
+
+
+def test_symplectic_parent_inverse_runs_at_d128_without_dense_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense superoperator path used")
+
+    monkeypatch.setattr(channel, "build_superoperator", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    invert_channel.cache_clear()
+    m = _random_hermitian(128, seed=13)
+    for spec in (make_space("CI", 128), make_space("CII", 128, 40, 24)):
+        inv = invert_channel(spec)
+        once = apply_channel(spec, m)
+        np.testing.assert_allclose(apply_channel(spec, inv(once)), once, atol=1e-9)
+    spec = make_space("CII", 128, 40, 24)
+    report = run_estimation(
+        spec,
+        random_pure_state(128, RngStream(14)),
+        random_observable(128, 0.5, rng=RngStream(15)),
+        16,
+        rng=RngStream(16),
+    )
+    assert np.isfinite(report.mean)
