@@ -12,12 +12,8 @@ Quick start::
     space = make_space("AIII", 4, p=2, q=2)
     rho = random_pure_state(4, rng=1)
     report = run_estimation(space, rho, observable, n_shots=10_000, rng=2)
-
-The compiled-kernel backend is selected with the ``SYMSHADOWS_BACKEND``
-environment variable (``numba``, ``numpy``, or ``auto``).
 """
 
-from .backend import BACKEND_ENV_VAR, active_backend
 from .channel import (
     ChannelInverse,
     ChannelWeights,
@@ -95,7 +91,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_FAMILIES",
-    "BACKEND_ENV_VAR",
     "Check",
     "ChannelInverse",
     "ChannelWeights",
@@ -115,7 +110,6 @@ __all__ = [
     "TwirlEstimate",
     "VarianceCoefficients",
     "__version__",
-    "active_backend",
     "all_passed",
     "analytic_second_moment",
     "apply_channel",

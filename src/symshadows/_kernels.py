@@ -1,19 +1,18 @@
-"""Pure-NumPy reference implementations of the hot kernels.
+"""Vectorized NumPy kernels for the per-sample hot loops.
 
-Every function here takes stacked inputs (leading batch axis) and returns
-plain ``ndarray`` results.  The numba backend mirrors these signatures
-exactly; results agree to floating-point roundoff (summation orders differ,
-so the last bits may not be bitwise identical across backends).
+Born-rule probabilities, inverse-CDF outcome choice, the estimator's
+quadratic form, moment-basis projections and first-order twirl sums.
+Every function takes stacked inputs (leading batch axis) and returns plain
+``ndarray`` results.  Callers look the functions up as attributes of this
+module at call time (``_kernels.born_probs(...)``), so a wrapper set on the
+module attribute sees every call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-available = True
-
 __all__ = [
-    "available",
     "born_probs",
     "choose_outcomes",
     "row_quadratic",

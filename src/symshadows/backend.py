@@ -1,49 +1,23 @@
-"""Selection of the numeric kernel backend.
+"""Compatibility shim for the benchmark harness.
 
-The hot per-sample loops (Born-rule evaluation, outcome sampling, moment
-projections, twirl accumulation) have two implementations: numba-compiled
-loops and vectorized pure NumPy.  The environment variable
-``SYMSHADOWS_BACKEND`` picks one:
-
-* ``numba`` -- require the compiled kernels (error if numba is missing);
-* ``numpy`` -- force the pure-NumPy path;
-* unset/``auto`` -- use numba when importable, NumPy otherwise.
-
-Matrix sampling itself (QR decompositions, Gram-Schmidt) is LAPACK-bound and
-stays in NumPy under every backend, so random streams produce identical
-matrices regardless of the backend choice.  See ``benchmarks/`` for a timing
-comparison of the two kernel sets.
+The package has one kernel path, the NumPy module
+:mod:`symshadows._kernels`, and nothing here reads the environment.
+``perfbench/worker.py`` and ``perfbench/tracing.py`` still import the two
+names below; the module can go once they no longer do.
 """
 
 from __future__ import annotations
 
-import os
+from . import _kernels
 
-from ._kernels import numba_impl, numpy_impl
-
-__all__ = ["active_backend", "get_kernels", "BACKEND_ENV_VAR"]
-
-BACKEND_ENV_VAR = "SYMSHADOWS_BACKEND"
+__all__ = ["active_backend", "get_kernels"]
 
 
 def active_backend() -> str:
-    """Return the name of the kernel backend in effect (``numba`` or ``numpy``)."""
-    choice = os.environ.get(BACKEND_ENV_VAR, "auto").strip().lower() or "auto"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not numba_impl.available:
-            raise RuntimeError(
-                f"{BACKEND_ENV_VAR}=numba requested but numba is not importable"
-            )
-        return "numba"
-    if choice == "auto":
-        return "numba" if numba_impl.available else "numpy"
-    raise ValueError(
-        f"unrecognized {BACKEND_ENV_VAR}={choice!r}; expected numba, numpy, or auto"
-    )
+    """Return the name of the kernel implementation, always ``"numpy"``."""
+    return "numpy"
 
 
 def get_kernels():
-    """Return the kernel module for the active backend."""
-    return numba_impl if active_backend() == "numba" else numpy_impl
+    """Return the :mod:`symshadows._kernels` module."""
+    return _kernels

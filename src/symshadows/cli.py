@@ -49,24 +49,6 @@ def _comma_list(kind):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="compute threads for the compiled backend (default: all cores)",
-    )
-    parser.add_argument(
-        "--out",
-        choices=("csv", "json"),
-        default="csv",
-        help="tabular output format (default csv)",
-    )
-    parser.add_argument(
-        "--tol-sem",
-        type=float,
-        default=5.0,
-        help="statistical tolerance in standard errors (default 5)",
-    )
-    parser.add_argument(
         "--config", type=Path, default=None, help="key=value file of flag defaults"
     )
     parser.add_argument(
@@ -74,15 +56,30 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_out(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--out",
+        choices=("csv", "json"),
+        default="csv",
+        help="tabular output format (default csv)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviations: fit and estimate have --output but no --out, and a
+    # prefix match would silently read a stray --out as --output.
     parser = argparse.ArgumentParser(
         prog="symshadows",
+        allow_abbrev=False,
         description="Randomized measurements over symmetric ensembles: "
         "verification, channel fits, variance sweeps, and estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a self-check suite")
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    p_verify = add_command("verify", "run a self-check suite")
     p_verify.add_argument(
         "--suite",
         default="all",
@@ -93,9 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--samples", type=int, default=None, help="override Monte-Carlo sample budget"
     )
+    p_verify.add_argument(
+        "--tol-sem",
+        type=float,
+        default=5.0,
+        help="statistical tolerance in standard errors (default 5)",
+    )
+    _add_out(p_verify)
     _add_common(p_verify)
 
-    p_fit = sub.add_parser("fit", help="fit channel coefficients from samples")
+    p_fit = add_command("fit", "fit channel coefficients from samples")
     p_fit.add_argument("--space", default=None, help="ensemble family, e.g. AI")
     p_fit.add_argument("--dim", type=int, default=None, help="matrix dimension")
     p_fit.add_argument("--p", type=int, default=None, help="first block size")
@@ -103,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--samples", type=int, default=200_000, help="ensemble draws")
     _add_common(p_fit)
 
-    p_sweep = sub.add_parser("sweep", help="variance sweep over a configuration grid")
+    p_sweep = add_command("sweep", "variance sweep over a configuration grid")
     p_sweep.add_argument("--dim", type=int, default=None, help="matrix dimension")
     p_sweep.add_argument(
         "--families",
@@ -129,16 +133,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--symmetric", action="store_true", help="restrict observables to real symmetric"
     )
+    _add_out(p_sweep)
     _add_common(p_sweep)
 
-    p_bloch = sub.add_parser("bloch", help="Bloch point cloud of V|0> (d=2 only)")
+    p_bloch = add_command("bloch", "Bloch point cloud of V|0> (d=2 only)")
     p_bloch.add_argument(
         "--space", choices=_BLOCH_SPACES, default="U", help="U or SU2-AIII"
     )
     p_bloch.add_argument("--samples", type=int, default=100_000, help="points to draw")
+    _add_out(p_bloch)
     _add_common(p_bloch)
 
-    p_est = sub.add_parser("estimate", help="estimate tr(rho O) from matrix files")
+    p_est = add_command("estimate", "estimate tr(rho O) from matrix files")
     p_est.add_argument("--state", type=Path, default=None, help="density-matrix JSON file")
     p_est.add_argument(
         "--observable", type=Path, default=None, help="observable JSON file"
@@ -203,17 +209,6 @@ def _emit(text: str, output: Path | None) -> None:
         sys.stdout.write(text)
     else:
         output.write_text(text, encoding="utf-8")
-
-
-def _set_threads(threads: int | None) -> None:
-    if threads is None:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(threads)
-    except ImportError:
-        pass
 
 
 def _require(args, *names: str) -> None:
@@ -406,7 +401,6 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     args = parser.parse_args(argv)
-    _set_threads(args.threads)
     from .shadows import InvalidStateError
 
     try:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import get_kernels
+from . import _kernels
 from .channel import apply_channel
 from .haar import symplectic_form, symplectic_pairing
 from .rng import as_generator
@@ -226,7 +226,6 @@ def mc_twirl(
     if a.shape != (dk, dk):
         raise ValueError(f"operand shape {a.shape} does not match (d^k, d^k) = ({dk}, {dk})")
     gen = as_generator(rng)
-    kern = get_kernels()
     if batch_size is None:
         batch_size = max(1, min(n_samples, 4_000_000 // (dk * dk)))
     sum_z = np.zeros((dk, dk), dtype=complex)
@@ -236,7 +235,7 @@ def mc_twirl(
         b = min(batch_size, n_samples - done)
         v = np.ascontiguousarray(sample_point(spec, gen, size=b), dtype=np.complex128)
         if k == 1:
-            part_z, part_sq = kern.twirl1_accum(v, a)
+            part_z, part_sq = _kernels.twirl1_accum(v, a)
             sum_z += part_z
             sum_sq += part_sq
         else:
@@ -478,7 +477,6 @@ def fit_channel_coefficients(
             f"delta-basis Gram matrix is numerically singular (cond = {cond:.3e})"
         )
     gram_inv = np.linalg.inv(gram)
-    kern = get_kernels()
     if parent == "SP":
         jperm, jsign = symplectic_pairing(d)
     gen = as_generator(rng)
@@ -491,11 +489,11 @@ def fit_channel_coefficients(
         b = min(batch_size, n_samples - done)
         v = np.ascontiguousarray(sample_point(spec, gen, size=b), dtype=np.complex128)
         if parent == "U":
-            y = kern.proj_unitary(v)
+            y = _kernels.proj_unitary(v)
         elif parent == "O":
-            y = kern.proj_orthogonal(v)
+            y = _kernels.proj_orthogonal(v)
         else:
-            y = kern.proj_symplectic(v, jperm, jsign)
+            y = _kernels.proj_symplectic(v, jperm, jsign)
         c = y @ gram_inv
         sum_c += c.sum(axis=0)
         sum_csq += (c**2).sum(axis=0)
@@ -629,7 +627,6 @@ def k_equivariance_check(
     )
     a = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
     kak = k @ a @ k.conj().T
-    kern = get_kernels()
     sum_z = np.zeros((d, d), dtype=complex)
     sum_sq = np.zeros((d, d))
     done = 0

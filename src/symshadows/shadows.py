@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend import get_kernels
+from . import _kernels
 from .channel import apply_channel, invert_channel
 from .rng import RngStream, as_generator
 from .spaces import SpaceSpec, make_space, sample_point
@@ -199,12 +199,11 @@ def sample_outcome(spec: SpaceSpec, rho: np.ndarray, rng=None) -> ShadowRecord:
             f"state dimension {state.shape[0]} does not match ensemble dimension {spec.dim}"
         )
     gen = as_generator(rng)
-    kern = get_kernels()
     v = np.ascontiguousarray(sample_point(spec, gen, size=1), dtype=np.complex128)
-    probs = kern.born_probs(v, state)
+    probs = _kernels.born_probs(v, state)
     _check_probabilities(probs)
     np.clip(probs, 0.0, None, out=probs)
-    outcome = int(kern.choose_outcomes(probs, gen.random(1))[0])
+    outcome = int(_kernels.choose_outcomes(probs, gen.random(1))[0])
     return ShadowRecord(rotation=v[0], outcome=outcome)
 
 
@@ -298,7 +297,7 @@ def estimate_observable(
         np.stack([np.asarray(rec.rotation)[rec.outcome] for rec in batch]),
         dtype=np.complex128,
     )
-    estimates = get_kernels().row_quadratic(rows, x)
+    estimates = _kernels.row_quadratic(rows, x)
     return _report_from_estimates(estimates, truth, inverse.is_projected(obs))
 
 
@@ -357,7 +356,6 @@ def shadow_estimates(
     obs = _as_observable(observable, spec.dim)
     x = np.ascontiguousarray(invert_channel(spec).apply(obs))
     gen = as_generator(rng)
-    kern = get_kernels()
     if batch_size is None:
         batch_size = max(1, min(int(n_shots), 2_000_000 // (spec.dim * spec.dim)))
     out = np.empty(n_shots, dtype=np.float64)
@@ -365,12 +363,12 @@ def shadow_estimates(
     while done < n_shots:
         count = min(batch_size, n_shots - done)
         v = np.ascontiguousarray(sample_point(spec, gen, size=count), dtype=np.complex128)
-        probs = kern.born_probs(v, state)
+        probs = _kernels.born_probs(v, state)
         _check_probabilities(probs)
         np.clip(probs, 0.0, None, out=probs)
-        outcomes = kern.choose_outcomes(probs, gen.random(count))
+        outcomes = _kernels.choose_outcomes(probs, gen.random(count))
         rows = np.ascontiguousarray(v[np.arange(count), outcomes, :])
-        out[done : done + count] = kern.row_quadratic(rows, x)
+        out[done : done + count] = _kernels.row_quadratic(rows, x)
         done += count
     return out
 
@@ -565,6 +563,19 @@ def variance_sweep(config: SweepConfig) -> list[ResultRow]:
         raise ValueError("variance estimation needs n_shots >= 2")
     if config.n_instances < 1:
         raise ValueError("n_instances must be at least 1")
+    # Build every grid cell's spec before any sampling, so an unknown family
+    # or an inadmissible dimension fails at once.
+    cells = []
+    for fi, family in enumerate(config.families):
+        for ci, fraction in enumerate(config.signature_fractions):
+            blocks = signature_for_fraction(family, config.dim, fraction)
+            if blocks is None:
+                spec = make_space(family, config.dim)
+                blocks, c_actual = (None, None, None), None
+            else:
+                spec = make_space(family, config.dim, p=blocks[0], q=blocks[1])
+                c_actual = blocks[2] / config.dim
+            cells.append((fi, ci, family, fraction, spec, blocks, c_actual))
     root = RngStream(config.seed)
     states = [
         random_pure_state(config.dim, root.child(10, inst))
@@ -581,48 +592,38 @@ def variance_sweep(config: SweepConfig) -> list[ResultRow]:
         for inst in range(config.n_instances)
     }
     rows: list[ResultRow] = []
-    for fi, family in enumerate(config.families):
-        for ci, fraction in enumerate(config.signature_fractions):
-            blocks = signature_for_fraction(family, config.dim, fraction)
-            if blocks is None:
-                spec = make_space(family, config.dim)
-                p = q = s = None
-                c_actual = None
-            else:
-                p, q, s = blocks
-                spec = make_space(family, config.dim, p=p, q=q)
-                c_actual = s / config.dim
-            for wi, weight in enumerate(config.diag_weights):
-                for inst in range(config.n_instances):
-                    estimates = shadow_estimates(
-                        spec,
-                        states[inst],
-                        observables[wi, inst],
-                        config.n_shots,
-                        rng=root.child(12, fi, ci, wi, inst),
-                        batch_size=config.batch_size,
+    for fi, ci, family, fraction, spec, (p, q, s), c_actual in cells:
+        for wi, weight in enumerate(config.diag_weights):
+            for inst in range(config.n_instances):
+                estimates = shadow_estimates(
+                    spec,
+                    states[inst],
+                    observables[wi, inst],
+                    config.n_shots,
+                    rng=root.child(12, fi, ci, wi, inst),
+                    batch_size=config.batch_size,
+                )
+                report = _report_from_estimates(estimates, None, False)
+                analytic = analytic_second_moment(
+                    states[inst], observables[wi, inst], spec
+                )
+                rows.append(
+                    ResultRow(
+                        family=family,
+                        d=config.dim,
+                        p=p,
+                        q=q,
+                        s=s,
+                        c_requested=fraction,
+                        c_actual=c_actual,
+                        diag_weight=weight,
+                        instance=inst,
+                        n_shots=config.n_shots,
+                        empirical_variance=report.variance,
+                        analytic_second_moment=analytic,
+                        mean=report.mean,
+                        sem=report.sem,
+                        seed=config.seed,
                     )
-                    report = _report_from_estimates(estimates, None, False)
-                    analytic = analytic_second_moment(
-                        states[inst], observables[wi, inst], spec
-                    )
-                    rows.append(
-                        ResultRow(
-                            family=family,
-                            d=config.dim,
-                            p=p,
-                            q=q,
-                            s=s,
-                            c_requested=fraction,
-                            c_actual=c_actual,
-                            diag_weight=weight,
-                            instance=inst,
-                            n_shots=config.n_shots,
-                            empirical_variance=report.variance,
-                            analytic_second_moment=analytic,
-                            mean=report.mean,
-                            sem=report.sem,
-                            seed=config.seed,
-                        )
-                    )
+                )
     return rows

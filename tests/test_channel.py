@@ -223,7 +223,8 @@ def test_orthogonal_parent_quotient_spectrum_closed_form():
 
 
 def test_symplectic_parent_quotient_spectra_frozen():
-    # numerically clustered spectra, frozen from the exact superoperator
+    # the closed-form SP-parent sectors, in channel_spectrum's order with
+    # zero-multiplicity sectors dropped; values frozen as exact fractions
     ci = channel_spectrum(make_space("CI", 4))
     np.testing.assert_allclose(
         ci.eigenvalues, [1.0, 11 / 35, 29 / 105, 4 / 21, 6 / 35], atol=1e-12

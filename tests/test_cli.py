@@ -212,6 +212,43 @@ def test_sweep_requires_dim(capsys):
     assert main(["sweep"]) == EXIT_USAGE
 
 
+def test_sweep_rejects_unknown_family_before_output(capsys):
+    code = main(["sweep", "--dim", "4", "--families", "U,NOPE"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "NOPE" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--space", "AI", "--dim", "3", "--tol-sem", "3"],
+        ["fit", "--space", "AI", "--dim", "3", "--out", "json"],
+        ["estimate", "--space", "AI", "--out", "csv"],
+        ["sweep", "--dim", "2", "--tol-sem", "3"],
+    ],
+    ids=["fit-tol-sem", "fit-out", "estimate-out", "sweep-tol-sem"],
+)
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key", [("sweep", "threads"), ("fit", "tol_sem"), ("bloch", "tol-sem")]
+)
+def test_config_keys_a_command_does_not_read_are_rejected(tmp_path, capsys, command, key):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key} = 2\n")
+    code = main([command, "--config", str(config)])
+    _, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "unknown config key" in err
+
+
 def test_sweep_json_output(capsys):
     code = main(
         [

@@ -1,16 +1,11 @@
-"""Backend parity: the numba kernels must reproduce the NumPy reference."""
+"""The per-sample kernels against explicit loops over their definitions."""
 
 import numpy as np
 import pytest
 
-from symshadows.backend import BACKEND_ENV_VAR, active_backend, get_kernels
-from symshadows._kernels import numba_impl, numpy_impl
-from symshadows.haar import haar_unitary, symplectic_pairing
+from symshadows import _kernels
+from symshadows.haar import haar_unitary, symplectic_form, symplectic_pairing
 from symshadows.rng import RngStream
-
-numba_only = pytest.mark.skipif(
-    not numba_impl.available, reason="numba backend not importable"
-)
 
 
 @pytest.fixture(scope="module")
@@ -37,15 +32,15 @@ def batch():
 
 
 def test_born_probs_rows_are_distributions(batch):
-    p = numpy_impl.born_probs(batch["v"], batch["rho"])
+    p = _kernels.born_probs(batch["v"], batch["rho"])
     assert p.shape == (32, 6)
     assert np.all(p > -1e-14)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_choose_outcomes_matches_inverse_cdf(batch):
-    p = numpy_impl.born_probs(batch["v"], batch["rho"])
-    idx = numpy_impl.choose_outcomes(p, batch["uniforms"])
+    p = _kernels.born_probs(batch["v"], batch["rho"])
+    idx = _kernels.choose_outcomes(p, batch["uniforms"])
     cum = np.cumsum(p, axis=1)
     for n in range(p.shape[0]):
         u = batch["uniforms"][n]
@@ -58,88 +53,80 @@ def test_choose_outcomes_matches_inverse_cdf(batch):
 def test_choose_outcomes_final_bin_absorbs_roundoff():
     probs = np.array([[0.25, 0.25, 0.25, 0.25 - 1e-12]])
     uniforms = np.array([1.0 - 1e-13])
-    idx = numpy_impl.choose_outcomes(probs, uniforms)
+    idx = _kernels.choose_outcomes(probs, uniforms)
     assert idx[0] == 3
 
 
 def test_row_quadratic_matches_direct_form(batch):
     rows = batch["v"][:, 0, :]
-    got = numpy_impl.row_quadratic(rows, batch["x"])
+    got = _kernels.row_quadratic(rows, batch["x"])
     expected = np.array(
         [(r @ batch["x"] @ r.conj()).real for r in rows]
     )
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
-@numba_only
-def test_born_probs_backend_parity(batch):
-    a = numpy_impl.born_probs(batch["v"], batch["rho"])
-    b = numba_impl.born_probs(batch["v"], batch["rho"])
-    np.testing.assert_allclose(a, b, atol=1e-13)
+def _moment_contribution(v):
+    """T[a, b, i, j] = sum_w v_wa conj(v_wb) conj(v_wi) v_wj for one sample."""
+    d = v.shape[0]
+    t = np.zeros((d, d, d, d), dtype=complex)
+    for row in v:
+        t += np.einsum("a,b,i,j->abij", row, row.conj(), row.conj(), row)
+    return t
 
 
-@numba_only
-def test_choose_outcomes_backend_parity(batch):
-    p = numpy_impl.born_probs(batch["v"], batch["rho"])
-    a = numpy_impl.choose_outcomes(p, batch["uniforms"])
-    b = numba_impl.choose_outcomes(p, batch["uniforms"])
-    np.testing.assert_array_equal(a, b)
+def _delta_basis(parent, d):
+    """The parent group's delta tensors, indexed [a, b, i, j]."""
+    eye = np.eye(d)
+    deph = np.zeros((d, d, d, d))
+    for a in range(d):
+        deph[a, a, a, a] = 1.0
+    basis = [np.einsum("ab,ij->abij", eye, eye), np.einsum("ai,bj->abij", eye, eye)]
+    if parent == "U":
+        return basis + [deph]
+    if parent == "O":
+        return basis + [np.einsum("aj,bi->abij", eye, eye), deph]
+    form = symplectic_form(d)
+    jperm, _ = symplectic_pairing(d)
+    pair_diag = np.zeros((d, d, d, d))
+    pair_cross = np.zeros((d, d, d, d))
+    for a in range(d):
+        pair_diag[a, a, jperm[a], jperm[a]] = 1.0
+        pair_cross[a, jperm[a], a, jperm[a]] = 1.0
+    form_term = np.einsum("aj,bi->abij", form, form)
+    return basis + [form_term, deph, pair_diag, pair_cross]
 
 
-@numba_only
-def test_row_quadratic_backend_parity(batch):
-    rows = np.ascontiguousarray(batch["v"][:, 2, :])
-    a = numpy_impl.row_quadratic(rows, batch["x"])
-    b = numba_impl.row_quadratic(rows, batch["x"])
-    np.testing.assert_allclose(a, b, atol=1e-12)
+def _projections_by_loop(v, parent):
+    basis = _delta_basis(parent, v.shape[1])
+    return np.array(
+        [
+            [np.sum(tensor * _moment_contribution(sample)).real for tensor in basis]
+            for sample in v
+        ]
+    )
 
 
-@numba_only
-def test_projection_backend_parity(batch):
+@pytest.mark.parametrize("parent", ["U", "O", "SP"])
+def test_projections_match_per_sample_contraction(batch, parent):
     v = batch["v"]
-    np.testing.assert_allclose(
-        numpy_impl.proj_unitary(v), numba_impl.proj_unitary(v), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        numpy_impl.proj_orthogonal(v), numba_impl.proj_orthogonal(v), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        numpy_impl.proj_symplectic(v, batch["jperm"], batch["jsign"]),
-        numba_impl.proj_symplectic(v, batch["jperm"], batch["jsign"]),
-        atol=1e-12,
-    )
+    if parent == "U":
+        got = _kernels.proj_unitary(v)
+    elif parent == "O":
+        got = _kernels.proj_orthogonal(v)
+    else:
+        got = _kernels.proj_symplectic(v, batch["jperm"], batch["jsign"])
+    np.testing.assert_allclose(got, _projections_by_loop(v, parent), atol=1e-12)
 
 
-@numba_only
-def test_twirl1_backend_parity(batch):
-    t_np, s_np = numpy_impl.twirl1_accum(batch["v"], batch["x"])
-    t_nb, s_nb = numba_impl.twirl1_accum(batch["v"], batch["x"])
-    np.testing.assert_allclose(t_np, t_nb, atol=1e-11)
-    np.testing.assert_allclose(s_np, s_nb, atol=1e-11)
-
-
-def test_backend_env_var_selects_numpy(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-    assert active_backend() == "numpy"
-    assert get_kernels() is numpy_impl
-
-
-@numba_only
-def test_backend_env_var_selects_numba(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-    assert active_backend() == "numba"
-    assert get_kernels() is numba_impl
-
-
-def test_backend_auto_and_default(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
-    expected = "numba" if numba_impl.available else "numpy"
-    assert active_backend() == expected
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert active_backend() == expected
-
-
-def test_backend_rejects_unknown_value(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-    with pytest.raises(ValueError, match="fortran"):
-        active_backend()
+def test_twirl1_accum_matches_per_sample_sums(batch):
+    v, a = batch["v"], batch["x"]
+    total, total_sqmag = _kernels.twirl1_accum(v, a)
+    expected = np.zeros_like(total)
+    expected_sqmag = np.zeros_like(total_sqmag)
+    for vn in v:
+        prod = vn @ a @ vn.conj().T
+        expected += prod
+        expected_sqmag += np.abs(prod) ** 2
+    np.testing.assert_allclose(total, expected, atol=1e-11)
+    np.testing.assert_allclose(total_sqmag, expected_sqmag, atol=1e-11)

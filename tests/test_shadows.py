@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from symshadows import shadows
 from symshadows.rng import RngStream
 from symshadows.shadows import (
     EstimationReport,
@@ -313,3 +314,23 @@ def test_variance_sweep_rejects_tiny_runs():
         variance_sweep(SweepConfig(dim=2, n_shots=1))
     with pytest.raises(ValueError):
         variance_sweep(SweepConfig(dim=2, n_instances=0))
+
+
+@pytest.mark.parametrize(
+    "families, dim, match",
+    [(("U", "NOPE"), 4, "NOPE"), (("U", "CII"), 5, "CII")],
+    ids=["unknown-family", "CII-odd-dim"],
+)
+def test_variance_sweep_rejects_bad_grid_before_any_work(monkeypatch, families, dim, match):
+    calls = []
+    original = shadows.shadow_estimates
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(shadows, "shadow_estimates", counting)
+    config = SweepConfig(dim=dim, families=families, n_instances=3, n_shots=200)
+    with pytest.raises(ValueError, match=match):
+        variance_sweep(config)
+    assert calls == []
