@@ -28,15 +28,19 @@ def born_probs(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    v : (B, d, d) complex ndarray
-        Batch of rotation matrices.
-    rho : (d, d) complex ndarray
-        Density matrix.
+    v : (B, d, m) ndarray
+        Batch of rotation matrices (``m = d``), or of the products
+        ``V_n F`` with a factor ``F`` of the state, ``rho_state = F W F^†``.
+    rho : (m, m) ndarray or (m,) ndarray
+        Density matrix (or ``W``), or the diagonal of a diagonal ``W``:
+        then ``p[n, w] = sum_k rho[k] |v[n, w, k]|^2``.
 
     Returns
     -------
     (B, d) float ndarray
     """
+    if rho.ndim == 1:
+        return (v.real**2 + v.imag**2) @ rho
     return np.einsum("nwa,ab,nwb->nw", v, rho, v.conj(), optimize=True).real
 
 

@@ -1,15 +1,23 @@
 """Haar sampling on the classical compact groups U(d), O(d), SO(d), SP(d).
 
-All samplers follow the Ginibre + QR recipe: fill a matrix with i.i.d.
-Gaussians, orthogonalize, and fix the gauge freedom of the factorization so
-the result carries the group's Haar measure (Mezzadri, "How to generate
-random matrices from the classical compact groups", Notices AMS 54 (2007)).
+U(d), O(d) and SO(d) are drawn as products of Householder reflectors built
+from fresh Gaussian vectors of decreasing length (Stewart, SIAM J. Numer.
+Anal. 17:403 (1980); Mezzadri, "How to generate random matrices from the
+classical compact groups", Notices AMS 54 (2007)).  Reflector ``k`` is the
+one Householder QR of a Ginibre matrix would build from its ``k``-th column,
+and a diagonal of unit phases fixes the gauge, so the law is exactly Haar.
+A draw is held packed (:class:`HouseholderDraw`): a round costs d(d+1)/2
+Gaussians, and applying it to a vector costs O(d²), with no d×d matrix
+formed unless :meth:`HouseholderDraw.matrix` is asked for.
+
 The symplectic sampler works in the quaternionic model: a quaternionic
 Ginibre matrix is orthogonalized by a Gram-Schmidt pass that preserves the
 quaternionic structure, which lands the result in SP(d) ⊂ U(d) exactly.
+Its dense draws are wrapped in :class:`DenseDraw`, which has the same
+``apply``/``apply_adjoint``/``matrix`` interface.
 
-Every sampler accepts ``size=None`` for a single ``(d, d)`` matrix or an
-integer ``size`` for a stacked ``(size, d, d)`` batch, and draws from a
+The matrix samplers accept ``size=None`` for a single ``(d, d)`` matrix or
+an integer ``size`` for a stacked ``(size, d, d)`` batch, and draw from a
 :class:`numpy.random.Generator` (or anything :func:`symshadows.rng.as_generator`
 accepts).
 """
@@ -21,21 +29,16 @@ import numpy as np
 from .rng import as_generator
 
 __all__ = [
+    "DenseDraw",
+    "HouseholderDraw",
     "ginibre",
+    "haar_reflectors",
     "haar_unitary",
     "haar_orthogonal",
     "haar_symplectic",
     "symplectic_form",
     "symplectic_pairing",
 ]
-
-
-def _batch_shape(size: int | None, d: int) -> tuple[int, ...]:
-    if size is None:
-        return (d, d)
-    if size < 1:
-        raise ValueError(f"size must be a positive integer, got {size}")
-    return (int(size), d, d)
 
 
 def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
@@ -91,12 +94,192 @@ def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
     return z[0] if size is None else z
 
 
+class HouseholderDraw:
+    """A batch of Haar draws from U(d), O(d) or SO(d), held as reflectors.
+
+    Draw ``n`` is ``g = H_0 H_1 ⋯ H_{d-2} diag(signs[:, n])`` with
+    ``H_k = 1 - tau[k, n] v_k v_kᴴ`` acting on coordinates ``k, …, d-1``
+    and ``tau = 2/‖v_k‖²``.  (LAPACK scales ``v_k[k]`` to 1; the scale of
+    ``v_k`` does not change ``H_k``, so it is left as drawn.)  Every array
+    keeps the batch axis last.
+
+    Attributes
+    ----------
+    dim : int
+        Matrix dimension d.
+    size : int
+        Number of draws B.
+    reflectors : (d(d+1)/2 - 1, B) ndarray
+        ``v_0, …, v_{d-2}`` packed one after another; ``v_k`` (length
+        ``d - k``) starts at row ``offsets[k]``.
+    offsets : (d - 1,) int ndarray
+        Start row of each reflector in ``reflectors``.
+    tau : (d - 1, B) float ndarray
+        Reflector scales ``2/‖v_k‖²`` (0 only for an all-zero Gaussian column).
+    signs : (d, B) ndarray
+        Unit-modulus gauge: complex phases for U(d), ±1 for O(d)/SO(d).
+    """
+
+    def __init__(self, reflectors, offsets, tau, signs):
+        self.reflectors = reflectors
+        self.offsets = offsets
+        self.tau = tau
+        self.signs = signs
+        self.dim, self.size = signs.shape
+
+    def _reflect_all(self, out: np.ndarray, order) -> None:
+        """In place: ``out <- H_k out`` for each ``k`` in ``order``.
+
+        ``out`` is ``(d, B)`` or ``(d, r, B)``.
+        """
+        for k in order:
+            lo, m = self.offsets[k], self.dim - k
+            v = self.reflectors[lo : lo + m]
+            if out.ndim == 3:
+                v = v[:, None, :]
+            seg = out[k:]
+            coef = (v.conj() * seg).sum(axis=0)
+            coef *= self.tau[k]
+            seg -= v * coef
+
+    def _gauge(self, y: np.ndarray, conj: bool) -> np.ndarray:
+        signs = self.signs.conj() if conj else self.signs
+        return signs if y.ndim == 2 else signs[:, None, :]
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)`` or ``(d, r, B)``."""
+        out = np.ascontiguousarray(y * self._gauge(y, conj=False))
+        self._reflect_all(out, range(self.dim - 2, -1, -1))
+        return out
+
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)`` or ``(d, r, B)``."""
+        out = np.array(y, dtype=np.result_type(y, self.reflectors), order="C")
+        self._reflect_all(out, range(self.dim - 1))
+        out *= self._gauge(out, conj=True)
+        return out
+
+    def matrix(self) -> np.ndarray:
+        """The draws as dense ``(B, d, d)`` matrices.
+
+        Reflectors are applied right to left, and ``H_k`` only touches the
+        trailing ``(d-k) x (d-k)`` block of the partial product, so this
+        costs d³/3 per draw rather than d³.
+        """
+        d = self.dim
+        out = np.zeros((d, d, self.size), dtype=self.signs.dtype)
+        out[np.arange(d), np.arange(d)] = self.signs
+        for k in range(d - 2, -1, -1):
+            lo, m = self.offsets[k], d - k
+            v = self.reflectors[lo : lo + m]
+            sub = out[k:, k:]
+            coef = np.einsum("ib,ijb->jb", v.conj(), sub) * self.tau[k]
+            sub -= v[:, None, :] * coef[None, :, :]
+        return np.ascontiguousarray(out.transpose(2, 0, 1))
+
+
+class DenseDraw:
+    """A batch of group elements held as dense ``(B, d, d)`` matrices.
+
+    Gives dense samplers (``haar_symplectic``) the interface of
+    :class:`HouseholderDraw`: vectors are stacked with the batch axis last
+    and applied as batched mat-vecs.
+    """
+
+    def __init__(self, g: np.ndarray):
+        self.g = g
+        self.size, self.dim = g.shape[0], g.shape[1]
+        self._gh = None
+
+    @staticmethod
+    def _matvec(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+        yb = np.moveaxis(y, -1, 0)
+        if y.ndim == 2:
+            return np.moveaxis((g @ yb[:, :, None])[:, :, 0], 0, -1)
+        return np.moveaxis(g @ yb, 0, -1)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)`` or ``(d, r, B)``."""
+        return self._matvec(self.g, y)
+
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)`` or ``(d, r, B)``."""
+        if self._gh is None:
+            self._gh = np.swapaxes(self.g.conj(), 1, 2)
+        return self._matvec(self._gh, y)
+
+    def matrix(self) -> np.ndarray:
+        """The draws as dense ``(B, d, d)`` matrices."""
+        return self.g
+
+
+def haar_reflectors(
+    d: int, rng=None, size: int = 1, *, kind: str = "complex", special: bool = False
+) -> HouseholderDraw:
+    """Draw ``size`` Haar elements of U(d) (``kind='complex'``) or O(d)/SO(d) (``'real'``).
+
+    Column ``k`` of a Ginibre matrix, after the first ``k`` reflectors of
+    its Householder QR, is again a standard Gaussian vector; its trailing
+    ``d - k`` entries ``x`` are therefore drawn fresh, d(d+1)/2 Gaussians
+    per draw in all.  With ``phase = x[0]/|x[0]|`` the reflector mapping
+    ``x`` to ``-phase·‖x‖·e_0`` is ``1 - tau v vᴴ`` with
+    ``v = x + phase‖x‖e_0`` and ``tau = 2/‖v‖² = 1/(‖x‖(‖x‖ + |x[0]|))``,
+    and the gauge entry that makes the law Haar (dividing out the phase of
+    R's diagonal) is ``-phase``.  The last column is a scalar; its
+    reflector is ``-1`` and is folded into its gauge entry, which is then
+    just ``phase``.
+
+    With ``special=True`` (real kind only) draws of determinant -1 have
+    their first gauge sign flipped: Haar on SO(d), in O(d) per draw.
+    """
+    gen = as_generator(rng)
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    size = int(size)
+    if size < 1:
+        raise ValueError(f"size must be a positive integer, got {size}")
+    if kind not in ("complex", "real"):
+        raise ValueError(f"unknown Haar kind {kind!r}; expected 'complex' or 'real'")
+    if special and kind != "real":
+        raise ValueError("special=True needs kind='real' (SO(d))")
+    n = d * (d + 1) // 2
+    lengths = np.arange(d, 0, -1)
+    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    if kind == "complex":
+        flat = gen.standard_normal((n, 2 * size))
+        x = flat.view(np.complex128)
+    else:
+        flat = x = gen.standard_normal((n, size))
+    # Column norms one segment at a time: np.add.reduceat over axis 0 is
+    # several times slower here.
+    norm2 = np.empty((d, flat.shape[1]))
+    for k, (lo, m) in enumerate(zip(offsets, lengths)):
+        np.einsum("ij,ij->j", flat[lo : lo + m], flat[lo : lo + m], out=norm2[k])
+    if kind == "complex":
+        norm2 = norm2.reshape(d, size, 2).sum(axis=2)
+    norm = np.sqrt(norm2)
+    heads = x[offsets]
+    head_abs = np.abs(heads)
+    phase = np.where(head_abs > 0, heads / np.where(head_abs > 0, head_abs, 1.0), 1.0)
+    reflectors = x[:-1]
+    reflectors[offsets[:-1]] += (phase * norm)[:-1]
+    denom = (norm * (norm + head_abs))[:-1]
+    tau = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
+    signs = -phase
+    signs[-1] = phase[-1]
+    if special:
+        # det g = (-1)^(number of proper reflectors) * prod(signs)
+        flips = np.count_nonzero(tau, axis=0) % 2
+        det = np.prod(signs, axis=0) * (1.0 - 2.0 * flips)
+        signs[0] *= det
+    return HouseholderDraw(reflectors, offsets[:-1], tau, signs)
+
+
 def haar_unitary(d: int, rng=None, size: int | None = None) -> np.ndarray:
     """Sample Haar-distributed unitaries from U(d).
 
-    QR of a complex Ginibre matrix, with the R-diagonal phases divided out so
-    the factorization is unique -- the standard correction that makes the
-    distribution exactly Haar rather than merely left-invariant.
+    The dense matrices of :func:`haar_reflectors` draws; code that only
+    applies the unitaries to vectors should use the draw itself.
 
     Examples
     --------
@@ -104,14 +287,7 @@ def haar_unitary(d: int, rng=None, size: int | None = None) -> np.ndarray:
     >>> np.allclose(u.conj().T @ u, np.eye(3))
     True
     """
-    gen = as_generator(rng)
-    z = ginibre("complex", d, gen, size=size if size is not None else 1)
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("...ii->...i", r).copy()
-    # Guard against an exactly zero pivot (probability zero, but keep the
-    # phase well-defined).
-    diag[diag == 0] = 1.0
-    q = q * (diag / np.abs(diag))[..., None, :]
+    q = haar_reflectors(d, rng, 1 if size is None else size).matrix()
     return q[0] if size is None else q
 
 
@@ -120,26 +296,22 @@ def haar_orthogonal(
 ) -> np.ndarray:
     """Sample Haar-distributed real orthogonal matrices from O(d) or SO(d).
 
+    The dense matrices of :func:`haar_reflectors` draws of kind ``'real'``.
+
     Parameters
     ----------
     special : bool
         When True, condition on determinant +1 (Haar on SO(d)) by flipping
-        the sign of the first column of draws with determinant -1.
+        the first gauge sign of draws with determinant -1.
 
     Returns
     -------
     ndarray
         Real ``float64`` matrices.
     """
-    gen = as_generator(rng)
-    z = ginibre("real", d, gen, size=size if size is not None else 1)
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("...ii->...i", r).copy()
-    diag[diag == 0] = 1.0
-    q = q * np.sign(diag)[..., None, :]
-    if special:
-        flip = np.linalg.det(q) < 0
-        q[flip, :, 0] *= -1.0
+    q = haar_reflectors(
+        d, rng, 1 if size is None else size, kind="real", special=special
+    ).matrix()
     return q[0] if size is None else q
 
 

@@ -2,7 +2,10 @@
 
 One protocol round draws a rotation ``V`` from the configured ensemble,
 measures ``V rho V^†`` in the computational basis, and stores the pair
-``(V, outcome)``.  Linear functionals ``tr(rho O)`` are then estimated by
+``(V, outcome)``.  The streamed estimator never forms ``V``: it applies the
+draw to a low-rank factor of ``rho`` for the Born probabilities and to the
+measured basis vector for the outcome row, O(d²) per vector for U and O
+parents.  Linear functionals ``tr(rho O)`` are then estimated by
 applying the pseudo-inverse of the measurement channel to the *observable*
 (the adjoint trick: the channel is self-adjoint in the Hilbert-Schmidt inner
 product), so each record contributes a single quadratic form
@@ -25,7 +28,9 @@ import numpy as np
 from . import _kernels
 from .channel import apply_channel, invert_channel
 from .rng import RngStream, as_generator
-from .spaces import SpaceSpec, make_space, sample_point
+# ``sample_point`` is not called here any more; it stays importable as
+# ``shadows.sample_point``, which perfbench/tracing.py wraps.
+from .spaces import SpaceSpec, make_space, sample_draw, sample_point  # noqa: F401
 from .variance import analytic_second_moment
 
 __all__ = [
@@ -53,6 +58,11 @@ DENSITY_TOL = 1e-10
 
 #: Tolerance for the per-draw check that outcome probabilities sum to one.
 PROB_TOL = 1e-10
+
+#: The low-rank factor of a state stops once every diagonal entry left is at
+#: most this fraction of the largest diagonal entry (a pure state keeps one
+#: component).
+FACTOR_RTOL = 1e-14
 
 
 class InvalidStateError(ValueError):
@@ -193,18 +203,76 @@ def sample_outcome(spec: SpaceSpec, rho: np.ndarray, rng=None) -> ShadowRecord:
     InvalidStateError
         If ``rho`` fails validation or its dimension does not match ``spec``.
     """
+    _, factor = _validated_state(spec, rho)
+    draw, outcomes = _measure_batch(spec, factor, as_generator(rng), 1)
+    rotation = np.ascontiguousarray(draw.matrix()[0], dtype=np.complex128)
+    return ShadowRecord(rotation=rotation, outcome=int(outcomes[0]))
+
+
+def _validated_state(spec: SpaceSpec, rho: np.ndarray):
+    """Validate ``rho`` against ``spec``; return it with its low-rank factor."""
     state = validate_density(rho)
     if state.shape[0] != spec.dim:
         raise InvalidStateError(
             f"state dimension {state.shape[0]} does not match ensemble dimension {spec.dim}"
         )
-    gen = as_generator(rng)
-    v = np.ascontiguousarray(sample_point(spec, gen, size=1), dtype=np.complex128)
-    probs = _kernels.born_probs(v, state)
+    return state, _state_factor(state)
+
+
+def _state_factor(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights ``w`` and unit vectors ``L`` with ``state = L diag(w) L^†``.
+
+    Pivoted Cholesky: each step takes the remaining column with the largest
+    diagonal entry, so a rank-r state costs O(d² r) and a pure state gives
+    r = 1.  It stops once every diagonal entry left is at most
+    ``FACTOR_RTOL`` times the largest one of ``state``; for a validated
+    state what is dropped is below the validation tolerance.
+    """
+    resid = state.copy()
+    diag = resid.diagonal().real.copy()
+    stop = FACTOR_RTOL * float(diag.max())
+    weights, vectors = [], []
+    for _ in range(state.shape[0]):
+        j = int(np.argmax(diag))
+        if diag[j] <= stop:
+            break
+        col = resid[:, j] / math.sqrt(diag[j])
+        resid -= np.outer(col, col.conj())
+        diag = resid.diagonal().real.copy()
+        norm2 = float(np.vdot(col, col).real)
+        weights.append(norm2)
+        vectors.append(col / math.sqrt(norm2))
+    return np.array(weights), np.stack(vectors, axis=1)
+
+
+def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int):
+    """Run ``count`` protocol rounds without forming any rotation matrix.
+
+    Draws the rotations, then takes the Born probabilities
+    ``p[n, w] = sum_k weights[k] |(V_n u_k)[w]|^2`` from the state's
+    factor ``(weights, u)`` and samples one outcome per round.
+
+    Returns
+    -------
+    draw : EnsembleDraw
+        The rotations, for :func:`_outcome_rows` or :meth:`EnsembleDraw.matrix`.
+    outcomes : (count,) int64 ndarray
+    """
+    weights, vectors = factor
+    draw = sample_draw(spec, gen, count)
+    rotated = draw.apply(np.broadcast_to(vectors[:, :, None], vectors.shape + (count,)))
+    probs = _kernels.born_probs(np.moveaxis(rotated, -1, 0), weights)
     _check_probabilities(probs)
     np.clip(probs, 0.0, None, out=probs)
-    outcome = int(_kernels.choose_outcomes(probs, gen.random(1))[0])
-    return ShadowRecord(rotation=v[0], outcome=outcome)
+    return draw, _kernels.choose_outcomes(probs, gen.random(count))
+
+
+def _outcome_rows(draw, outcomes: np.ndarray) -> np.ndarray:
+    """Rows ``V_n[w_n, :]`` as a ``(B, d)`` array, from ``conj(V_nᴴ e_{w_n})``."""
+    count = outcomes.shape[0]
+    basis = np.zeros((draw.spec.dim, count))
+    basis[outcomes, np.arange(count)] = 1.0
+    return draw.apply_adjoint(basis).conj().T
 
 
 def _check_probabilities(probs: np.ndarray) -> None:
@@ -322,8 +390,9 @@ def shadow_estimates(
 
     Equivalent to collecting ``n_shots`` records with
     :func:`sample_outcome` and evaluating them with
-    :func:`estimate_observable`, but drawn in batches so the rotations are
-    never all held in memory.
+    :func:`estimate_observable` (with ``batch_size=1`` the two agree shot
+    for shot on one generator), but drawn in batches and without forming
+    any rotation matrix.
 
     Parameters
     ----------
@@ -338,8 +407,11 @@ def shadow_estimates(
     rng : Generator, RngStream, int, or None, optional
         Randomness source.
     batch_size : int, optional
-        Rounds drawn per batch; defaults to a size targeting tens of
-        megabytes of rotation storage.
+        Rounds drawn per batch; defaults to ``2_000_000 // d**2`` (at most
+        ``n_shots``).  A batch holds the packed parent draws, about
+        ``d**2 / 2`` numbers per round (``d**2`` for SP parents), and
+        ``d`` numbers per round for each column of the low-rank factor of
+        ``rho`` (one for a pure state).
 
     Returns
     -------
@@ -348,13 +420,13 @@ def shadow_estimates(
     """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
-    state = validate_density(rho)
-    if state.shape[0] != spec.dim:
-        raise InvalidStateError(
-            f"state dimension {state.shape[0]} does not match ensemble dimension {spec.dim}"
-        )
+    _, factor = _validated_state(spec, rho)
     obs = _as_observable(observable, spec.dim)
     x = np.ascontiguousarray(invert_channel(spec).apply(obs))
+    return _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
+
+
+def _streamed_estimates(spec, factor, x, n_shots, rng, batch_size) -> np.ndarray:
     gen = as_generator(rng)
     if batch_size is None:
         batch_size = max(1, min(int(n_shots), 2_000_000 // (spec.dim * spec.dim)))
@@ -362,13 +434,8 @@ def shadow_estimates(
     done = 0
     while done < n_shots:
         count = min(batch_size, n_shots - done)
-        v = np.ascontiguousarray(sample_point(spec, gen, size=count), dtype=np.complex128)
-        probs = _kernels.born_probs(v, state)
-        _check_probabilities(probs)
-        np.clip(probs, 0.0, None, out=probs)
-        outcomes = _kernels.choose_outcomes(probs, gen.random(count))
-        rows = np.ascontiguousarray(v[np.arange(count), outcomes, :])
-        out[done : done + count] = _kernels.row_quadratic(rows, x)
+        draw, outcomes = _measure_batch(spec, factor, gen, count)
+        out[done : done + count] = _kernels.row_quadratic(_outcome_rows(draw, outcomes), x)
         done += count
     return out
 
@@ -387,17 +454,20 @@ def run_estimation(
     When ``truth`` is not supplied it is computed as the trace pairing of
     ``rho`` with the projection of the observable onto the channel image —
     the quantity the estimator is actually unbiased for (equal to
-    ``tr(rho O)`` whenever ``O`` lies in the image).
+    ``tr(rho O)`` whenever ``O`` lies in the image).  The state is validated
+    (one eigendecomposition) and factored once, and the observable checked
+    and mapped through the channel inverse once.
     """
-    estimates = shadow_estimates(
-        spec, rho, observable, n_shots, rng=rng, batch_size=batch_size
-    )
+    if n_shots < 1:
+        raise ValueError("n_shots must be at least 1")
+    state, factor = _validated_state(spec, rho)
     obs = _as_observable(observable, spec.dim)
     inverse = invert_channel(spec)
+    x = np.ascontiguousarray(inverse.apply(obs))
+    estimates = _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
     projected = inverse.is_projected(obs)
     if truth is None:
-        target = apply_channel(spec, inverse.apply(obs))
-        truth = float(np.trace(validate_density(rho) @ target).real)
+        truth = float(np.trace(state @ apply_channel(spec, x)).real)
     return _report_from_estimates(estimates, truth, projected)
 
 

@@ -27,6 +27,13 @@ quaternionic coordinates, so p + q = d/2).  The parent groups themselves
 ("U", "O", "SO", "SP") are admitted as additional ensembles whose sampler is
 plain Haar.
 
+Every σ has the form σ(g) = M κ(g) Mᵀ with M a signed permutation (1, J,
+I_pq or K_pq) and κ complex conjugation or the identity; the table
+:data:`_SIGMA` records (M, κ) once per family, and it drives
+:func:`involution`, :func:`sample_point` and the matrix-free
+:class:`EnsembleDraw`, which applies ``V y = σ(g)ᴴ(g y)`` and
+``Vᴴ y = gᴴ(σ(g) y)`` to vectors in O(d²) per draw without forming V.
+
 Each coset representative V inherits an exact algebraic structure from σ
 (e.g. type AI gives symmetric unitaries V = gᵀg); these relations are frozen
 here as per-family structural witnesses used throughout the test batteries.
@@ -39,7 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .haar import (
+    DenseDraw,
     haar_orthogonal,
+    haar_reflectors,
     haar_symplectic,
     haar_unitary,
     symplectic_form,
@@ -51,10 +60,12 @@ __all__ = [
     "GROUP_FAMILIES",
     "QUOTIENT_FAMILIES",
     "ALL_FAMILIES",
+    "EnsembleDraw",
     "SpaceSpec",
     "WitnessResult",
     "make_space",
     "involution",
+    "sample_draw",
     "sample_point",
     "sample_subgroup",
     "sample_signed_symmetry",
@@ -191,8 +202,57 @@ def signature_matrix(spec: SpaceSpec) -> np.ndarray:
     raise ValueError(f"{spec.family} has no signature matrix")
 
 
-def _sign_mask(spec: SpaceSpec) -> np.ndarray:
-    return np.diag(signature_matrix(spec))
+#: σ(g) = M κ(g) Mᵀ per quotient family: the signed permutation M and
+#: whether κ is complex conjugation.
+_SIGMA = {
+    "AI": ("1", True),
+    "AII": ("J", True),
+    "AIII": ("I_pq", False),
+    "BDI": ("I_pq", False),
+    "DIII": ("J", False),
+    "CI": ("J", False),
+    "CII": ("K_pq", False),
+}
+
+
+@dataclass(frozen=True)
+class _Involution:
+    """σ(g) = M κ(g) Mᵀ, with ``(M y)[i] = sign[i] * y[perm[i]]``.
+
+    ``(Mᵀ y)[i] = sign_t[i] * y[perm_t[i]]`` with the inverse index map.
+    """
+
+    perm: np.ndarray
+    sign: np.ndarray
+    perm_t: np.ndarray
+    sign_t: np.ndarray
+    conj: bool
+
+    def m(self, y: np.ndarray) -> np.ndarray:
+        """``M y`` for vectors stacked along the trailing axes of ``y``."""
+        return _along_first(self.sign, y) * y[self.perm]
+
+    def mt(self, y: np.ndarray) -> np.ndarray:
+        """``Mᵀ y`` for vectors stacked along the trailing axes of ``y``."""
+        return _along_first(self.sign_t, y) * y[self.perm_t]
+
+
+def _along_first(v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return v.reshape(v.shape + (1,) * (y.ndim - 1))
+
+
+def _sigma(spec: SpaceSpec) -> _Involution:
+    if spec.family not in _SIGMA:
+        raise ValueError(f"group ensemble {spec.family} carries no involution")
+    m, conj = _SIGMA[spec.family]
+    d = spec.dim
+    if m == "J":
+        perm, sign = symplectic_pairing(d)
+    else:
+        perm = np.arange(d)
+        sign = np.ones(d) if m == "1" else np.diag(signature_matrix(spec)).copy()
+    perm_t = np.argsort(perm)
+    return _Involution(perm, sign, perm_t, sign[perm_t], conj)
 
 
 def involution(spec: SpaceSpec, g: np.ndarray) -> np.ndarray:
@@ -200,34 +260,95 @@ def involution(spec: SpaceSpec, g: np.ndarray) -> np.ndarray:
 
     Works on a single matrix or any stack ``(..., d, d)``.
     """
-    fam = spec.family
-    if fam in GROUP_FAMILIES:
-        raise ValueError(f"group ensemble {fam} carries no involution")
-    if fam == "AI":
-        return g.conj()
-    if fam == "AII":
-        j = symplectic_form(spec.dim)
-        return -(j @ g.conj() @ j)
-    if fam in ("AIII", "BDI"):
-        s = _sign_mask(spec)
-        return g * (s[:, None] * s[None, :])
-    if fam in ("DIII", "CI"):
-        j = symplectic_form(spec.dim)
-        return -(j @ g @ j)
-    if fam == "CII":
-        s = _sign_mask(spec)
-        return g * (s[:, None] * s[None, :])
-    raise ValueError(f"unknown family {fam!r}")
+    sigma = _sigma(spec)
+    h = g.conj() if sigma.conj else g
+    signs = sigma.sign[:, None] * sigma.sign[None, :]
+    return signs * h[..., sigma.perm[:, None], sigma.perm[None, :]]
 
 
-def _sample_parent(spec: SpaceSpec, gen: np.random.Generator, size: int | None):
+class EnsembleDraw:
+    """A batch of ensemble elements V, applied to vectors without forming V.
+
+    ``V = g`` for the groups, ``V = σ(g)ᴴ g`` for the quotients and
+    ``V = 1`` for a degenerate quotient.  Vectors are stacked with the batch
+    axis last, ``(d, B)`` or ``(d, r, B)``.  The parent draw ``g`` is a
+    :class:`~symshadows.haar.HouseholderDraw` (U and O parents, O(d²) per
+    vector) or a :class:`~symshadows.haar.DenseDraw` (SP parents).
+    """
+
+    def __init__(self, spec: SpaceSpec, parent, size: int):
+        self.spec = spec
+        self.parent = parent
+        self.size = size
+        self._involution = None if spec.is_group or parent is None else _sigma(spec)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """``V y = σ(g)ᴴ (g y) = M κ(gᴴ κ(Mᵀ g y))``."""
+        if self.parent is None:
+            return np.array(y)
+        a = self.parent.apply(y)
+        sigma = self._involution
+        if sigma is None:
+            return a
+        a = sigma.mt(a)
+        if sigma.conj:
+            a = a.conj()
+        a = self.parent.apply_adjoint(a)
+        if sigma.conj:
+            np.conjugate(a, out=a)
+        return sigma.m(a)
+
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """``Vᴴ y = gᴴ (σ(g) y) = gᴴ M κ(g κ(Mᵀ y))``."""
+        if self.parent is None:
+            return np.array(y)
+        sigma = self._involution
+        if sigma is None:
+            return self.parent.apply_adjoint(y)
+        a = sigma.mt(y)
+        if sigma.conj:
+            a = a.conj()
+        a = self.parent.apply(a)
+        if sigma.conj:
+            np.conjugate(a, out=a)
+        return self.parent.apply_adjoint(sigma.m(a))
+
+    def matrix(self) -> np.ndarray:
+        """The draws as dense ``(B, d, d)`` matrices; real for the real families."""
+        spec = self.spec
+        if self.parent is None:
+            dtype = np.float64 if spec.is_real else np.complex128
+            eye = np.eye(spec.dim, dtype=dtype)
+            return np.broadcast_to(eye, (self.size, spec.dim, spec.dim)).copy()
+        g = self.parent.matrix()
+        if self._involution is None:
+            return g
+        return np.swapaxes(involution(spec, g).conj(), -1, -2) @ g
+
+
+def _parent_draw(spec: SpaceSpec, gen: np.random.Generator, size: int):
     parent = spec.parent
     if parent == "U":
-        return haar_unitary(spec.dim, gen, size=size)
+        return haar_reflectors(spec.dim, gen, size)
     if parent == "O":
         special = spec.family != "O"
-        return haar_orthogonal(spec.dim, gen, special=special, size=size)
-    return haar_symplectic(spec.dim, gen, size=size)
+        return haar_reflectors(spec.dim, gen, size, kind="real", special=special)
+    return DenseDraw(haar_symplectic(spec.dim, gen, size=size))
+
+
+def sample_draw(spec: SpaceSpec, rng=None, size: int = 1) -> EnsembleDraw:
+    """Draw ``size`` ensemble elements as an :class:`EnsembleDraw`.
+
+    Haar for the groups and ``V = σ(g)⁻¹g`` for the quotients, from the same
+    random stream as :func:`sample_point`.  A degenerate quotient (an empty
+    block) is the single point 1 and draws no randomness.
+    """
+    gen = as_generator(rng)
+    size = int(size)
+    if size < 1:
+        raise ValueError(f"size must be a positive integer, got {size}")
+    parent = None if spec.is_degenerate else _parent_draw(spec, gen, size)
+    return EnsembleDraw(spec, parent, size)
 
 
 def sample_point(spec: SpaceSpec, rng=None, size: int | None = None) -> np.ndarray:
@@ -241,18 +362,8 @@ def sample_point(spec: SpaceSpec, rng=None, size: int | None = None) -> np.ndarr
     ndarray
         ``(d, d)`` or ``(size, d, d)``; real for the real families.
     """
-    gen = as_generator(rng)
-    if spec.is_group:
-        return _sample_parent(spec, gen, size)
-    if spec.is_degenerate:
-        dtype = np.float64 if spec.is_real else np.complex128
-        eye = np.eye(spec.dim, dtype=dtype)
-        if size is None:
-            return eye
-        return np.broadcast_to(eye, (size, spec.dim, spec.dim)).copy()
-    g = _sample_parent(spec, gen, size)
-    sigma = involution(spec, g)
-    return np.swapaxes(sigma.conj(), -1, -2) @ g
+    v = sample_draw(spec, rng, 1 if size is None else size).matrix()
+    return v[0] if size is None else v
 
 
 def sample_subgroup(spec: SpaceSpec, rng=None, size: int | None = None) -> np.ndarray:
@@ -264,7 +375,8 @@ def sample_subgroup(spec: SpaceSpec, rng=None, size: int | None = None) -> np.nd
     gen = as_generator(rng)
     fam, d = spec.family, spec.dim
     if spec.is_group:
-        return _sample_parent(spec, gen, size)
+        g = _parent_draw(spec, gen, 1 if size is None else size).matrix()
+        return g[0] if size is None else g
     if fam == "AI":
         return haar_orthogonal(d, gen, size=size)
     if fam == "AII":

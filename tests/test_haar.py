@@ -6,12 +6,14 @@ import pytest
 from symshadows.haar import (
     ginibre,
     haar_orthogonal,
+    haar_reflectors,
     haar_symplectic,
     haar_unitary,
     symplectic_form,
     symplectic_pairing,
 )
 from symshadows.rng import RngStream
+from symshadows.spaces import make_space, sample_draw
 
 N_MOMENT = 200_000
 
@@ -62,6 +64,77 @@ def test_unitary_phase_invariance_of_eigenvalues():
     mean = eigs.mean()
     sem = np.sqrt(np.mean(np.abs(eigs - mean) ** 2) / eigs.size)
     assert abs(mean) <= 5 * sem
+
+
+# Householder samplers go wrong at the far end of the reflector chain or in
+# the gauge: a wrong last reflector or sign shows in the last diagonal
+# entry, a wrong phase convention in det g, a misplaced SO fold in det = +1.
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_unitary_last_diagonal_entry_moments(d):
+    v = haar_unitary(d, RngStream(10, (d,)), size=N_MOMENT)
+    x = np.abs(v[:, -1, -1]) ** 2
+    assert _sems(x, 1 / d) <= 5
+    assert _sems(x**2, 2 / (d * (d + 1))) <= 5
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_orthogonal_last_diagonal_entry_moments(d):
+    v = haar_orthogonal(d, RngStream(11, (d,)), size=N_MOMENT)
+    x = v[:, -1, -1] ** 2
+    assert _sems(x, 1 / d) <= 5
+    assert _sems(x**2, 3 / (d * (d + 2))) <= 5
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_unitary_determinant_is_uniform_on_the_circle(d):
+    dets = np.linalg.det(haar_unitary(d, RngStream(12, (d,)), size=20_000))
+    assert np.max(np.abs(np.abs(dets) - 1.0)) <= 1e-12
+    for power in (1, 2):
+        z = dets**power
+        sem = np.sqrt(np.mean(np.abs(z - z.mean()) ** 2) / z.size)
+        assert abs(z.mean()) <= 5 * sem, power
+
+
+@pytest.mark.parametrize(
+    "family, d", [("SO", 1), ("SO", 2), ("SO", 5), ("BDI", 5), ("BDI", 6), ("DIII", 4), ("DIII", 6)]
+)
+def test_special_orthogonal_parents_have_unit_determinant(family, d):
+    g = sample_draw(make_space(family, d), RngStream(13), size=256).parent.matrix()
+    assert not np.iscomplexobj(g)
+    assert np.max(np.abs(np.linalg.det(g) - 1.0)) <= 1e-12
+
+
+def test_orthogonal_group_parent_takes_both_determinants():
+    dets = np.linalg.det(sample_draw(make_space("O", 4), RngStream(14), size=64).parent.matrix())
+    assert np.max(np.abs(np.abs(dets) - 1.0)) <= 1e-12
+    assert dets.min() < 0 < dets.max()
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+@pytest.mark.parametrize("d", [1, 2, 5, 9])
+def test_reflector_draw_applies_its_matrix(kind, d):
+    draw = haar_reflectors(d, RngStream(15), size=7, kind=kind)
+    assert draw.reflectors.shape == (d * (d + 1) // 2 - 1, 7)
+    g = draw.matrix()
+    gen = RngStream(16).generator()
+    y = gen.standard_normal((d, 3, 7)) + 1j * gen.standard_normal((d, 3, 7))
+    np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jrn->irn", g, y), atol=1e-13)
+    np.testing.assert_allclose(
+        draw.apply_adjoint(y[:, 0]), np.einsum("nji,jn->in", g.conj(), y[:, 0]), atol=1e-13
+    )
+
+
+def test_reflector_draw_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        haar_reflectors(3, RngStream(0), kind="quaternion")
+    with pytest.raises(ValueError):
+        haar_reflectors(3, RngStream(0), special=True)
+    with pytest.raises(ValueError):
+        haar_reflectors(0, RngStream(0))
+    with pytest.raises(ValueError):
+        haar_reflectors(3, RngStream(0), size=0)
 
 
 @pytest.mark.parametrize("special", [False, True])

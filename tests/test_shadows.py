@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from symshadows import shadows
+from symshadows import _kernels, shadows
+from symshadows.channel import invert_channel
+from symshadows.haar import HouseholderDraw
 from symshadows.rng import RngStream
 from symshadows.shadows import (
     EstimationReport,
@@ -21,7 +25,14 @@ from symshadows.shadows import (
     validate_density,
     variance_sweep,
 )
-from symshadows.spaces import make_space
+from symshadows.spaces import (
+    ALL_FAMILIES,
+    GROUP_FAMILIES,
+    EnsembleDraw,
+    make_space,
+    sample_draw,
+    structural_witness,
+)
 
 
 def _state(d, seed):
@@ -334,3 +345,142 @@ def test_variance_sweep_rejects_bad_grid_before_any_work(monkeypatch, families, 
     with pytest.raises(ValueError, match=match):
         variance_sweep(config)
     assert calls == []
+
+
+# ------------------------------------------ matrix-free path vs the dense V
+
+_EVEN_DIM = {"SP", "AII", "DIII", "CI", "CII"}
+
+
+@st.composite
+def _grid_specs(draw):
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    if family in _EVEN_DIM:
+        d = draw(st.sampled_from([2, 4, 6, 32]))
+    else:
+        dims = [2, 3, 5, 7, 32] + ([1] if family in GROUP_FAMILIES else [])
+        d = draw(st.sampled_from(dims))
+    if family in ("AIII", "BDI"):
+        p = draw(st.integers(0, d))
+        return make_space(family, d, p, d - p)
+    if family == "CII":
+        p = draw(st.integers(0, d // 2))
+        return make_space(family, d, p, d // 2 - p)
+    return make_space(family, d)
+
+
+def _grid_state(d, rank, gen):
+    if rank == "pure":
+        vec = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+        vec /= np.linalg.norm(vec)
+        return np.outer(vec, vec.conj())
+    a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _grid_observable(d, field, gen):
+    m = gen.standard_normal((d, d))
+    if field == "complex":
+        m = m + 1j * gen.standard_normal((d, d))
+    obs = m + m.conj().T
+    return obs / np.linalg.norm(obs)
+
+
+@settings(max_examples=70, deadline=None, derandomize=True, database=None)
+@given(
+    spec=_grid_specs(),
+    rank=st.sampled_from(["pure", "mixed"]),
+    field=st.sampled_from(["real", "complex"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(spec=make_space("U", 1), rank="pure", field="real", seed=0)
+@example(spec=make_space("O", 1), rank="mixed", field="real", seed=1)
+@example(spec=make_space("SO", 1), rank="pure", field="complex", seed=2)
+@example(spec=make_space("AIII", 32, 32, 0), rank="pure", field="complex", seed=3)
+@example(spec=make_space("AIII", 32, 31, 1), rank="mixed", field="complex", seed=4)
+@example(spec=make_space("BDI", 7, 0, 7), rank="mixed", field="real", seed=5)
+@example(spec=make_space("BDI", 32, 1, 31), rank="pure", field="real", seed=6)
+@example(spec=make_space("CII", 32, 16, 0), rank="pure", field="complex", seed=7)
+@example(spec=make_space("CII", 32, 15, 1), rank="mixed", field="complex", seed=8)
+@example(spec=make_space("DIII", 32), rank="mixed", field="complex", seed=9)
+@example(spec=make_space("AI", 5), rank="mixed", field="complex", seed=10)
+@example(spec=make_space("AII", 2), rank="pure", field="real", seed=11)
+def test_matrix_free_shots_match_materialized_rotations(spec, rank, field, seed):
+    d, count = spec.dim, 6
+    gen = np.random.default_rng(seed)
+    rho = validate_density(_grid_state(d, rank, gen))
+    obs = _grid_observable(d, field, gen)
+    x = invert_channel(spec).apply(obs)
+    _, factor = shadows._validated_state(spec, rho)
+    draw, outcomes = shadows._measure_batch(spec, factor, np.random.default_rng(seed + 1), count)
+    free = _kernels.row_quadratic(shadows._outcome_rows(draw, outcomes), x)
+    # the same draw, materialized, with the same uniforms
+    replay = np.random.default_rng(seed + 1)
+    v = sample_draw(spec, replay, count).matrix()
+    np.testing.assert_array_equal(v, draw.matrix())
+    probs = np.clip(_kernels.born_probs(v.astype(complex), rho), 0.0, None)
+    dense_outcomes = _kernels.choose_outcomes(probs, replay.random(count))
+    np.testing.assert_array_equal(outcomes, dense_outcomes)
+    dense = _kernels.row_quadratic(v[np.arange(count), dense_outcomes].astype(complex), x)
+    np.testing.assert_allclose(free, dense, rtol=0, atol=1e-12)
+    witness = structural_witness(spec, v)
+    assert witness.passed, f"{spec.label()}: residual {witness.residual}"
+
+
+@pytest.mark.parametrize(
+    "family", ["U", "O", "SO", "AI", "AII", "AIII", "BDI", "DIII"]
+)
+def test_uo_parent_estimates_form_no_rotation_matrix(monkeypatch, family):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense rotation matrix was formed")
+
+    monkeypatch.setattr(HouseholderDraw, "matrix", refuse)
+    monkeypatch.setattr(EnsembleDraw, "matrix", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(shadows, "sample_point", refuse)
+    spec = make_space(family, 6)
+    values = shadow_estimates(
+        spec, _state(6, 90), random_observable(6, 0.5, rng=RngStream(91)), 64, RngStream(92)
+    )
+    assert values.shape == (64,) and np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize(
+    "spec", [make_space("AIII", 5, 3, 2), make_space("CII", 8, 3, 1)], ids=lambda s: s.label()
+)
+def test_record_path_matches_streamed_path(spec):
+    d, n = spec.dim, 12
+    rho = _state(d, 93)
+    obs = random_observable(d, 0.4, rng=RngStream(94))
+    gen = RngStream(95).generator()
+    records = [sample_outcome(spec, rho, gen) for _ in range(n)]
+    per_record = [estimate_observable([rec], obs, spec).mean for rec in records]
+    streamed = shadow_estimates(spec, rho, obs, n, RngStream(95).generator(), batch_size=1)
+    np.testing.assert_allclose(streamed, per_record, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec", [make_space("AIII", 4, 2, 2), make_space("CI", 4)], ids=lambda s: s.label()
+)
+def test_run_estimation_validates_and_decomposes_once(monkeypatch, spec):
+    counts = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("validate_density", "_as_observable", "invert_channel"):
+        counting(shadows, name)
+    for name in ("eigh", "eigvalsh"):
+        counting(np.linalg, name)
+    run_estimation(spec, _state(4, 96), _traceless_observable(4, 97), 40, RngStream(98))
+    assert counts.pop("validate_density") == 1
+    assert counts.pop("_as_observable") == 1
+    assert counts.pop("invert_channel") == 1
+    assert sum(counts.values()) == 1, counts

@@ -11,6 +11,7 @@ from symshadows.spaces import (
     QUOTIENT_FAMILIES,
     involution,
     make_space,
+    sample_draw,
     sample_point,
     sample_signed_symmetry,
     sample_subgroup,
@@ -77,6 +78,26 @@ def test_sampled_points_pass_witness_odd_dim(family):
     spec = make_space(family, 5)
     result = structural_witness(spec, sample_point(spec, RngStream(11), size=16))
     assert result.passed
+
+
+_EVEN_DIM = {"SP", "AII", "DIII", "CI", "CII"}
+
+
+@pytest.mark.parametrize(
+    "family, d",
+    [(f, d) for f in ALL_FAMILIES for d in (2, 5, 6) if d % 2 == 0 or f not in _EVEN_DIM],
+)
+def test_ensemble_draw_applies_its_matrix(family, d):
+    spec = make_space(family, d)
+    draw = sample_draw(spec, RngStream(22), size=5)
+    v = draw.matrix()
+    np.testing.assert_array_equal(v, sample_point(spec, RngStream(22), size=5))
+    gen = RngStream(23).generator()
+    y = gen.standard_normal((d, 2, 5)) + 1j * gen.standard_normal((d, 2, 5))
+    np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jrn->irn", v, y), atol=1e-13)
+    np.testing.assert_allclose(
+        draw.apply_adjoint(y[:, 0]), np.einsum("nji,jn->in", v.conj(), y[:, 0]), atol=1e-13
+    )
 
 
 def test_witness_negative_control():
