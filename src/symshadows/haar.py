@@ -6,9 +6,10 @@ Anal. 17:403 (1980); Mezzadri, "How to generate random matrices from the
 classical compact groups", Notices AMS 54 (2007)).  Reflector ``k`` is the
 one Householder QR of a Ginibre matrix would build from its ``k``-th column,
 and a diagonal of unit phases fixes the gauge, so the law is exactly Haar.
-A draw is held packed (:class:`HouseholderDraw`): a round costs d(d+1)/2
-Gaussians, and applying it to a vector costs O(d²), with no d×d matrix
-formed unless :meth:`HouseholderDraw.matrix` is asked for.
+A draw is held packed (:class:`HouseholderDraw`, returned by
+``haar_unitary``/``haar_orthogonal`` with ``dense=False``): a round costs
+d(d+1)/2 Gaussians, and applying it to a vector costs O(d²), with no d×d
+matrix formed unless :meth:`HouseholderDraw.matrix` is asked for.
 
 The symplectic sampler works in the quaternionic model: a quaternionic
 Ginibre matrix is orthogonalized by a Gram-Schmidt pass that preserves the
@@ -32,7 +33,6 @@ __all__ = [
     "DenseDraw",
     "HouseholderDraw",
     "ginibre",
-    "haar_reflectors",
     "haar_unitary",
     "haar_orthogonal",
     "haar_symplectic",
@@ -94,7 +94,30 @@ def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
     return z[0] if size is None else z
 
 
-class HouseholderDraw:
+#: Dimension from which :meth:`HouseholderDraw.matrix` forms each draw with
+#: LAPACK's blocked ``?ungqr``/``?orgqr`` rather than a batched NumPy pass.
+#: Measured per U(d) draw on a 2-core machine (OpenBLAS): NumPy 14 µs vs
+#: LAPACK 17 µs at d = 16, 40 µs vs 22 µs at d = 24, 84 µs vs 33 µs at
+#: d = 32, 6.6 ms vs 1.7 ms at d = 128; O(d) breaks even near d = 24.
+ORGQR_MIN_DIM = 24
+
+
+class _MatrixStack:
+    """``shape`` and ``ndim`` of the ``(B, d, d)`` stack that ``matrix()`` returns.
+
+    A draw reports the shape of the matrices it stands for, so code that
+    counts draws by ``result.shape[0]`` counts a draw object and a dense
+    stack alike.
+    """
+
+    ndim = 3
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.size, self.dim, self.dim)
+
+
+class HouseholderDraw(_MatrixStack):
     """A batch of Haar draws from U(d), O(d) or SO(d), held as reflectors.
 
     Draw ``n`` is ``g = H_0 H_1 ⋯ H_{d-2} diag(signs[:, n])`` with
@@ -164,9 +187,14 @@ class HouseholderDraw:
 
         Reflectors are applied right to left, and ``H_k`` only touches the
         trailing ``(d-k) x (d-k)`` block of the partial product, so this
-        costs d³/3 per draw rather than d³.
+        costs d³/3 per draw rather than d³.  From ``d = ORGQR_MIN_DIM`` on,
+        LAPACK's blocked ``?ungqr``/``?orgqr`` does this per draw; below it,
+        one NumPy pass over the whole batch is faster than a LAPACK call per
+        draw.
         """
         d = self.dim
+        if d >= ORGQR_MIN_DIM:
+            return self._matrix_lapack()
         out = np.zeros((d, d, self.size), dtype=self.signs.dtype)
         out[np.arange(d), np.arange(d)] = self.signs
         for k in range(d - 2, -1, -1):
@@ -177,8 +205,36 @@ class HouseholderDraw:
             sub -= v[:, None, :] * coef[None, :, :]
         return np.ascontiguousarray(out.transpose(2, 0, 1))
 
+    def _matrix_lapack(self) -> np.ndarray:
+        # scipy.linalg takes about 0.3 s to import; only dense draws at
+        # d >= ORGQR_MIN_DIM need it.
+        from scipy.linalg import lapack
 
-class DenseDraw:
+        d, dtype = self.dim, self.signs.dtype
+        orgqr = lapack.zungqr if dtype.kind == "c" else lapack.dorgqr
+        # LAPACK's packing: reflector k is 1 - t v vᴴ with v[k] = 1, stored
+        # below the diagonal of column k; packed[n, k] is that column of
+        # draw n, so packed[n].T is the Fortran-ordered matrix.  Scaling
+        # v_k by 1/v_k[0] scales tau by |v_k[0]|².
+        packed = np.zeros((self.size, d, d), dtype=dtype)
+        tau = np.zeros((self.size, d), dtype=dtype)
+        for k in range(d - 1):
+            lo, m = self.offsets[k], d - k
+            v = self.reflectors[lo : lo + m]
+            head = np.where(self.tau[k] > 0, v[0], 1.0)
+            packed[:, k, k + 1 :] = (v[1:] / head).T
+            tau[:, k] = self.tau[k] * np.abs(v[0]) ** 2
+        out = np.empty_like(packed)
+        signs = self.signs.T
+        for n in range(self.size):
+            q, _, info = orgqr(packed[n].T, tau[n], lwork=32 * d, overwrite_a=1)
+            if info != 0:
+                raise RuntimeError(f"LAPACK ?ungqr/?orgqr failed with info={info}")
+            np.multiply(q, signs[n], out=out[n])
+        return out
+
+
+class DenseDraw(_MatrixStack):
     """A batch of group elements held as dense ``(B, d, d)`` matrices.
 
     Gives dense samplers (``haar_symplectic``) the interface of
@@ -213,10 +269,10 @@ class DenseDraw:
         return self.g
 
 
-def haar_reflectors(
-    d: int, rng=None, size: int = 1, *, kind: str = "complex", special: bool = False
+def _haar_reflectors(
+    d: int, rng, size: int | None, *, real: bool, special: bool = False
 ) -> HouseholderDraw:
-    """Draw ``size`` Haar elements of U(d) (``kind='complex'``) or O(d)/SO(d) (``'real'``).
+    """Draw Haar elements of U(d) (``real=False``) or O(d)/SO(d) as reflectors.
 
     Column ``k`` of a Ginibre matrix, after the first ``k`` reflectors of
     its Householder QR, is again a standard Gaussian vector; its trailing
@@ -229,33 +285,29 @@ def haar_reflectors(
     reflector is ``-1`` and is folded into its gauge entry, which is then
     just ``phase``.
 
-    With ``special=True`` (real kind only) draws of determinant -1 have
-    their first gauge sign flipped: Haar on SO(d), in O(d) per draw.
+    With ``special=True`` (real only) draws of determinant -1 have their
+    first gauge sign flipped: Haar on SO(d), in O(d) per draw.
     """
     gen = as_generator(rng)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    size = int(size)
+    size = 1 if size is None else int(size)
     if size < 1:
         raise ValueError(f"size must be a positive integer, got {size}")
-    if kind not in ("complex", "real"):
-        raise ValueError(f"unknown Haar kind {kind!r}; expected 'complex' or 'real'")
-    if special and kind != "real":
-        raise ValueError("special=True needs kind='real' (SO(d))")
     n = d * (d + 1) // 2
     lengths = np.arange(d, 0, -1)
     offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    if kind == "complex":
+    if real:
+        flat = x = gen.standard_normal((n, size))
+    else:
         flat = gen.standard_normal((n, 2 * size))
         x = flat.view(np.complex128)
-    else:
-        flat = x = gen.standard_normal((n, size))
     # Column norms one segment at a time: np.add.reduceat over axis 0 is
     # several times slower here.
     norm2 = np.empty((d, flat.shape[1]))
     for k, (lo, m) in enumerate(zip(offsets, lengths)):
         np.einsum("ij,ij->j", flat[lo : lo + m], flat[lo : lo + m], out=norm2[k])
-    if kind == "complex":
+    if not real:
         norm2 = norm2.reshape(d, size, 2).sum(axis=2)
     norm = np.sqrt(norm2)
     heads = x[offsets]
@@ -275,11 +327,21 @@ def haar_reflectors(
     return HouseholderDraw(reflectors, offsets[:-1], tau, signs)
 
 
-def haar_unitary(d: int, rng=None, size: int | None = None) -> np.ndarray:
+def _dense(draw: HouseholderDraw, size: int | None) -> np.ndarray:
+    q = draw.matrix()
+    return q[0] if size is None else q
+
+
+def haar_unitary(d: int, rng=None, size: int | None = None, *, dense: bool = True):
     """Sample Haar-distributed unitaries from U(d).
 
-    The dense matrices of :func:`haar_reflectors` draws; code that only
-    applies the unitaries to vectors should use the draw itself.
+    Parameters
+    ----------
+    dense : bool
+        True (default): return ``(d, d)`` or ``(size, d, d)`` matrices.
+        False: return the :class:`HouseholderDraw` itself (``size`` draws,
+        one for ``size=None``), for code that only applies the unitaries
+        to vectors.
 
     Examples
     --------
@@ -287,32 +349,30 @@ def haar_unitary(d: int, rng=None, size: int | None = None) -> np.ndarray:
     >>> np.allclose(u.conj().T @ u, np.eye(3))
     True
     """
-    q = haar_reflectors(d, rng, 1 if size is None else size).matrix()
-    return q[0] if size is None else q
+    draw = _haar_reflectors(d, rng, size, real=False)
+    return _dense(draw, size) if dense else draw
 
 
 def haar_orthogonal(
-    d: int, rng=None, special: bool = False, size: int | None = None
-) -> np.ndarray:
+    d: int, rng=None, special: bool = False, size: int | None = None, *, dense: bool = True
+):
     """Sample Haar-distributed real orthogonal matrices from O(d) or SO(d).
-
-    The dense matrices of :func:`haar_reflectors` draws of kind ``'real'``.
 
     Parameters
     ----------
     special : bool
         When True, condition on determinant +1 (Haar on SO(d)) by flipping
         the first gauge sign of draws with determinant -1.
+    dense : bool
+        As for :func:`haar_unitary`.
 
     Returns
     -------
-    ndarray
-        Real ``float64`` matrices.
+    ndarray or HouseholderDraw
+        Real ``float64`` matrices, or the draw when ``dense=False``.
     """
-    q = haar_reflectors(
-        d, rng, 1 if size is None else size, kind="real", special=special
-    ).matrix()
-    return q[0] if size is None else q
+    draw = _haar_reflectors(d, rng, size, real=True, special=special)
+    return _dense(draw, size) if dense else draw
 
 
 def symplectic_form(d: int) -> np.ndarray:

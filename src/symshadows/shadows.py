@@ -2,13 +2,15 @@
 
 One protocol round draws a rotation ``V`` from the configured ensemble,
 measures ``V rho V^†`` in the computational basis, and stores the pair
-``(V, outcome)``.  The streamed estimator never forms ``V``: it applies the
-draw to a low-rank factor of ``rho`` for the Born probabilities and to the
-measured basis vector for the outcome row, O(d²) per vector for U and O
-parents.  Linear functionals ``tr(rho O)`` are then estimated by
-applying the pseudo-inverse of the measurement channel to the *observable*
-(the adjoint trick: the channel is self-adjoint in the Hilbert-Schmidt inner
-product), so each record contributes a single quadratic form
+``(V, outcome)``.  For a low-rank ``rho`` the streamed estimator never
+forms ``V``: it applies the draw to the columns of a factor of ``rho`` for
+the Born probabilities and to the measured basis vector for the outcome
+row, O(d²) per vector for U and O parents.  A state of higher rank is
+measured through the dense ``V``, where BLAS-3 products are cheaper.
+Linear functionals ``tr(rho O)`` are then estimated by applying the
+pseudo-inverse of the measurement channel to the *observable* (the adjoint
+trick: the channel is self-adjoint in the Hilbert-Schmidt inner product),
+so each record contributes a single quadratic form
 ``<w| V M⁺(O) V† |w>``.
 
 The module also provides the observable ensemble used in the variance study
@@ -28,9 +30,7 @@ import numpy as np
 from . import _kernels
 from .channel import apply_channel, invert_channel
 from .rng import RngStream, as_generator
-# ``sample_point`` is not called here any more; it stays importable as
-# ``shadows.sample_point``, which perfbench/tracing.py wraps.
-from .spaces import SpaceSpec, make_space, sample_draw, sample_point  # noqa: F401
+from .spaces import SpaceSpec, make_space, sample_point
 from .variance import analytic_second_moment
 
 __all__ = [
@@ -63,6 +63,15 @@ PROB_TOL = 1e-10
 #: most this fraction of the largest diagonal entry (a pure state keeps one
 #: component).
 FACTOR_RTOL = 1e-14
+
+#: A state whose factor has more than ``max(1, d // DENSE_RANK_DIVISOR)``
+#: columns is measured through the dense rotations (``V`` formed, Born
+#: probabilities by BLAS-3 products).  Applying the draw column by column
+#: costs O(d² r) per shot in d-step loops.  Measured per shot on a 2-core
+#: machine, the two break even near r = d/4 at d = 32 and d = 128 and near
+#: r = d/6 for real parents at d = 64; d/8 stays on the matrix-free side
+#: of each.
+DENSE_RANK_DIVISOR = 8
 
 
 class InvalidStateError(ValueError):
@@ -203,8 +212,9 @@ def sample_outcome(spec: SpaceSpec, rho: np.ndarray, rng=None) -> ShadowRecord:
     InvalidStateError
         If ``rho`` fails validation or its dimension does not match ``spec``.
     """
-    _, factor = _validated_state(spec, rho)
-    draw, outcomes = _measure_batch(spec, factor, as_generator(rng), 1)
+    state, factor = _validated_state(spec, rho)
+    dense = _use_dense(spec, factor)
+    draw, outcomes, _ = _measure_batch(spec, state, factor, as_generator(rng), 1, dense)
     rotation = np.ascontiguousarray(draw.matrix()[0], dtype=np.complex128)
     return ShadowRecord(rotation=rotation, outcome=int(outcomes[0]))
 
@@ -245,34 +255,50 @@ def _state_factor(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(weights), np.stack(vectors, axis=1)
 
 
-def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int):
-    """Run ``count`` protocol rounds without forming any rotation matrix.
+def _use_dense(spec: SpaceSpec, factor) -> bool:
+    """True when a state with this factor is measured through the dense V."""
+    return factor[1].shape[1] > max(1, spec.dim // DENSE_RANK_DIVISOR)
 
-    Draws the rotations, then takes the Born probabilities
-    ``p[n, w] = sum_k weights[k] |(V_n u_k)[w]|^2`` from the state's
-    factor ``(weights, u)`` and samples one outcome per round.
+
+def _measure_batch(
+    spec: SpaceSpec, state, factor, gen: np.random.Generator, count: int, dense: bool
+):
+    """Run ``count`` protocol rounds.
+
+    Draws the rotations, takes the Born probabilities
+    ``p[n, w] = sum_k weights[k] |(V_n u_k)[w]|^2`` from the state's factor
+    ``(weights, u)``, samples one outcome per round and reads the outcome
+    rows ``V_n[w_n, :]``.  With ``dense=False`` no rotation matrix is
+    formed: the draw is applied to the factor's columns and, for the rows,
+    to the measured basis vectors, ``conj(V_nᴴ e_{w_n})``.  With
+    ``dense=True`` (see :func:`_use_dense`) both come from the dense ``V``.
 
     Returns
     -------
     draw : EnsembleDraw
-        The rotations, for :func:`_outcome_rows` or :meth:`EnsembleDraw.matrix`.
+        The rotations; :meth:`EnsembleDraw.matrix` gives them as matrices.
     outcomes : (count,) int64 ndarray
+    rows : (count, d) complex ndarray
     """
     weights, vectors = factor
-    draw = sample_draw(spec, gen, count)
-    rotated = draw.apply(np.broadcast_to(vectors[:, :, None], vectors.shape + (count,)))
-    probs = _kernels.born_probs(np.moveaxis(rotated, -1, 0), weights)
+    d = spec.dim
+    draw = sample_point(spec, gen, count, dense=False)
+    if dense:
+        v = np.ascontiguousarray(draw.matrix(), dtype=np.complex128)
+        probs = _kernels.born_probs(v, state)
+    else:
+        rotated = draw.apply(np.broadcast_to(vectors[:, :, None], vectors.shape + (count,)))
+        probs = _kernels.born_probs(np.moveaxis(rotated, -1, 0), weights)
     _check_probabilities(probs)
     np.clip(probs, 0.0, None, out=probs)
-    return draw, _kernels.choose_outcomes(probs, gen.random(count))
-
-
-def _outcome_rows(draw, outcomes: np.ndarray) -> np.ndarray:
-    """Rows ``V_n[w_n, :]`` as a ``(B, d)`` array, from ``conj(V_nᴴ e_{w_n})``."""
-    count = outcomes.shape[0]
-    basis = np.zeros((draw.spec.dim, count))
-    basis[outcomes, np.arange(count)] = 1.0
-    return draw.apply_adjoint(basis).conj().T
+    outcomes = _kernels.choose_outcomes(probs, gen.random(count))
+    if dense:
+        rows = v[np.arange(count), outcomes]
+    else:
+        basis = np.zeros((d, count))
+        basis[outcomes, np.arange(count)] = 1.0
+        rows = draw.apply_adjoint(basis).conj().T
+    return draw, outcomes, rows
 
 
 def _check_probabilities(probs: np.ndarray) -> None:
@@ -391,8 +417,9 @@ def shadow_estimates(
     Equivalent to collecting ``n_shots`` records with
     :func:`sample_outcome` and evaluating them with
     :func:`estimate_observable` (with ``batch_size=1`` the two agree shot
-    for shot on one generator), but drawn in batches and without forming
-    any rotation matrix.
+    for shot on one generator), but drawn in batches.  For a state of rank
+    at most ``max(1, d // DENSE_RANK_DIVISOR)`` (a pure state, say) no
+    rotation matrix is formed.
 
     Parameters
     ----------
@@ -411,31 +438,43 @@ def shadow_estimates(
         ``n_shots``).  A batch holds the packed parent draws, about
         ``d**2 / 2`` numbers per round (``d**2`` for SP parents), and
         ``d`` numbers per round for each column of the low-rank factor of
-        ``rho`` (one for a pure state).
+        ``rho`` (one for a pure state); ``d**2`` per round for the dense
+        rotations of a state above the rank cut.
 
     Returns
     -------
     (n_shots,) float ndarray
         Single-record estimates, in draw order.
     """
+    state, factor, _, _, x = _prepare(spec, rho, observable, n_shots)
+    return _streamed_estimates(spec, state, factor, x, n_shots, rng, batch_size)
+
+
+def _prepare(spec: SpaceSpec, rho, observable, n_shots: int):
+    """Check the inputs of a streamed run once.
+
+    Returns the validated state, its low-rank factor, the checked
+    observable ``O``, the channel inverse ``M⁺`` and ``x = M⁺(O)``.
+    """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
-    _, factor = _validated_state(spec, rho)
+    state, factor = _validated_state(spec, rho)
     obs = _as_observable(observable, spec.dim)
-    x = np.ascontiguousarray(invert_channel(spec).apply(obs))
-    return _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
+    inverse = invert_channel(spec)
+    return state, factor, obs, inverse, np.ascontiguousarray(inverse.apply(obs))
 
 
-def _streamed_estimates(spec, factor, x, n_shots, rng, batch_size) -> np.ndarray:
+def _streamed_estimates(spec, state, factor, x, n_shots, rng, batch_size) -> np.ndarray:
     gen = as_generator(rng)
     if batch_size is None:
         batch_size = max(1, min(int(n_shots), 2_000_000 // (spec.dim * spec.dim)))
+    dense = _use_dense(spec, factor)
     out = np.empty(n_shots, dtype=np.float64)
     done = 0
     while done < n_shots:
         count = min(batch_size, n_shots - done)
-        draw, outcomes = _measure_batch(spec, factor, gen, count)
-        out[done : done + count] = _kernels.row_quadratic(_outcome_rows(draw, outcomes), x)
+        _, _, rows = _measure_batch(spec, state, factor, gen, count, dense)
+        out[done : done + count] = _kernels.row_quadratic(rows, x)
         done += count
     return out
 
@@ -458,13 +497,8 @@ def run_estimation(
     (one eigendecomposition) and factored once, and the observable checked
     and mapped through the channel inverse once.
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be at least 1")
-    state, factor = _validated_state(spec, rho)
-    obs = _as_observable(observable, spec.dim)
-    inverse = invert_channel(spec)
-    x = np.ascontiguousarray(inverse.apply(obs))
-    estimates = _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
+    state, factor, obs, inverse, x = _prepare(spec, rho, observable, n_shots)
+    estimates = _streamed_estimates(spec, state, factor, x, n_shots, rng, batch_size)
     projected = inverse.is_projected(obs)
     if truth is None:
         truth = float(np.trace(state @ apply_channel(spec, x)).real)

@@ -29,10 +29,11 @@ plain Haar.
 
 Every σ has the form σ(g) = M κ(g) Mᵀ with M a signed permutation (1, J,
 I_pq or K_pq) and κ complex conjugation or the identity; the table
-:data:`_SIGMA` records (M, κ) once per family, and it drives
-:func:`involution`, :func:`sample_point` and the matrix-free
-:class:`EnsembleDraw`, which applies ``V y = σ(g)ᴴ(g y)`` and
-``Vᴴ y = gᴴ(σ(g) y)`` to vectors in O(d²) per draw without forming V.
+:data:`_SIGMA` records (M, κ) once per family.  It drives
+:func:`involution` and :func:`sample_point`; with ``dense=False`` the latter
+returns an :class:`EnsembleDraw`, which applies ``V y = σ(g)ᴴ(g y)`` and
+``Vᴴ y = gᴴ(σ(g) y)`` to vectors in O(d²) per draw (U/O parents) without
+forming V.
 
 Each coset representative V inherits an exact algebraic structure from σ
 (e.g. type AI gives symmetric unitaries V = gᵀg); these relations are frozen
@@ -47,8 +48,8 @@ import numpy as np
 
 from .haar import (
     DenseDraw,
+    _MatrixStack,
     haar_orthogonal,
-    haar_reflectors,
     haar_symplectic,
     haar_unitary,
     symplectic_form,
@@ -65,7 +66,6 @@ __all__ = [
     "WitnessResult",
     "make_space",
     "involution",
-    "sample_draw",
     "sample_point",
     "sample_subgroup",
     "sample_signed_symmetry",
@@ -202,16 +202,28 @@ def signature_matrix(spec: SpaceSpec) -> np.ndarray:
     raise ValueError(f"{spec.family} has no signature matrix")
 
 
-#: σ(g) = M κ(g) Mᵀ per quotient family: the signed permutation M and
-#: whether κ is complex conjugation.
+def _no_perm(spec: SpaceSpec):
+    return np.arange(spec.dim), np.ones(spec.dim)
+
+
+def _pairing(spec: SpaceSpec):
+    return symplectic_pairing(spec.dim)
+
+
+def _signature(spec: SpaceSpec):
+    return np.arange(spec.dim), np.diag(signature_matrix(spec)).copy()
+
+
+#: σ(g) = M κ(g) Mᵀ per quotient family: the builder of the signed
+#: permutation M (index map and signs) and whether κ is complex conjugation.
 _SIGMA = {
-    "AI": ("1", True),
-    "AII": ("J", True),
-    "AIII": ("I_pq", False),
-    "BDI": ("I_pq", False),
-    "DIII": ("J", False),
-    "CI": ("J", False),
-    "CII": ("K_pq", False),
+    "AI": (_no_perm, True),
+    "AII": (_pairing, True),
+    "AIII": (_signature, False),
+    "BDI": (_signature, False),
+    "DIII": (_pairing, False),
+    "CI": (_pairing, False),
+    "CII": (_signature, False),
 }
 
 
@@ -244,13 +256,8 @@ def _along_first(v: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _sigma(spec: SpaceSpec) -> _Involution:
     if spec.family not in _SIGMA:
         raise ValueError(f"group ensemble {spec.family} carries no involution")
-    m, conj = _SIGMA[spec.family]
-    d = spec.dim
-    if m == "J":
-        perm, sign = symplectic_pairing(d)
-    else:
-        perm = np.arange(d)
-        sign = np.ones(d) if m == "1" else np.diag(signature_matrix(spec)).copy()
+    build, conj = _SIGMA[spec.family]
+    perm, sign = build(spec)
     perm_t = np.argsort(perm)
     return _Involution(perm, sign, perm_t, sign[perm_t], conj)
 
@@ -266,7 +273,7 @@ def involution(spec: SpaceSpec, g: np.ndarray) -> np.ndarray:
     return signs * h[..., sigma.perm[:, None], sigma.perm[None, :]]
 
 
-class EnsembleDraw:
+class EnsembleDraw(_MatrixStack):
     """A batch of ensemble elements V, applied to vectors without forming V.
 
     ``V = g`` for the groups, ``V = σ(g)ᴴ g`` for the quotients and
@@ -274,12 +281,14 @@ class EnsembleDraw:
     axis last, ``(d, B)`` or ``(d, r, B)``.  The parent draw ``g`` is a
     :class:`~symshadows.haar.HouseholderDraw` (U and O parents, O(d²) per
     vector) or a :class:`~symshadows.haar.DenseDraw` (SP parents).
+    ``shape`` is that of :meth:`matrix`, ``(B, d, d)``.
     """
 
     def __init__(self, spec: SpaceSpec, parent, size: int):
         self.spec = spec
         self.parent = parent
         self.size = size
+        self.dim = spec.dim
         self._involution = None if spec.is_group or parent is None else _sigma(spec)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
@@ -327,42 +336,47 @@ class EnsembleDraw:
 
 
 def _parent_draw(spec: SpaceSpec, gen: np.random.Generator, size: int):
+    # The samplers are looked up as this module's attributes at call time,
+    # so a wrapper set on ``spaces.haar_unitary`` (a tracer) sees every draw.
     parent = spec.parent
     if parent == "U":
-        return haar_reflectors(spec.dim, gen, size)
+        return haar_unitary(spec.dim, gen, size, dense=False)
     if parent == "O":
         special = spec.family != "O"
-        return haar_reflectors(spec.dim, gen, size, kind="real", special=special)
+        return haar_orthogonal(spec.dim, gen, special, size, dense=False)
     return DenseDraw(haar_symplectic(spec.dim, gen, size=size))
 
 
-def sample_draw(spec: SpaceSpec, rng=None, size: int = 1) -> EnsembleDraw:
-    """Draw ``size`` ensemble elements as an :class:`EnsembleDraw`.
-
-    Haar for the groups and ``V = σ(g)⁻¹g`` for the quotients, from the same
-    random stream as :func:`sample_point`.  A degenerate quotient (an empty
-    block) is the single point 1 and draws no randomness.
-    """
-    gen = as_generator(rng)
-    size = int(size)
-    if size < 1:
-        raise ValueError(f"size must be a positive integer, got {size}")
-    parent = None if spec.is_degenerate else _parent_draw(spec, gen, size)
-    return EnsembleDraw(spec, parent, size)
-
-
-def sample_point(spec: SpaceSpec, rng=None, size: int | None = None) -> np.ndarray:
+def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: bool = True):
     """Draw from the ensemble: Haar for groups, V = σ(g)⁻¹g for quotients.
 
     Degenerate signature choices (an empty block) make the quotient a single
-    point; the exact identity matrix is returned for every draw.
+    point; the exact identity matrix is returned for every draw, and no
+    randomness is drawn.
+
+    Parameters
+    ----------
+    dense : bool
+        True (default): return matrices.  False: return the
+        :class:`EnsembleDraw` (``size`` draws, one for ``size=None``), which
+        applies V and Vᴴ to vectors without forming V; its ``matrix()`` is
+        what ``dense=True`` returns, from the same random stream.
 
     Returns
     -------
-    ndarray
-        ``(d, d)`` or ``(size, d, d)``; real for the real families.
+    ndarray or EnsembleDraw
+        ``(d, d)`` or ``(size, d, d)``, real for the real families; or the
+        draw when ``dense=False``.
     """
-    v = sample_draw(spec, rng, 1 if size is None else size).matrix()
+    gen = as_generator(rng)
+    count = 1 if size is None else int(size)
+    if count < 1:
+        raise ValueError(f"size must be a positive integer, got {count}")
+    parent = None if spec.is_degenerate else _parent_draw(spec, gen, count)
+    draw = EnsembleDraw(spec, parent, count)
+    if not dense:
+        return draw
+    v = draw.matrix()
     return v[0] if size is None else v
 
 

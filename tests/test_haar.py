@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
+from symshadows import haar
 from symshadows.haar import (
     ginibre,
     haar_orthogonal,
-    haar_reflectors,
     haar_symplectic,
     haar_unitary,
     symplectic_form,
     symplectic_pairing,
 )
 from symshadows.rng import RngStream
-from symshadows.spaces import make_space, sample_draw
+from symshadows.spaces import make_space, sample_point
 
 N_MOMENT = 200_000
 
@@ -101,23 +101,25 @@ def test_unitary_determinant_is_uniform_on_the_circle(d):
     "family, d", [("SO", 1), ("SO", 2), ("SO", 5), ("BDI", 5), ("BDI", 6), ("DIII", 4), ("DIII", 6)]
 )
 def test_special_orthogonal_parents_have_unit_determinant(family, d):
-    g = sample_draw(make_space(family, d), RngStream(13), size=256).parent.matrix()
+    g = sample_point(make_space(family, d), RngStream(13), 256, dense=False).parent.matrix()
     assert not np.iscomplexobj(g)
     assert np.max(np.abs(np.linalg.det(g) - 1.0)) <= 1e-12
 
 
 def test_orthogonal_group_parent_takes_both_determinants():
-    dets = np.linalg.det(sample_draw(make_space("O", 4), RngStream(14), size=64).parent.matrix())
+    dets = np.linalg.det(sample_point(make_space("O", 4), RngStream(14), 64, dense=False).parent.matrix())
     assert np.max(np.abs(np.abs(dets) - 1.0)) <= 1e-12
     assert dets.min() < 0 < dets.max()
 
 
-@pytest.mark.parametrize("kind", ["complex", "real"])
-@pytest.mark.parametrize("d", [1, 2, 5, 9])
-def test_reflector_draw_applies_its_matrix(kind, d):
-    draw = haar_reflectors(d, RngStream(15), size=7, kind=kind)
+@pytest.mark.parametrize("sampler", [haar_unitary, haar_orthogonal])
+@pytest.mark.parametrize("d", [1, 2, 5, 9, 24])
+def test_reflector_draw_applies_its_matrix(sampler, d):
+    draw = sampler(d, RngStream(15), size=7, dense=False)
     assert draw.reflectors.shape == (d * (d + 1) // 2 - 1, 7)
+    assert draw.shape == (7, d, d) and draw.ndim == 3
     g = draw.matrix()
+    np.testing.assert_array_equal(g, sampler(d, RngStream(15), size=7))
     gen = RngStream(16).generator()
     y = gen.standard_normal((d, 3, 7)) + 1j * gen.standard_normal((d, 3, 7))
     np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jrn->irn", g, y), atol=1e-13)
@@ -126,15 +128,25 @@ def test_reflector_draw_applies_its_matrix(kind, d):
     )
 
 
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 5, 24])
+def test_lapack_and_numpy_matrices_agree(monkeypatch, special, d):
+    kinds = [haar_orthogonal(d, RngStream(17), special, size=9, dense=False)]
+    if not special:
+        kinds.append(haar_unitary(d, RngStream(17), size=9, dense=False))
+    for draw in kinds:
+        monkeypatch.setattr(haar, "ORGQR_MIN_DIM", 1)
+        lapack = draw.matrix()
+        monkeypatch.setattr(haar, "ORGQR_MIN_DIM", 10**6)
+        np.testing.assert_allclose(lapack, draw.matrix(), rtol=0, atol=1e-13)
+        assert lapack.dtype == draw.signs.dtype and lapack.shape == (9, d, d)
+
+
 def test_reflector_draw_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        haar_reflectors(3, RngStream(0), kind="quaternion")
+        haar_unitary(0, RngStream(0), dense=False)
     with pytest.raises(ValueError):
-        haar_reflectors(3, RngStream(0), special=True)
-    with pytest.raises(ValueError):
-        haar_reflectors(0, RngStream(0))
-    with pytest.raises(ValueError):
-        haar_reflectors(3, RngStream(0), size=0)
+        haar_orthogonal(3, RngStream(0), size=0)
 
 
 @pytest.mark.parametrize("special", [False, True])

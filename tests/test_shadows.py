@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symshadows import _kernels, shadows
+from symshadows import _kernels, shadows, spaces
 from symshadows.channel import invert_channel
 from symshadows.haar import HouseholderDraw
 from symshadows.rng import RngStream
@@ -30,7 +30,7 @@ from symshadows.spaces import (
     GROUP_FAMILIES,
     EnsembleDraw,
     make_space,
-    sample_draw,
+    sample_point,
     structural_witness,
 )
 
@@ -413,19 +413,37 @@ def test_matrix_free_shots_match_materialized_rotations(spec, rank, field, seed)
     obs = _grid_observable(d, field, gen)
     x = invert_channel(spec).apply(obs)
     _, factor = shadows._validated_state(spec, rho)
-    draw, outcomes = shadows._measure_batch(spec, factor, np.random.default_rng(seed + 1), count)
-    free = _kernels.row_quadratic(shadows._outcome_rows(draw, outcomes), x)
     # the same draw, materialized, with the same uniforms
     replay = np.random.default_rng(seed + 1)
-    v = sample_draw(spec, replay, count).matrix()
-    np.testing.assert_array_equal(v, draw.matrix())
+    v = sample_point(spec, replay, count)
     probs = np.clip(_kernels.born_probs(v.astype(complex), rho), 0.0, None)
     dense_outcomes = _kernels.choose_outcomes(probs, replay.random(count))
-    np.testing.assert_array_equal(outcomes, dense_outcomes)
     dense = _kernels.row_quadratic(v[np.arange(count), dense_outcomes].astype(complex), x)
-    np.testing.assert_allclose(free, dense, rtol=0, atol=1e-12)
+    for path in (False, True):
+        draw, outcomes, rows = shadows._measure_batch(
+            spec, rho, factor, np.random.default_rng(seed + 1), count, dense=path
+        )
+        np.testing.assert_array_equal(v, draw.matrix())
+        np.testing.assert_array_equal(outcomes, dense_outcomes)
+        estimates = _kernels.row_quadratic(rows, x)
+        np.testing.assert_allclose(estimates, dense, rtol=0, atol=1e-12)
     witness = structural_witness(spec, v)
     assert witness.passed, f"{spec.label()}: residual {witness.residual}"
+
+
+def test_state_rank_picks_the_measurement_path():
+    d = 32
+    cut = d // shadows.DENSE_RANK_DIVISOR
+    spec = make_space("AIII", d, 16, 16)
+    gen = np.random.default_rng(99)
+    for rank, dense in ((1, False), (cut, False), (cut + 1, True), (d, True)):
+        a = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+        _, factor = shadows._validated_state(spec, a @ a.conj().T / np.linalg.norm(a) ** 2)
+        assert factor[1].shape[1] == rank
+        assert shadows._use_dense(spec, factor) is dense
+    # rank 1 never forms V, whatever d
+    _, factor = shadows._validated_state(make_space("U", 2), _state(2, 0))
+    assert not shadows._use_dense(make_space("U", 2), factor)
 
 
 @pytest.mark.parametrize(
@@ -438,12 +456,43 @@ def test_uo_parent_estimates_form_no_rotation_matrix(monkeypatch, family):
     monkeypatch.setattr(HouseholderDraw, "matrix", refuse)
     monkeypatch.setattr(EnsembleDraw, "matrix", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
-    monkeypatch.setattr(shadows, "sample_point", refuse)
     spec = make_space(family, 6)
     values = shadow_estimates(
         spec, _state(6, 90), random_observable(6, 0.5, rng=RngStream(91)), 64, RngStream(92)
     )
     assert values.shape == (64,) and np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [make_space("U", 5), make_space("BDI", 6, 2, 4), make_space("CII", 8, 3, 1),
+     make_space("AIII", 4, 4, 0)],
+    ids=lambda s: s.label(),
+)
+@pytest.mark.parametrize("rank", ["pure", "mixed"])
+def test_streamed_draws_go_through_the_module_level_samplers(monkeypatch, spec, rank):
+    # A wrapper set on spaces.haar_* or shadows.sample_point (a tracer) must
+    # see every draw of the estimator, counted as result.shape[0].
+    counts = {}
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts[key] = counts.get(key, 0) + (result.shape[0] if result.ndim == 3 else 1)
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("haar_unitary", "haar_orthogonal", "haar_symplectic"):
+        counting(spaces, name, "parent")
+    counting(shadows, "sample_point", "ensemble")
+    d = spec.dim
+    rho = _state(d, 88) if rank == "pure" else np.eye(d) / d
+    shadow_estimates(spec, rho, _traceless_observable(d, 89), 50, RngStream(87), batch_size=16)
+    expected = {"ensemble": 50} if spec.is_degenerate else {"parent": 50, "ensemble": 50}
+    assert counts == expected
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from symshadows.spaces import (
     QUOTIENT_FAMILIES,
     involution,
     make_space,
-    sample_draw,
     sample_point,
     sample_signed_symmetry,
     sample_subgroup,
@@ -89,8 +88,9 @@ _EVEN_DIM = {"SP", "AII", "DIII", "CI", "CII"}
 )
 def test_ensemble_draw_applies_its_matrix(family, d):
     spec = make_space(family, d)
-    draw = sample_draw(spec, RngStream(22), size=5)
+    draw = sample_point(spec, RngStream(22), size=5, dense=False)
     v = draw.matrix()
+    assert draw.shape == v.shape == (5, d, d)
     np.testing.assert_array_equal(v, sample_point(spec, RngStream(22), size=5))
     gen = RngStream(23).generator()
     y = gen.standard_normal((d, 2, 5)) + 1j * gen.standard_normal((d, 2, 5))
