@@ -1,11 +1,11 @@
 """Vectorized NumPy kernels for the per-sample hot loops.
 
 Born-rule probabilities, inverse-CDF outcome choice, the estimator's
-quadratic form, moment-basis projections and first-order twirl sums.
-Every function takes stacked inputs (leading batch axis) and returns plain
-``ndarray`` results.  Callers look the functions up as attributes of this
-module at call time (``_kernels.born_probs(...)``), so a wrapper set on the
-module attribute sees every call.
+quadratic form and moment-basis projections.  Every function takes stacked
+inputs (leading batch axis) and returns plain ``ndarray`` results.
+Callers look the functions up as attributes of this module at call time
+(``_kernels.born_probs(...)``), so a wrapper set on the module attribute
+sees every call.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "proj_unitary",
     "proj_orthogonal",
     "proj_symplectic",
-    "twirl1_accum",
 ]
 
 
@@ -106,17 +105,3 @@ def proj_symplectic(v: np.ndarray, jperm: np.ndarray, jsign: np.ndarray) -> np.n
     ydeph = (a2**2).sum(axis=(1, 2))
     ypair = (a2 * a2[:, :, jperm]).sum(axis=(1, 2))
     return np.stack([ynorm, ynorm, yform, ydeph, ypair, ypair], axis=1)
-
-
-def twirl1_accum(v: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch sums for the first-order twirl ``V A V^†``.
-
-    Returns
-    -------
-    total : (d, d) complex ndarray
-        ``sum_n V_n A V_n^†``.
-    total_sqmag : (d, d) float ndarray
-        ``sum_n |(V_n A V_n^†)_{ij}|^2`` (for entrywise standard errors).
-    """
-    prods = np.einsum("nij,jk,nlk->nil", v, a, v.conj(), optimize=True)
-    return prods.sum(axis=0), (np.abs(prods) ** 2).sum(axis=0)

@@ -465,13 +465,12 @@ class ChannelInverse:
     null space and is silently projected away.
     """
 
-    def __init__(self, spec: SpaceSpec, null_tol: float = NULL_TOL):
+    def __init__(self, spec: SpaceSpec):
         self.spec = spec
-        self.null_tol = float(null_tol)
         spectrum = channel_spectrum(spec)
         sectors = list(zip(spectrum.labels, spectrum.eigenvalues))
-        self._kept = tuple((lab, lam) for lab, lam in sectors if abs(lam) > null_tol)
-        self._null = tuple(lab for lab, lam in sectors if abs(lam) <= null_tol)
+        self._kept = tuple((lab, lam) for lab, lam in sectors if abs(lam) > NULL_TOL)
+        self._null = tuple(lab for lab, lam in sectors if abs(lam) <= NULL_TOL)
         if all(label == "identity" for label, _ in self._kept):
             raise ValueError(
                 f"{spec.label()} channel is null on every non-identity sector"

@@ -23,6 +23,10 @@ moment expansions:
 with the index convention fixed by the channel relation
 ``M(rho)[i, j] = sum_ab rho[a, b] T[a, b, i, j]``.  The symplectic-parent
 convention is validated by recovering the exact CI/CII channel weights.
+The fit never builds these d^4 tensors; their Gram matrix is closed form.
+
+Every Monte-Carlo estimator draws through one checked, byte-bounded loop,
+:func:`_batches`, and takes its standard errors from :func:`_finalize`.
 """
 
 from __future__ import annotations
@@ -170,6 +174,66 @@ def delta_value(klass: str, pairing, indices, d: int | None = None) -> int:
 
 
 # --------------------------------------------------------------------------
+# the draw loop and the mean/SEM rule
+# --------------------------------------------------------------------------
+
+#: Largest accumulator an estimator may hold, refused before any draw: the
+#: 16 d^4-byte tensor of a fit (d <= 53) or the 32 block means of a
+#: moment tensor (d <= 22).
+STATE_MAX_BYTES = 2**27
+
+# Budget for the largest temporary of a batch (the stack of draws, of pair
+# products, or of d^(2k) twirl operands).  Batches shrink below their caps
+# only past it; a d = 8 fit batch, 8192 * 8 * 64 * 16 B, fills it exactly.
+_BATCH_BYTES = 64 * 2**20
+_BATCH_DRAWS = 8192
+_IDENTITY_BATCH_DRAWS = 65536
+_TWIRL_ELEMENTS = 4_000_000
+_CHANNEL_ELEMENTS = 2_000_000
+_N_BLOCKS = 32
+
+
+def _batches(spec, gen, n_samples, cap, draw_bytes, blocks=1, state_bytes=0):
+    """Check a Monte-Carlo request, then return its draws as lazy batches.
+
+    Raises ``ValueError`` before any draw when ``n_samples < 2`` or the
+    caller's ``state_bytes`` exceed :data:`STATE_MAX_BYTES`.  A batch holds
+    at most ``cap`` draws, fewer if ``draw_bytes`` per draw would pass the
+    budget, and never straddles two of ``blocks`` equal blocks.  Batches
+    call the module-level :func:`sample_point` when iterated, so a wrapper
+    set on it sees every draw, and values the caller takes from ``gen``
+    first come first.
+    """
+    if n_samples < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n_samples}")
+    if state_bytes > STATE_MAX_BYTES:
+        raise ValueError(
+            f"{spec.label()}: the moment accumulators need {state_bytes} bytes "
+            f"({state_bytes / 2**30:.2f} GiB); the limit is {STATE_MAX_BYTES} bytes"
+        )
+    per_block = n_samples // blocks
+    size = max(1, min(cap, per_block, _BATCH_BYTES // draw_bytes))
+    return (
+        np.ascontiguousarray(
+            sample_point(spec, gen, size=min(size, start + per_block - lo)), dtype=complex
+        )
+        for start in range(0, per_block * blocks, per_block)
+        for lo in range(start, start + per_block, size)
+    )
+
+
+def _finalize(values, n):
+    """Entrywise mean and standard error of ``n >= 2`` draws' values, draw axis first."""
+    total = total_sq = 0.0
+    for z in values:
+        total = total + z.sum(axis=0)
+        total_sq = total_sq + (z.real**2 + z.imag**2).sum(axis=0)
+    mean = total / n
+    var = (total_sq / n - (mean.real**2 + mean.imag**2)) * (n / (n - 1))
+    return mean, np.sqrt(np.maximum(var, 0.0) / n)
+
+
+# --------------------------------------------------------------------------
 # Monte-Carlo twirls
 # --------------------------------------------------------------------------
 
@@ -183,23 +247,7 @@ class TwirlEstimate:
     n_samples: int
 
 
-def _finalize(sum_z, sum_sq, n):
-    mean = sum_z / n
-    var = sum_sq / n - (mean.real**2 + mean.imag**2)
-    if n > 1:
-        var = var * (n / (n - 1))
-    sem = np.sqrt(np.maximum(var, 0.0) / n)
-    return mean, sem
-
-
-def mc_twirl(
-    spec: SpaceSpec,
-    k: int,
-    a: np.ndarray,
-    n_samples: int,
-    rng=None,
-    batch_size: int | None = None,
-) -> TwirlEstimate:
+def mc_twirl(spec: SpaceSpec, k: int, a: np.ndarray, n_samples: int, rng=None) -> TwirlEstimate:
     """Estimate the order-k twirl E[V^(x)k A (V^(x)k)^dagger] by sampling.
 
     Parameters
@@ -210,7 +258,7 @@ def mc_twirl(
     a : ndarray, shape (d**k, d**k)
         Operand in matrix form.
     n_samples : int
-        Number of ensemble draws.
+        Number of ensemble draws, at least 2.
     rng : Generator, RngStream, int or None
 
     Returns
@@ -225,39 +273,23 @@ def mc_twirl(
     a = np.asarray(a, dtype=complex)
     if a.shape != (dk, dk):
         raise ValueError(f"operand shape {a.shape} does not match (d^k, d^k) = ({dk}, {dk})")
-    gen = as_generator(rng)
-    if batch_size is None:
-        batch_size = max(1, min(n_samples, 4_000_000 // (dk * dk)))
-    sum_z = np.zeros((dk, dk), dtype=complex)
-    sum_sq = np.zeros((dk, dk))
-    done = 0
-    while done < n_samples:
-        b = min(batch_size, n_samples - done)
-        v = np.ascontiguousarray(sample_point(spec, gen, size=b), dtype=np.complex128)
-        if k == 1:
-            part_z, part_sq = _kernels.twirl1_accum(v, a)
-            sum_z += part_z
-            sum_sq += part_sq
-        else:
-            if k == 2:
-                w = np.einsum("nab,ncd->nacbd", v, v).reshape(b, dk, dk)
-            else:
-                w = np.einsum("nab,ncd,nef->nacebdf", v, v, v).reshape(b, dk, dk)
-            z = np.einsum("nxa,ab,nyb->nxy", w, a, w.conj(), optimize=True)
-            sum_z += z.sum(axis=0)
-            sum_sq += (z.real**2 + z.imag**2).sum(axis=0)
-        done += b
-    mean, sem = _finalize(sum_z, sum_sq, n_samples)
+    batches = _batches(
+        spec, as_generator(rng), n_samples, _TWIRL_ELEMENTS // (dk * dk), 16 * dk * dk
+    )
+
+    def values(v):
+        w = v
+        if k == 2:
+            w = np.einsum("nab,ncd->nacbd", v, v).reshape(len(v), dk, dk)
+        elif k == 3:
+            w = np.einsum("nab,ncd,nef->nacebdf", v, v, v).reshape(len(v), dk, dk)
+        return np.einsum("nxa,ab,nyb->nxy", w, a, w.conj(), optimize=True)
+
+    mean, sem = _finalize(map(values, batches), n_samples)
     return TwirlEstimate(mean=mean, sem=sem, n_samples=n_samples)
 
 
-def mc_channel(
-    spec: SpaceSpec,
-    operand: np.ndarray,
-    n_samples: int,
-    rng=None,
-    batch_size: int | None = None,
-) -> TwirlEstimate:
+def mc_channel(spec: SpaceSpec, operand: np.ndarray, n_samples: int, rng=None) -> TwirlEstimate:
     """Estimate the measurement channel M(A) by direct protocol sampling.
 
     Each draw contributes ``sum_w (V A V^dagger)_ww V^dagger |w><w| V`` —
@@ -271,7 +303,7 @@ def mc_channel(
     operand : ndarray, shape (d, d)
         Matrix the channel acts on.
     n_samples : int
-        Number of ensemble draws.
+        Number of ensemble draws, at least 2.
     rng : Generator, RngStream, int or None
 
     Returns
@@ -283,21 +315,15 @@ def mc_channel(
     a = np.asarray(operand, dtype=complex)
     if a.shape != (d, d):
         raise ValueError(f"operand shape {a.shape} does not match ({d}, {d})")
-    gen = as_generator(rng)
-    if batch_size is None:
-        batch_size = max(1, min(n_samples, 2_000_000 // (d * d)))
-    sum_z = np.zeros((d, d), dtype=complex)
-    sum_sq = np.zeros((d, d))
-    done = 0
-    while done < n_samples:
-        b = min(batch_size, n_samples - done)
-        v = np.ascontiguousarray(sample_point(spec, gen, size=b), dtype=np.complex128)
+    batches = _batches(
+        spec, as_generator(rng), n_samples, _CHANNEL_ELEMENTS // (d * d), 16 * d * d
+    )
+
+    def values(v):
         diag = np.einsum("nwa,ab,nwb->nw", v, a, v.conj(), optimize=True)
-        z = np.einsum("nw,nwi,nwj->nij", diag, v.conj(), v, optimize=True)
-        sum_z += z.sum(axis=0)
-        sum_sq += (z.real**2 + z.imag**2).sum(axis=0)
-        done += b
-    mean, sem = _finalize(sum_z, sum_sq, n_samples)
+        return np.einsum("nw,nwi,nwj->nij", diag, v.conj(), v, optimize=True)
+
+    mean, sem = _finalize(map(values, batches), n_samples)
     return TwirlEstimate(mean=mean, sem=sem, n_samples=n_samples)
 
 
@@ -320,44 +346,54 @@ class MomentTensor:
     n_samples: int
 
 
-def _pair_products(v: np.ndarray) -> np.ndarray:
-    """Flattened per-row rank-one products r_w[a, b] = v_wa conj(v_wb)."""
-    b, d, _ = v.shape
-    return (v[:, :, :, None] * v[:, :, None, :].conj()).reshape(b * d, d * d)
+def _add_pair_gram(out: np.ndarray, v: np.ndarray) -> None:
+    """Add sum_w r_w r_w^dagger over the rows of ``v`` to ``out``.
+
+    r_w[a, b] = v_wa conj(v_wb) are the per-row pair products.  The gemm
+    runs in row blocks of ``out`` under the batch budget, one block up to
+    d = 45.
+    """
+    d = v.shape[-1]
+    f = (v[:, :, :, None] * v[:, :, None, :].conj()).reshape(-1, d * d)
+    fc = f.conj()
+    rows = max(1, _BATCH_BYTES // (16 * f.shape[1]))
+    for lo in range(0, f.shape[1], rows):
+        out[lo : lo + rows] += f[:, lo : lo + rows].T @ fc
 
 
-def mc_moment_tensor(
-    spec: SpaceSpec,
-    n_samples: int,
-    rng=None,
-    n_blocks: int = 32,
-) -> MomentTensor:
+def mc_moment_tensor(spec: SpaceSpec, n_samples: int, rng=None) -> MomentTensor:
     """Estimate the channel tensor T by direct Monte Carlo.
 
-    Standard errors come from ``n_blocks`` independent block means, so
-    ``n_samples`` is rounded down to a multiple of ``n_blocks``.
+    Standard errors come from 32 independent block means (``n_samples``
+    blocks of one draw below 32 samples), so ``n_samples`` is rounded down
+    to a multiple of the block count.
+
+    Raises
+    ------
+    ValueError
+        Before any draw, when ``n_samples < 2`` or when the block means,
+        32 * 16 d^4 bytes, would exceed :data:`STATE_MAX_BYTES`.
     """
     d = spec.dim
-    n_blocks = max(1, min(n_blocks, n_samples))
-    per_block = max(1, n_samples // n_blocks)
-    gen = as_generator(rng)
-    block_means = np.empty((n_blocks, d * d, d * d), dtype=complex)
-    for blk in range(n_blocks):
-        v = np.ascontiguousarray(sample_point(spec, gen, size=per_block), dtype=np.complex128)
-        f = _pair_products(v)
-        block_means[blk] = (f.T @ f.conj()) / per_block
+    blocks = min(_N_BLOCKS, n_samples)
+    state = blocks * 16 * d**4
+    batches = _batches(spec, as_generator(rng), n_samples, n_samples, 16 * d**3, blocks, state)
+    per_block = n_samples // blocks
+    block_means = np.zeros((blocks, d * d, d * d), dtype=complex)
+    done = 0
+    for v in batches:
+        _add_pair_gram(block_means[done // per_block], v)
+        done += len(v)
+    block_means /= per_block
     mean = block_means.mean(axis=0)
-    if n_blocks > 1:
-        dev = np.abs(block_means - mean) ** 2
-        sem = np.sqrt(dev.sum(axis=0) / (n_blocks - 1) / n_blocks)
-    else:
-        sem = np.full_like(mean, np.inf, dtype=float)
+    dev = np.abs(block_means - mean) ** 2
+    sem = np.sqrt(dev.sum(axis=0) / (blocks - 1) / blocks)
     # T[a, b, i, j] with the pair products giving [(ab), (ij)] directly.
     shape = (d, d, d, d)
     return MomentTensor(
         mean=mean.reshape(shape),
         sem=sem.reshape(shape),
-        n_samples=per_block * n_blocks,
+        n_samples=per_block * blocks,
     )
 
 
@@ -396,58 +432,44 @@ class MomentFit:
     dephasing_weight_sem: float
 
 
-def _basis_tensors(parent: str, d: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """Materialized delta-tensor basis for one parent group.
+_BASIS_LABELS = {
+    "U": ("delta_ab_delta_ij", "delta_ai_delta_bj", "delta_abij"),
+    "O": ("delta_ab_delta_ij", "delta_ai_delta_bj", "delta_aj_delta_bi", "delta_abij"),
+    "SP": (
+        "delta_ab_delta_ij",
+        "delta_ai_delta_bj",
+        "form_aj_form_bi",
+        "delta_abij",
+        "delta_ab_pair_ij",
+        "delta_ai_pair_bj",
+    ),
+}
 
-    Returns labels and a stacked array of shape (n_basis, d, d, d, d)
-    indexed [m, a, b, i, j].
+
+def _basis_gram(parent: str, d: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels and exact Gram matrix <B_m, B_n> of one parent's delta basis.
+
+    Each entry counts the index tuples (a, b, i, j) on which both tensors
+    are nonzero, signed by the symplectic form where it enters, so no d^4
+    tensor is built.
     """
-    eye = np.eye(d)
-    t_norm = np.einsum("ab,ij->abij", eye, eye)
-    t_dual = np.einsum("ai,bj->abij", eye, eye)
-    t_deph = np.zeros((d, d, d, d))
-    rng_d = np.arange(d)
-    t_deph[rng_d, rng_d, rng_d, rng_d] = 1.0
-    if parent == "U":
-        labels = ("delta_ab_delta_ij", "delta_ai_delta_bj", "delta_abij")
-        return labels, np.stack([t_norm, t_dual, t_deph])
-    if parent == "O":
-        t_swap = np.einsum("aj,bi->abij", eye, eye)
-        labels = (
-            "delta_ab_delta_ij",
-            "delta_ai_delta_bj",
-            "delta_aj_delta_bi",
-            "delta_abij",
-        )
-        return labels, np.stack([t_norm, t_dual, t_swap, t_deph])
-    if parent == "SP":
-        form = symplectic_form(d)
-        jperm, _ = symplectic_pairing(d)
-        t_form = np.einsum("aj,bi->abij", form, form)
-        t_pair_diag = np.zeros((d, d, d, d))
-        t_pair_diag[rng_d, rng_d, jperm, jperm] = 1.0
-        t_pair_cross = np.zeros((d, d, d, d))
-        t_pair_cross[rng_d, jperm, rng_d, jperm] = 1.0
-        labels = (
-            "delta_ab_delta_ij",
-            "delta_ai_delta_bj",
-            "form_aj_form_bi",
-            "delta_abij",
-            "delta_ab_pair_ij",
-            "delta_ai_pair_bj",
-        )
-        return labels, np.stack(
-            [t_norm, t_dual, t_form, t_deph, t_pair_diag, t_pair_cross]
-        )
-    raise ValueError(f"unsupported parent group {parent!r}")
+    s = d * d
+    gram = {
+        "U": [[s, d, d], [d, s, d], [d, d, d]],
+        "O": [[s, d, d, d], [d, s, d, d], [d, d, s, d], [d, d, d, d]],
+        "SP": [
+            [s, d, d, d, d, 0],
+            [d, s, -d, d, 0, d],
+            [d, -d, s, 0, d, -d],
+            [d, d, 0, d, 0, 0],
+            [d, 0, d, 0, d, 0],
+            [0, d, -d, 0, 0, d],
+        ],
+    }[parent]
+    return _BASIS_LABELS[parent], np.array(gram, dtype=float)
 
 
-def fit_channel_coefficients(
-    spec: SpaceSpec,
-    n_samples: int,
-    rng=None,
-    batch_size: int = 8192,
-) -> MomentFit:
+def fit_channel_coefficients(spec: SpaceSpec, n_samples: int, rng=None) -> MomentFit:
     """Fit the empirical channel tensor onto the family's delta basis.
 
     Draws ``n_samples`` ensemble elements, projects each sample's rank-one
@@ -461,6 +483,9 @@ def fit_channel_coefficients(
     FitDegenerateError
         For orthogonal parents at d = 2 (collinear delta terms) or any
         basis whose Gram matrix is numerically rank deficient.
+    ValueError
+        Before any draw, when ``n_samples < 2`` or when the empirical
+        tensor, 16 d^4 bytes, would exceed :data:`STATE_MAX_BYTES`.
     """
     d = spec.dim
     parent = spec.parent
@@ -468,9 +493,10 @@ def fit_channel_coefficients(
         raise FitDegenerateError(
             "orthogonal-parent delta basis is collinear at d = 2; refit at d >= 3"
         )
-    labels, tensors = _basis_tensors(parent, d)
-    flat = tensors.reshape(len(labels), -1)
-    gram = flat @ flat.T
+    batches = _batches(
+        spec, as_generator(rng), n_samples, _BATCH_DRAWS, 16 * d**3, state_bytes=16 * d**4
+    )
+    labels, gram = _basis_gram(parent, d)
     cond = np.linalg.cond(gram)
     if cond > 1e12:
         raise FitDegenerateError(
@@ -479,35 +505,25 @@ def fit_channel_coefficients(
     gram_inv = np.linalg.inv(gram)
     if parent == "SP":
         jperm, jsign = symplectic_pairing(d)
-    gen = as_generator(rng)
-    n_basis = len(labels)
-    sum_c = np.zeros(n_basis)
-    sum_csq = np.zeros(n_basis)
     t_hat = np.zeros((d * d, d * d), dtype=complex)
-    done = 0
-    while done < n_samples:
-        b = min(batch_size, n_samples - done)
-        v = np.ascontiguousarray(sample_point(spec, gen, size=b), dtype=np.complex128)
-        if parent == "U":
-            y = _kernels.proj_unitary(v)
-        elif parent == "O":
-            y = _kernels.proj_orthogonal(v)
-        else:
-            y = _kernels.proj_symplectic(v, jperm, jsign)
-        c = y @ gram_inv
-        sum_c += c.sum(axis=0)
-        sum_csq += (c**2).sum(axis=0)
-        f = _pair_products(v)
-        t_hat += f.T @ f.conj()
-        done += b
-    coef = sum_c / n_samples
-    var = sum_csq / n_samples - coef**2
-    if n_samples > 1:
-        var = var * (n_samples / (n_samples - 1))
-    sems = np.sqrt(np.maximum(var, 0.0) / n_samples)
-    fitted = np.einsum("m,mx->x", coef, flat)
-    residual = float(np.linalg.norm(t_hat.reshape(-1) / n_samples - fitted))
+
+    def coefficients():
+        for v in batches:
+            if parent == "U":
+                y = _kernels.proj_unitary(v)
+            elif parent == "O":
+                y = _kernels.proj_orthogonal(v)
+            else:
+                y = _kernels.proj_symplectic(v, jperm, jsign)
+            _add_pair_gram(t_hat, v)
+            yield y @ gram_inv
+
+    coef, sems = _finalize(coefficients(), n_samples)
+    # c = y_mean G^-1 and <B_m, T_hat> = y_mean[m], so the squared residual
+    # |T_hat - sum_m c_m B_m|^2 is |T_hat|^2 - c^T G c.
     tensor_norm_sq = float(coef @ gram @ coef)
+    t_norm_sq = float(np.linalg.norm(t_hat) / n_samples) ** 2
+    residual = float(np.sqrt(max(t_norm_sq - tensor_norm_sq, 0.0)))
     noise_floor = float(np.sqrt(max(d - tensor_norm_sq, 0.0) / n_samples))
     if parent == "SP":
         mix = 1.0 - (d + 1) * coef[0]
@@ -554,33 +570,17 @@ class MomentCheck:
         return abs(self.estimate - self.expected) / self.sem
 
 
-def moment_identities_ai(
-    d: int, n_samples: int, rng=None, batch_size: int = 65536
-) -> list[MomentCheck]:
+def moment_identities_ai(d: int, n_samples: int, rng=None) -> list[MomentCheck]:
     """Fourth-moment identities of the symmetric-unitary (AI) ensemble.
 
     Checks E|V_11|^4 against 8/((d+1)(d+3)) and E|V_12|^4 against
-    2/(d(d+3)).
+    2/(d(d+3)) on ``n_samples >= 2`` draws.
     """
     spec = make_space("AI", d)
-    gen = as_generator(rng)
-    sums = np.zeros(2)
-    sums_sq = np.zeros(2)
-    done = 0
-    while done < n_samples:
-        b = min(batch_size, n_samples - done)
-        v = sample_point(spec, gen, size=b)
-        diag4 = np.abs(v[:, 0, 0]) ** 4
-        sums[0] += diag4.sum()
-        sums_sq[0] += (diag4**2).sum()
-        if d > 1:
-            off4 = np.abs(v[:, 0, 1]) ** 4
-            sums[1] += off4.sum()
-            sums_sq[1] += (off4**2).sum()
-        done += b
-    mean = sums / n_samples
-    var = (sums_sq / n_samples - mean**2) * (n_samples / (n_samples - 1))
-    sem = np.sqrt(np.maximum(var, 0.0) / n_samples)
+    batches = _batches(spec, as_generator(rng), n_samples, _IDENTITY_BATCH_DRAWS, 16 * d * d)
+    # Column-major stacks, so each entry's column is summed pairwise.
+    values = (np.asfortranarray(np.abs(v[:, 0, :2]) ** 4) for v in batches)
+    mean, sem = _finalize(values, n_samples)
     return [
         MomentCheck("E|V_11|^4", float(mean[0]), float(sem[0]), 8.0 / ((d + 1) * (d + 3))),
         MomentCheck("E|V_12|^4", float(mean[1]), float(sem[1]), 2.0 / (d * (d + 3))),
@@ -607,7 +607,6 @@ def k_equivariance_check(
     spec: SpaceSpec,
     n_samples: int,
     rng=None,
-    batch_size: int = 8192,
     conjugator: np.ndarray | None = None,
 ) -> PairedTwirlReport:
     """Monte-Carlo check that the twirl commutes with the fixed subgroup.
@@ -615,11 +614,13 @@ def k_equivariance_check(
     Draws one subgroup element k (or uses ``conjugator`` -- pass a generic
     unitary for a negative control) and one random operand A, then compares
     the sample means of V (k A k^dagger) V^dagger and k (V A V^dagger)
-    k^dagger on the *same* draws of V, so the difference carries paired
-    standard errors.
+    k^dagger on the *same* ``n_samples >= 2`` draws of V, so the difference
+    carries paired standard errors.
     """
     d = spec.dim
     gen = as_generator(rng)
+    # The request is checked here; draws of V start after k and A are drawn.
+    batches = _batches(spec, gen, n_samples, _BATCH_DRAWS, 16 * d * d)
     k = (
         np.asarray(conjugator, dtype=complex)
         if conjugator is not None
@@ -627,20 +628,13 @@ def k_equivariance_check(
     )
     a = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
     kak = k @ a @ k.conj().T
-    sum_z = np.zeros((d, d), dtype=complex)
-    sum_sq = np.zeros((d, d))
-    done = 0
-    while done < n_samples:
-        b = min(batch_size, n_samples - done)
-        v = np.ascontiguousarray(sample_point(spec, gen, size=b), dtype=np.complex128)
+
+    def differences(v):
         lhs = np.einsum("nij,jk,nlk->nil", v, kak, v.conj(), optimize=True)
         inner = np.einsum("nij,jk,nlk->nil", v, a, v.conj(), optimize=True)
-        rhs = np.einsum("ij,njk,lk->nil", k, inner, k.conj(), optimize=True)
-        diff = lhs - rhs
-        sum_z += diff.sum(axis=0)
-        sum_sq += (diff.real**2 + diff.imag**2).sum(axis=0)
-        done += b
-    mean, sem = _finalize(sum_z, sum_sq, n_samples)
+        return lhs - np.einsum("ij,njk,lk->nil", k, inner, k.conj(), optimize=True)
+
+    mean, sem = _finalize(map(differences, batches), n_samples)
     flat_idx = int(np.argmax(np.abs(mean)))
     return PairedTwirlReport(
         max_discrepancy=float(np.abs(mean).reshape(-1)[flat_idx]),

@@ -574,8 +574,6 @@ class SweepConfig:
         Root seed; every row derives its own independent stream.
     symmetric_observables : bool
         Restrict observables to real symmetric matrices.
-    batch_size : int or None
-        Forwarded to :func:`shadow_estimates`.
     """
 
     dim: int
@@ -586,7 +584,6 @@ class SweepConfig:
     n_shots: int = 1000
     seed: int = 0
     symmetric_observables: bool = False
-    batch_size: int | None = None
 
 
 @dataclass(frozen=True)
@@ -705,7 +702,6 @@ def variance_sweep(config: SweepConfig) -> list[ResultRow]:
                     observables[wi, inst],
                     config.n_shots,
                     rng=root.child(12, fi, ci, wi, inst),
-                    batch_size=config.batch_size,
                 )
                 report = _report_from_estimates(estimates, None, False)
                 analytic = analytic_second_moment(

@@ -64,8 +64,8 @@ def _moment_check(suite, name, values, expected, tol_sems):
 
 
 def _suite_haar(dim, samples, seed, tol_sems):
-    dim = dim or 4
-    samples = samples or 200_000
+    dim = 4 if dim is None else dim
+    samples = 200_000 if samples is None else samples
     checks = []
     root = RngStream(seed, (1,))
     batch = 128
@@ -104,7 +104,7 @@ def _suite_haar(dim, samples, seed, tol_sems):
 
 
 def _suite_witness(space, dim, seed):
-    dim = dim or 4
+    dim = 4 if dim is None else dim
     families = [space] if space else list(ALL_FAMILIES)
     checks = []
     root = RngStream(seed, (2,))
@@ -146,8 +146,8 @@ def _eigenvalue_identity_residual(max_dim=32) -> float:
 
 
 def _suite_channel(space, dim, samples, seed, tol_sems):
-    dim = dim or 4
-    samples = samples or 200_000
+    dim = 4 if dim is None else dim
+    samples = 200_000 if samples is None else samples
     families = [space] if space else list(ALL_FAMILIES)
     checks = [
         _check("channel", "eigenvalue-identities/AIII+BDI", _eigenvalue_identity_residual(), 0.0)
@@ -195,7 +195,7 @@ def _suite_channel(space, dim, samples, seed, tol_sems):
 
 
 def _suite_moments(space, dim, samples, seed, tol_sems):
-    samples = samples or 1_000_000
+    samples = 1_000_000 if samples is None else samples
     checks = []
     worst = 0
     for k in range(1, 7):
@@ -205,16 +205,18 @@ def _suite_moments(space, dim, samples, seed, tol_sems):
             expected *= odd
         worst = max(worst, abs(count - expected))
     checks.append(_check("moments", "pair-partition-counts/k<=6", float(worst), 0.0))
+    # The tensor runs first: it refuses a size it cannot hold before any
+    # draw, so a large --dim fails before the identities sample.
+    tensor_spec = make_space(space or "AI", 3 if dim is None else dim)
+    tensor = momentlab.mc_moment_tensor(
+        tensor_spec, min(samples, 200_000), RngStream(seed, (4, 1))
+    )
     if space in (None, "AI"):
-        d = dim or 2
+        d = 2 if dim is None else dim
         for chk in momentlab.moment_identities_ai(d, samples, RngStream(seed, (4, 0))):
             checks.append(
                 _check("moments", f"AI(d={d})/{chk.name}", chk.deviation_sems, tol_sems)
             )
-    tensor_spec = make_space(space or "AI", dim or 3)
-    tensor = momentlab.mc_moment_tensor(
-        tensor_spec, min(samples, 200_000), RngStream(seed, (4, 1))
-    )
     d = tensor_spec.dim
     truth = (
         build_superoperator(tensor_spec)
@@ -229,8 +231,8 @@ def _suite_moments(space, dim, samples, seed, tol_sems):
 
 
 def _suite_equivariance(space, dim, samples, seed, tol_sems):
-    dim = dim or 4
-    samples = samples or 100_000
+    dim = 4 if dim is None else dim
+    samples = 100_000 if samples is None else samples
     families = [space] if space else list(ALL_FAMILIES)
     checks = []
     for fi, fam in enumerate(families):
@@ -274,7 +276,7 @@ def run_suite(
     dim : int, optional
         Override the default dimension of the checks that take one.
     samples : int, optional
-        Override the Monte-Carlo sample budget.
+        Override the Monte-Carlo sample budget; at least 2.
     seed : int, optional
         Root seed; the report is deterministic given the seed.
     tol_sems : float, optional
@@ -284,6 +286,8 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if space is not None and space not in ALL_FAMILIES:
         raise ValueError(f"unknown family {space!r}")
+    if samples is not None and samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
     if suite == "all":
         checks = []
         for name in SUITES[:-1]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import symshadows
+from symshadows import momentlab
 from symshadows.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DEGENERATE_FIT,
@@ -132,6 +134,48 @@ def test_fit_degenerate_basis_exit_code(capsys):
 
 def test_fit_rejects_unknown_family(capsys):
     assert main(["fit", "--space", "E8", "--dim", "3"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_fit_rejects_too_few_samples(samples, capsys):
+    code = main(["fit", "--space", "AI", "--dim", "4", "--samples", samples])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "at least 2 samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "moments", "--space", "U", "--samples", "1"],
+        ["verify", "--suite", "witness", "--space", "AI", "--dim", "0"],
+    ],
+)
+def test_verify_rejects_sample_counts_and_dimensions_it_cannot_use(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    out, _ = capsys.readouterr()
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--space", "U", "--dim", "64", "--samples", "2000"],
+        ["verify", "--suite", "moments", "--dim", "64"],
+    ],
+)
+def test_study_commands_refuse_sizes_they_cannot_hold_before_drawing(
+    argv, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before refusing the size")
+
+    monkeypatch.setattr(momentlab, "sample_point", refuse)
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(r"need \d+ bytes .*the limit is \d+ bytes", err)
 
 
 # ------------------------------------------------------------------- sweep

@@ -117,16 +117,3 @@ def test_projections_match_per_sample_contraction(batch, parent):
     else:
         got = _kernels.proj_symplectic(v, batch["jperm"], batch["jsign"])
     np.testing.assert_allclose(got, _projections_by_loop(v, parent), atol=1e-12)
-
-
-def test_twirl1_accum_matches_per_sample_sums(batch):
-    v, a = batch["v"], batch["x"]
-    total, total_sqmag = _kernels.twirl1_accum(v, a)
-    expected = np.zeros_like(total)
-    expected_sqmag = np.zeros_like(total_sqmag)
-    for vn in v:
-        prod = vn @ a @ vn.conj().T
-        expected += prod
-        expected_sqmag += np.abs(prod) ** 2
-    np.testing.assert_allclose(total, expected, atol=1e-11)
-    np.testing.assert_allclose(total_sqmag, expected_sqmag, atol=1e-11)

@@ -1,10 +1,13 @@
 """Combinatorics, Monte-Carlo twirls, and the moment-tensor fit."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from symshadows import momentlab
 from symshadows.channel import apply_channel, build_superoperator, channel_weights
-from symshadows.haar import haar_unitary, symplectic_form
+from symshadows.haar import haar_unitary, symplectic_form, symplectic_pairing
 from symshadows.momentlab import (
     FitDegenerateError,
     MomentCheck,
@@ -20,7 +23,7 @@ from symshadows.momentlab import (
     pair_partitions,
 )
 from symshadows.rng import RngStream
-from symshadows.spaces import make_space
+from symshadows.spaces import make_space, sample_point
 
 DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
 
@@ -235,3 +238,199 @@ def test_h_equivariance_negative_control():
     spec = make_space("AIII", 4, 2, 2)
     generic = [haar_unitary(4, RngStream(34))]
     assert h_equivariance_check(spec, rng=RngStream(35), conjugators=generic) > 1e-3
+
+
+# ---------------------------------------- closed-form Gram and the residual
+
+
+def _basis_entries(d):
+    """Each delta tensor of the module docstring as a function of (a, b, i, j)."""
+    form, partner = (symplectic_form(d), symplectic_pairing(d)[0]) if d % 2 == 0 else (0, 0)
+    return {
+        "delta_ab_delta_ij": lambda a, b, i, j: int(a == b and i == j),
+        "delta_ai_delta_bj": lambda a, b, i, j: int(a == i and b == j),
+        "delta_aj_delta_bi": lambda a, b, i, j: int(a == j and b == i),
+        "form_aj_form_bi": lambda a, b, i, j: int(form[a, j] * form[b, i]),
+        "delta_abij": lambda a, b, i, j: int(a == b == i == j),
+        "delta_ab_pair_ij": lambda a, b, i, j: int(a == b and i == j == partner[a]),
+        "delta_ai_pair_bj": lambda a, b, i, j: int(a == i and b == j == partner[a]),
+    }
+
+
+def _basis_by_loops(labels, d):
+    entries = _basis_entries(d)
+    return [
+        [entries[label](*idx) for idx in itertools.product(range(d), repeat=4)]
+        for label in labels
+    ]
+
+
+@pytest.mark.parametrize(
+    "parent,d",
+    [("U", 1), ("U", 2), ("U", 3), ("U", 5), ("O", 3), ("O", 4), ("O", 5),
+     ("SP", 2), ("SP", 4), ("SP", 6)],
+)
+def test_closed_form_gram_equals_entrywise_basis_gram(parent, d):
+    labels, gram = momentlab._basis_gram(parent, d)
+    basis = _basis_by_loops(labels, d)
+    expected = [[sum(x * y for x, y in zip(s, t)) for t in basis] for s in basis]
+    assert np.array_equal(gram, np.array(expected, dtype=float))
+
+
+def _fixed_draws(monkeypatch, draws):
+    """Serve ``draws`` in order to every momentlab.sample_point call."""
+    served = [0]
+
+    def fixed(spec, rng=None, size=None):
+        start = served[0]
+        served[0] += size
+        return draws[start : start + size]
+
+    monkeypatch.setattr(momentlab, "sample_point", fixed)
+    return served
+
+
+@pytest.mark.parametrize(
+    "family,dim,p,q", [("AI", 3, None, None), ("DIII", 4, None, None), ("CII", 4, 1, 1)]
+)
+def test_fit_residual_is_the_distance_to_the_fitted_tensor(monkeypatch, family, dim, p, q):
+    spec = make_space(family, dim, p, q)
+    n = 600
+    v = sample_point(spec, RngStream(40), size=n).astype(complex)
+    _fixed_draws(monkeypatch, v)
+    fit = fit_channel_coefficients(spec, n, RngStream(41))
+    t_hat = np.einsum("nwa,nwb,nwi,nwj->abij", v, v.conj(), v.conj(), v) / n
+    basis = np.array(_basis_by_loops(fit.labels, dim), dtype=float)
+    fitted = (fit.coefficients @ basis).reshape(t_hat.shape)
+    expected = float(np.linalg.norm(t_hat - fitted))
+    assert fit.residual_norm == pytest.approx(expected, rel=1e-9)
+
+
+# ------------------------------------------------- the checked draw loop
+
+
+_ESTIMATORS = {
+    "mc_twirl": lambda spec, n, rng: mc_twirl(spec, 2, np.eye(spec.dim**2), n, rng),
+    "mc_channel": lambda spec, n, rng: mc_channel(spec, np.eye(spec.dim), n, rng),
+    "mc_moment_tensor": lambda spec, n, rng: mc_moment_tensor(spec, n, rng),
+    "fit_channel_coefficients": lambda spec, n, rng: fit_channel_coefficients(spec, n, rng),
+    "moment_identities_ai": lambda spec, n, rng: moment_identities_ai(spec.dim, n, rng),
+    "k_equivariance_check": lambda spec, n, rng: k_equivariance_check(spec, n, rng),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 16 * 3**4 * 5])
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_every_estimator_draws_exactly_n_samples_through_sample_point(
+    monkeypatch, name, budget
+):
+    # 96 draws split evenly into the 32 blocks of mc_moment_tensor; the small
+    # budget forces several batches on every estimator.
+    spec = make_space("AI", 3)
+    if budget is not None:
+        monkeypatch.setattr(momentlab, "_BATCH_BYTES", budget)
+    sizes = []
+    original = momentlab.sample_point
+
+    def counting(spec, rng=None, size=None):
+        sizes.append(size)
+        return original(spec, rng, size=size)
+
+    monkeypatch.setattr(momentlab, "sample_point", counting)
+    _ESTIMATORS[name](spec, 96, RngStream(42))
+    assert sum(sizes) == 96
+    if budget is not None:
+        assert len(sizes) > 1
+
+
+def test_batches_keep_their_caps_at_the_sizes_seeded_outputs_use(monkeypatch):
+    # A d = 8 fit batch fills the byte budget exactly and must stay whole,
+    # or seeded U/O-parent draws would change.
+    sizes = []
+    original = momentlab.sample_point
+
+    def counting(spec, rng=None, size=None):
+        sizes.append(size)
+        return original(spec, rng, size=size)
+
+    monkeypatch.setattr(momentlab, "sample_point", counting)
+    fit_channel_coefficients(make_space("AI", 8), 8193, RngStream(46))
+    assert sizes == [8192, 1]
+
+
+def test_standard_errors_are_the_per_draw_sample_sem(monkeypatch):
+    spec = make_space("AIII", 4, 3, 1)
+    n = 400
+    v = sample_point(spec, RngStream(47), size=n).astype(complex)
+    a = np.diag([1.0, -2.0, 0.5, 3.0]) + 0.25j * np.eye(4, k=1)
+
+    def sample_sem(z):
+        return np.std(z, axis=0, ddof=1) / np.sqrt(n)
+
+    _fixed_draws(monkeypatch, v)
+    est = mc_channel(spec, a, n, RngStream(48))
+    z = np.array(
+        [sum((vn @ a @ vn.conj().T)[w, w] * np.outer(vn[w].conj(), vn[w]) for w in range(4))
+         for vn in v]
+    )
+    np.testing.assert_allclose(est.mean, z.mean(axis=0), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(est.sem, sample_sem(z), rtol=1e-9)
+
+    _fixed_draws(monkeypatch, v)
+    fit = fit_channel_coefficients(spec, n, RngStream(49))
+    basis = np.array(_basis_by_loops(fit.labels, 4), dtype=float)
+    per_draw = np.einsum("nwa,nwb,nwi,nwj->nabij", v, v.conj(), v.conj(), v).reshape(n, -1)
+    c = (per_draw.real @ basis.T) @ np.linalg.inv(basis @ basis.T)
+    np.testing.assert_allclose(fit.coefficients, c.mean(axis=0), rtol=1e-10)
+    np.testing.assert_allclose(fit.standard_errors, sample_sem(c), rtol=1e-9)
+
+    ai = make_space("AI", 4)
+    w = sample_point(ai, RngStream(50), size=n)
+    _fixed_draws(monkeypatch, w)
+    checks = moment_identities_ai(4, n, RngStream(51))
+    x = np.abs(w[:, 0, :2]) ** 4
+    np.testing.assert_allclose([c.estimate for c in checks], x.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose([c.sem for c in checks], sample_sem(x), rtol=1e-9)
+
+
+def test_moment_tensor_blocks_do_not_depend_on_the_batch_split(monkeypatch):
+    spec = make_space("CI", 4)
+    draws = sample_point(spec, RngStream(43), size=320).astype(complex)
+    _fixed_draws(monkeypatch, draws)
+    whole = mc_moment_tensor(spec, 320, RngStream(44))
+    # 10 draws per block in batches of 3, and the gemm in row blocks of 12
+    monkeypatch.setattr(momentlab, "_BATCH_BYTES", 16 * 4**3 * 3)
+    served = _fixed_draws(monkeypatch, draws)
+    split = mc_moment_tensor(spec, 320, RngStream(44))
+    assert served[0] == 320
+    np.testing.assert_allclose(split.mean, whole.mean, atol=1e-13)
+    np.testing.assert_allclose(split.sem, whole.sem, atol=1e-13)
+
+
+def _refuse_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before checking the request")
+
+    monkeypatch.setattr(momentlab, "sample_point", refuse)
+    monkeypatch.setattr(momentlab, "sample_subgroup", refuse)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_estimators_refuse_fewer_than_two_samples_before_drawing(monkeypatch, name, n):
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        _ESTIMATORS[name](make_space("AI", 3), n, RngStream(45))
+
+
+def test_moment_identities_reject_a_single_sample():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        moment_identities_ai(2, 1)
+
+
+def test_study_estimators_refuse_sizes_they_cannot_hold(monkeypatch):
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=r"SP\(d=128\).* need \d+ bytes .*limit is \d+ bytes"):
+        fit_channel_coefficients(make_space("SP", 128), 10)
+    with pytest.raises(ValueError, match=r"U\(d=64\).* need \d+ bytes .*limit is \d+ bytes"):
+        mc_moment_tensor(make_space("U", 64), 64)
