@@ -151,35 +151,26 @@ class HouseholderDraw(_MatrixStack):
         self.dim, self.size = signs.shape
 
     def _reflect_all(self, out: np.ndarray, order) -> None:
-        """In place: ``out <- H_k out`` for each ``k`` in ``order``.
-
-        ``out`` is ``(d, B)`` or ``(d, r, B)``.
-        """
+        """In place: ``out <- H_k out`` for each ``k`` in ``order``; ``out`` is ``(d, B)``."""
         for k in order:
             lo, m = self.offsets[k], self.dim - k
             v = self.reflectors[lo : lo + m]
-            if out.ndim == 3:
-                v = v[:, None, :]
             seg = out[k:]
             coef = (v.conj() * seg).sum(axis=0)
             coef *= self.tau[k]
             seg -= v * coef
 
-    def _gauge(self, y: np.ndarray, conj: bool) -> np.ndarray:
-        signs = self.signs.conj() if conj else self.signs
-        return signs if y.ndim == 2 else signs[:, None, :]
-
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)`` or ``(d, r, B)``."""
-        out = np.ascontiguousarray(y * self._gauge(y, conj=False))
+        """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)``."""
+        out = np.ascontiguousarray(y * self.signs)
         self._reflect_all(out, range(self.dim - 2, -1, -1))
         return out
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)`` or ``(d, r, B)``."""
+        """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)``."""
         out = np.array(y, dtype=np.result_type(y, self.reflectors), order="C")
         self._reflect_all(out, range(self.dim - 1))
-        out *= self._gauge(out, conj=True)
+        out *= self.signs.conj()
         return out
 
     def matrix(self) -> np.ndarray:
@@ -238,8 +229,8 @@ class DenseDraw(_MatrixStack):
     """A batch of group elements held as dense ``(B, d, d)`` matrices.
 
     Gives dense samplers (``haar_symplectic``) the interface of
-    :class:`HouseholderDraw`: vectors are stacked with the batch axis last
-    and applied as batched mat-vecs.
+    :class:`HouseholderDraw`: vectors are stacked ``(d, B)``, with the batch
+    axis last, and applied as batched mat-vecs.
     """
 
     def __init__(self, g: np.ndarray):
@@ -249,17 +240,14 @@ class DenseDraw(_MatrixStack):
 
     @staticmethod
     def _matvec(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-        yb = np.moveaxis(y, -1, 0)
-        if y.ndim == 2:
-            return np.moveaxis((g @ yb[:, :, None])[:, :, 0], 0, -1)
-        return np.moveaxis(g @ yb, 0, -1)
+        return (g @ y.T[:, :, None])[:, :, 0].T
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)`` or ``(d, r, B)``."""
+        """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)``."""
         return self._matvec(self.g, y)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)`` or ``(d, r, B)``."""
+        """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)``."""
         if self._gh is None:
             self._gh = np.swapaxes(self.g.conj(), 1, 2)
         return self._matvec(self._gh, y)

@@ -2,11 +2,13 @@
 
 One protocol round draws a rotation ``V`` from the configured ensemble,
 measures ``V rho V^†`` in the computational basis, and stores the pair
-``(V, outcome)``.  For a low-rank ``rho`` the streamed estimator never
-forms ``V``: it applies the draw to the columns of a factor of ``rho`` for
-the Born probabilities and to the measured basis vector for the outcome
-row, O(d²) per vector for U and O parents.  A state of higher rank is
-measured through the dense ``V``, where BLAS-3 products are cheaper.
+``(V, outcome)``.  The Born law ``<w|V rho V^†|w>`` is linear in ``rho``,
+so a round first picks one pure component ``u_k`` of
+``rho = sum_k w_k u_k u_k^†`` with probability ``w_k`` and then measures
+``V u_k``: the pair ``(V, outcome)`` has the same law, at every rank.  The
+streamed estimator never forms ``V``: it applies the draw to the chosen
+component for the Born probabilities and to the measured basis vector for
+the outcome row, O(d²) per vector for U and O parents.
 Linear functionals ``tr(rho O)`` are then estimated by applying the
 pseudo-inverse of the measurement channel to the *observable* (the adjoint
 trick: the channel is self-adjoint in the Hilbert-Schmidt inner product),
@@ -64,15 +66,6 @@ PROB_TOL = 1e-10
 #: component).
 FACTOR_RTOL = 1e-14
 
-#: A state whose factor has more than ``max(1, d // DENSE_RANK_DIVISOR)``
-#: columns is measured through the dense rotations (``V`` formed, Born
-#: probabilities by BLAS-3 products).  Applying the draw column by column
-#: costs O(d² r) per shot in d-step loops.  Measured per shot on a 2-core
-#: machine, the two break even near r = d/4 at d = 32 and d = 128 and near
-#: r = d/6 for real parents at d = 64; d/8 stays on the matrix-free side
-#: of each.
-DENSE_RANK_DIVISOR = 8
-
 
 class InvalidStateError(ValueError):
     """Raised when an input fails density-matrix validation."""
@@ -97,12 +90,15 @@ def validate_density(rho: np.ndarray, *, tol: float = DENSITY_TOL) -> np.ndarray
     Raises
     ------
     InvalidStateError
-        If the matrix is not square, not Hermitian, not unit trace, or has
-        an eigenvalue below ``-tol``.
+        If the matrix is not square, has a non-finite entry, is not
+        Hermitian or not unit trace, or has an eigenvalue below ``-tol``.
     """
     arr = np.ascontiguousarray(rho, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidStateError(f"state must be a square matrix, got shape {arr.shape}")
+    # NaN compares False, so every tolerance check below would pass on it.
+    if not np.isfinite(arr).all():
+        raise InvalidStateError("state has non-finite entries")
     herm_gap = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
     if herm_gap > tol:
         raise InvalidStateError(f"state is not Hermitian (max deviation {herm_gap:.3e})")
@@ -212,9 +208,8 @@ def sample_outcome(spec: SpaceSpec, rho: np.ndarray, rng=None) -> ShadowRecord:
     InvalidStateError
         If ``rho`` fails validation or its dimension does not match ``spec``.
     """
-    state, factor = _validated_state(spec, rho)
-    dense = _use_dense(spec, factor)
-    draw, outcomes, _ = _measure_batch(spec, state, factor, as_generator(rng), 1, dense)
+    _, factor = _validated_state(spec, rho)
+    draw, outcomes, _ = _measure_batch(spec, factor, as_generator(rng), 1)
     rotation = np.ascontiguousarray(draw.matrix()[0], dtype=np.complex128)
     return ShadowRecord(rotation=rotation, outcome=int(outcomes[0]))
 
@@ -255,23 +250,17 @@ def _state_factor(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(weights), np.stack(vectors, axis=1)
 
 
-def _use_dense(spec: SpaceSpec, factor) -> bool:
-    """True when a state with this factor is measured through the dense V."""
-    return factor[1].shape[1] > max(1, spec.dim // DENSE_RANK_DIVISOR)
+def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int):
+    """Run ``count`` protocol rounds on the state ``sum_k w_k u_k u_kᴴ``.
 
-
-def _measure_batch(
-    spec: SpaceSpec, state, factor, gen: np.random.Generator, count: int, dense: bool
-):
-    """Run ``count`` protocol rounds.
-
-    Draws the rotations, takes the Born probabilities
-    ``p[n, w] = sum_k weights[k] |(V_n u_k)[w]|^2`` from the state's factor
-    ``(weights, u)``, samples one outcome per round and reads the outcome
-    rows ``V_n[w_n, :]``.  With ``dense=False`` no rotation matrix is
-    formed: the draw is applied to the factor's columns and, for the rows,
-    to the measured basis vectors, ``conj(V_nᴴ e_{w_n})``.  With
-    ``dense=True`` (see :func:`_use_dense`) both come from the dense ``V``.
+    Each round draws a rotation ``V`` and a uniform ``u``.  ``u`` picks
+    the component ``k``, the first with cumulative weight ``W_k >= u``;
+    then ``u' = u - W_{k-1}``, uniform on ``[0, w_k)``, picks the outcome
+    from ``w_k |V u_k|²``.  So ``P(k, w | V) = w_k |<w|V u_k>|²``, whose
+    sum over ``k`` is the Born law ``<w|V rho Vᴴ|w>``; for a pure state
+    ``k = 0`` and ``u' = u``.  No rotation matrix is formed: the draw is
+    applied to the chosen components and, for the outcome rows
+    ``V[w, :]``, to the measured basis vectors, ``conj(Vᴴ e_w)``.
 
     Returns
     -------
@@ -281,30 +270,29 @@ def _measure_batch(
     rows : (count, d) complex ndarray
     """
     weights, vectors = factor
-    d = spec.dim
     draw = sample_point(spec, gen, count, dense=False)
-    if dense:
-        v = np.ascontiguousarray(draw.matrix(), dtype=np.complex128)
-        probs = _kernels.born_probs(v, state)
-    else:
-        rotated = draw.apply(np.broadcast_to(vectors[:, :, None], vectors.shape + (count,)))
-        probs = _kernels.born_probs(np.moveaxis(rotated, -1, 0), weights)
+    uniforms = gen.random(count)
+    cum = np.cumsum(weights)
+    # The weights sum to tr(rho) only within the validation tolerance; a
+    # uniform past the last cumulative weight goes to the last component.
+    k = np.minimum(np.searchsorted(cum, uniforms), weights.size - 1)
+    uniforms -= np.concatenate(([0.0], cum[:-1]))[k]
+    rotated = draw.apply(vectors[:, k])
+    # |V u_k|²: a pure component has factor weight 1
+    probs = _kernels.born_probs(rotated.T[:, :, None], np.ones(1))
     _check_probabilities(probs)
-    np.clip(probs, 0.0, None, out=probs)
-    outcomes = _kernels.choose_outcomes(probs, gen.random(count))
-    if dense:
-        rows = v[np.arange(count), outcomes]
-    else:
-        basis = np.zeros((d, count))
-        basis[outcomes, np.arange(count)] = 1.0
-        rows = draw.apply_adjoint(basis).conj().T
+    outcomes = _kernels.choose_outcomes(weights[k, None] * probs, uniforms)
+    basis = np.zeros((spec.dim, count))
+    basis[outcomes, np.arange(count)] = 1.0
+    rows = draw.apply_adjoint(basis).conj().T
     return draw, outcomes, rows
 
 
 def _check_probabilities(probs: np.ndarray) -> None:
     """Assert each row of outcome probabilities sums to 1 within PROB_TOL."""
     gap = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-    if gap > PROB_TOL:
+    # Written so that a NaN gap fails.
+    if not gap <= PROB_TOL:
         raise RuntimeError(
             f"outcome probabilities sum to 1 only within {gap:.3e}; "
             "the sampled rotation is not unitary to tolerance"
@@ -320,7 +308,8 @@ class EstimationReport:
     mean : float
         Empirical mean of the per-record estimates.
     variance : float
-        Unbiased (ddof=1) sample variance of single-record estimates.
+        Unbiased (ddof=1) sample variance of single-record estimates;
+        ``nan`` for a single record.
     sem : float
         Standard error of the mean, ``sqrt(variance / n_samples)``.
     n_samples : int
@@ -345,7 +334,7 @@ def _report_from_estimates(
 ) -> EstimationReport:
     n = int(estimates.size)
     mean = float(estimates.mean())
-    variance = float(estimates.var(ddof=1)) if n > 1 else 0.0
+    variance = float(estimates.var(ddof=1)) if n > 1 else math.nan
     return EstimationReport(
         mean=mean,
         variance=variance,
@@ -399,6 +388,8 @@ def _as_observable(observable: np.ndarray, dim: int) -> np.ndarray:
     arr = np.ascontiguousarray(observable, dtype=np.complex128)
     if arr.shape != (dim, dim):
         raise ValueError(f"observable shape {arr.shape} does not match dimension {dim}")
+    if not np.isfinite(arr).all():
+        raise ValueError("observable has non-finite entries")
     if float(np.max(np.abs(arr - arr.conj().T))) > 1e-10:
         raise ValueError("observable must be Hermitian")
     return arr
@@ -417,9 +408,9 @@ def shadow_estimates(
     Equivalent to collecting ``n_shots`` records with
     :func:`sample_outcome` and evaluating them with
     :func:`estimate_observable` (with ``batch_size=1`` the two agree shot
-    for shot on one generator), but drawn in batches.  For a state of rank
-    at most ``max(1, d // DENSE_RANK_DIVISOR)`` (a pure state, say) no
-    rotation matrix is formed.
+    for shot on one generator), but drawn in batches.  No rotation matrix
+    is formed, whatever the rank of ``rho``: each round measures one pure
+    component of it (see :func:`_measure_batch`).
 
     Parameters
     ----------
@@ -436,18 +427,17 @@ def shadow_estimates(
     batch_size : int, optional
         Rounds drawn per batch; defaults to ``2_000_000 // d**2`` (at most
         ``n_shots``).  A batch holds the packed parent draws, about
-        ``d**2 / 2`` numbers per round (``d**2`` for SP parents), and
-        ``d`` numbers per round for each column of the low-rank factor of
-        ``rho`` (one for a pure state); ``d**2`` per round for the dense
-        rotations of a state above the rank cut.
+        ``d**2 / 2`` numbers per round (``d**2`` for SP parents), and a
+        few length-``d`` vectors per round: the rotated component of
+        ``rho`` and the outcome row.
 
     Returns
     -------
     (n_shots,) float ndarray
         Single-record estimates, in draw order.
     """
-    state, factor, _, _, x = _prepare(spec, rho, observable, n_shots)
-    return _streamed_estimates(spec, state, factor, x, n_shots, rng, batch_size)
+    _, factor, _, _, x = _prepare(spec, rho, observable, n_shots)
+    return _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
 
 
 def _prepare(spec: SpaceSpec, rho, observable, n_shots: int):
@@ -464,16 +454,15 @@ def _prepare(spec: SpaceSpec, rho, observable, n_shots: int):
     return state, factor, obs, inverse, np.ascontiguousarray(inverse.apply(obs))
 
 
-def _streamed_estimates(spec, state, factor, x, n_shots, rng, batch_size) -> np.ndarray:
+def _streamed_estimates(spec, factor, x, n_shots, rng, batch_size) -> np.ndarray:
     gen = as_generator(rng)
     if batch_size is None:
         batch_size = max(1, min(int(n_shots), 2_000_000 // (spec.dim * spec.dim)))
-    dense = _use_dense(spec, factor)
     out = np.empty(n_shots, dtype=np.float64)
     done = 0
     while done < n_shots:
         count = min(batch_size, n_shots - done)
-        _, _, rows = _measure_batch(spec, state, factor, gen, count, dense)
+        _, _, rows = _measure_batch(spec, factor, gen, count)
         out[done : done + count] = _kernels.row_quadratic(rows, x)
         done += count
     return out
@@ -495,10 +484,13 @@ def run_estimation(
     the quantity the estimator is actually unbiased for (equal to
     ``tr(rho O)`` whenever ``O`` lies in the image).  The state is validated
     (one eigendecomposition) and factored once, and the observable checked
-    and mapped through the channel inverse once.
+    and mapped through the channel inverse once.  ``n_shots`` must be at
+    least 2, so that the report's variance and standard error exist.
     """
+    if n_shots < 2:
+        raise ValueError("variance estimation needs n_shots >= 2")
     state, factor, obs, inverse, x = _prepare(spec, rho, observable, n_shots)
-    estimates = _streamed_estimates(spec, state, factor, x, n_shots, rng, batch_size)
+    estimates = _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
     projected = inverse.is_projected(obs)
     if truth is None:
         truth = float(np.trace(state @ apply_channel(spec, x)).real)
@@ -627,8 +619,11 @@ def signature_for_fraction(
     Returns ``(p, q, s)`` with ``p - q = s`` for the block-structured
     families, choosing the admissible ``s`` nearest to ``fraction * dim``
     (ties resolve toward smaller ``|s|``, then toward ``p >= q``).  Returns
-    ``None`` for families without block structure.
+    ``None`` for families without block structure.  A non-finite
+    ``fraction`` raises ``ValueError``.
     """
+    if not math.isfinite(fraction):
+        raise ValueError(f"signature fraction must be finite, got {fraction}")
     if family not in _SIGNATURE_FAMILIES:
         return None
     total = dim // 2 if family == "CII" else dim

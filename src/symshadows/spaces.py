@@ -241,16 +241,12 @@ class _Involution:
     conj: bool
 
     def m(self, y: np.ndarray) -> np.ndarray:
-        """``M y`` for vectors stacked along the trailing axes of ``y``."""
-        return _along_first(self.sign, y) * y[self.perm]
+        """``M y`` for vectors stacked ``(d, B)``."""
+        return self.sign[:, None] * y[self.perm]
 
     def mt(self, y: np.ndarray) -> np.ndarray:
-        """``Mᵀ y`` for vectors stacked along the trailing axes of ``y``."""
-        return _along_first(self.sign_t, y) * y[self.perm_t]
-
-
-def _along_first(v: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return v.reshape(v.shape + (1,) * (y.ndim - 1))
+        """``Mᵀ y`` for vectors stacked ``(d, B)``."""
+        return self.sign_t[:, None] * y[self.perm_t]
 
 
 def _sigma(spec: SpaceSpec) -> _Involution:
@@ -278,7 +274,7 @@ class EnsembleDraw(_MatrixStack):
 
     ``V = g`` for the groups, ``V = σ(g)ᴴ g`` for the quotients and
     ``V = 1`` for a degenerate quotient.  Vectors are stacked with the batch
-    axis last, ``(d, B)`` or ``(d, r, B)``.  The parent draw ``g`` is a
+    axis last, ``(d, B)``.  The parent draw ``g`` is a
     :class:`~symshadows.haar.HouseholderDraw` (U and O parents, O(d²) per
     vector) or a :class:`~symshadows.haar.DenseDraw` (SP parents).
     ``shape`` is that of :meth:`matrix`, ``(B, d, d)``.

@@ -10,6 +10,7 @@ absolute tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -280,8 +281,11 @@ def run_suite(
     seed : int, optional
         Root seed; the report is deterministic given the seed.
     tol_sems : float, optional
-        Threshold, in standard errors, for the statistical checks.
+        Threshold, in standard errors, for the statistical checks; finite
+        and positive.
     """
+    if not (math.isfinite(tol_sems) and tol_sems > 0):
+        raise ValueError(f"tol_sems must be finite and positive, got {tol_sems}")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if space is not None and space not in ALL_FAMILIES:

@@ -76,6 +76,14 @@ def test_verify_fails_with_impossible_tolerance(capsys):
     assert "FAIL" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_verify_rejects_tolerances_that_switch_checks_off(tol, capsys):
+    code = main(["verify", "--suite", "haar", "--samples", "1000", "--tol-sem", tol])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out == "" and "tol_sems" in err and "Traceback" not in err
+
+
 def test_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == EXIT_USAGE
 
@@ -264,6 +272,13 @@ def test_sweep_rejects_unknown_family_before_output(capsys):
     assert "NOPE" in err
 
 
+def test_sweep_rejects_a_non_finite_fraction(capsys):
+    code = main(["sweep", "--dim", "4", "--families", "AIII", "--c", "nan", "--shots", "20"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out == "" and "finite" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -434,6 +449,30 @@ def test_estimate_rejects_invalid_state(tmp_path, matrix_files, capsys):
     _, err = capsys.readouterr()
     assert code == EXIT_INVALID_STATE
     assert "trace" in err
+
+
+def test_estimate_rejects_non_finite_inputs(tmp_path, matrix_files, capsys):
+    rho_path, obs_path = matrix_files
+    nan_state = tmp_path / "nan_state.json"
+    save_matrix(nan_state, np.diag([np.nan, 0.5, 0.25, 0.25]))
+    nan_obs = tmp_path / "nan_obs.json"
+    save_matrix(nan_obs, np.diag([np.nan, 1.0, -1.0, 0.0]))
+    for state, obs, expected in ((nan_state, obs_path, EXIT_INVALID_STATE),
+                                 (rho_path, nan_obs, EXIT_USAGE)):
+        argv = ["estimate", "--state", str(state), "--observable", str(obs),
+                "--space", "U", "--shots", "100"]
+        assert main(argv) == expected
+        out, err = capsys.readouterr()
+        assert out == "" and "non-finite" in err and "Traceback" not in err
+
+
+def test_estimate_rejects_a_single_shot(matrix_files, capsys):
+    rho_path, obs_path = matrix_files
+    argv = ["estimate", "--state", str(rho_path), "--observable", str(obs_path),
+            "--space", "U", "--shots", "1"]
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "n_shots >= 2" in err
 
 
 def test_estimate_rejects_malformed_file(tmp_path, matrix_files, capsys):

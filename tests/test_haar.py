@@ -121,10 +121,10 @@ def test_reflector_draw_applies_its_matrix(sampler, d):
     g = draw.matrix()
     np.testing.assert_array_equal(g, sampler(d, RngStream(15), size=7))
     gen = RngStream(16).generator()
-    y = gen.standard_normal((d, 3, 7)) + 1j * gen.standard_normal((d, 3, 7))
-    np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jrn->irn", g, y), atol=1e-13)
+    y = gen.standard_normal((d, 7)) + 1j * gen.standard_normal((d, 7))
+    np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jn->in", g, y), atol=1e-13)
     np.testing.assert_allclose(
-        draw.apply_adjoint(y[:, 0]), np.einsum("nji,jn->in", g.conj(), y[:, 0]), atol=1e-13
+        draw.apply_adjoint(y), np.einsum("nji,jn->in", g.conj(), y), atol=1e-13
     )
 
 

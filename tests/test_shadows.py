@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symshadows import _kernels, shadows, spaces
-from symshadows.channel import invert_channel
+from symshadows.channel import apply_channel, invert_channel
 from symshadows.haar import HouseholderDraw
 from symshadows.rng import RngStream
 from symshadows.shadows import (
@@ -33,6 +33,7 @@ from symshadows.spaces import (
     sample_point,
     structural_witness,
 )
+from symshadows.variance import analytic_second_moment
 
 
 def _state(d, seed):
@@ -63,6 +64,14 @@ def test_validate_density_rejections():
     with pytest.raises(InvalidStateError):
         validate_density(np.diag([1.5, -0.5]).astype(complex))
     assert issubclass(InvalidStateError, ValueError)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_density_rejects_non_finite_entries(bad):
+    # NaN compares False, so the tolerance checks alone would let it through
+    rho = np.diag([bad, 0.5]).astype(complex)
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        validate_density(rho)
 
 
 def test_random_pure_state_is_rank_one_projector():
@@ -172,6 +181,31 @@ def test_estimate_observable_error_paths():
         estimate_observable([rec], non_hermitian, spec)
 
 
+def test_observables_with_non_finite_entries_are_rejected():
+    spec = make_space("U", 3)
+    obs = _traceless_observable(3, 69)
+    obs[0, 0] = np.nan
+    rec = sample_outcome(spec, _state(3, 70), RngStream(71))
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_observable([rec], obs, spec)
+    with pytest.raises(ValueError, match="non-finite"):
+        shadow_estimates(spec, _state(3, 70), obs, 10, RngStream(72))
+
+
+def test_single_record_report_has_no_variance():
+    spec = make_space("U", 3)
+    rec = sample_outcome(spec, _state(3, 70), RngStream(71))
+    report = estimate_observable([rec], _traceless_observable(3, 69), spec)
+    assert report.n_samples == 1 and np.isfinite(report.mean)
+    assert np.isnan(report.variance) and np.isnan(report.sem)
+
+
+def test_probability_check_fails_on_a_nan_sum():
+    shadows._check_probabilities(np.array([[0.25, 0.75]]))
+    with pytest.raises(RuntimeError):
+        shadows._check_probabilities(np.array([[0.25, np.nan]]))
+
+
 def test_estimate_observable_flags_null_space_components():
     spec = make_space("BDI", 4, 2, 2)
     rho = _state(4, 72)
@@ -240,6 +274,15 @@ def test_run_estimation_truth_equals_expectation_in_image():
     assert report.truth == pytest.approx(float(np.trace(rho @ obs).real), rel=1e-10)
 
 
+def test_run_estimation_needs_two_shots_before_any_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before checking n_shots")
+
+    monkeypatch.setattr(shadows, "sample_point", refuse)
+    with pytest.raises(ValueError, match="n_shots >= 2"):
+        run_estimation(make_space("U", 4), _state(4, 85), _traceless_observable(4, 86), 1)
+
+
 # -------------------------------------------------------------- aggregation
 
 
@@ -277,6 +320,12 @@ def test_signature_for_fraction_snapping():
     # quaternionic blocks split half the dimension
     assert signature_for_fraction("CII", 8, 0.0) == (2, 2, 0)
     assert signature_for_fraction("CII", 8, 1.0) == (4, 0, 4)
+
+
+@pytest.mark.parametrize("fraction", [np.nan, np.inf, -np.inf])
+def test_signature_for_fraction_rejects_non_finite(fraction):
+    with pytest.raises(ValueError, match="finite"):
+        signature_for_fraction("AIII", 4, fraction)
 
 
 def test_variance_sweep_row_grid_and_fields():
@@ -416,40 +465,43 @@ def test_matrix_free_shots_match_materialized_rotations(spec, rank, field, seed)
     # the same draw, materialized, with the same uniforms
     replay = np.random.default_rng(seed + 1)
     v = sample_point(spec, replay, count)
-    probs = np.clip(_kernels.born_probs(v.astype(complex), rho), 0.0, None)
-    dense_outcomes = _kernels.choose_outcomes(probs, replay.random(count))
+    uniforms = replay.random(count)
+    if rank == "pure":
+        probs = np.clip(_kernels.born_probs(v.astype(complex), rho), 0.0, None)
+        dense_outcomes = _kernels.choose_outcomes(probs, uniforms)
+    else:
+        # two stages: the uniform picks component k of rho by its weight,
+        # and its remainder picks the outcome from w_k |V u_k|^2
+        weights, vectors = factor
+        cum = np.cumsum(weights)
+        k = np.minimum(np.searchsorted(cum, uniforms), weights.size - 1)
+        rest = uniforms - np.concatenate(([0.0], cum[:-1]))[k]
+        y = np.einsum("nij,jn->ni", v, vectors[:, k])
+        dense_outcomes = _kernels.choose_outcomes(weights[k, None] * np.abs(y) ** 2, rest)
     dense = _kernels.row_quadratic(v[np.arange(count), dense_outcomes].astype(complex), x)
-    for path in (False, True):
-        draw, outcomes, rows = shadows._measure_batch(
-            spec, rho, factor, np.random.default_rng(seed + 1), count, dense=path
-        )
-        np.testing.assert_array_equal(v, draw.matrix())
-        np.testing.assert_array_equal(outcomes, dense_outcomes)
-        estimates = _kernels.row_quadratic(rows, x)
-        np.testing.assert_allclose(estimates, dense, rtol=0, atol=1e-12)
+    draw, outcomes, rows = shadows._measure_batch(
+        spec, factor, np.random.default_rng(seed + 1), count
+    )
+    np.testing.assert_array_equal(v, draw.matrix())
+    np.testing.assert_array_equal(outcomes, dense_outcomes)
+    estimates = _kernels.row_quadratic(rows, x)
+    np.testing.assert_allclose(estimates, dense, rtol=0, atol=1e-12)
     witness = structural_witness(spec, v)
     assert witness.passed, f"{spec.label()}: residual {witness.residual}"
 
 
-def test_state_rank_picks_the_measurement_path():
-    d = 32
-    cut = d // shadows.DENSE_RANK_DIVISOR
-    spec = make_space("AIII", d, 16, 16)
-    gen = np.random.default_rng(99)
-    for rank, dense in ((1, False), (cut, False), (cut + 1, True), (d, True)):
-        a = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
-        _, factor = shadows._validated_state(spec, a @ a.conj().T / np.linalg.norm(a) ** 2)
-        assert factor[1].shape[1] == rank
-        assert shadows._use_dense(spec, factor) is dense
-    # rank 1 never forms V, whatever d
-    _, factor = shadows._validated_state(make_space("U", 2), _state(2, 0))
-    assert not shadows._use_dense(make_space("U", 2), factor)
+def _wishart_state(d, rank, seed):
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
+@pytest.mark.parametrize("rank", [1, 3, 6], ids=["pure", "rank3", "full"])
 @pytest.mark.parametrize(
     "family", ["U", "O", "SO", "AI", "AII", "AIII", "BDI", "DIII"]
 )
-def test_uo_parent_estimates_form_no_rotation_matrix(monkeypatch, family):
+def test_uo_parent_estimates_form_no_rotation_matrix(monkeypatch, family, rank):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense rotation matrix was formed")
 
@@ -457,10 +509,69 @@ def test_uo_parent_estimates_form_no_rotation_matrix(monkeypatch, family):
     monkeypatch.setattr(EnsembleDraw, "matrix", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
     spec = make_space(family, 6)
+    rho = _state(6, 90) if rank == 1 else _wishart_state(6, rank, 90)
+    assert shadows._validated_state(spec, rho)[1][0].size == rank
     values = shadow_estimates(
-        spec, _state(6, 90), random_observable(6, 0.5, rng=RngStream(91)), 64, RngStream(92)
+        spec, rho, random_observable(6, 0.5, rng=RngStream(91)), 64, RngStream(92)
     )
     assert values.shape == (64,) and np.all(np.isfinite(values))
+
+
+def _repeated(draw, count):
+    """An EnsembleDraw that applies ``draw``'s single rotation ``count`` times."""
+    parent = draw.parent
+    if isinstance(parent, HouseholderDraw):
+        parent = HouseholderDraw(
+            np.repeat(parent.reflectors, count, axis=1),
+            parent.offsets,
+            np.repeat(parent.tau, count, axis=1),
+            np.repeat(parent.signs, count, axis=1),
+        )
+    else:
+        parent = type(parent)(np.repeat(parent.g, count, axis=0))
+    return EnsembleDraw(draw.spec, parent, count)
+
+
+@pytest.mark.parametrize(
+    "spec", [make_space("AIII", 6, 4, 2), make_space("CII", 6, 2, 1)], ids=lambda s: s.label()
+)
+def test_mixed_state_outcomes_follow_born_law_for_a_fixed_rotation(monkeypatch, spec):
+    # Each round measures one component of rho; summed over components the
+    # outcome law given V must be diag(V rho V^†).  V is held fixed, so the
+    # outcome counts are multinomial with exactly those probabilities.
+    d, n_rounds, batch = spec.dim, 200_000, 20_000
+    rho = _wishart_state(d, d, 31)
+    _, factor = shadows._validated_state(spec, rho)
+    assert factor[0].size == d
+    fixed = sample_point(spec, RngStream(32), 1, dense=False)
+    v = fixed.matrix()[0]
+    expected = np.einsum("wa,ab,wb->w", v, rho, v.conj()).real
+    monkeypatch.setattr(shadows, "sample_point", lambda s, g, count, dense: _repeated(fixed, count))
+    gen = RngStream(33).generator()
+    counts = np.zeros(d)
+    for _ in range(n_rounds // batch):
+        _, outcomes, _ = shadows._measure_batch(spec, factor, gen, batch)
+        counts += np.bincount(outcomes, minlength=d)
+    chi2 = float((((counts - n_rounds * expected) ** 2) / (n_rounds * expected)).sum())
+    # 5 degrees of freedom: P(chi2 > 25.7) = 1e-4
+    assert chi2 < 25.7, (chi2, counts / n_rounds, expected)
+
+
+@pytest.mark.parametrize("rank", [3, 8], ids=["rank3", "full"])
+@pytest.mark.parametrize(
+    "spec", [make_space("AIII", 8, 6, 2), make_space("BDI", 8, 5, 3)], ids=lambda s: s.label()
+)
+def test_mixed_state_estimates_keep_mean_and_second_moment(spec, rank):
+    n = 100_000
+    rho = _wishart_state(8, rank, 34 + rank)
+    obs = random_observable(8, 0.5, rng=RngStream(35))
+    values = shadow_estimates(spec, rho, obs, n, RngStream(36))
+    # the estimator targets the part of O in the channel image
+    truth = float(np.trace(rho @ apply_channel(spec, invert_channel(spec).apply(obs))).real)
+    sem = values.std(ddof=1) / np.sqrt(n)
+    assert abs(values.mean() - truth) <= 5 * sem
+    analytic = analytic_second_moment(rho, obs, spec)
+    assert np.mean(values**2) == pytest.approx(analytic, rel=0.05)
 
 
 @pytest.mark.parametrize(

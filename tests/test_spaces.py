@@ -93,10 +93,10 @@ def test_ensemble_draw_applies_its_matrix(family, d):
     assert draw.shape == v.shape == (5, d, d)
     np.testing.assert_array_equal(v, sample_point(spec, RngStream(22), size=5))
     gen = RngStream(23).generator()
-    y = gen.standard_normal((d, 2, 5)) + 1j * gen.standard_normal((d, 2, 5))
-    np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jrn->irn", v, y), atol=1e-13)
+    y = gen.standard_normal((d, 5)) + 1j * gen.standard_normal((d, 5))
+    np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jn->in", v, y), atol=1e-13)
     np.testing.assert_allclose(
-        draw.apply_adjoint(y[:, 0]), np.einsum("nji,jn->in", v.conj(), y[:, 0]), atol=1e-13
+        draw.apply_adjoint(y), np.einsum("nji,jn->in", v.conj(), y), atol=1e-13
     )
 
 
