@@ -220,6 +220,7 @@ def _require(args, *names: str) -> None:
 
 def _cmd_verify(args) -> int:
     from .matio import records_to_csv, records_to_json
+    from .momentlab import FitDegenerateError
     from .verify import CHECK_COLUMNS, all_passed, run_suite
 
     try:
@@ -234,6 +235,9 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except FitDegenerateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE_FIT
     render = records_to_csv if args.out == "csv" else records_to_json
     _emit(render(checks, CHECK_COLUMNS), args.output)
     for c in checks:

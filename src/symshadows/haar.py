@@ -1,21 +1,17 @@
 """Haar sampling on the classical compact groups U(d), O(d), SO(d), SP(d).
 
-U(d), O(d) and SO(d) are drawn as products of Householder reflectors built
-from fresh Gaussian vectors of decreasing length (Stewart, SIAM J. Numer.
-Anal. 17:403 (1980); Mezzadri, "How to generate random matrices from the
-classical compact groups", Notices AMS 54 (2007)).  Reflector ``k`` is the
-one Householder QR of a Ginibre matrix would build from its ``k``-th column,
-and a diagonal of unit phases fixes the gauge, so the law is exactly Haar.
-A draw is held packed (:class:`HouseholderDraw`, returned by
-``haar_unitary``/``haar_orthogonal`` with ``dense=False``): a round costs
-d(d+1)/2 Gaussians, and applying it to a vector costs O(d²), with no d×d
-matrix formed unless :meth:`HouseholderDraw.matrix` is asked for.
-
-The symplectic sampler works in the quaternionic model: a quaternionic
-Ginibre matrix is orthogonalized by a Gram-Schmidt pass that preserves the
-quaternionic structure, which lands the result in SP(d) ⊂ U(d) exactly.
-Its dense draws are wrapped in :class:`DenseDraw`, which has the same
-``apply``/``apply_adjoint``/``matrix`` interface.
+All four are drawn as products of Householder reflectors built from fresh
+Gaussian vectors of decreasing length (Stewart, SIAM J. Numer. Anal.
+17:403 (1980); Mezzadri, "How to generate random matrices from the
+classical compact groups", Notices AMS 54 (2007)), quaternionic ones for
+SP(d) (Bunse-Gerstner, Byers & Mehrmann, Numer. Math. 55:83 (1989)).
+Reflector ``k`` is the one Householder QR of a Ginibre matrix would build
+from its ``k``-th column, and a gauge (unit phases; a Haar Sp(1) element
+per quaternionic coordinate for SP) makes the law exactly Haar.  A draw is
+held packed (:class:`HouseholderDraw`, returned with ``dense=False``): a
+round costs about d²/2 Gaussians, and applying it to a vector costs O(d²),
+with no d×d matrix formed unless :meth:`HouseholderDraw.matrix` is asked
+for.
 
 The matrix samplers accept ``size=None`` for a single ``(d, d)`` matrix or
 an integer ``size`` for a stacked ``(size, d, d)`` batch, and draw from a
@@ -30,7 +26,6 @@ import numpy as np
 from .rng import as_generator
 
 __all__ = [
-    "DenseDraw",
     "HouseholderDraw",
     "ginibre",
     "haar_unitary",
@@ -118,13 +113,15 @@ class _MatrixStack:
 
 
 class HouseholderDraw(_MatrixStack):
-    """A batch of Haar draws from U(d), O(d) or SO(d), held as reflectors.
+    """A batch of Haar draws from U(d), O(d), SO(d) or SP(d), held as reflectors.
 
-    Draw ``n`` is ``g = H_0 H_1 ⋯ H_{d-2} diag(signs[:, n])`` with
-    ``H_k = 1 - tau[k, n] v_k v_kᴴ`` acting on coordinates ``k, …, d-1``
-    and ``tau = 2/‖v_k‖²``.  (LAPACK scales ``v_k[k]`` to 1; the scale of
-    ``v_k`` does not change ``H_k``, so it is left as drawn.)  Every array
-    keeps the batch axis last.
+    Draw ``n`` is ``g = H_0 H_1 ⋯ H_{m-1} D`` with ``H_k = 1 - tau[k, n]
+    v_k v_kᴴ`` and ``tau = 2/‖v_k‖²``.  (LAPACK scales ``v_k[k]`` to 1; the
+    scale of ``v_k`` does not change ``H_k``, so it is left as drawn.)  In
+    the ``(c, d/c)`` view of a vector (``c = 2`` for SP, whose rows ``i``,
+    ``d/2 + i`` form quaternionic coordinate ``i``; else 1), ``v_k`` covers
+    coordinates ``k//c, …``; SP's ``v_{2j+1} = J conj(v_{2j})`` is
+    orthogonal to ``v_{2j}``.  Every array keeps the batch axis last.
 
     Attributes
     ----------
@@ -132,68 +129,82 @@ class HouseholderDraw(_MatrixStack):
         Matrix dimension d.
     size : int
         Number of draws B.
-    reflectors : (d(d+1)/2 - 1, B) ndarray
-        ``v_0, …, v_{d-2}`` packed one after another; ``v_k`` (length
-        ``d - k``) starts at row ``offsets[k]``.
-    offsets : (d - 1,) int ndarray
+    reflectors : (rows, B) ndarray
+        ``v_0, …, v_{m-1}`` packed one after another.
+    offsets : (m,) int ndarray
         Start row of each reflector in ``reflectors``.
-    tau : (d - 1, B) float ndarray
+    tau : (m, B) float ndarray
         Reflector scales ``2/‖v_k‖²`` (0 only for an all-zero Gaussian column).
     signs : (d, B) ndarray
-        Unit-modulus gauge: complex phases for U(d), ±1 for O(d)/SO(d).
+        Gauge diagonal: complex phases for U(d), ±1 for O(d)/SO(d).
+    swap : (d, B) complex ndarray or None
+        SP only: with ``signs = (a, ā)`` and ``swap = (-b̄, b)`` at ``(i, i ±
+        d/2)``, coordinate ``i`` carries the Sp(1) gauge ``[[a, -b̄], [b, ā]]``.
     """
 
-    def __init__(self, reflectors, offsets, tau, signs):
+    def __init__(self, reflectors, offsets, tau, signs, swap=None):
         self.reflectors = reflectors
         self.offsets = offsets
         self.tau = tau
         self.signs = signs
+        self.swap = swap
         self.dim, self.size = signs.shape
+        self._blocks = 1 if swap is None else 2
 
     def _reflect_all(self, out: np.ndarray, order) -> None:
         """In place: ``out <- H_k out`` for each ``k`` in ``order``; ``out`` is ``(d, B)``."""
+        c = self._blocks
+        view = out.reshape(c, self.dim // c, out.shape[1])
         for k in order:
-            lo, m = self.offsets[k], self.dim - k
-            v = self.reflectors[lo : lo + m]
-            seg = out[k:]
-            coef = (v.conj() * seg).sum(axis=0)
+            lo, m = self.offsets[k], self.dim // c - k // c
+            v = self.reflectors[lo : lo + c * m].reshape(c, m, -1)
+            seg = view[:, k // c :]
+            coef = (v.conj() * seg).sum(axis=(0, 1))
             coef *= self.tau[k]
             seg -= v * coef
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)``."""
         out = np.ascontiguousarray(y * self.signs)
-        self._reflect_all(out, range(self.dim - 2, -1, -1))
+        if self.swap is not None:
+            out += self.swap * np.roll(y, self.dim // 2, axis=0)
+        self._reflect_all(out, range(len(self.offsets) - 1, -1, -1))
         return out
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)``."""
         out = np.array(y, dtype=np.result_type(y, self.reflectors), order="C")
-        self._reflect_all(out, range(self.dim - 1))
-        out *= self.signs.conj()
-        return out
+        self._reflect_all(out, range(len(self.offsets)))
+        if self.swap is None:
+            out *= self.signs.conj()
+            return out
+        return self.signs.conj() * out + np.roll(self.swap.conj() * out, self.dim // 2, axis=0)
 
     def matrix(self) -> np.ndarray:
         """The draws as dense ``(B, d, d)`` matrices.
 
-        Reflectors are applied right to left, and ``H_k`` only touches the
-        trailing ``(d-k) x (d-k)`` block of the partial product, so this
-        costs d³/3 per draw rather than d³.  From ``d = ORGQR_MIN_DIM`` on,
-        LAPACK's blocked ``?ungqr``/``?orgqr`` does this per draw; below it,
-        one NumPy pass over the whole batch is faster than a LAPACK call per
-        draw.
+        Reflectors are applied to ``D`` right to left, and ``H_k`` only
+        touches the trailing ``k//c, …`` coordinate block of the partial
+        product, so this costs d³/3 per draw rather than d³.  For U/O from
+        ``d = ORGQR_MIN_DIM`` on, LAPACK's blocked ``?ungqr``/``?orgqr``
+        does this per draw; below it, and for SP, one NumPy pass over the
+        whole batch is faster.
         """
-        d = self.dim
-        if d >= ORGQR_MIN_DIM:
+        d, c = self.dim, self._blocks
+        if c == 1 and d >= ORGQR_MIN_DIM:
             return self._matrix_lapack()
         out = np.zeros((d, d, self.size), dtype=self.signs.dtype)
-        out[np.arange(d), np.arange(d)] = self.signs
-        for k in range(d - 2, -1, -1):
-            lo, m = self.offsets[k], d - k
-            v = self.reflectors[lo : lo + m]
-            sub = out[k:, k:]
-            coef = np.einsum("ib,ijb->jb", v.conj(), sub) * self.tau[k]
-            sub -= v[:, None, :] * coef[None, :, :]
+        rows = np.arange(d)
+        out[rows, rows] = self.signs
+        if self.swap is not None:
+            out[rows, np.roll(rows, d // 2)] = self.swap
+        view = out.reshape(c, d // c, c, d // c, self.size)
+        for k in range(len(self.offsets) - 1, -1, -1):
+            lo, m = self.offsets[k], d // c - k // c
+            v = self.reflectors[lo : lo + c * m].reshape(c, m, -1)
+            sub = view[:, k // c :, :, k // c :]
+            coef = np.einsum("aib,aicjb->cjb", v.conj(), sub) * self.tau[k]
+            sub -= v[:, :, None, None, :] * coef[None, None]
         return np.ascontiguousarray(out.transpose(2, 0, 1))
 
     def _matrix_lapack(self) -> np.ndarray:
@@ -223,38 +234,6 @@ class HouseholderDraw(_MatrixStack):
                 raise RuntimeError(f"LAPACK ?ungqr/?orgqr failed with info={info}")
             np.multiply(q, signs[n], out=out[n])
         return out
-
-
-class DenseDraw(_MatrixStack):
-    """A batch of group elements held as dense ``(B, d, d)`` matrices.
-
-    Gives dense samplers (``haar_symplectic``) the interface of
-    :class:`HouseholderDraw`: vectors are stacked ``(d, B)``, with the batch
-    axis last, and applied as batched mat-vecs.
-    """
-
-    def __init__(self, g: np.ndarray):
-        self.g = g
-        self.size, self.dim = g.shape[0], g.shape[1]
-        self._gh = None
-
-    @staticmethod
-    def _matvec(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (g @ y.T[:, :, None])[:, :, 0].T
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)``."""
-        return self._matvec(self.g, y)
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)``."""
-        if self._gh is None:
-            self._gh = np.swapaxes(self.g.conj(), 1, 2)
-        return self._matvec(self._gh, y)
-
-    def matrix(self) -> np.ndarray:
-        """The draws as dense ``(B, d, d)`` matrices."""
-        return self.g
 
 
 def _haar_reflectors(
@@ -396,50 +375,64 @@ def symplectic_pairing(d: int) -> tuple[np.ndarray, np.ndarray]:
     return jperm, jsign
 
 
-def _j_conj(v: np.ndarray, n: int) -> np.ndarray:
-    """Apply ``J conj(.)`` to stacked vectors ``v`` of length 2n."""
-    out = np.empty_like(v)
-    out[:, :n] = -v[:, n:].conj()
-    out[:, n:] = v[:, :n].conj()
-    return out
+def _symplectic_reflectors(d: int, rng, size: int | None) -> HouseholderDraw:
+    """Draw Haar elements of SP(d) as quaternionic reflectors.
+
+    As :func:`_haar_reflectors`, per quaternionic coordinate ``j < d/2 - 1``:
+    a fresh Gaussian ``x`` on coordinates ``j, …`` is mapped onto
+    coordinate ``j`` by ``1 - tau (v vᴴ + θv θvᴴ)``, ``θv = J conj(v)``, with
+    ``r`` the norm of ``x``'s two entries ``x_head`` on coordinate ``j``,
+    ``v = x + (‖x‖/r) x_head`` and ``tau = 1/(‖x‖(‖x‖ + r))``.  An
+    independent Haar Sp(1) gauge per coordinate makes the law Haar and
+    absorbs the last coordinate's reflector (-1).
+    """
+    gen = as_generator(rng)
+    if d < 2 or d % 2:
+        raise ValueError(f"symplectic dimension must be even and at least 2, got {d}")
+    size = 1 if size is None else int(size)
+    if size < 1:
+        raise ValueError(f"size must be a positive integer, got {size}")
+    n = d // 2
+    lengths = 2 * np.arange(n, 1, -1)
+    starts = np.cumsum(lengths) - lengths
+    flat = gen.standard_normal((int(lengths.sum()), 2 * size))
+    x = flat.view(np.complex128)
+    reflectors = np.empty((2 * x.shape[0], size), dtype=np.complex128)
+    tau = np.empty((2 * (n - 1), size))
+    for j, (lo, m) in enumerate(zip(starts, lengths)):
+        seg = flat[lo : lo + m]
+        norm = np.sqrt(np.einsum("ij,ij->j", seg, seg).reshape(size, 2).sum(axis=1))
+        v, theta = reflectors[2 * lo : 2 * (lo + m)].reshape(2, 2, m // 2, size)
+        v[...] = x[lo : lo + m].reshape(2, m // 2, size)
+        r = np.sqrt((np.abs(v[:, 0]) ** 2).sum(axis=0))
+        v[:, 0] *= 1.0 + norm / r
+        np.negative(v[1].conj(), out=theta[0])
+        np.conjugate(v[0], out=theta[1])
+        tau[2 * j] = tau[2 * j + 1] = 1.0 / (norm * (norm + r))
+    offsets = np.stack([2 * starts, 2 * starts + lengths], axis=1).reshape(-1)
+    q = gen.standard_normal((4, n, size))
+    a, b = (q[0::2] + 1j * q[1::2]) / np.sqrt((q * q).sum(axis=0))
+    return HouseholderDraw(
+        reflectors, offsets, tau, np.concatenate([a, a.conj()]), np.concatenate([-b.conj(), b])
+    )
 
 
-def haar_symplectic(d: int, rng=None, size: int | None = None) -> np.ndarray:
+def haar_symplectic(d: int, rng=None, size: int | None = None, *, dense: bool = True):
     """Sample Haar-distributed symplectic unitaries from SP(d) ⊂ U(d).
 
-    A quaternionic Ginibre matrix supplies ``d/2`` independent columns; a
-    structure-preserving Gram-Schmidt pass orthogonalizes column ``j``
-    against the accepted columns *and their quaternionic partners*
-    ``J conj(col)``, then the partner block is filled in exactly.  The result
-    satisfies ``U.T @ J @ U = J`` (with :func:`symplectic_form`'s J) to
-    machine precision and is Haar by invariance of the Ginibre ensemble.
+    ``U.T @ J @ U = J`` with :func:`symplectic_form`'s J.
+
+    Parameters
+    ----------
+    dense : bool
+        As for :func:`haar_unitary`.
 
     Examples
     --------
     >>> u = haar_symplectic(4, rng=1)
     >>> j = symplectic_form(4)
-    >>> np.allclose(u.T @ j @ u, j)
-    True
+    >>> np.allclose(u.T @ j @ u, j), np.allclose(u.conj().T @ u, np.eye(4))
+    (True, True)
     """
-    gen = as_generator(rng)
-    if d % 2:
-        raise ValueError(f"symplectic dimension must be even, got {d}")
-    n = d // 2
-    nsamp = 1 if size is None else int(size)
-    z = ginibre("quaternion", n, gen, size=nsamp)
-    q = np.empty((nsamp, d, d), dtype=np.complex128)
-    for j in range(n):
-        u = z[:, :, j].copy()
-        # Two Gram-Schmidt passes ("twice is enough") for numerical stability.
-        for _ in range(2):
-            if j > 0:
-                prev = q[:, :, :j]
-                coef = np.einsum("bdk,bd->bk", prev.conj(), u)
-                u = u - np.einsum("bdk,bk->bd", prev, coef)
-                prev_partner = q[:, :, n : n + j]
-                coef = np.einsum("bdk,bd->bk", prev_partner.conj(), u)
-                u = u - np.einsum("bdk,bk->bd", prev_partner, coef)
-        u = u / np.linalg.norm(u, axis=1, keepdims=True)
-        q[:, :, j] = u
-        q[:, :, n + j] = _j_conj(u, n)
-    return q[0] if size is None else q
+    draw = _symplectic_reflectors(d, rng, size)
+    return _dense(draw, size) if dense else draw

@@ -34,10 +34,12 @@ __all__ = [
 
 
 def matrix_to_document(matrix: np.ndarray) -> dict[str, Any]:
-    """Encode a square matrix as a JSON-ready ``{dim, re, im}`` mapping."""
+    """Encode a square, finite matrix as a JSON-ready ``{dim, re, im}`` mapping."""
     arr = np.asarray(matrix, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"only square matrices are supported, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has non-finite entries, which JSON cannot represent")
     return {
         "dim": int(arr.shape[0]),
         "re": arr.real.tolist(),

@@ -233,6 +233,14 @@ def _finalize(values, n):
     return mean, np.sqrt(np.maximum(var, 0.0) / n)
 
 
+def _sem_deviation(estimate, expected, sem):
+    """Entrywise ``|estimate - expected| / sem``; with ``sem == 0`` (all draws
+    equal), 0 within the structural tolerance 1e-12 and inf beyond it."""
+    gap = np.abs(np.asarray(estimate) - expected)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sem > 0, gap / sem, np.where(gap <= 1e-12, 0.0, np.inf))
+
+
 # --------------------------------------------------------------------------
 # Monte-Carlo twirls
 # --------------------------------------------------------------------------
@@ -565,9 +573,7 @@ class MomentCheck:
     @property
     def deviation_sems(self) -> float:
         """|estimate - expected| in standard-error units."""
-        if self.sem == 0.0:
-            return 0.0 if self.estimate == self.expected else float("inf")
-        return abs(self.estimate - self.expected) / self.sem
+        return float(_sem_deviation(self.estimate, self.expected, self.sem))
 
 
 def moment_identities_ai(d: int, n_samples: int, rng=None) -> list[MomentCheck]:
@@ -598,9 +604,7 @@ class PairedTwirlReport:
     @property
     def max_sems(self) -> float:
         """Largest discrepancy in standard-error units."""
-        if self.sem_at_max == 0.0:
-            return 0.0 if self.max_discrepancy == 0.0 else float("inf")
-        return self.max_discrepancy / self.sem_at_max
+        return float(_sem_deviation(self.max_discrepancy, 0.0, self.sem_at_max))
 
 
 def k_equivariance_check(

@@ -427,9 +427,9 @@ def shadow_estimates(
     batch_size : int, optional
         Rounds drawn per batch; defaults to ``2_000_000 // d**2`` (at most
         ``n_shots``).  A batch holds the packed parent draws, about
-        ``d**2 / 2`` numbers per round (``d**2`` for SP parents), and a
-        few length-``d`` vectors per round: the rotated component of
-        ``rho`` and the outcome row.
+        ``d**2 / 2`` numbers per round for every parent group, and a few
+        length-``d`` vectors per round: the rotated component of ``rho``
+        and the outcome row.
 
     Returns
     -------

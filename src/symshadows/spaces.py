@@ -32,8 +32,8 @@ I_pq or K_pq) and κ complex conjugation or the identity; the table
 :data:`_SIGMA` records (M, κ) once per family.  It drives
 :func:`involution` and :func:`sample_point`; with ``dense=False`` the latter
 returns an :class:`EnsembleDraw`, which applies ``V y = σ(g)ᴴ(g y)`` and
-``Vᴴ y = gᴴ(σ(g) y)`` to vectors in O(d²) per draw (U/O parents) without
-forming V.
+``Vᴴ y = gᴴ(σ(g) y)`` to vectors in O(d²) per draw, for every parent,
+without forming V.
 
 Each coset representative V inherits an exact algebraic structure from σ
 (e.g. type AI gives symmetric unitaries V = gᵀg); these relations are frozen
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .haar import (
-    DenseDraw,
     _MatrixStack,
     haar_orthogonal,
     haar_symplectic,
@@ -275,9 +274,9 @@ class EnsembleDraw(_MatrixStack):
     ``V = g`` for the groups, ``V = σ(g)ᴴ g`` for the quotients and
     ``V = 1`` for a degenerate quotient.  Vectors are stacked with the batch
     axis last, ``(d, B)``.  The parent draw ``g`` is a
-    :class:`~symshadows.haar.HouseholderDraw` (U and O parents, O(d²) per
-    vector) or a :class:`~symshadows.haar.DenseDraw` (SP parents).
-    ``shape`` is that of :meth:`matrix`, ``(B, d, d)``.
+    :class:`~symshadows.haar.HouseholderDraw` for all three parent groups,
+    applied in O(d²) per vector.  ``shape`` is that of :meth:`matrix`,
+    ``(B, d, d)``.
     """
 
     def __init__(self, spec: SpaceSpec, parent, size: int):
@@ -340,7 +339,7 @@ def _parent_draw(spec: SpaceSpec, gen: np.random.Generator, size: int):
     if parent == "O":
         special = spec.family != "O"
         return haar_orthogonal(spec.dim, gen, special, size, dense=False)
-    return DenseDraw(haar_symplectic(spec.dim, gen, size=size))
+    return haar_symplectic(spec.dim, gen, size, dense=False)
 
 
 def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: bool = True):
@@ -385,8 +384,7 @@ def sample_subgroup(spec: SpaceSpec, rng=None, size: int | None = None) -> np.nd
     gen = as_generator(rng)
     fam, d = spec.family, spec.dim
     if spec.is_group:
-        g = _parent_draw(spec, gen, 1 if size is None else size).matrix()
-        return g[0] if size is None else g
+        return sample_point(spec, gen, size)
     if fam == "AI":
         return haar_orthogonal(d, gen, size=size)
     if fam == "AII":

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import momentlab
+from .momentlab import _sem_deviation
 from .channel import (
     build_superoperator,
     channel_spectrum,
@@ -57,11 +58,8 @@ def all_passed(checks) -> bool:
 
 def _moment_check(suite, name, values, expected, tol_sems):
     """Check the empirical mean of per-sample ``values`` against ``expected``."""
-    n = values.size
-    mean = float(values.mean())
-    sem = float(values.std(ddof=1) / np.sqrt(n))
-    dev = abs(mean - expected) / sem if sem > 0 else 0.0
-    return _check(suite, name, dev, tol_sems)
+    sem = values.std(ddof=1) / np.sqrt(values.size)
+    return _check(suite, name, float(_sem_deviation(values.mean(), expected, sem)), tol_sems)
 
 
 def _suite_haar(dim, samples, seed, tol_sems):
@@ -176,7 +174,7 @@ def _suite_channel(space, dim, samples, seed, tol_sems):
         spec = make_space(fit_fam, dim)
         fit = momentlab.fit_channel_coefficients(spec, samples, RngStream(seed, (3, 0)))
         target = float(channel_weights(spec).mixing_weight)
-        dev = abs(fit.mixing_weight - target) / fit.mixing_weight_sem
+        dev = float(_sem_deviation(fit.mixing_weight, target, fit.mixing_weight_sem))
         checks.append(_check("channel", f"fit-mixing-weight/{spec.label()}", dev, tol_sems))
     # Monte-Carlo single-matrix channel action against the closed form
     from .channel import apply_channel
@@ -190,7 +188,7 @@ def _suite_channel(space, dim, samples, seed, tol_sems):
         a = (raw + raw.conj().T) / 2
         est = momentlab.mc_channel(spec, a, min(samples, 200_000), RngStream(seed, (3, 2)))
         exact = apply_channel(spec, a)
-        dev = float(np.max(np.abs(est.mean - exact) / np.maximum(est.sem, 1e-15)))
+        dev = float(np.max(_sem_deviation(est.mean, exact, est.sem)))
         checks.append(_check("channel", f"mc-channel/{spec.label()}", dev, tol_sems))
     return checks
 
@@ -224,7 +222,7 @@ def _suite_moments(space, dim, samples, seed, tol_sems):
         .reshape(d, d, d, d)
         .transpose(2, 3, 0, 1)
     )
-    dev = float(np.max(np.abs(tensor.mean - truth) / np.maximum(tensor.sem, 1e-15)))
+    dev = float(np.max(_sem_deviation(tensor.mean, truth, tensor.sem)))
     checks.append(
         _check("moments", f"tensor-vs-channel/{tensor_spec.label()}", dev, tol_sems)
     )

@@ -166,6 +166,22 @@ def test_verify_rejects_sample_counts_and_dimensions_it_cannot_use(argv, capsys)
     assert out == ""
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_verify_passes_on_a_single_point_ensemble(seed, capsys):
+    argv = ["verify", "--suite", "equivariance", "--space", "CII", "--dim", "2",
+            "--samples", "100", "--seed", seed]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("space", ["CI", "CII", "DIII"])
+def test_verify_maps_a_degenerate_fit_to_exit_3(space, capsys):
+    argv = ["verify", "--suite", "channel", "--space", space, "--dim", "2", "--samples", "2000"]
+    assert main(argv) == EXIT_DEGENERATE_FIT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -453,10 +469,16 @@ def test_estimate_rejects_invalid_state(tmp_path, matrix_files, capsys):
 
 def test_estimate_rejects_non_finite_inputs(tmp_path, matrix_files, capsys):
     rho_path, obs_path = matrix_files
+    # save_matrix refuses non-finite entries, so the files are written as
+    # text: the bare NaN token that Python's json module reads back.
     nan_state = tmp_path / "nan_state.json"
-    save_matrix(nan_state, np.diag([np.nan, 0.5, 0.25, 0.25]))
+    nan_state.write_text(
+        '{"dim": 4, "re": [[NaN, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]}\n'
+    )
     nan_obs = tmp_path / "nan_obs.json"
-    save_matrix(nan_obs, np.diag([np.nan, 1.0, -1.0, 0.0]))
+    nan_obs.write_text(
+        '{"dim": 4, "re": [[NaN, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, -1.0, 0], [0, 0, 0, 0]]}\n'
+    )
     for state, obs, expected in ((nan_state, obs_path, EXIT_INVALID_STATE),
                                  (rho_path, nan_obs, EXIT_USAGE)):
         argv = ["estimate", "--state", str(state), "--observable", str(obs),

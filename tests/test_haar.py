@@ -5,6 +5,7 @@ import pytest
 
 from symshadows import haar
 from symshadows.haar import (
+    HouseholderDraw,
     ginibre,
     haar_orthogonal,
     haar_symplectic,
@@ -13,7 +14,7 @@ from symshadows.haar import (
     symplectic_pairing,
 )
 from symshadows.rng import RngStream
-from symshadows.spaces import make_space, sample_point
+from symshadows.spaces import ALL_FAMILIES, make_space, sample_point
 
 N_MOMENT = 200_000
 
@@ -187,19 +188,66 @@ def test_symplectic_pairing_involution():
         assert j[a, jperm[a]] == jsign[a]
 
 
-def test_symplectic_preserves_form():
-    d = 6
-    v = haar_symplectic(d, RngStream(7), size=64)
+# SP(d) is drawn as quaternionic reflectors with one Sp(1) gauge element
+# per coordinate.  Sp(n) is transitive on the unit sphere of C^d, so every
+# entry has U(d)'s moments; E tr g² = -1 and E|tr g|² = 1 tell Haar from a
+# wrong gauge, which leaves the entry moments of the first column intact.
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 10])
+def test_symplectic_preserves_form(d):
+    v = haar_symplectic(d, RngStream(7, (d,)), size=64)
     j = symplectic_form(d)
-    assert np.max(np.abs(np.swapaxes(v, 1, 2) @ j @ v - j)) < 1e-10
+    assert np.max(np.abs(np.swapaxes(v, 1, 2) @ j @ v - j)) < 1e-12
     assert np.max(np.abs(np.swapaxes(v.conj(), 1, 2) @ v - np.eye(d))) < 1e-12
+    assert np.max(np.abs(np.linalg.det(v) - 1.0)) < 1e-12
 
 
-def test_symplectic_entry_second_moment():
-    d = 4
-    v = haar_symplectic(d, RngStream(8), size=N_MOMENT)
-    x = np.abs(v[:, 0, 0]) ** 2
-    assert _sems(x, 1 / d) <= 5
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_symplectic_entry_moments(d):
+    v = haar_symplectic(d, RngStream(8, (d,)), size=N_MOMENT)
+    for i, k in ((0, 0), (d - 1, d - 1), (0, d - 1)):
+        x = np.abs(v[:, i, k]) ** 2
+        assert _sems(x, 1 / d) <= 5, (i, k)
+        assert _sems(x**2, 2 / (d * (d + 1))) <= 5, (i, k)
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_symplectic_trace_moments(d):
+    v = haar_symplectic(d, RngStream(18, (d,)), size=N_MOMENT)
+    tr_square = np.einsum("nij,nji->n", v, v)
+    assert _sems(tr_square.real, -1.0) <= 5
+    assert _sems(tr_square.imag, 0.0) <= 5
+    assert _sems(np.abs(np.trace(v, axis1=1, axis2=2)) ** 2, 1.0) <= 5
+
+
+@pytest.mark.parametrize("d", [2, 4, 10, 24])
+def test_symplectic_draw_applies_its_matrix(d):
+    n = d // 2
+    draw = haar_symplectic(d, RngStream(15), size=7, dense=False)
+    assert draw.reflectors.shape == (2 * (n * (n + 1) - 2), 7)
+    assert draw.shape == (7, d, d) and draw.ndim == 3
+    g = draw.matrix()
+    np.testing.assert_array_equal(g, haar_symplectic(d, RngStream(15), size=7))
+    gen = RngStream(16).generator()
+    y = gen.standard_normal((d, 7)) + 1j * gen.standard_normal((d, 7))
+    np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jn->in", g, y), atol=1e-13)
+    np.testing.assert_allclose(
+        draw.apply_adjoint(y), np.einsum("nji,jn->in", g.conj(), y), atol=1e-13
+    )
+
+
+@pytest.mark.parametrize("d, size, bad", [(3, None, 3), (0, None, 0), (-2, None, -2),
+                                          (4, 0, 0), (4, -1, -1)])
+def test_symplectic_rejects_bad_arguments(d, size, bad):
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        haar_symplectic(d, RngStream(0), size=size)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_every_ensemble_draws_its_parent_as_reflectors(family):
+    draw = sample_point(make_space(family, 4), RngStream(19), 3, dense=False)
+    assert isinstance(draw.parent, HouseholderDraw)
 
 
 def test_samplers_are_deterministic():

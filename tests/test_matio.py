@@ -72,6 +72,16 @@ def test_save_and_load_matrix(tmp_path):
     np.testing.assert_array_equal(load_matrix(path), AWKWARD)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_save_matrix_refuses_non_finite_entries_and_writes_nothing(tmp_path, bad):
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        save_matrix(path, np.diag([bad, 1.0]))
+    assert not path.exists()
+    with pytest.raises(ValueError, match="non-finite"):
+        matrix_to_document(np.diag([bad, 1.0]))
+
+
 def test_load_matrix_rejects_broken_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -11,6 +11,7 @@ from symshadows.haar import haar_unitary, symplectic_form, symplectic_pairing
 from symshadows.momentlab import (
     FitDegenerateError,
     MomentCheck,
+    PairedTwirlReport,
     PairPartition,
     delta_value,
     fit_channel_coefficients,
@@ -187,6 +188,25 @@ def test_moment_check_deviation_sems():
     assert MomentCheck("x", 1.0, 0.1, 1.25).deviation_sems == pytest.approx(2.5)
     assert MomentCheck("x", 1.0, 0.0, 1.0).deviation_sems == 0.0
     assert MomentCheck("x", 1.0, 0.0, 2.0).deviation_sems == float("inf")
+
+
+def test_zero_sem_means_zero_within_roundoff_and_inf_beyond():
+    # every draw gave the same value: only roundoff separates it from the target
+    assert MomentCheck("x", 1.0, 0.0, 1.0 + 1e-13).deviation_sems == 0.0
+    assert MomentCheck("x", 1.0, 0.0, 1.0 + 1e-9).deviation_sems == float("inf")
+    assert PairedTwirlReport(5.6e-17, 0.0, 100).max_sems == 0.0
+    assert PairedTwirlReport(1e-9, 0.0, 100).max_sems == float("inf")
+    np.testing.assert_array_equal(
+        momentlab._sem_deviation(np.ones(3), np.array([1.0, 2.0, 1.5]), np.array([0, 0, 0.25])),
+        [0.0, np.inf, 2.0],
+    )
+
+
+def test_k_equivariance_of_a_single_point_ensemble_passes():
+    # CII(d=2) is the point {1}: the paired twirls agree to roundoff, SEM 0
+    for seed in range(3):
+        report = k_equivariance_check(make_space("CII", 2), 100, RngStream(seed))
+        assert report.sem_at_max == 0.0 and report.max_sems == 0.0
 
 
 def test_fourth_moment_identities():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symshadows import _kernels, shadows, spaces
+from symshadows import _kernels, haar, shadows, spaces
 from symshadows.channel import apply_channel, invert_channel
 from symshadows.haar import HouseholderDraw
 from symshadows.rng import RngStream
@@ -499,15 +499,16 @@ def _wishart_state(d, rank, seed):
 
 @pytest.mark.parametrize("rank", [1, 3, 6], ids=["pure", "rank3", "full"])
 @pytest.mark.parametrize(
-    "family", ["U", "O", "SO", "AI", "AII", "AIII", "BDI", "DIII"]
+    "family", ["U", "O", "SO", "SP", "AI", "AII", "AIII", "BDI", "DIII", "CI", "CII"]
 )
-def test_uo_parent_estimates_form_no_rotation_matrix(monkeypatch, family, rank):
+def test_estimates_form_no_rotation_matrix(monkeypatch, family, rank):
     def refuse(*args, **kwargs):
-        raise AssertionError("a dense rotation matrix was formed")
+        raise AssertionError("a dense rotation or Gaussian matrix was formed")
 
     monkeypatch.setattr(HouseholderDraw, "matrix", refuse)
     monkeypatch.setattr(EnsembleDraw, "matrix", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(haar, "ginibre", refuse)
     spec = make_space(family, 6)
     rho = _state(6, 90) if rank == 1 else _wishart_state(6, rank, 90)
     assert shadows._validated_state(spec, rho)[1][0].size == rank
@@ -520,15 +521,14 @@ def test_uo_parent_estimates_form_no_rotation_matrix(monkeypatch, family, rank):
 def _repeated(draw, count):
     """An EnsembleDraw that applies ``draw``'s single rotation ``count`` times."""
     parent = draw.parent
-    if isinstance(parent, HouseholderDraw):
-        parent = HouseholderDraw(
-            np.repeat(parent.reflectors, count, axis=1),
-            parent.offsets,
-            np.repeat(parent.tau, count, axis=1),
-            np.repeat(parent.signs, count, axis=1),
-        )
-    else:
-        parent = type(parent)(np.repeat(parent.g, count, axis=0))
+    swap = None if parent.swap is None else np.repeat(parent.swap, count, axis=1)
+    parent = HouseholderDraw(
+        np.repeat(parent.reflectors, count, axis=1),
+        parent.offsets,
+        np.repeat(parent.tau, count, axis=1),
+        np.repeat(parent.signs, count, axis=1),
+        swap,
+    )
     return EnsembleDraw(draw.spec, parent, count)
 
 

@@ -1,7 +1,9 @@
 """The built-in verification suites must pass on their own package."""
 
+import numpy as np
 import pytest
 
+from symshadows import verify
 from symshadows.verify import CHECK_COLUMNS, SUITES, Check, all_passed, run_suite
 
 
@@ -56,3 +58,15 @@ def test_all_passed_detects_failure():
     bad = Check("s", "y", 2.0, 1.0, False)
     assert all_passed([good])
     assert not all_passed([good, bad])
+
+
+def test_constant_samples_pass_only_at_the_expected_value():
+    assert verify._moment_check("s", "x", np.full(10, 0.25), 0.25, 5.0).passed
+    failed = verify._moment_check("s", "x", np.full(10, 0.5), 0.25, 5.0)
+    assert not failed.passed and failed.statistic == float("inf")
+
+
+def test_a_fit_with_zero_sem_passes_at_its_target():
+    # AII(d=2) is U(2)/SU(2): every draw gives the exact mixing weight
+    checks = run_suite("channel", space="AII", dim=2, samples=2000)
+    assert all_passed(checks), [c for c in checks if not c.passed]
