@@ -11,7 +11,10 @@ per quaternionic coordinate for SP) makes the law exactly Haar.  A draw is
 held packed (:class:`HouseholderDraw`, returned with ``dense=False``): a
 round costs about d²/2 Gaussians, and applying it to a vector costs O(d²),
 with no d×d matrix formed unless :meth:`HouseholderDraw.matrix` is asked
-for.
+for.  Reflector ``k`` fixes the first ``k`` basis vectors, so the first
+``m`` columns of a draw depend only on reflectors ``0, …, m-1`` and their
+gauge entries; ``columns=m`` draws only those, d·m − m(m−1)/2 Gaussians,
+and applying the draw then costs O(d·m).
 
 The matrix samplers accept ``size=None`` for a single ``(d, d)`` matrix or
 an integer ``size`` for a stacked ``(size, d, d)`` batch, and draw from a
@@ -116,7 +119,9 @@ class HouseholderDraw(_MatrixStack):
     """A batch of Haar draws from U(d), O(d), SO(d) or SP(d), held as reflectors.
 
     Draw ``n`` is ``g = H_0 H_1 ⋯ H_{m-1} D`` with ``H_k = 1 - tau[k, n]
-    v_k v_kᴴ`` and ``tau = 2/‖v_k‖²``.  (LAPACK scales ``v_k[k]`` to 1; the
+    v_k v_kᴴ`` and ``tau = 2/‖v_k‖²``; ``m`` is d − 1 (d/2 − 1 quaternionic
+    reflectors for SP) for a full draw, and the ``columns`` asked for
+    otherwise, with ``D = 1`` past them.  (LAPACK scales ``v_k[k]`` to 1; the
     scale of ``v_k`` does not change ``H_k``, so it is left as drawn.)  In
     the ``(c, d/c)`` view of a vector (``c = 2`` for SP, whose rows ``i``,
     ``d/2 + i`` form quaternionic coordinate ``i``; else 1), ``v_k`` covers
@@ -220,7 +225,7 @@ class HouseholderDraw(_MatrixStack):
         # v_k by 1/v_k[0] scales tau by |v_k[0]|².
         packed = np.zeros((self.size, d, d), dtype=dtype)
         tau = np.zeros((self.size, d), dtype=dtype)
-        for k in range(d - 1):
+        for k in range(len(self.offsets)):
             lo, m = self.offsets[k], d - k
             v = self.reflectors[lo : lo + m]
             head = np.where(self.tau[k] > 0, v[0], 1.0)
@@ -236,8 +241,18 @@ class HouseholderDraw(_MatrixStack):
         return out
 
 
+def _columns(columns, n: int) -> int:
+    """Validate a ``columns`` request against ``n`` (quaternionic) columns."""
+    if columns is None:
+        return n
+    m = int(columns)
+    if m != columns or not 1 <= m <= n:
+        raise ValueError(f"columns must be an integer from 1 to {n}, got {columns}")
+    return m
+
+
 def _haar_reflectors(
-    d: int, rng, size: int | None, *, real: bool, special: bool = False
+    d: int, rng, size: int | None, *, real: bool, special: bool = False, columns=None
 ) -> HouseholderDraw:
     """Draw Haar elements of U(d) (``real=False``) or O(d)/SO(d) as reflectors.
 
@@ -250,10 +265,13 @@ def _haar_reflectors(
     and the gauge entry that makes the law Haar (dividing out the phase of
     R's diagonal) is ``-phase``.  The last column is a scalar; its
     reflector is ``-1`` and is folded into its gauge entry, which is then
-    just ``phase``.
+    just ``phase``.  ``columns=m < d`` stops after column ``m - 1``.
 
-    With ``special=True`` (real only) draws of determinant -1 have their
-    first gauge sign flipped: Haar on SO(d), in O(d) per draw.
+    With ``special=True`` (real only) draws of determinant -1 have one gauge
+    sign flipped: the first for a full draw, which makes the law Haar on
+    SO(d), and the one past the drawn columns otherwise, which leaves those
+    columns as drawn (for ``m < d`` they have the same law in SO(d) as in
+    O(d)).
     """
     gen = as_generator(rng)
     if d < 1:
@@ -261,8 +279,9 @@ def _haar_reflectors(
     size = 1 if size is None else int(size)
     if size < 1:
         raise ValueError(f"size must be a positive integer, got {size}")
-    n = d * (d + 1) // 2
-    lengths = np.arange(d, 0, -1)
+    m = _columns(columns, d)
+    lengths = np.arange(d, d - m, -1)
+    n = int(lengths.sum())
     offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     if real:
         flat = x = gen.standard_normal((n, size))
@@ -271,27 +290,31 @@ def _haar_reflectors(
         x = flat.view(np.complex128)
     # Column norms one segment at a time: np.add.reduceat over axis 0 is
     # several times slower here.
-    norm2 = np.empty((d, flat.shape[1]))
-    for k, (lo, m) in enumerate(zip(offsets, lengths)):
-        np.einsum("ij,ij->j", flat[lo : lo + m], flat[lo : lo + m], out=norm2[k])
+    norm2 = np.empty((m, flat.shape[1]))
+    for k, (lo, length) in enumerate(zip(offsets, lengths)):
+        np.einsum("ij,ij->j", flat[lo : lo + length], flat[lo : lo + length], out=norm2[k])
     if not real:
-        norm2 = norm2.reshape(d, size, 2).sum(axis=2)
+        norm2 = norm2.reshape(m, size, 2).sum(axis=2)
     norm = np.sqrt(norm2)
     heads = x[offsets]
     head_abs = np.abs(heads)
     phase = np.where(head_abs > 0, heads / np.where(head_abs > 0, head_abs, 1.0), 1.0)
-    reflectors = x[:-1]
-    reflectors[offsets[:-1]] += (phase * norm)[:-1]
-    denom = (norm * (norm + head_abs))[:-1]
+    full = m == d
+    r = m - 1 if full else m
+    reflectors = x[: n - 1] if full else x
+    reflectors[offsets[:r]] += (phase * norm)[:r]
+    denom = (norm * (norm + head_abs))[:r]
     tau = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
-    signs = -phase
-    signs[-1] = phase[-1]
+    signs = np.ones((d, size), dtype=phase.dtype)
+    signs[:m] = -phase
+    if full:
+        signs[-1] = phase[-1]
     if special:
         # det g = (-1)^(number of proper reflectors) * prod(signs)
         flips = np.count_nonzero(tau, axis=0) % 2
         det = np.prod(signs, axis=0) * (1.0 - 2.0 * flips)
-        signs[0] *= det
-    return HouseholderDraw(reflectors, offsets[:-1], tau, signs)
+        signs[0 if full else m] *= det
+    return HouseholderDraw(reflectors, offsets[:r], tau, signs)
 
 
 def _dense(draw: HouseholderDraw, size: int | None) -> np.ndarray:
@@ -299,7 +322,9 @@ def _dense(draw: HouseholderDraw, size: int | None) -> np.ndarray:
     return q[0] if size is None else q
 
 
-def haar_unitary(d: int, rng=None, size: int | None = None, *, dense: bool = True):
+def haar_unitary(
+    d: int, rng=None, size: int | None = None, *, dense: bool = True, columns: int | None = None
+):
     """Sample Haar-distributed unitaries from U(d).
 
     Parameters
@@ -309,19 +334,34 @@ def haar_unitary(d: int, rng=None, size: int | None = None, *, dense: bool = Tru
         False: return the :class:`HouseholderDraw` itself (``size`` draws,
         one for ``size=None``), for code that only applies the unitaries
         to vectors.
+    columns : int, optional
+        Draw only the ``columns`` reflectors (``1 <= columns <= d``) that
+        the first ``columns`` columns depend on.  Those columns then have
+        the law of a Haar draw's, and the matrix is still unitary, but its
+        other columns are not Haar.  For code that needs only the span of
+        the first columns, such as a Haar-random projector.
 
     Examples
     --------
     >>> u = haar_unitary(3, rng=0)
     >>> np.allclose(u.conj().T @ u, np.eye(3))
     True
+    >>> w = haar_unitary(5, rng=0, size=2, dense=False, columns=2)
+    >>> w.reflectors.shape  # 5 + 4 Gaussians per draw, not 5·6/2
+    (9, 2)
     """
-    draw = _haar_reflectors(d, rng, size, real=False)
+    draw = _haar_reflectors(d, rng, size, real=False, columns=columns)
     return _dense(draw, size) if dense else draw
 
 
 def haar_orthogonal(
-    d: int, rng=None, special: bool = False, size: int | None = None, *, dense: bool = True
+    d: int,
+    rng=None,
+    special: bool = False,
+    size: int | None = None,
+    *,
+    dense: bool = True,
+    columns: int | None = None,
 ):
     """Sample Haar-distributed real orthogonal matrices from O(d) or SO(d).
 
@@ -329,16 +369,25 @@ def haar_orthogonal(
     ----------
     special : bool
         When True, condition on determinant +1 (Haar on SO(d)) by flipping
-        the first gauge sign of draws with determinant -1.
+        a gauge sign of draws with determinant -1.
     dense : bool
         As for :func:`haar_unitary`.
+    columns : int, optional
+        As for :func:`haar_unitary`; with ``special=True`` the flipped sign
+        lies past the drawn columns.
 
     Returns
     -------
     ndarray or HouseholderDraw
         Real ``float64`` matrices, or the draw when ``dense=False``.
+
+    Examples
+    --------
+    >>> w = haar_orthogonal(4, rng=0, special=True, size=3, columns=1)
+    >>> np.allclose(np.linalg.det(w), 1.0), np.allclose(np.linalg.norm(w[:, :, 0], axis=1), 1.0)
+    (True, True)
     """
-    draw = _haar_reflectors(d, rng, size, real=True, special=special)
+    draw = _haar_reflectors(d, rng, size, real=True, special=special, columns=columns)
     return _dense(draw, size) if dense else draw
 
 
@@ -375,7 +424,7 @@ def symplectic_pairing(d: int) -> tuple[np.ndarray, np.ndarray]:
     return jperm, jsign
 
 
-def _symplectic_reflectors(d: int, rng, size: int | None) -> HouseholderDraw:
+def _symplectic_reflectors(d: int, rng, size: int | None, columns=None) -> HouseholderDraw:
     """Draw Haar elements of SP(d) as quaternionic reflectors.
 
     As :func:`_haar_reflectors`, per quaternionic coordinate ``j < d/2 - 1``:
@@ -384,7 +433,8 @@ def _symplectic_reflectors(d: int, rng, size: int | None) -> HouseholderDraw:
     ``r`` the norm of ``x``'s two entries ``x_head`` on coordinate ``j``,
     ``v = x + (‖x‖/r) x_head`` and ``tau = 1/(‖x‖(‖x‖ + r))``.  An
     independent Haar Sp(1) gauge per coordinate makes the law Haar and
-    absorbs the last coordinate's reflector (-1).
+    absorbs the last coordinate's reflector (-1).  ``columns=m < d/2``
+    stops after coordinate ``m - 1``, and gauges only coordinates ``< m``.
     """
     gen = as_generator(rng)
     if d < 2 or d % 2:
@@ -393,31 +443,36 @@ def _symplectic_reflectors(d: int, rng, size: int | None) -> HouseholderDraw:
     if size < 1:
         raise ValueError(f"size must be a positive integer, got {size}")
     n = d // 2
-    lengths = 2 * np.arange(n, 1, -1)
+    m = _columns(columns, n)
+    lengths = 2 * np.arange(n, n - min(m, n - 1), -1)
     starts = np.cumsum(lengths) - lengths
     flat = gen.standard_normal((int(lengths.sum()), 2 * size))
     x = flat.view(np.complex128)
     reflectors = np.empty((2 * x.shape[0], size), dtype=np.complex128)
-    tau = np.empty((2 * (n - 1), size))
-    for j, (lo, m) in enumerate(zip(starts, lengths)):
-        seg = flat[lo : lo + m]
+    tau = np.empty((2 * lengths.size, size))
+    for j, (lo, length) in enumerate(zip(starts, lengths)):
+        seg = flat[lo : lo + length]
         norm = np.sqrt(np.einsum("ij,ij->j", seg, seg).reshape(size, 2).sum(axis=1))
-        v, theta = reflectors[2 * lo : 2 * (lo + m)].reshape(2, 2, m // 2, size)
-        v[...] = x[lo : lo + m].reshape(2, m // 2, size)
+        v, theta = reflectors[2 * lo : 2 * (lo + length)].reshape(2, 2, length // 2, size)
+        v[...] = x[lo : lo + length].reshape(2, length // 2, size)
         r = np.sqrt((np.abs(v[:, 0]) ** 2).sum(axis=0))
         v[:, 0] *= 1.0 + norm / r
         np.negative(v[1].conj(), out=theta[0])
         np.conjugate(v[0], out=theta[1])
         tau[2 * j] = tau[2 * j + 1] = 1.0 / (norm * (norm + r))
     offsets = np.stack([2 * starts, 2 * starts + lengths], axis=1).reshape(-1)
-    q = gen.standard_normal((4, n, size))
-    a, b = (q[0::2] + 1j * q[1::2]) / np.sqrt((q * q).sum(axis=0))
+    q = gen.standard_normal((4, m, size))
+    a = np.ones((n, size), dtype=np.complex128)
+    b = np.zeros((n, size), dtype=np.complex128)
+    a[:m], b[:m] = (q[0::2] + 1j * q[1::2]) / np.sqrt((q * q).sum(axis=0))
     return HouseholderDraw(
         reflectors, offsets, tau, np.concatenate([a, a.conj()]), np.concatenate([-b.conj(), b])
     )
 
 
-def haar_symplectic(d: int, rng=None, size: int | None = None, *, dense: bool = True):
+def haar_symplectic(
+    d: int, rng=None, size: int | None = None, *, dense: bool = True, columns: int | None = None
+):
     """Sample Haar-distributed symplectic unitaries from SP(d) ⊂ U(d).
 
     ``U.T @ J @ U = J`` with :func:`symplectic_form`'s J.
@@ -426,6 +481,10 @@ def haar_symplectic(d: int, rng=None, size: int | None = None, *, dense: bool = 
     ----------
     dense : bool
         As for :func:`haar_unitary`.
+    columns : int, optional
+        As for :func:`haar_unitary`, counted in quaternionic coordinates
+        (``1 <= columns <= d/2``): coordinate ``i`` is the column pair
+        ``i``, ``d/2 + i``.
 
     Examples
     --------
@@ -433,6 +492,9 @@ def haar_symplectic(d: int, rng=None, size: int | None = None, *, dense: bool = 
     >>> j = symplectic_form(4)
     >>> np.allclose(u.T @ j @ u, j), np.allclose(u.conj().T @ u, np.eye(4))
     (True, True)
+    >>> w = haar_symplectic(6, rng=1, dense=False, columns=1)
+    >>> w.reflectors.shape  # one pair v, J conj(v) of length 6, not three
+    (12, 1)
     """
-    draw = _symplectic_reflectors(d, rng, size)
+    draw = _symplectic_reflectors(d, rng, size, columns)
     return _dense(draw, size) if dense else draw

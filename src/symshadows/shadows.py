@@ -8,7 +8,8 @@ so a round first picks one pure component ``u_k`` of
 ``V u_k``: the pair ``(V, outcome)`` has the same law, at every rank.  The
 streamed estimator never forms ``V``: it applies the draw to the chosen
 component for the Born probabilities and to the measured basis vector for
-the outcome row, O(d²) per vector for U and O parents.
+the outcome row, O(d²) per vector for every parent group, and
+O(d·min(p, q)) for the Grassmannians AIII, BDI and CII.
 Linear functionals ``tr(rho O)`` are then estimated by applying the
 pseudo-inverse of the measurement channel to the *observable* (the adjoint
 trick: the channel is self-adjoint in the Hilbert-Schmidt inner product),
@@ -427,7 +428,8 @@ def shadow_estimates(
     batch_size : int, optional
         Rounds drawn per batch; defaults to ``2_000_000 // d**2`` (at most
         ``n_shots``).  A batch holds the packed parent draws, about
-        ``d**2 / 2`` numbers per round for every parent group, and a few
+        ``d**2 / 2`` numbers per round for every parent group (about
+        ``d * min(p, q)`` for AIII, BDI and CII), and a few
         length-``d`` vectors per round: the rotated component of ``rho``
         and the outcome row.
 
@@ -621,13 +623,17 @@ def signature_for_fraction(
     (ties resolve toward smaller ``|s|``, then toward ``p >= q``).  Returns
     ``None`` for families without block structure.  A non-finite
     ``fraction`` raises ``ValueError``.
+
+    No admissible ``|s|/d`` exceeds 1, so ``fraction`` is clamped to
+    [-1, 1] first: past 2⁵³/d, ``fraction * dim`` would be too coarse to
+    tell the admissible ``s`` apart.
     """
     if not math.isfinite(fraction):
         raise ValueError(f"signature fraction must be finite, got {fraction}")
     if family not in _SIGNATURE_FAMILIES:
         return None
     total = dim // 2 if family == "CII" else dim
-    target = fraction * dim
+    target = min(max(fraction, -1.0), 1.0) * dim
     best: int | None = None
     for s in range(-total, total + 1):
         if (s - total) % 2 != 0:

@@ -32,8 +32,17 @@ I_pq or K_pq) and κ complex conjugation or the identity; the table
 :data:`_SIGMA` records (M, κ) once per family.  It drives
 :func:`involution` and :func:`sample_point`; with ``dense=False`` the latter
 returns an :class:`EnsembleDraw`, which applies ``V y = σ(g)ᴴ(g y)`` and
-``Vᴴ y = gᴴ(σ(g) y)`` to vectors in O(d²) per draw, for every parent,
-without forming V.
+``Vᴴ y = gᴴ(σ(g) y)`` to vectors in O(d²) per draw without forming V.
+
+AIII, BDI and CII are Grassmannians, and are drawn without σ.  With
+S = I_pq (K_pq for CII) and P_q the projector onto the q-block,
+V = S gᴴSg = S(1 − 2gᴴP_q g) depends on g only through a Haar-random
+rank-q projector.  With m = min(p, q), that projector has the law of
+h P_m hᴴ, or of 1 − h P_m hᴴ when m = p, where P_m projects onto the first
+m (quaternionic) coordinates and h is a parent draw truncated to its first
+m columns (the ``columns`` keyword of the :mod:`symshadows.haar` samplers).
+So V = ±S h F hᴴ with F = 1 − 2P_m, + when m = q: two passes of m
+reflectors, O(d·m) per vector.
 
 Each coset representative V inherits an exact algebraic structure from σ
 (e.g. type AI gives symmetric unitaries V = gᵀg); these relations are frozen
@@ -271,12 +280,14 @@ def involution(spec: SpaceSpec, g: np.ndarray) -> np.ndarray:
 class EnsembleDraw(_MatrixStack):
     """A batch of ensemble elements V, applied to vectors without forming V.
 
-    ``V = g`` for the groups, ``V = σ(g)ᴴ g`` for the quotients and
+    ``V = g`` for the groups, ``V = σ(g)ᴴ g`` for AI, AII, DIII and CI,
+    ``V = ±S h F hᴴ`` for the Grassmannians AIII, BDI and CII (see the
+    module docstring; ``h`` is drawn truncated to ``min(p, q)`` columns) and
     ``V = 1`` for a degenerate quotient.  Vectors are stacked with the batch
-    axis last, ``(d, B)``.  The parent draw ``g`` is a
+    axis last, ``(d, B)``.  The parent draw is a
     :class:`~symshadows.haar.HouseholderDraw` for all three parent groups,
-    applied in O(d²) per vector.  ``shape`` is that of :meth:`matrix`,
-    ``(B, d, d)``.
+    applied in O(d²) per vector, O(d·min(p, q)) when truncated.  ``shape``
+    is that of :meth:`matrix`, ``(B, d, d)``.
     """
 
     def __init__(self, spec: SpaceSpec, parent, size: int):
@@ -284,12 +295,26 @@ class EnsembleDraw(_MatrixStack):
         self.parent = parent
         self.size = size
         self.dim = spec.dim
-        self._involution = None if spec.is_group or parent is None else _sigma(spec)
+        self._involution = self._flip = None
+        if parent is not None and spec.family in _SIGNATURE_FAMILIES:
+            self._sign, self._flip = _grassmannian(spec)
+        elif parent is not None and not spec.is_group:
+            self._involution = _sigma(spec)
+
+    def _reflect(self, y: np.ndarray) -> np.ndarray:
+        """``h F hᴴ y`` for a Grassmannian's truncated parent draw ``h``."""
+        a = self.parent.apply_adjoint(y)
+        a[self._flip] *= -1.0
+        return self.parent.apply(a)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """``V y = σ(g)ᴴ (g y) = M κ(gᴴ κ(Mᵀ g y))``."""
+        """``V y = σ(g)ᴴ (g y) = M κ(gᴴ κ(Mᵀ g y))``, or ``±S h F hᴴ y``."""
         if self.parent is None:
             return np.array(y)
+        if self._flip is not None:
+            a = self._reflect(y)
+            a *= self._sign[:, None]
+            return a
         a = self.parent.apply(y)
         sigma = self._involution
         if sigma is None:
@@ -303,9 +328,11 @@ class EnsembleDraw(_MatrixStack):
         return sigma.m(a)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """``Vᴴ y = gᴴ (σ(g) y) = gᴴ M κ(g κ(Mᵀ y))``."""
+        """``Vᴴ y = gᴴ (σ(g) y) = gᴴ M κ(g κ(Mᵀ y))``, or ``h F hᴴ (±S y)``."""
         if self.parent is None:
             return np.array(y)
+        if self._flip is not None:
+            return self._reflect(self._sign[:, None] * y)
         sigma = self._involution
         if sigma is None:
             return self.parent.apply_adjoint(y)
@@ -324,22 +351,46 @@ class EnsembleDraw(_MatrixStack):
             dtype = np.float64 if spec.is_real else np.complex128
             eye = np.eye(spec.dim, dtype=dtype)
             return np.broadcast_to(eye, (self.size, spec.dim, spec.dim)).copy()
+        if self._flip is not None:
+            # In place: the fits draw large dense batches.
+            w = self.parent.matrix()[:, :, self._flip]
+            v = w @ np.swapaxes(w.conj(), -1, -2)
+            v *= -2.0
+            v += np.eye(spec.dim)
+            v *= self._sign[:, None]
+            return v
         g = self.parent.matrix()
         if self._involution is None:
             return g
         return np.swapaxes(involution(spec, g).conj(), -1, -2) @ g
 
 
+def _grassmannian(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``V = ±S h F hᴴ`` for AIII, BDI and CII; see the module docstring.
+
+    Returns the diagonal of ±S, and the coordinates where F = 1 − 2P_m is
+    −1: the first m = min(p, q) (quaternionic) ones.
+    """
+    m = min(spec.p, spec.q)
+    sign = np.diag(signature_matrix(spec)) * (1.0 if m == spec.q else -1.0)
+    flip = np.arange(m)
+    if spec.family == "CII":
+        flip = np.concatenate([flip, spec.dim // 2 + flip])
+    return sign, flip
+
+
 def _parent_draw(spec: SpaceSpec, gen: np.random.Generator, size: int):
     # The samplers are looked up as this module's attributes at call time,
     # so a wrapper set on ``spaces.haar_unitary`` (a tracer) sees every draw.
+    # The Grassmannians need only the first min(p, q) columns of g.
+    columns = min(spec.p, spec.q) if spec.family in _SIGNATURE_FAMILIES else None
     parent = spec.parent
     if parent == "U":
-        return haar_unitary(spec.dim, gen, size, dense=False)
+        return haar_unitary(spec.dim, gen, size, dense=False, columns=columns)
     if parent == "O":
         special = spec.family != "O"
-        return haar_orthogonal(spec.dim, gen, special, size, dense=False)
-    return haar_symplectic(spec.dim, gen, size, dense=False)
+        return haar_orthogonal(spec.dim, gen, special, size, dense=False, columns=columns)
+    return haar_symplectic(spec.dim, gen, size, dense=False, columns=columns)
 
 
 def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: bool = True):

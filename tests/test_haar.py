@@ -1,5 +1,7 @@
 """Distributional and structural checks of the parent-group samplers."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,129 @@ def test_symplectic_draw_applies_its_matrix(d):
 def test_symplectic_rejects_bad_arguments(d, size, bad):
     with pytest.raises(ValueError, match=f"got {bad}$"):
         haar_symplectic(d, RngStream(0), size=size)
+
+
+# ``columns=m`` draws only what the first m columns need.  A dropped or
+# misplaced reflector or gauge entry shows in their orthonormality or in
+# their entry moments; SP's m counts quaternionic coordinates, whose
+# columns are i and d/2 + i.
+
+_SPECIAL_ORTHOGONAL = partial(haar_orthogonal, special=True)
+_TRUNCATED = [
+    (sampler, d, m)
+    for sampler in (haar_unitary, haar_orthogonal, _SPECIAL_ORTHOGONAL)
+    for d, m in ((2, 1), (5, 1), (5, 2), (6, 3))
+] + [(haar_symplectic, 2, 1), (haar_symplectic, 6, 1), (haar_symplectic, 8, 2)]
+
+
+def _truncated_ids(case):
+    names = {haar_unitary: "U", haar_orthogonal: "O", _SPECIAL_ORTHOGONAL: "SO",
+             haar_symplectic: "SP"}
+    return names.get(case, str(case))
+
+
+def _drawn_columns(sampler, d, m):
+    if sampler is haar_symplectic:
+        return np.concatenate([np.arange(m), d // 2 + np.arange(m)])
+    return np.arange(m)
+
+
+@pytest.mark.parametrize("sampler, d, m", _TRUNCATED, ids=_truncated_ids)
+def test_truncated_columns_are_orthonormal_with_haar_moments(sampler, d, m):
+    cols = _drawn_columns(sampler, d, m)
+    w = sampler(d, RngStream(20, (d, m)), size=64, columns=m)[:, :, cols]
+    gram = np.swapaxes(w.conj(), 1, 2) @ w
+    assert np.max(np.abs(gram - np.eye(cols.size))) < 1e-12
+    # The columns through the draw itself: W = h[:, cols] = h e_cols.  A
+    # wrong gauge leaves |W| alone but shows in E W = 0.
+    draw = sampler(d, RngStream(21, (d, m)), size=N_MOMENT // 2, dense=False, columns=m)
+    real = draw.signs.dtype.kind == "f"
+    fourth = 3 / (d * (d + 2)) if real else 2 / (d * (d + 1))
+    for j in cols:
+        basis = np.zeros((d, draw.size))
+        basis[j] = 1.0
+        w = draw.apply(basis)
+        x = np.abs(w) ** 2
+        for i in range(d):
+            assert _sems(w[i].real, 0.0) <= 5, (i, j)
+            assert real or _sems(w[i].imag, 0.0) <= 5, (i, j)
+            assert _sems(x[i], 1 / d) <= 5, (i, j)
+            assert _sems(x[i] ** 2, fourth) <= 5, (i, j)
+
+
+@pytest.mark.parametrize("sampler, d, m", _TRUNCATED + [(haar_unitary, 30, 4),
+                                                      (haar_orthogonal, 30, 15),
+                                                      (haar_symplectic, 24, 5)],
+                         ids=_truncated_ids)
+def test_truncated_draw_applies_its_matrix(monkeypatch, sampler, d, m):
+    draw = sampler(d, RngStream(15), size=7, dense=False, columns=m)
+    if sampler is haar_symplectic:
+        n = d // 2
+        full = m == n
+        # One pair (v, J conj(v)) per coordinate j < m, of 2(n - j) entries each.
+        assert draw.reflectors.shape == (4 * (n * m - m * (m - 1) // 2) - 4 * full, 7)
+        assert len(draw.offsets) == 2 * (m - full)
+    else:
+        assert draw.reflectors.shape == (d * m - m * (m - 1) // 2, 7)
+        assert len(draw.offsets) == m
+    g = draw.matrix()
+    np.testing.assert_array_equal(g, sampler(d, RngStream(15), size=7, columns=m))
+    assert np.max(np.abs(np.swapaxes(g.conj(), 1, 2) @ g - np.eye(d))) < 1e-12
+    if draw.signs.dtype.kind == "f" and sampler is not haar_orthogonal:
+        assert np.max(np.abs(np.linalg.det(g) - 1.0)) < 1e-12
+    if sampler is not haar_symplectic:
+        monkeypatch.setattr(haar, "ORGQR_MIN_DIM", 1)
+        np.testing.assert_allclose(draw.matrix(), g, rtol=0, atol=1e-13)
+    gen = RngStream(16).generator()
+    y = gen.standard_normal((d, 7)) + 1j * gen.standard_normal((d, 7))
+    np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jn->in", g, y), atol=1e-13)
+    np.testing.assert_allclose(
+        draw.apply_adjoint(y), np.einsum("nji,jn->in", g.conj(), y), atol=1e-13
+    )
+
+
+@pytest.mark.parametrize("sampler, d", [(haar_unitary, 1), (haar_unitary, 5),
+                                        (haar_orthogonal, 5), (_SPECIAL_ORTHOGONAL, 4),
+                                        (haar_symplectic, 2), (haar_symplectic, 6)],
+                         ids=_truncated_ids)
+def test_all_columns_is_the_full_draw(sampler, d):
+    full = d // 2 if sampler is haar_symplectic else d
+    gen_a, gen_b = RngStream(24).generator(), RngStream(24).generator()
+    a = sampler(d, gen_a, size=5)
+    np.testing.assert_array_equal(sampler(d, gen_b, size=5, columns=full), a)
+    assert gen_a.random() == gen_b.random()
+
+
+def test_full_draws_keep_their_seeded_values():
+    # Seeded draws without ``columns`` are pinned: U(d), O(d), SO(d) and
+    # SP(d) outputs must not move when truncated draws change.
+    np.testing.assert_allclose(
+        haar_unitary(3, RngStream(0))[:, 0],
+        [0.13463473537588977 - 0.14146084494579092j, 0.6857789107609232 + 0.11232939376849212j,
+         -0.5736067564133523 + 0.38720407955702696j],
+        rtol=0, atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        haar_orthogonal(3, RngStream(0), special=True)[:, 0],
+        [0.1888171192369228, -0.19839032737660417, 0.9617636786063787],
+        rtol=0, atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        haar_symplectic(4, RngStream(0))[:, 0],
+        [0.0906015206955077 + 0.08024269816730734j, -0.4793055271269654 + 0.04484083036490888j,
+         0.2993332053418829 + 0.16040326067070387j, 0.2593355215871624 - 0.7556609681764j],
+        rtol=0, atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("sampler, d, bad", [(haar_unitary, 4, 0), (haar_unitary, 4, 5),
+                                             (haar_orthogonal, 3, -1), (haar_orthogonal, 3, 4),
+                                             (haar_orthogonal, 3, 1.5), (haar_symplectic, 6, 4),
+                                             (haar_symplectic, 6, 0)],
+                         ids=_truncated_ids)
+def test_samplers_reject_bad_columns(sampler, d, bad):
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        sampler(d, RngStream(0), columns=bad)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

@@ -322,6 +322,15 @@ def test_signature_for_fraction_snapping():
     assert signature_for_fraction("CII", 8, 1.0) == (4, 0, 4)
 
 
+@pytest.mark.parametrize("fraction", [1e3, 1e16, 1e308])
+@pytest.mark.parametrize("family, dim, total", [("AIII", 4, 4), ("CII", 8, 4)])
+def test_signature_for_fraction_clamps_large_fractions(family, dim, total, fraction):
+    # fraction * dim past 2**53 cannot tell the admissible s apart; the
+    # clamp to [-1, 1] snaps every large |c| to the extreme split.
+    assert signature_for_fraction(family, dim, fraction) == (total, 0, total)
+    assert signature_for_fraction(family, dim, -fraction) == (0, total, -total)
+
+
 @pytest.mark.parametrize("fraction", [np.nan, np.inf, -np.inf])
 def test_signature_for_fraction_rejects_non_finite(fraction):
     with pytest.raises(ValueError, match="finite"):
@@ -577,7 +586,7 @@ def test_mixed_state_estimates_keep_mean_and_second_moment(spec, rank):
 @pytest.mark.parametrize(
     "spec",
     [make_space("U", 5), make_space("BDI", 6, 2, 4), make_space("CII", 8, 3, 1),
-     make_space("AIII", 4, 4, 0)],
+     make_space("AIII", 4, 4, 0), make_space("AIII", 6, 2, 4), make_space("BDI", 7, 5, 2)],
     ids=lambda s: s.label(),
 )
 @pytest.mark.parametrize("rank", ["pure", "mixed"])

@@ -14,6 +14,7 @@ from symshadows.spaces import (
     sample_point,
     sample_signed_symmetry,
     sample_subgroup,
+    signature_matrix,
     structural_witness,
 )
 
@@ -98,6 +99,58 @@ def test_ensemble_draw_applies_its_matrix(family, d):
     np.testing.assert_allclose(
         draw.apply_adjoint(y), np.einsum("nji,jn->in", v.conj(), y), atol=1e-13
     )
+
+
+# AIII, BDI and CII are Grassmannians: V = S(1 - 2Q) with Q a Haar-random
+# projector of rank q (2q for CII), so E V = (p - q)/(p + q) S.  V and -V
+# give the same V rho Vᴴ, so a wrong global sign passes the witness and the
+# channel tests; only the first moment sees it.
+_GRASSMANNIANS = [make_space("AIII", 6, 4, 2), make_space("AIII", 6, 1, 5),
+                  make_space("BDI", 7, 2, 5), make_space("BDI", 6, 5, 1),
+                  make_space("CII", 8, 3, 1), make_space("CII", 10, 1, 4)]
+
+
+def _max_z(v, expected):
+    """Largest |mean - expected| / SEM over the entries of a (N, d, d) stack.
+
+    The diagonal of an AIII or CII draw is real, so its imaginary part has
+    SEM 0; the floor keeps its z finite, and large if its mean is not 0.
+    """
+    parts = [(v.real, expected)] + ([] if np.isrealobj(v) else [(v.imag, 0.0)])
+    z = [
+        np.abs(x.mean(axis=0) - e) / np.maximum(x.std(axis=0, ddof=1) / np.sqrt(len(x)), 1e-12)
+        for x, e in parts
+    ]
+    return float(np.max(z))
+
+
+@pytest.mark.parametrize("spec", _GRASSMANNIANS, ids=lambda s: s.label())
+def test_grassmannian_first_moment(spec):
+    n, d = 40_000, spec.dim
+    expected = (spec.p - spec.q) / (spec.p + spec.q) * signature_matrix(spec)
+    assert _max_z(sample_point(spec, RngStream(30), size=n), expected) <= 5
+    draw = sample_point(spec, RngStream(31), size=n, dense=False)
+    columns = np.empty((n, d, d), dtype=np.float64 if spec.is_real else np.complex128)
+    for j in range(d):
+        basis = np.zeros((d, n))
+        basis[j] = 1.0
+        columns[:, :, j] = draw.apply(basis).T
+    assert _max_z(columns, expected) <= 5
+
+
+@pytest.mark.parametrize(
+    "spec",
+    _GRASSMANNIANS + [make_space("AIII", 6, 2, 4), make_space("BDI", 7, 5, 2),
+                      make_space("CII", 10, 3, 2)],
+    ids=lambda s: s.label(),
+)
+def test_grassmannians_draw_min_p_q_reflectors(spec):
+    m = min(spec.p, spec.q)
+    parent = sample_point(spec, RngStream(32), size=3, dense=False).parent
+    # CII's quaternionic reflector j is the pair v_j, J conj(v_j).
+    assert len(parent.offsets) == (2 * m if spec.family == "CII" else m)
+    if spec.family != "CII":
+        assert parent.reflectors.shape == (spec.dim * m - m * (m - 1) // 2, 3)
 
 
 def test_witness_negative_control():
