@@ -295,7 +295,7 @@ class EnsembleDraw(_MatrixStack):
         self.parent = parent
         self.size = size
         self.dim = spec.dim
-        self._involution = self._flip = None
+        self._involution = self._sign = self._flip = None
         if parent is not None and spec.family in _SIGNATURE_FAMILIES:
             self._sign, self._flip = _grassmannian(spec)
         elif parent is not None and not spec.is_group:
