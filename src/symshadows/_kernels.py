@@ -22,25 +22,19 @@ __all__ = [
 ]
 
 
-def born_probs(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Measurement-basis outcome probabilities ``p[n, w] = (V_n rho V_n^†)[w, w]``.
+def born_probs(amplitudes: np.ndarray) -> np.ndarray:
+    """Measurement-basis outcome probabilities ``p[n, w] = |amplitudes[n, w]|²``.
 
     Parameters
     ----------
-    v : (B, d, m) ndarray
-        Batch of rotation matrices (``m = d``), or of the products
-        ``V_n F`` with a factor ``F`` of the state, ``rho_state = F W F^†``.
-    rho : (m, m) ndarray or (m,) ndarray
-        Density matrix (or ``W``), or the diagonal of a diagonal ``W``:
-        then ``p[n, w] = sum_k rho[k] |v[n, w, k]|^2``.
+    amplitudes : (B, d) ndarray
+        One rotated state vector ``V_n u_n`` per row.
 
     Returns
     -------
     (B, d) float ndarray
     """
-    if rho.ndim == 1:
-        return (v.real**2 + v.imag**2) @ rho
-    return np.einsum("nwa,ab,nwb->nw", v, rho, v.conj(), optimize=True).real
+    return amplitudes.real**2 + amplitudes.imag**2
 
 
 def choose_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Everything in this module estimates ensemble moments directly from samples
 and compares them against the closed forms of :mod:`symshadows.channel`,
-with no shared code path: twirls of order k = 1..3, the fourth-moment
+with no shared code path: single-entry moments E|V_ij|^k, twirls of order
+k = 1..3, the fourth-moment
 tensor T[a,b,i,j] = sum_w E[v_wa conj(v_wb) conj(v_wi) v_wj] that encodes
 the measurement channel, least-squares fits of that tensor onto the
 family's delta-tensor basis (recovering the channel weights with standard
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .channel import apply_channel
-from .haar import symplectic_form, symplectic_pairing
+from .haar import symplectic_pairing
 from .rng import as_generator
 from .spaces import (
     SpaceSpec,
@@ -56,7 +57,7 @@ __all__ = [
     "MomentCheck",
     "PairedTwirlReport",
     "pair_partitions",
-    "delta_value",
+    "entry_moments",
     "mc_channel",
     "mc_twirl",
     "mc_moment_tensor",
@@ -72,7 +73,7 @@ class FitDegenerateError(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# pair partitions and delta tensors
+# pair partitions
 # --------------------------------------------------------------------------
 
 
@@ -113,64 +114,6 @@ def pair_partitions(k: int) -> list[PairPartition]:
                 yield ((first, partner),) + tail
 
     return [PairPartition(p) for p in rec(tuple(range(1, 2 * k + 1)))]
-
-
-def delta_value(klass: str, pairing, indices, d: int | None = None) -> int:
-    """Evaluate one family-dependent delta tensor at concrete indices.
-
-    Parameters
-    ----------
-    klass : str
-        ``"A"``: ``pairing`` is a permutation sigma of {0..k-1} and
-        ``indices`` is the concatenation (i_1..i_k, j_1..j_k); the value is
-        prod_r delta(i_r, j_{sigma(r)}).
-        ``"BD"``: ``pairing`` is a :class:`PairPartition` (or pair list,
-        1-based positions) and the value is the product of Kronecker deltas
-        over matched positions of ``indices``.
-        ``"C"``: as BD but each matched pair contributes the symplectic-form
-        entry J[indices[a], indices[b]] in {0, +1, -1}; requires ``d``.
-    pairing : permutation or PairPartition
-    indices : sequence of int
-        2k index values.
-    d : int, optional
-        Hilbert-space dimension, required for class ``"C"``.
-
-    Examples
-    --------
-    >>> delta_value("BD", [(1, 2)], (3, 3))
-    1
-    """
-    indices = tuple(indices)
-    if klass == "A":
-        sigma = tuple(pairing)
-        k = len(sigma)
-        if len(indices) != 2 * k:
-            raise ValueError(
-                f"class A with degree {k} needs 2k = {2 * k} indices, got {len(indices)}"
-            )
-        left, right = indices[:k], indices[k:]
-        return int(all(left[r] == right[sigma[r]] for r in range(k)))
-    pairs = pairing.pairs if isinstance(pairing, PairPartition) else tuple(
-        tuple(p) for p in pairing
-    )
-    if len(indices) != 2 * len(pairs):
-        raise ValueError(
-            f"matching with {len(pairs)} pairs needs {2 * len(pairs)} indices, "
-            f"got {len(indices)}"
-        )
-    if klass == "BD":
-        return int(all(indices[a - 1] == indices[b - 1] for a, b in pairs))
-    if klass == "C":
-        if d is None:
-            raise ValueError("class C needs the dimension d to build the form")
-        form = symplectic_form(d)
-        value = 1
-        for a, b in pairs:
-            value *= int(form[indices[a - 1], indices[b - 1]])
-            if value == 0:
-                return 0
-        return value
-    raise ValueError(f"unknown delta class {klass!r}; expected 'A', 'BD', or 'C'")
 
 
 # --------------------------------------------------------------------------
@@ -576,21 +519,54 @@ class MomentCheck:
         return float(_sem_deviation(self.estimate, self.expected, self.sem))
 
 
+def entry_moments(spec: SpaceSpec, targets, n_samples: int, rng=None) -> list[MomentCheck]:
+    """Monte-Carlo moments ``E|V_ij|^k`` of single entries against exact values.
+
+    Parameters
+    ----------
+    spec : SpaceSpec
+    targets : sequence of (name, (i, j), k, expected)
+        One :class:`MomentCheck` per target, in order, all from the same
+        draws.
+    n_samples : int
+        Number of ensemble draws, at least 2.
+    rng : Generator, RngStream, int or None
+
+    Examples
+    --------
+    >>> from symshadows.spaces import make_space
+    >>> [c.deviation_sems for c in entry_moments(
+    ...     make_space("O", 1), [("E|V00|^2", (0, 0), 2, 1.0)], 10, rng=0)]
+    [0.0]
+    """
+    d = spec.dim
+    batches = _batches(spec, as_generator(rng), n_samples, _IDENTITY_BATCH_DRAWS, 16 * d * d)
+
+    def values(v):
+        # Column-major, so each target's column is summed pairwise.
+        out = np.empty((len(v), len(targets)), order="F")
+        for t, (_, (i, j), k, _) in enumerate(targets):
+            out[:, t] = np.abs(v[:, i, j]) ** k
+        return out
+
+    mean, sem = _finalize(map(values, batches), n_samples)
+    return [
+        MomentCheck(name, float(mean[t]), float(sem[t]), float(expected))
+        for t, (name, _, _, expected) in enumerate(targets)
+    ]
+
+
 def moment_identities_ai(d: int, n_samples: int, rng=None) -> list[MomentCheck]:
     """Fourth-moment identities of the symmetric-unitary (AI) ensemble.
 
     Checks E|V_11|^4 against 8/((d+1)(d+3)) and E|V_12|^4 against
     2/(d(d+3)) on ``n_samples >= 2`` draws.
     """
-    spec = make_space("AI", d)
-    batches = _batches(spec, as_generator(rng), n_samples, _IDENTITY_BATCH_DRAWS, 16 * d * d)
-    # Column-major stacks, so each entry's column is summed pairwise.
-    values = (np.asfortranarray(np.abs(v[:, 0, :2]) ** 4) for v in batches)
-    mean, sem = _finalize(values, n_samples)
-    return [
-        MomentCheck("E|V_11|^4", float(mean[0]), float(sem[0]), 8.0 / ((d + 1) * (d + 3))),
-        MomentCheck("E|V_12|^4", float(mean[1]), float(sem[1]), 2.0 / (d * (d + 3))),
+    targets = [
+        ("E|V_11|^4", (0, 0), 4, 8.0 / ((d + 1) * (d + 3))),
+        ("E|V_12|^4", (0, 1), 4, 2.0 / (d * (d + 3))),
     ]
+    return entry_moments(make_space("AI", d), targets, n_samples, rng)
 
 
 @dataclass(frozen=True)

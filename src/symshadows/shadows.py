@@ -33,7 +33,7 @@ import numpy as np
 from . import _kernels
 from .channel import apply_channel, invert_channel
 from .rng import RngStream, as_generator
-from .spaces import SpaceSpec, make_space, sample_point
+from .spaces import _SIGNATURE_FAMILIES, SpaceSpec, make_space, sample_point
 from .variance import analytic_second_moment
 
 __all__ = [
@@ -279,8 +279,7 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
     k = np.minimum(np.searchsorted(cum, uniforms), weights.size - 1)
     uniforms -= np.concatenate(([0.0], cum[:-1]))[k]
     rotated = draw.apply(vectors[:, k])
-    # |V u_k|²: a pure component has factor weight 1
-    probs = _kernels.born_probs(rotated.T[:, :, None], np.ones(1))
+    probs = _kernels.born_probs(rotated.T)
     _check_probabilities(probs)
     outcomes = _kernels.choose_outcomes(weights[k, None] * probs, uniforms)
     basis = np.zeros((spec.dim, count))
@@ -539,8 +538,6 @@ SWEEP_COLUMNS = (
     "sem",
     "seed",
 )
-
-_SIGNATURE_FAMILIES = ("AIII", "BDI", "CII")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,14 @@ and pass flag — so reports are machine readable.  Statistical checks report
 their deviation in standard-error units with a threshold of
 ``tol_sems`` (default 5); structural checks report a residual against an
 absolute tolerance.
+
+The module owns no estimator: each check calls an implementation that
+exists for its own sake — :func:`~symshadows.spaces.structural_witness`
+for the algebraic relations, the closed forms of :mod:`symshadows.channel`,
+and the estimators of :mod:`symshadows.momentlab`, which draw through one
+checked, byte-bounded loop.  A suite checks the families that
+:func:`~symshadows.spaces.make_space` accepts at its dimension and skips
+the rest.
 """
 
 from __future__ import annotations
@@ -19,12 +27,12 @@ import numpy as np
 from . import momentlab
 from .momentlab import _sem_deviation
 from .channel import (
+    apply_channel,
     build_superoperator,
     channel_spectrum,
     channel_weights,
     choi_matrix,
 )
-from .haar import symplectic_form
 from .rng import RngStream
 from .spaces import ALL_FAMILIES, GROUP_FAMILIES, make_space, sample_point, structural_witness
 from .variance import second_moment_coefficients
@@ -56,10 +64,22 @@ def all_passed(checks) -> bool:
     return all(c.passed for c in checks)
 
 
-def _moment_check(suite, name, values, expected, tol_sems):
-    """Check the empirical mean of per-sample ``values`` against ``expected``."""
-    sem = values.std(ddof=1) / np.sqrt(values.size)
-    return _check(suite, name, float(_sem_deviation(values.mean(), expected, sem)), tol_sems)
+def _specs(families, dim, space=None):
+    """Specs at ``dim`` of the ``families`` that :func:`make_space` accepts.
+
+    With ``space`` given only that family is kept, and the error
+    :func:`make_space` raises for it, if any, propagates.
+    """
+    specs = []
+    for fam in families:
+        if space not in (None, fam):
+            continue
+        try:
+            specs.append(make_space(fam, dim))
+        except ValueError:
+            if fam == space:
+                raise
+    return specs
 
 
 def _suite_haar(dim, samples, seed, tol_sems):
@@ -67,55 +87,34 @@ def _suite_haar(dim, samples, seed, tol_sems):
     samples = 200_000 if samples is None else samples
     checks = []
     root = RngStream(seed, (1,))
-    batch = 128
-    for gi, fam in enumerate(GROUP_FAMILIES):
-        spec = make_space(fam, dim)
-        v = sample_point(spec, root.child(gi, 0), size=batch)
-        eye = np.eye(dim)
-        resid = float(np.max(np.abs(np.swapaxes(v, -1, -2).conj() @ v - eye)))
-        checks.append(_check("haar", f"unitarity/{spec.label()}", resid, 1e-12))
-        if fam == "SO":
-            det_resid = float(np.max(np.abs(np.linalg.det(v.real) - 1.0)))
-            checks.append(_check("haar", f"determinant/{spec.label()}", det_resid, 1e-10))
-        if fam == "SP":
-            j = symplectic_form(dim)
-            form_resid = float(np.max(np.abs(np.swapaxes(v, -1, -2) @ j @ v - j)))
-            checks.append(_check("haar", f"form/{spec.label()}", form_resid, 1e-10))
+    for gi, spec in enumerate(_specs(GROUP_FAMILIES, dim)):
+        label = spec.label()
+        witness = structural_witness(spec, sample_point(spec, root.child(gi, 0), size=128))
+        checks.append(_check("haar", f"structure/{label}", witness.residual, witness.tol))
         # entry moments of V_00 against the closed forms for each group
-        big = sample_point(spec, root.child(gi, 1), size=samples)
-        x = np.abs(big[:, 0, 0]) ** 2
-        checks.append(
-            _moment_check("haar", f"E|V00|^2/{spec.label()}", x, 1.0 / dim, tol_sems)
-        )
-        if fam == "U":
-            checks.append(
-                _moment_check(
-                    "haar", f"E|V00|^4/{spec.label()}", x**2, 2.0 / (dim * (dim + 1)), tol_sems
-                )
-            )
-        if fam == "O":
-            checks.append(
-                _moment_check(
-                    "haar", f"E V00^4/{spec.label()}", x**2, 3.0 / (dim * (dim + 2)), tol_sems
-                )
-            )
+        targets = [(f"E|V00|^2/{label}", (0, 0), 2, 1.0 / dim)]
+        if spec.family == "U":
+            targets.append((f"E|V00|^4/{label}", (0, 0), 4, 2.0 / (dim * (dim + 1))))
+        if spec.family == "O":
+            targets.append((f"E V00^4/{label}", (0, 0), 4, 3.0 / (dim * (dim + 2))))
+        for chk in momentlab.entry_moments(spec, targets, samples, root.child(gi, 1)):
+            checks.append(_check("haar", chk.name, chk.deviation_sems, tol_sems))
     return checks
 
 
 def _suite_witness(space, dim, seed):
     dim = 4 if dim is None else dim
-    families = [space] if space else list(ALL_FAMILIES)
+    specs = _specs(ALL_FAMILIES, dim, space)
     checks = []
     root = RngStream(seed, (2,))
-    for fi, fam in enumerate(families):
-        spec = make_space(fam, dim)
+    for fi, spec in enumerate(specs):
         v = sample_point(spec, root.child(fi), size=64)
         result = structural_witness(spec, v)
         checks.append(
             _check("witness", f"structure/{spec.label()}", result.residual, result.tol)
         )
     # a degenerate quotient collapses to the identity matrix
-    if space in (None, "AIII"):
+    if any(spec.family == "AIII" for spec in specs):
         spec = make_space("AIII", dim, p=dim, q=0)
         v = sample_point(spec, root.child(99), size=8)
         resid = float(np.max(np.abs(v - np.eye(dim))))
@@ -147,12 +146,10 @@ def _eigenvalue_identity_residual(max_dim=32) -> float:
 def _suite_channel(space, dim, samples, seed, tol_sems):
     dim = 4 if dim is None else dim
     samples = 200_000 if samples is None else samples
-    families = [space] if space else list(ALL_FAMILIES)
     checks = [
         _check("channel", "eigenvalue-identities/AIII+BDI", _eigenvalue_identity_residual(), 0.0)
     ]
-    for fam in families:
-        spec = make_space(fam, dim)
+    for spec in _specs(ALL_FAMILIES, dim, space):
         s = build_superoperator(spec)
         numeric = np.sort(np.linalg.eigvalsh(s))[::-1]
         dense = channel_spectrum(spec).dense()
@@ -168,21 +165,16 @@ def _suite_channel(space, dim, samples, seed, tol_sems):
         checks.append(
             _check("channel", f"choi-psd/{spec.label()}", max(0.0, -choi_min), 1e-10)
         )
-    # Monte-Carlo fit of the mixing weight for one ensemble
-    fit_fam = space or "AI"
-    if fit_fam not in GROUP_FAMILIES:
-        spec = make_space(fit_fam, dim)
+    # Monte-Carlo fit of the mixing weight for one quotient ensemble
+    for spec in _specs([space or "AI"], dim, space):
+        if spec.is_group:
+            continue
         fit = momentlab.fit_channel_coefficients(spec, samples, RngStream(seed, (3, 0)))
         target = float(channel_weights(spec).mixing_weight)
         dev = float(_sem_deviation(fit.mixing_weight, target, fit.mixing_weight_sem))
         checks.append(_check("channel", f"fit-mixing-weight/{spec.label()}", dev, tol_sems))
     # Monte-Carlo single-matrix channel action against the closed form
-    from .channel import apply_channel
-
-    for fam in ("CI", "BDI"):
-        if space and fam != space:
-            continue
-        spec = make_space(fam, dim)
+    for spec in _specs(("CI", "BDI"), dim, space):
         gen = RngStream(seed, (3, 1)).generator()
         raw = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
         a = (raw + raw.conj().T) / 2
@@ -206,36 +198,28 @@ def _suite_moments(space, dim, samples, seed, tol_sems):
     checks.append(_check("moments", "pair-partition-counts/k<=6", float(worst), 0.0))
     # The tensor runs first: it refuses a size it cannot hold before any
     # draw, so a large --dim fails before the identities sample.
-    tensor_spec = make_space(space or "AI", 3 if dim is None else dim)
-    tensor = momentlab.mc_moment_tensor(
-        tensor_spec, min(samples, 200_000), RngStream(seed, (4, 1))
-    )
-    if space in (None, "AI"):
-        d = 2 if dim is None else dim
-        for chk in momentlab.moment_identities_ai(d, samples, RngStream(seed, (4, 0))):
+    tensors = [
+        (spec, momentlab.mc_moment_tensor(spec, min(samples, 200_000), RngStream(seed, (4, 1))))
+        for spec in _specs([space or "AI"], 3 if dim is None else dim, space)
+    ]
+    for spec in _specs(["AI"], 2 if dim is None else dim, space):
+        for chk in momentlab.moment_identities_ai(spec.dim, samples, RngStream(seed, (4, 0))):
             checks.append(
-                _check("moments", f"AI(d={d})/{chk.name}", chk.deviation_sems, tol_sems)
+                _check("moments", f"{spec.label()}/{chk.name}", chk.deviation_sems, tol_sems)
             )
-    d = tensor_spec.dim
-    truth = (
-        build_superoperator(tensor_spec)
-        .reshape(d, d, d, d)
-        .transpose(2, 3, 0, 1)
-    )
-    dev = float(np.max(_sem_deviation(tensor.mean, truth, tensor.sem)))
-    checks.append(
-        _check("moments", f"tensor-vs-channel/{tensor_spec.label()}", dev, tol_sems)
-    )
+    for spec, tensor in tensors:
+        d = spec.dim
+        truth = build_superoperator(spec).reshape(d, d, d, d).transpose(2, 3, 0, 1)
+        dev = float(np.max(_sem_deviation(tensor.mean, truth, tensor.sem)))
+        checks.append(_check("moments", f"tensor-vs-channel/{spec.label()}", dev, tol_sems))
     return checks
 
 
 def _suite_equivariance(space, dim, samples, seed, tol_sems):
     dim = 4 if dim is None else dim
     samples = 100_000 if samples is None else samples
-    families = [space] if space else list(ALL_FAMILIES)
     checks = []
-    for fi, fam in enumerate(families):
-        spec = make_space(fam, dim)
+    for fi, spec in enumerate(_specs(ALL_FAMILIES, dim, space)):
         resid = momentlab.h_equivariance_check(
             spec, n_trials=25, rng=RngStream(seed, (5, fi))
         )
@@ -273,7 +257,9 @@ def run_suite(
     space : str, optional
         Restrict family-parameterized checks to one family.
     dim : int, optional
-        Override the default dimension of the checks that take one.
+        Override the default dimension of the checks that take one; at
+        least 1.  Families that :func:`make_space` rejects at a suite's
+        dimension are skipped, except a named ``space``.
     samples : int, optional
         Override the Monte-Carlo sample budget; at least 2.
     seed : int, optional
@@ -290,6 +276,8 @@ def run_suite(
         raise ValueError(f"unknown family {space!r}")
     if samples is not None and samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
+    if dim is not None and dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     if suite == "all":
         checks = []
         for name in SUITES[:-1]:

@@ -30,3 +30,10 @@ def test_every_docstring_with_examples_is_found():
     ]
     assert len(found) >= 9, found
     assert "symshadows.haar.haar_symplectic" in found
+
+
+@pytest.mark.parametrize("name", ["symshadows"] + MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []

@@ -14,16 +14,15 @@ def batch():
     rng = RngStream(100)
     v = np.ascontiguousarray(haar_unitary(d, rng.child(0), size=32))
     gen = rng.child(1).generator()
-    rho_raw = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
-    rho = rho_raw @ rho_raw.conj().T
-    rho /= np.trace(rho).real
+    u = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+    u /= np.linalg.norm(u)
     x = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
     x = x + x.conj().T
     uniforms = gen.random(32)
     jperm, jsign = symplectic_pairing(d)
     return {
         "v": v,
-        "rho": np.ascontiguousarray(rho),
+        "amplitudes": v @ u,
         "x": np.ascontiguousarray(x),
         "uniforms": uniforms,
         "jperm": jperm,
@@ -32,14 +31,16 @@ def batch():
 
 
 def test_born_probs_rows_are_distributions(batch):
-    p = _kernels.born_probs(batch["v"], batch["rho"])
+    amplitudes = batch["amplitudes"]
+    p = _kernels.born_probs(amplitudes)
     assert p.shape == (32, 6)
-    assert np.all(p > -1e-14)
+    assert np.all(p >= 0.0)
+    np.testing.assert_allclose(p, np.abs(amplitudes) ** 2, rtol=1e-14, atol=0)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_choose_outcomes_matches_inverse_cdf(batch):
-    p = _kernels.born_probs(batch["v"], batch["rho"])
+    p = _kernels.born_probs(batch["amplitudes"])
     idx = _kernels.choose_outcomes(p, batch["uniforms"])
     cum = np.cumsum(p, axis=1)
     for n in range(p.shape[0]):

@@ -12,8 +12,6 @@ from symshadows.momentlab import (
     FitDegenerateError,
     MomentCheck,
     PairedTwirlReport,
-    PairPartition,
-    delta_value,
     fit_channel_coefficients,
     h_equivariance_check,
     k_equivariance_check,
@@ -58,40 +56,6 @@ def test_pair_partitions_cover_all_points():
 def test_pair_partitions_rejects_nonpositive():
     with pytest.raises(ValueError):
         pair_partitions(0)
-
-
-def test_delta_value_class_a():
-    # sigma = identity on two slots: delta(i1,j1) delta(i2,j2)
-    assert delta_value("A", (0, 1), (2, 5, 2, 5)) == 1
-    assert delta_value("A", (0, 1), (2, 5, 2, 4)) == 0
-    # sigma = swap: delta(i1,j2) delta(i2,j1)
-    assert delta_value("A", (1, 0), (2, 5, 5, 2)) == 1
-    with pytest.raises(ValueError):
-        delta_value("A", (0, 1), (2, 5, 2))
-
-
-def test_delta_value_class_bd():
-    pairing = PairPartition(((1, 2), (3, 4)))
-    assert delta_value("BD", pairing, (7, 7, 1, 1)) == 1
-    assert delta_value("BD", pairing, (7, 6, 1, 1)) == 0
-    # raw pair lists are accepted too
-    assert delta_value("BD", [(1, 4), (2, 3)], (0, 5, 5, 0)) == 1
-
-
-def test_delta_value_class_c():
-    d = 4
-    form = symplectic_form(d)
-    pairing = [(1, 2)]
-    for a in range(d):
-        for b in range(d):
-            assert delta_value("C", pairing, (a, b), d=d) == int(form[a, b])
-    # sign multiplies across pairs
-    val = delta_value("C", [(1, 2), (3, 4)], (0, 2, 2, 0), d=d)
-    assert val == int(form[0, 2]) * int(form[2, 0]) == -1
-    with pytest.raises(ValueError):
-        delta_value("C", pairing, (0, 1))  # missing d
-    with pytest.raises(ValueError):
-        delta_value("Z", pairing, (0, 1), d=d)
 
 
 # ------------------------------------------------------- Monte-Carlo twirls
@@ -184,7 +148,7 @@ def test_fit_degenerate_basis_raises():
 # ------------------------------------------------- identities, equivariance
 
 
-def test_moment_check_deviation_sems():
+def test_moment_deviation_in_standard_errors():
     assert MomentCheck("x", 1.0, 0.1, 1.25).deviation_sems == pytest.approx(2.5)
     assert MomentCheck("x", 1.0, 0.0, 1.0).deviation_sems == 0.0
     assert MomentCheck("x", 1.0, 0.0, 2.0).deviation_sems == float("inf")

@@ -476,7 +476,9 @@ def test_matrix_free_shots_match_materialized_rotations(spec, rank, field, seed)
     v = sample_point(spec, replay, count)
     uniforms = replay.random(count)
     if rank == "pure":
-        probs = np.clip(_kernels.born_probs(v.astype(complex), rho), 0.0, None)
+        vc = v.astype(complex)
+        probs = np.einsum("nwa,ab,nwb->nw", vc, rho, vc.conj(), optimize=True).real
+        probs = np.clip(probs, 0.0, None)
         dense_outcomes = _kernels.choose_outcomes(probs, uniforms)
     else:
         # two stages: the uniform picks component k of rho by its weight,

@@ -1,9 +1,12 @@
 """The built-in verification suites must pass on their own package."""
 
-import numpy as np
+import re
+
 import pytest
 
-from symshadows import verify
+from symshadows import momentlab
+from symshadows.rng import RngStream
+from symshadows.spaces import make_space
 from symshadows.verify import CHECK_COLUMNS, SUITES, Check, all_passed, run_suite
 
 
@@ -19,15 +22,54 @@ def test_run_suite_rejects_unknown_names():
         run_suite("haar", space="E8")
 
 
-def test_all_suites_pass_at_reduced_budget():
-    checks = run_suite("all", samples=4000, seed=0)
+@pytest.mark.parametrize(
+    "suite, space, dim, message",
+    [
+        ("haar", None, 0, "dim must be at least 1"),
+        ("witness", "SP", 3, "SP needs an even dimension"),
+        ("moments", "SP", None, "SP needs an even dimension"),
+        ("channel", "AI", 1, "AI needs dimension >= 2"),
+    ],
+)
+def test_a_named_space_or_dimension_that_cannot_be_built_is_refused(suite, space, dim, message):
+    with pytest.raises(ValueError, match=message):
+        run_suite(suite, space=space, dim=dim, samples=100)
+
+
+@pytest.mark.parametrize("dim", [None, 1, 3])
+def test_all_suites_pass_at_reduced_budget(dim):
+    checks = run_suite("all", dim=dim, samples=4000, seed=0)
     assert all_passed(checks), [c for c in checks if not c.passed]
     # 'all' is exactly the concatenation of the named suites
     assert len(checks) == sum(
-        len(run_suite(name, samples=4000, seed=0)) for name in SUITES[:-1]
+        len(run_suite(name, dim=dim, samples=4000, seed=0)) for name in SUITES[:-1]
     )
     suites_seen = {c.suite for c in checks}
     assert suites_seen == set(SUITES[:-1])
+    families = {m.group(1) for c in checks for m in re.finditer(r"\b([A-Z]+)\(d=", c.name)}
+    if dim is not None:
+        # the even-dimension families are skipped at an odd d
+        assert families.isdisjoint({"SP", "AII", "DIII", "CI", "CII"})
+    if dim == 3:
+        assert {"U", "O", "SO", "AI", "AIII", "BDI"} <= families
+
+
+def test_haar_moments_draw_through_the_checked_loop(monkeypatch):
+    monkeypatch.setattr(momentlab, "_IDENTITY_BATCH_DRAWS", 1000)
+    sizes = []
+    original = momentlab.sample_point
+
+    def counting(spec, rng=None, size=None):
+        sizes.append(size)
+        return original(spec, rng, size=size)
+
+    monkeypatch.setattr(momentlab, "sample_point", counting)
+    checks = run_suite("haar", samples=5000)
+    assert all_passed(checks), [c for c in checks if not c.passed]
+    # 5000 draws for each of U, O, SO and SP
+    assert sum(sizes) == 20_000
+    assert max(sizes) <= 1000
+    assert sum(c.name.startswith("structure/") for c in checks) == 4
 
 
 def test_check_records_are_well_formed():
@@ -61,9 +103,11 @@ def test_all_passed_detects_failure():
 
 
 def test_constant_samples_pass_only_at_the_expected_value():
-    assert verify._moment_check("s", "x", np.full(10, 0.25), 0.25, 5.0).passed
-    failed = verify._moment_check("s", "x", np.full(10, 0.5), 0.25, 5.0)
-    assert not failed.passed and failed.statistic == float("inf")
+    # O(1) is {+1, -1}: every draw has |V00|^2 = 1, so the SEM is 0
+    targets = [("at-1", (0, 0), 2, 1.0), ("at-half", (0, 0), 2, 0.5)]
+    at_one, at_half = momentlab.entry_moments(make_space("O", 1), targets, 10, RngStream(3))
+    assert at_one.sem == 0.0 and at_one.deviation_sems == 0.0
+    assert at_half.deviation_sems == float("inf")
 
 
 def test_a_fit_with_zero_sem_passes_at_its_target():
