@@ -25,7 +25,7 @@ closed-form second moments from :mod:`symshadows.variance`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -520,26 +520,6 @@ def median_of_means(per_record_estimates, n_batches: int) -> float:
 # Variance sweep
 # --------------------------------------------------------------------------
 
-#: Exact column order of the sweep CSV schema.
-SWEEP_COLUMNS = (
-    "family",
-    "d",
-    "p",
-    "q",
-    "s",
-    "c_requested",
-    "c_actual",
-    "diag_weight",
-    "instance",
-    "n_shots",
-    "empirical_variance",
-    "analytic_second_moment",
-    "mean",
-    "sem",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid description for :func:`variance_sweep`.
@@ -608,6 +588,10 @@ class ResultRow:
     def was_snapped(self) -> bool:
         """True when the requested ratio was rounded to an admissible one."""
         return self.c_actual is not None and self.c_actual != self.c_requested
+
+
+#: Exact column order of the sweep CSV schema: the fields of :class:`ResultRow`.
+SWEEP_COLUMNS = tuple(field.name for field in fields(ResultRow))
 
 
 def signature_for_fraction(

@@ -44,6 +44,10 @@ m columns (the ``columns`` keyword of the :mod:`symshadows.haar` samplers).
 So V = ±S h F hᴴ with F = 1 − 2P_m, + when m = q: two passes of m
 reflectors, O(d·m) per vector.
 
+K is stated once, as the diagonal blocks of :func:`_k_blocks` read off
+the K column of the table; :func:`sample_subgroup` draws Haar on each block
+and :func:`sample_signed_symmetry` a signed permutation.
+
 Each coset representative V inherits an exact algebraic structure from σ
 (e.g. type AI gives symmetric unitaries V = gᵀg); these relations are frozen
 here as per-family structural witnesses used throughout the test batteries.
@@ -426,59 +430,73 @@ def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: b
     return v[0] if size is None else v
 
 
+#: The kind of K's blocks per family: the K column of the module table.
+#: "U/2" is U(n/2) embedded in n coordinates as by :func:`_embed_complex`.
+_K_KIND = {
+    "U": "U", "O": "O", "SO": "SO", "SP": "SP",
+    "AI": "O", "AII": "SP", "AIII": "U",
+    "BDI": "SO", "DIII": "U/2", "CI": "U/2", "CII": "SP",
+}
+
+
+def _k_blocks(spec: SpaceSpec) -> list[tuple[str, np.ndarray]]:
+    """K as diagonal blocks: ``(kind, coordinates)`` per non-empty block.
+
+    A group is one block of its own kind; a CII block holds its
+    quaternionic coordinates and their J-partners.
+    """
+    fam, d = spec.family, spec.dim
+    if fam not in _K_KIND:
+        raise ValueError(f"unknown family {fam!r}")
+    if fam not in _SIGNATURE_FAMILIES:
+        return [(_K_KIND[fam], np.arange(d))]
+    blocks = []
+    for lo, m in ((0, spec.p), (spec.p, spec.q)):
+        if m == 0:
+            continue
+        coords = np.arange(lo, lo + m)
+        if fam == "CII":
+            coords = np.concatenate([coords, d // 2 + coords])
+        blocks.append((_K_KIND[fam], coords))
+    return blocks
+
+
+#: Per block kind of :func:`_k_blocks`: an ``(size, n, n)`` Haar stack.  The
+#: samplers are looked up as module attributes at call time, so a tracer set
+#: on them sees these draws.  SO(1) = {1}: a 1 x 1 BDI block draws nothing.
+_HAAR_BLOCK = {
+    "U": lambda n, gen, size: haar_unitary(n, gen, size=size),
+    "O": lambda n, gen, size: haar_orthogonal(n, gen, size=size),
+    "SO": lambda n, gen, size: (
+        np.ones((size, 1, 1)) if n == 1 else haar_orthogonal(n, gen, special=True, size=size)
+    ),
+    "SP": lambda n, gen, size: haar_symplectic(n, gen, size=size),
+    "U/2": lambda n, gen, size: _embed_complex(haar_unitary(n // 2, gen, size=size)),
+}
+
+
 def sample_subgroup(spec: SpaceSpec, rng=None, size: int | None = None) -> np.ndarray:
     """Draw Haar samples from the fixed-point subgroup K of the involution.
 
     For the group ensembles K is taken to be the group itself (the full
-    symmetry group of the ensemble).
+    symmetry group of the ensemble).  For AIII the block-diagonal draw is
+    normalized to det 1, giving S(U(p) x U(q)).
     """
     gen = as_generator(rng)
-    fam, d = spec.family, spec.dim
     if spec.is_group:
         return sample_point(spec, gen, size)
-    if fam == "AI":
-        return haar_orthogonal(d, gen, size=size)
-    if fam == "AII":
-        return haar_symplectic(d, gen, size=size)
-    if fam == "AIII":
-        return _sample_block_unitary(spec.p, spec.q, gen, size)
-    if fam == "BDI":
-        return _sample_block_special_orthogonal(spec.p, spec.q, gen, size)
-    if fam in ("DIII", "CI"):
-        return _embed_complex(haar_unitary(d // 2, gen, size=size))
-    if fam == "CII":
-        return _sample_block_symplectic(spec.p, spec.q, d, gen, size)
-    raise ValueError(f"unknown family {fam!r}")
-
-
-def _sample_block_unitary(p, q, gen, size):
-    """S(U(p) x U(q)): block-diagonal unitaries normalized to det 1."""
-    d = p + q
     nsamp = 1 if size is None else size
-    out = np.zeros((nsamp, d, d), dtype=np.complex128)
-    if p:
-        out[:, :p, :p] = haar_unitary(p, gen, size=nsamp)
-    if q:
-        out[:, p:, p:] = haar_unitary(q, gen, size=nsamp)
-    det = np.linalg.det(out)
-    out *= (det ** (-1.0 / d))[:, None, None]
-    return out[0] if size is None else out
-
-
-def _sample_block_special_orthogonal(p, q, gen, size):
-    """SO(p) x SO(q) block-diagonal orthogonal matrices."""
-    d = p + q
-    nsamp = 1 if size is None else size
-    out = np.zeros((nsamp, d, d))
-    for lo, m in ((0, p), (p, q)):
-        if m == 0:
-            continue
-        if m == 1:
-            out[:, lo, lo] = 1.0
-        else:
-            out[:, lo : lo + m, lo : lo + m] = haar_orthogonal(
-                m, gen, special=True, size=nsamp
-            )
+    draws = [
+        (coords, _HAAR_BLOCK[kind](coords.size, gen, nsamp))
+        for kind, coords in _k_blocks(spec)
+    ]
+    d = spec.dim
+    out = np.zeros((nsamp, d, d), dtype=np.result_type(*(b.dtype for _, b in draws)))
+    for coords, block in draws:
+        out[:, coords[:, None], coords[None, :]] = block
+    if spec.family == "AIII":
+        det = np.linalg.det(out)
+        out *= (det ** (-1.0 / d))[:, None, None]
     return out[0] if size is None else out
 
 
@@ -492,19 +510,6 @@ def _embed_complex(u: np.ndarray) -> np.ndarray:
     out[..., n:, :n] = u.imag
     out[..., n:, n:] = u.real
     return out
-
-
-def _sample_block_symplectic(p, q, d, gen, size):
-    """SP(2p) x SP(2q) scattered onto the J-pair coordinates of SP(d)."""
-    n = d // 2
-    nsamp = 1 if size is None else size
-    out = np.zeros((nsamp, d, d), dtype=np.complex128)
-    for lo, m in ((0, p), (p, q)):
-        if m == 0:
-            continue
-        coords = np.concatenate([np.arange(lo, lo + m), np.arange(n + lo, n + lo + m)])
-        out[:, coords[:, None], coords[None, :]] = haar_symplectic(2 * m, gen, size=nsamp)
-    return out[0] if size is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -557,61 +562,44 @@ def _symplectic_signed_perm(n_pairs: int, gen: np.random.Generator) -> np.ndarra
     return out
 
 
+def _embedded_phase_perm(d: int, gen: np.random.Generator) -> np.ndarray:
+    """A permutation with phases in {±1, ±i} in U(d/2), embedded in d coords."""
+    n = d // 2
+    tau = gen.permutation(n)
+    phases = gen.choice([1.0 + 0j, 1j, -1.0 + 0j, -1j], size=n)
+    u = np.zeros((n, n), dtype=np.complex128)
+    u[tau, np.arange(n)] = phases
+    return _embed_complex(u)
+
+
+#: Per block kind of :func:`_k_blocks`: a signed permutation of n coordinates.
+_SIGNED_BLOCK = {
+    "U": _signed_perm,
+    "O": _signed_perm,
+    "SO": lambda n, gen: _fix_det(_signed_perm(n, gen)),
+    "SP": lambda n, gen: _symplectic_signed_perm(n // 2, gen),
+    "U/2": _embedded_phase_perm,
+}
+
+
 def sample_signed_symmetry(spec: SpaceSpec, rng=None) -> np.ndarray:
     """Draw a random signed permutation matrix lying in the subgroup K.
 
     These are exactly the basis symmetries under which the measurement
     channel of the ensemble is equivariant; each family admits a different
     set (e.g. block-respecting for AIII, pair-respecting for the symplectic
-    families).
+    families).  One is drawn per block of K; for AIII the whole is then
+    brought to det 1.
 
     Returns
     -------
     (d, d) float ndarray with entries in {0, ±1}.
     """
     gen = as_generator(rng)
-    fam, d = spec.family, spec.dim
-    if fam in ("U", "O", "AI"):
-        return _signed_perm(d, gen)
-    if fam == "SO":
-        return _fix_det(_signed_perm(d, gen))
-    if fam in ("SP", "AII"):
-        return _symplectic_signed_perm(d // 2, gen)
-    if fam == "AIII":
-        out = np.zeros((d, d))
-        p = spec.p
-        if p:
-            out[:p, :p] = _signed_perm(p, gen)
-        if spec.q:
-            out[p:, p:] = _signed_perm(spec.q, gen)
-        return _fix_det(out)
-    if fam == "BDI":
-        out = np.zeros((d, d))
-        p = spec.p
-        if p:
-            out[:p, :p] = _fix_det(_signed_perm(p, gen))
-        if spec.q:
-            out[p:, p:] = _fix_det(_signed_perm(spec.q, gen))
-        return out
-    if fam in ("DIII", "CI"):
-        n = d // 2
-        tau = gen.permutation(n)
-        phases = gen.choice([1.0 + 0j, 1j, -1.0 + 0j, -1j], size=n)
-        u = np.zeros((n, n), dtype=np.complex128)
-        u[tau, np.arange(n)] = phases
-        return _embed_complex(u)
-    if fam == "CII":
-        n = d // 2
-        out = np.zeros((d, d))
-        for lo, m in ((0, spec.p), (spec.p, spec.q)):
-            if m == 0:
-                continue
-            coords = np.concatenate(
-                [np.arange(lo, lo + m), np.arange(n + lo, n + lo + m)]
-            )
-            out[coords[:, None], coords[None, :]] = _symplectic_signed_perm(m, gen)
-        return out
-    raise ValueError(f"unknown family {fam!r}")
+    out = np.zeros((spec.dim, spec.dim))
+    for kind, coords in _k_blocks(spec):
+        out[coords[:, None], coords[None, :]] = _SIGNED_BLOCK[kind](coords.size, gen)
+    return _fix_det(out) if spec.family == "AIII" else out
 
 
 # ---------------------------------------------------------------------------

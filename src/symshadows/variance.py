@@ -4,22 +4,19 @@ For the two ensembles whose channel weight can be tuned through the block
 signature at fixed dimension -- AIII (unitary parent) and BDI (orthogonal
 parent) -- the full second moment of the single-shot estimator of a
 traceless observable admits an exact closed form.  Writing O_0 for the
-traceless part of the observable, X = M+(O_0) for its pseudo-inverted image
-and D = dephase(X), the second moment assembles from three coefficient
-families ``c_full``, ``c_mixed``, ``c_diag`` (exact rationals in the
-dimension d and signature s) contracted with trace monomials in
-(rho, X, D):
+traceless part of the observable and X = M+(O_0) for its pseudo-inverted
+image, the second moment assembles from three coefficient families
+``c_full``, ``c_mixed``, ``c_diag`` (exact rationals in the dimension d and
+signature s) contracted with trace monomials in (rho, X, D), in one formula
+for both:
 
-    AIII:  E[o^2] = c_full (tr X^2 + 2 tr rho X^2)
-                    + c_mixed (2 tr(A(rho) X^2) + 2 tr rho {D, X} + tr D^2)
-                    + c_diag tr rho D^2
+    E[o^2] = c_full (k tr Xs^2 + 2k^2 tr rhos Xs^2)
+             + c_mixed (2k tr(A(rho) Xs^2) + 2k tr rhos {D, Xs} + tr D^2)
+             + c_diag tr rhos D^2
 
-    BDI:   E[o^2] = c_full (2 tr Xs^2 + 8 tr rhos Xs^2)
-                    + c_mixed (4 tr(A(rho) Xs^2) + 4 tr rhos {D, Xs} + tr D^2)
-                    + c_diag tr rhos D^2
-
-with Xs = (X + X^T)/2 and rhos = (rho + rho^T)/2 the transpose
-symmetrizations that the orthogonal parent forces, and A the diagonal
+Here k = 1 for AIII, with Xs = X and rhos = rho, and k = 2 for BDI, with
+Xs = (X + X^T)/2 and rhos = (rho + rho^T)/2 the transpose symmetrizations
+that the orthogonal parent forces; D = dephase(Xs), and A is the diagonal
 dephasing map.  The channel eigenvalues on the traceless-diagonal and
 off-diagonal sectors enter through X and are exposed here as exact
 rationals alongside the coefficients.
@@ -79,7 +76,7 @@ class VarianceCoefficients:
     offdiag_eigenvalue: Fraction
 
 
-def _aiii_coefficients(d: int, s: int) -> VarianceCoefficients:
+def _aiii_coefficients(d: int, s: int) -> tuple[Fraction, ...]:
     c_full = Fraction(
         (s * s - d * d)
         * (s * s - (d + 2) ** 2)
@@ -113,19 +110,10 @@ def _aiii_coefficients(d: int, s: int) -> VarianceCoefficients:
         s**4 + 2 * s * s * (d - 2) + d * (d * d + 3 * d - 3),
         d * (d - 1) * (d + 1) * (d + 3),
     )
-    return VarianceCoefficients(
-        family="AIII",
-        dim=d,
-        signature=s,
-        c_full=c_full,
-        c_mixed=c_mixed,
-        c_diag=c_diag,
-        diag_eigenvalue=lam_diag,
-        offdiag_eigenvalue=lam_off,
-    )
+    return c_full, c_mixed, c_diag, lam_diag, lam_off
 
 
-def _bdi_coefficients(d: int, s: int) -> VarianceCoefficients:
+def _bdi_coefficients(d: int, s: int) -> tuple[Fraction, ...]:
     c_full = Fraction(
         (d - s)
         * (d + s)
@@ -176,16 +164,13 @@ def _bdi_coefficients(d: int, s: int) -> VarianceCoefficients:
         s**4 - 4 * s * s + 2 * d**3 + 15 * d * d - 12 + d * (6 * s * s - 8),
         (d - 1) * (d + 1) * (d + 2) * (d + 6),
     )
-    return VarianceCoefficients(
-        family="BDI",
-        dim=d,
-        signature=s,
-        c_full=c_full,
-        c_mixed=c_mixed,
-        c_diag=c_diag,
-        diag_eigenvalue=lam_diag,
-        offdiag_eigenvalue=lam_off,
-    )
+    return c_full, c_mixed, c_diag, lam_diag, lam_off
+
+
+#: Per family: the builder of (c_full, c_mixed, c_diag, diag_eigenvalue,
+#: offdiag_eigenvalue), and k, 1 for the unitary parent and 2 for the
+#: orthogonal one.
+_CLOSED_FORMS = {"AIII": (_aiii_coefficients, 1), "BDI": (_bdi_coefficients, 2)}
 
 
 def second_moment_coefficients(family: str, dim: int, signature: int) -> VarianceCoefficients:
@@ -211,13 +196,12 @@ def second_moment_coefficients(family: str, dim: int, signature: int) -> Varianc
     """
     # Validates (dim, signature) admissibility as a side effect.
     make_space(family, dim, p=(dim + signature) // 2, q=(dim - signature) // 2)
-    if family == "AIII":
-        return _aiii_coefficients(dim, signature)
-    if family == "BDI":
-        return _bdi_coefficients(dim, signature)
-    raise ValueError(
-        f"closed-form second moments exist for AIII and BDI only, not {family!r}"
-    )
+    if family not in _CLOSED_FORMS:
+        raise ValueError(
+            f"closed-form second moments exist for AIII and BDI only, not {family!r}"
+        )
+    build, _ = _CLOSED_FORMS[family]
+    return VarianceCoefficients(family, dim, signature, *build(dim, signature))
 
 
 def _real_trace(m: np.ndarray) -> float:
@@ -236,6 +220,38 @@ def _check_inputs(rho: np.ndarray, observable: np.ndarray, spec: SpaceSpec, fami
             f"match ensemble dimension {d}"
         )
     return rho, observable
+
+
+def _second_moment(
+    rho: np.ndarray, observable: np.ndarray, spec: SpaceSpec, family: str
+) -> float:
+    """The one assembly of the module docstring, with k from the family."""
+    rho, observable = _check_inputs(rho, observable, spec, family)
+    d = spec.dim
+    k = _CLOSED_FORMS[family][1]
+    coeff = second_moment_coefficients(family, d, spec.signature)
+    o0 = observable - np.trace(observable) / d * np.eye(d)
+    x = invert_channel(spec).apply(o0)
+    rho_s = rho
+    if k == 2:
+        x = (x + x.T) / 2.0
+        rho_s = (rho + rho.T) / 2.0
+    diag = dephase(x)
+    a_rho = dephase(rho)
+    x_sq = x @ x
+    anti = diag @ x + x @ diag
+    full_terms = k * _real_trace(x_sq) + 2 * k * k * _real_trace(rho_s @ x_sq)
+    mixed_terms = (
+        2 * k * _real_trace(a_rho @ x_sq)
+        + 2 * k * _real_trace(rho_s @ anti)
+        + _real_trace(diag @ diag)
+    )
+    diag_term = _real_trace(rho_s @ diag @ diag)
+    return (
+        float(coeff.c_full) * full_terms
+        + float(coeff.c_mixed) * mixed_terms
+        + float(coeff.c_diag) * diag_term
+    )
 
 
 def second_moment_aiii(rho: np.ndarray, observable: np.ndarray, spec: SpaceSpec) -> float:
@@ -257,27 +273,7 @@ def second_moment_aiii(rho: np.ndarray, observable: np.ndarray, spec: SpaceSpec)
     -------
     float
     """
-    rho, observable = _check_inputs(rho, observable, spec, "AIII")
-    d = spec.dim
-    coeff = second_moment_coefficients("AIII", d, spec.signature)
-    o0 = observable - np.trace(observable) / d * np.eye(d)
-    x = invert_channel(spec).apply(o0)
-    diag = dephase(x)
-    a_rho = dephase(rho)
-    x_sq = x @ x
-    anti = diag @ x + x @ diag
-    full_terms = _real_trace(x_sq) + 2 * _real_trace(rho @ x_sq)
-    mixed_terms = (
-        2 * _real_trace(a_rho @ x_sq)
-        + 2 * _real_trace(rho @ anti)
-        + _real_trace(diag @ diag)
-    )
-    diag_term = _real_trace(rho @ diag @ diag)
-    return (
-        float(coeff.c_full) * full_terms
-        + float(coeff.c_mixed) * mixed_terms
-        + float(coeff.c_diag) * diag_term
-    )
+    return _second_moment(rho, observable, spec, "AIII")
 
 
 def second_moment_bdi(rho: np.ndarray, observable: np.ndarray, spec: SpaceSpec) -> float:
@@ -299,29 +295,7 @@ def second_moment_bdi(rho: np.ndarray, observable: np.ndarray, spec: SpaceSpec) 
     -------
     float
     """
-    rho, observable = _check_inputs(rho, observable, spec, "BDI")
-    d = spec.dim
-    coeff = second_moment_coefficients("BDI", d, spec.signature)
-    o0 = observable - np.trace(observable) / d * np.eye(d)
-    x = invert_channel(spec).apply(o0)
-    x_sym = (x + x.T) / 2.0
-    rho_sym = (rho + rho.T) / 2.0
-    diag = dephase(x_sym)
-    a_rho = dephase(rho)
-    x_sq = x_sym @ x_sym
-    anti = diag @ x_sym + x_sym @ diag
-    full_terms = 2 * _real_trace(x_sq) + 8 * _real_trace(rho_sym @ x_sq)
-    mixed_terms = (
-        4 * _real_trace(a_rho @ x_sq)
-        + 4 * _real_trace(rho_sym @ anti)
-        + _real_trace(diag @ diag)
-    )
-    diag_term = _real_trace(rho_sym @ diag @ diag)
-    return (
-        float(coeff.c_full) * full_terms
-        + float(coeff.c_mixed) * mixed_terms
-        + float(coeff.c_diag) * diag_term
-    )
+    return _second_moment(rho, observable, spec, "BDI")
 
 
 def _second_moment_aiii_expanded(
@@ -380,11 +354,9 @@ def analytic_second_moment(
 ) -> float | None:
     """Closed-form E[o^2] when available for ``spec``, else ``None``.
 
-    Dispatches to :func:`second_moment_aiii` / :func:`second_moment_bdi`;
-    every other family returns ``None`` (no printed closed form).
+    AIII and BDI share one assembly (see the module docstring); every other
+    family returns ``None`` (no printed closed form).
     """
-    if spec.family == "AIII":
-        return second_moment_aiii(rho, observable, spec)
-    if spec.family == "BDI":
-        return second_moment_bdi(rho, observable, spec)
-    return None
+    if spec.family not in _CLOSED_FORMS:
+        return None
+    return _second_moment(rho, observable, spec, spec.family)

@@ -216,19 +216,21 @@ def _suite_moments(space, dim, samples, seed, tol_sems):
 
 
 def _suite_equivariance(space, dim, samples, seed, tol_sems):
-    dim = 4 if dim is None else dim
+    d = 4 if dim is None else dim
     samples = 100_000 if samples is None else samples
     checks = []
-    for fi, spec in enumerate(_specs(ALL_FAMILIES, dim, space)):
+    for fi, spec in enumerate(_specs(ALL_FAMILIES, d, space)):
         resid = momentlab.h_equivariance_check(
             spec, n_trials=25, rng=RngStream(seed, (5, fi))
         )
         checks.append(_check("equivariance", f"exact/{spec.label()}", resid, 1e-12))
     mc_specs = []
-    if space is None:
+    if space is None and dim is None:
         mc_specs = [make_space("AI", 3), make_space("AIII", 4)]
+    elif space is None:
+        mc_specs = _specs(("AI", "AIII"), dim)
     elif space not in GROUP_FAMILIES:
-        mc_specs = [make_space(space, dim)]
+        mc_specs = [make_space(space, d)]
     for si, spec in enumerate(mc_specs):
         report = momentlab.k_equivariance_check(
             spec, samples, RngStream(seed, (5, 50 + si))

@@ -176,11 +176,33 @@ def test_degenerate_quotient_is_identity():
     assert np.array_equal(v, np.broadcast_to(np.eye(4), (10, 4, 4)))
 
 
+def _every_split(dims=(1, 2, 3, 4, 5, 6, 8)):
+    """Every spec make_space accepts at ``dims``, over every block split.
+
+    The splits include the empty blocks (p = 0 or q = 0) and the 1 x 1 ones.
+    """
+    specs = []
+    for d in dims:
+        for family in ALL_FAMILIES:
+            try:
+                spec = make_space(family, d)
+            except ValueError:
+                continue
+            if spec.p is None:
+                specs.append(spec)
+                continue
+            total = spec.p + spec.q
+            specs.extend(make_space(family, d, p=p, q=total - p) for p in range(total + 1))
+    return specs
+
+
+_QUOTIENT_SPLITS = [spec for spec in _every_split() if not spec.is_group]
+
+
 def test_involution_fixes_subgroup_elements():
-    for family in QUOTIENT_FAMILIES:
-        spec = make_space(family, 4)
+    for spec in _QUOTIENT_SPLITS:
         k = sample_subgroup(spec, RngStream(15))
-        assert np.max(np.abs(involution(spec, k) - k)) < 1e-12, family
+        assert np.max(np.abs(involution(spec, k) - k)) < 1e-12, spec.label()
 
 
 def test_involution_is_an_involution():
@@ -199,11 +221,87 @@ def test_quotient_point_is_involution_twisted():
 
 
 def test_subgroup_samples_stay_in_parent_group():
-    for family in QUOTIENT_FAMILIES:
-        spec = make_space(family, 4)
+    for spec in _QUOTIENT_SPLITS:
         k = sample_subgroup(spec, RngStream(18), size=8)
-        parent_spec = make_space(spec.parent, 4)
-        assert structural_witness(parent_spec, k).passed, family
+        parent_spec = make_space(spec.parent, spec.dim)
+        assert structural_witness(parent_spec, k).passed, spec.label()
+
+
+def test_signed_symmetries_lie_in_k():
+    # K = G for the groups; for a quotient, K lies in the parent and is
+    # fixed by sigma; S(U(p) x U(q)) has det 1.
+    for spec in _every_split():
+        h = sample_signed_symmetry(spec, RngStream(22))
+        label = spec.label()
+        if spec.is_group:
+            assert structural_witness(spec, h).passed, label
+            continue
+        assert structural_witness(make_space(spec.parent, spec.dim), h).passed, label
+        assert np.array_equal(involution(spec, h), h), label
+        if spec.family == "AIII":
+            assert abs(np.linalg.det(h) - 1.0) < 1e-12, label
+
+
+# Seeded draws from K, one spec per block kind: the diagonal of
+# sample_subgroup (it meets every block) and the generator's next random(),
+# then sample_signed_symmetry as the row of each column's entry, its sign,
+# and the next random().
+_PINNED_K = {
+    ("AI", 3, None): (
+        [-0.5126788406831209, -0.8344493644208791, 0.35272540839221694],
+        0.0512109138501563,
+        [2, 1, 0], [1, 1, -1], 0.32293517987314235,
+    ),
+    ("AII", 4, None): (
+        [-0.2854589246212953 - 0.436316673606982j, -0.2150663356980747 + 0.2757577380585777j,
+         -0.28545892462129546 + 0.43631667360698223j, -0.2150663356980747 - 0.2757577380585776j],
+        0.2848570988390776,
+        [1, 2, 3, 0], [1, -1, 1, 1], 0.37713555396147,
+    ),
+    ("AIII", 5, 3): (
+        [-0.30306444107612035 + 0.10546149678827017j, 0.27291020723816367 + 0.4221321303689651j,
+         -0.030969147874712086 + 0.2668319832461558j, -0.3713346867160918 + 0.24294198504672768j,
+         0.3843632114289398 - 0.22175477301968996j],
+        0.019319110428153263,
+        [2, 1, 0, 4, 3], [-1, 1, -1, -1, -1], 0.6866138881663232,
+    ),
+    ("BDI", 5, 4): (
+        [-0.3185828276437135, 0.7285051017502193, 0.3594159281677982, 0.13716973188868292, 1.0],
+        0.5902780215959859,
+        [2, 3, 1, 0, 4], [1, -1, -1, -1, 1], 0.97223203334854,
+    ),
+    ("DIII", 6, None): (
+        [-0.2668776659371881, 0.37015537692592576, 0.037017945278814246] * 2,
+        0.7050858407898396,
+        [5, 1, 3, 2, 4, 0], [-1, -1, 1, 1, -1, -1], 0.32293517987314235,
+    ),
+    ("CII", 8, 3): (
+        [0.06102663126047605 + 0.2222689542246249j, 0.1988359771411572 + 0.10868962071195591j,
+         0.0709259505625168 - 0.06810689521182445j, -0.657706674677578 + 0.11346394970666562j,
+         0.061026631260476055 - 0.2222689542246249j, 0.19883597714115725 - 0.10868962071195586j,
+         0.07092595056251685 + 0.06810689521182439j, -0.657706674677578 - 0.11346394970666562j],
+        0.7341494969994607,
+        [6, 5, 0, 3, 2, 1, 4, 7], [-1, 1, -1, -1, 1, -1, -1, -1], 0.32293517987314235,
+    ),
+    ("SO", 1, None): ([1.0], 0.0676782623616331, [0], [1], 0.5722294954720839),
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_K), ids=lambda key: key[0])
+def test_seeded_k_draws_are_pinned(key):
+    diag, after_k, rows, signs, after_h = _PINNED_K[key]
+    family, d, p = key
+    spec = make_space(family, d, p=p)
+    gen = RngStream(31).generator()
+    k = sample_subgroup(spec, gen)
+    assert np.allclose(np.diag(k), diag, rtol=0, atol=1e-12)
+    assert abs(gen.random() - after_k) < 1e-12
+    gen = RngStream(32).generator()
+    h = sample_signed_symmetry(spec, gen)
+    expected = np.zeros((d, d))
+    expected[rows, np.arange(d)] = signs
+    assert np.array_equal(h, expected)
+    assert abs(gen.random() - after_h) < 1e-12
 
 
 def test_signed_symmetry_is_signed_permutation():

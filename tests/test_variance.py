@@ -165,13 +165,42 @@ def test_dispatcher_covers_closed_form_families_only():
 
 
 def test_second_moment_matches_monte_carlo():
+    # AIII is the k = 1 branch of the assembly, BDI (real observable) k = 2.
     d = 4
-    spec = make_space("AIII", d, 2, 2)
-    rho = _random_state(d, 50)
-    obs = _random_observable(d, 51)
-    obs = obs - np.trace(obs) / d * np.eye(d)
-    predicted = second_moment_aiii(rho, obs, spec)
-    values = shadow_estimates(spec, rho, obs, 40_000, RngStream(52))
-    sq = values**2
-    sem = sq.std(ddof=1) / np.sqrt(sq.size)
-    assert abs(sq.mean() - predicted) <= 5 * sem
+    for family, moment, seed, real in (
+        ("AIII", second_moment_aiii, 50, False),
+        ("BDI", second_moment_bdi, 53, True),
+    ):
+        spec = make_space(family, d, 2, 2)
+        rho = _random_state(d, seed)
+        obs = _random_observable(d, seed + 1, real=real)
+        obs = obs - np.trace(obs) / d * np.eye(d)
+        predicted = moment(rho, obs, spec)
+        values = shadow_estimates(spec, rho, obs, 40_000, RngStream(seed + 2))
+        sq = values**2
+        sem = sq.std(ddof=1) / np.sqrt(sq.size)
+        assert abs(sq.mean() - predicted) <= 5 * sem, family
+
+
+@pytest.mark.parametrize("family", ["AIII", "BDI"])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_assembly_matches_expanded_at_every_signature(family, d):
+    # |s| = d empties the off-diagonal sector, which the expansion divides by.
+    expanded = {"AIII": _second_moment_aiii_expanded, "BDI": _second_moment_bdi_expanded}
+    rho = _random_state(d, 56)
+    obs = _random_observable(d, 57, real=family == "BDI")
+    for s in range(2 - d, d - 1, 2):
+        spec = make_space(family, d, (d + s) // 2, (d - s) // 2)
+        a = analytic_second_moment(rho, obs, spec)
+        assert a == pytest.approx(expanded[family](rho, obs, spec), rel=1e-10), s
+
+
+def test_seeded_second_moments_are_pinned():
+    rho = _random_state(5, 60)
+    aiii = make_space("AIII", 5, 3, 2)
+    assert analytic_second_moment(rho, _random_observable(5, 61), aiii) == pytest.approx(
+        92.04196882758126, rel=1e-12
+    )
+    bdi = make_space("BDI", 5, 4, 1)
+    obs = _random_observable(5, 61, real=True)
+    assert analytic_second_moment(rho, obs, bdi) == pytest.approx(27.86911058000758, rel=1e-12)

@@ -54,6 +54,19 @@ def test_all_suites_pass_at_reduced_budget(dim):
         assert {"U", "O", "SO", "AI", "AIII", "BDI"} <= families
 
 
+@pytest.mark.parametrize(
+    "dim, labels",
+    [
+        (None, ["mc/AI(d=3)", "mc/AIII(d=4,p=2,q=2)"]),
+        (5, ["mc/AI(d=5)", "mc/AIII(d=5,p=3,q=2)"]),
+        (1, []),
+    ],
+)
+def test_equivariance_sampled_rows_follow_dim(dim, labels):
+    checks = run_suite("equivariance", dim=dim, samples=2000)
+    assert [c.name for c in checks if c.name.startswith("mc/")] == labels
+
+
 def test_haar_moments_draw_through_the_checked_loop(monkeypatch):
     monkeypatch.setattr(momentlab, "_IDENTITY_BATCH_DRAWS", 1000)
     sizes = []
