@@ -24,7 +24,11 @@ moment expansions:
 with the index convention fixed by the channel relation
 ``M(rho)[i, j] = sum_ab rho[a, b] T[a, b, i, j]``.  The symplectic-parent
 convention is validated by recovering the exact CI/CII channel weights.
-The fit never builds these d^4 tensors; their Gram matrix is closed form.
+The fit never builds these d^4 tensors, nor the empirical one: the basis
+Gram matrix is closed form, and the residual needs only the empirical
+tensor's Frobenius norm.  Regrouped as [(a,j), (b,i)], T is a Gram of pair
+products v_wa v_wj on the symmetric square, so the fit accumulates it
+packed, d(d+1)/2 on a side, with the same norm.
 
 Every Monte-Carlo estimator draws through one checked, byte-bounded loop,
 :func:`_batches`, and takes its standard errors from :func:`_finalize`.
@@ -121,13 +125,18 @@ def pair_partitions(k: int) -> list[PairPartition]:
 # --------------------------------------------------------------------------
 
 #: Largest accumulator an estimator may hold, refused before any draw: the
-#: 16 d^4-byte tensor of a fit (d <= 53) or the 32 block means of a
-#: moment tensor (d <= 22).
+#: 32 block means of a moment tensor, 32 * 16 d^4 bytes (d <= 22), or a
+#: fit's, charged at 16 d^4 bytes (d <= 53).  A fit holds only a 16 P^2-byte
+#: packed Gram, P = d(d+1)/2; the d^4 charge is kept on purpose, as it
+#: fixes the sizes the fit and the CLI refuse.
 STATE_MAX_BYTES = 2**27
 
 # Budget for the largest temporary of a batch (the stack of draws, of pair
 # products, or of d^(2k) twirl operands).  Batches shrink below their caps
-# only past it; a d = 8 fit batch, 8192 * 8 * 64 * 16 B, fills it exactly.
+# only past it.  A fit charges 16 d^3 bytes per draw, the d x d pair
+# products of its d rows, though its packed products take 16 P d; the
+# charge is kept on purpose, since it sets the batch split and so the
+# seeded draws: a d = 8 fit batch, 8192 * 16 * 8^3 B, fills it exactly.
 _BATCH_BYTES = 64 * 2**20
 _BATCH_DRAWS = 8192
 _IDENTITY_BATCH_DRAWS = 65536
@@ -312,6 +321,29 @@ def _add_pair_gram(out: np.ndarray, v: np.ndarray) -> None:
         out[lo : lo + rows] += f[:, lo : lo + rows].T @ fc
 
 
+def _add_packed_pair_gram(out: np.ndarray, v: np.ndarray) -> None:
+    """Add sum_w g_w g_w^dagger over the rows of ``v`` to the P x P ``out``.
+
+    g_w[a, j] = v_wa v_wj (a <= j) is the pair product on the symmetric
+    square, packed with weight sqrt(2) off the diagonal, so that packing is
+    an isometry.  T[a, b, i, j] = sum_w g_w[a, j] conj(g_w[b, i]), so
+    ``out`` has the Frobenius norm of :func:`_add_pair_gram`'s d^2 x d^2
+    sum at P = d(d+1)/2 on a side.  Real draws (O-parent families) take
+    real arithmetic, whose gemm is a symmetric rank-k update.
+    """
+    d = v.shape[-1]
+    x = v.reshape(-1, d).T
+    x = np.ascontiguousarray(x if x.imag.any() else x.real)
+    x_off = x * np.sqrt(2.0)
+    g = np.empty((d * (d + 1) // 2, x.shape[1]), dtype=x.dtype)
+    lo = 0
+    for a in range(d):
+        np.multiply(x[a], x[a], out=g[lo])
+        np.multiply(x[a], x_off[a + 1 :], out=g[lo + 1 : lo + d - a])
+        lo += d - a
+    out += g @ g.conj().T
+
+
 def mc_moment_tensor(spec: SpaceSpec, n_samples: int, rng=None) -> MomentTensor:
     """Estimate the channel tensor T by direct Monte Carlo.
 
@@ -427,7 +459,10 @@ def fit_channel_coefficients(spec: SpaceSpec, n_samples: int, rng=None) -> Momen
     contribution onto the basis in O(d^2) time, and solves the normal
     equations per sample so that coefficient standard errors come from the
     per-sample scatter.  The implied channel weights are derived from the
-    fitted basis weights and reported with propagated errors.
+    fitted basis weights and reported with propagated errors.  The residual
+    needs only the empirical tensor's Frobenius norm, which the fit takes
+    from the tensor's Gram on the symmetric square: a P x P accumulator,
+    P = d(d+1)/2, of 16 P^2 bytes.
 
     Raises
     ------
@@ -435,8 +470,9 @@ def fit_channel_coefficients(spec: SpaceSpec, n_samples: int, rng=None) -> Momen
         For orthogonal parents at d = 2 (collinear delta terms) or any
         basis whose Gram matrix is numerically rank deficient.
     ValueError
-        Before any draw, when ``n_samples < 2`` or when the empirical
-        tensor, 16 d^4 bytes, would exceed :data:`STATE_MAX_BYTES`.
+        Before any draw, when ``n_samples < 2`` or when a full empirical
+        tensor, 16 d^4 bytes, would exceed :data:`STATE_MAX_BYTES` (d > 53;
+        the charge is kept though the packed accumulator is smaller).
     """
     d = spec.dim
     parent = spec.parent
@@ -456,7 +492,7 @@ def fit_channel_coefficients(spec: SpaceSpec, n_samples: int, rng=None) -> Momen
     gram_inv = np.linalg.inv(gram)
     if parent == "SP":
         jperm, jsign = symplectic_pairing(d)
-    t_hat = np.zeros((d * d, d * d), dtype=complex)
+    t_gram = np.zeros((d * (d + 1) // 2,) * 2, dtype=complex)
 
     def coefficients():
         for v in batches:
@@ -466,14 +502,15 @@ def fit_channel_coefficients(spec: SpaceSpec, n_samples: int, rng=None) -> Momen
                 y = _kernels.proj_orthogonal(v)
             else:
                 y = _kernels.proj_symplectic(v, jperm, jsign)
-            _add_pair_gram(t_hat, v)
+            _add_packed_pair_gram(t_gram, v)
             yield y @ gram_inv
 
     coef, sems = _finalize(coefficients(), n_samples)
     # c = y_mean G^-1 and <B_m, T_hat> = y_mean[m], so the squared residual
-    # |T_hat - sum_m c_m B_m|^2 is |T_hat|^2 - c^T G c.
+    # |T_hat - sum_m c_m B_m|^2 is |T_hat|^2 - c^T G c; t_gram has the
+    # Frobenius norm of n T_hat.
     tensor_norm_sq = float(coef @ gram @ coef)
-    t_norm_sq = float(np.linalg.norm(t_hat) / n_samples) ** 2
+    t_norm_sq = float(np.linalg.norm(t_gram) / n_samples) ** 2
     residual = float(np.sqrt(max(t_norm_sq - tensor_norm_sq, 0.0)))
     noise_floor = float(np.sqrt(max(d - tensor_norm_sq, 0.0) / n_samples))
     if parent == "SP":
@@ -637,12 +674,20 @@ def h_equivariance_check(
     returns the worst max-norm residual of M(h rho h^dagger) - h M(rho)
     h^dagger.  Pass explicit ``conjugators`` (e.g. generic unitaries) for a
     negative control.
+
+    Raises
+    ------
+    ValueError
+        Before any draw, when there is no trial to run (``n_trials < 1`` or
+        empty ``conjugators``): a worst residual over no trials would pass.
     """
     d = spec.dim
-    gen = as_generator(rng)
     if conjugators is not None:
         conjugators = [np.asarray(h, dtype=complex) for h in conjugators]
         n_trials = len(conjugators)
+    if n_trials < 1:
+        raise ValueError(f"an equivariance check needs at least 1 trial, got {n_trials}")
+    gen = as_generator(rng)
     worst = 0.0
     for t in range(n_trials):
         h = (

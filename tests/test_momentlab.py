@@ -1,10 +1,15 @@
 """Combinatorics, Monte-Carlo twirls, and the moment-tensor fit."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symshadows
 from symshadows import momentlab
 from symshadows.channel import apply_channel, build_superoperator, channel_weights
 from symshadows.haar import haar_unitary, symplectic_form, symplectic_pairing
@@ -224,6 +229,19 @@ def test_h_equivariance_negative_control():
     assert h_equivariance_check(spec, rng=RngStream(35), conjugators=generic) > 1e-3
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"n_trials": 0}, {"n_trials": -3}, {"conjugators": []}]
+)
+def test_h_equivariance_refuses_zero_trials_before_drawing(monkeypatch, kwargs):
+    # A worst residual over no trials would be a passing 0.0.
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        h_equivariance_check(make_space("AI", 3), rng=RngStream(36), **kwargs)
+    assert h_equivariance_check(
+        make_space("AI", 3), rng=RngStream(36), conjugators=[np.eye(3)]
+    ) < 1e-12
+
+
 # ---------------------------------------- closed-form Gram and the residual
 
 
@@ -288,6 +306,124 @@ def test_fit_residual_is_the_distance_to_the_fitted_tensor(monkeypatch, family, 
     fitted = (fit.coefficients @ basis).reshape(t_hat.shape)
     expected = float(np.linalg.norm(t_hat - fitted))
     assert fit.residual_norm == pytest.approx(expected, rel=1e-9)
+
+
+# U, O and SP parents at d in {1, 2, 3, 5, 8}: the O-parent draws and the
+# single point AIII(2, 2, 0) are real and take the real-arithmetic path.
+_SQUARE_SPECS = [
+    ("U", 1, None, None),
+    ("U", 2, None, None),
+    ("U", 3, None, None),
+    ("U", 5, None, None),
+    ("U", 8, None, None),
+    ("O", 1, None, None),
+    ("O", 3, None, None),
+    ("O", 5, None, None),
+    ("O", 8, None, None),
+    ("SP", 2, None, None),
+    ("SP", 8, None, None),
+    ("AI", 5, None, None),
+    ("AIII", 2, 2, 0),
+    ("BDI", 5, 4, 1),
+    ("CII", 6, 2, 1),
+    ("CI", 8, None, None),
+]
+
+
+@pytest.mark.parametrize("family,dim,p,q", _SQUARE_SPECS)
+def test_packed_pair_gram_has_the_norm_of_the_full_pair_gram(family, dim, p, q):
+    v = sample_point(make_space(family, dim, p, q), RngStream(52), size=37).astype(complex)
+    full = np.zeros((dim * dim,) * 2, dtype=complex)
+    momentlab._add_pair_gram(full, v)
+    packed = np.zeros((dim * (dim + 1) // 2,) * 2, dtype=complex)
+    momentlab._add_packed_pair_gram(packed, v)
+    assert np.allclose(packed, packed.conj().T, rtol=0, atol=1e-12 * np.abs(packed).max())
+    assert np.linalg.norm(packed) == pytest.approx(np.linalg.norm(full), rel=1e-12)
+
+
+def test_fit_never_builds_the_full_pair_gram(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the fit built the d^2 x d^2 pair-product tensor")
+
+    monkeypatch.setattr(momentlab, "_add_pair_gram", refuse)
+    for spec in (make_space("AI", 4), make_space("BDI", 5, 4, 1), make_space("CII", 6, 2, 1)):
+        fit = fit_channel_coefficients(spec, 200, RngStream(53))
+        assert 0.0 <= fit.residual_norm < np.inf
+
+
+# Seeded fits, 3000 draws each: draws, coefficients, standard errors and
+# weights are exact; residual_norm, a difference of two squared norms, is
+# pinned to 1e-9 relative, as its summation order is not part of the contract.
+_PINNED_FITS = {
+    ("AI", 4, None, None, 61): (
+        [0.18622749762047594, 0.18622749762047594, 0.06886251189761945],
+        [0.0006317845767977936, 0.0006317845767977899, 0.0031589228839889296],
+        (0.06886251189761945, 0.0031589228839889296),
+        (0.06886251189761945, 0.0031589228839889296),
+        0.025068068835706968,
+    ),
+    ("BDI", 5, 4, 1, 62): (
+        [0.10461719731056714, 0.10461719731056712, 0.10461719731056714, 0.26767961882602903],
+        [0.0005839065445190832, 0.0005839065445190832, 0.0005839065445190832,
+         0.004087345811633477],
+        (0.26767961882602903, 0.004087345811633477),
+        (0.26767961882602903, 0.004087345811633477),
+        0.03183019327158279,
+    ),
+    ("CII", 6, 2, 1, 63): (
+        [0.127097751589425, 0.127097751589425, 3.532108889073216e-18, 0.11118136305671208,
+         -0.0008656241826861667, -0.0008656241826861783],
+        [0.00044733601297731085, 0.00044733601297731085, 3.281745896997518e-20,
+         0.002625261365340425, 0.0011499815775442626, 0.0011499815775442626],
+        (0.11031573887402502, 0.003131352090841176),
+        (0.11118136305671208, 0.002625261365340425),
+        0.0374586992262792,
+    ),
+    ("SP", 4, None, None, 64): (
+        [0.19869438769236633, 0.19869438769236633, -1.428891727162096e-17,
+         0.0034057263041770464, 0.003122335233990033, 0.003122335233990076],
+        [0.00099203250127441, 0.00099203250127441, 1.7720973646489307e-19,
+         0.003453722420874627, 0.0019720631971379492, 0.001972063197137949],
+        (0.006528061538168317, 0.004960162506372049),
+        (0.0034057263041770464, 0.003453722420874627),
+        0.02592421513039611,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_FITS, key=str))
+def test_seeded_fits_are_pinned(case):
+    family, dim, p, q, seed = case
+    coef, sems, mixing, dephasing, residual = _PINNED_FITS[case]
+    fit = fit_channel_coefficients(make_space(family, dim, p, q), 3000, RngStream(seed))
+    assert fit.coefficients.tolist() == coef
+    assert fit.standard_errors.tolist() == sems
+    assert (fit.mixing_weight, fit.mixing_weight_sem) == mixing
+    assert (fit.dephasing_weight, fit.dephasing_weight_sem) == dephasing
+    assert fit.residual_norm == pytest.approx(residual, rel=1e-9)
+
+
+def test_study_path_loads_no_second_blas():
+    # scipy ships its own OpenBLAS, whose thread pool would compete with
+    # NumPy's; the d = 8 fits and the d = 16 sweep must not import it.
+    script = (
+        "import sys\n"
+        "from symshadows import momentlab, shadows, spaces\n"
+        "for family in spaces.QUOTIENT_FAMILIES:\n"
+        "    momentlab.fit_channel_coefficients(spaces.make_space(family, 8), 256, rng=0)\n"
+        "shadows.variance_sweep(shadows.SweepConfig(\n"
+        "    dim=16, signature_fractions=(0.25, 0.75), diag_weights=(0.2, 0.9),\n"
+        "    n_instances=1, n_shots=64, seed=0))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    package_root = str(Path(symshadows.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 # ------------------------------------------------- the checked draw loop
@@ -397,6 +533,7 @@ def _refuse_draws(monkeypatch):
 
     monkeypatch.setattr(momentlab, "sample_point", refuse)
     monkeypatch.setattr(momentlab, "sample_subgroup", refuse)
+    monkeypatch.setattr(momentlab, "sample_signed_symmetry", refuse)
 
 
 @pytest.mark.parametrize("n", [1, 0, -3])
