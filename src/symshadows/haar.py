@@ -39,6 +39,20 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` naming it unless it is integral.
+
+    NumPy integers and integral floats pass; bools and strings do not.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return n
+
+
 def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
     """Sample a Ginibre matrix with i.i.d. standard Gaussian entries.
 
@@ -65,7 +79,7 @@ def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
     gen = as_generator(rng)
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
-    nsamp = 1 if size is None else int(size)
+    nsamp = 1 if size is None else _integer(size, "size")
     if kind == "real":
         z = gen.standard_normal((nsamp, n, n))
     elif kind == "complex":
@@ -245,8 +259,8 @@ def _columns(columns, n: int) -> int:
     """Validate a ``columns`` request against ``n`` (quaternionic) columns."""
     if columns is None:
         return n
-    m = int(columns)
-    if m != columns or not 1 <= m <= n:
+    m = _integer(columns, "columns")
+    if not 1 <= m <= n:
         raise ValueError(f"columns must be an integer from 1 to {n}, got {columns}")
     return m
 
@@ -276,7 +290,7 @@ def _haar_reflectors(
     gen = as_generator(rng)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    size = 1 if size is None else int(size)
+    size = 1 if size is None else _integer(size, "size")
     if size < 1:
         raise ValueError(f"size must be a positive integer, got {size}")
     m = _columns(columns, d)
@@ -439,7 +453,7 @@ def _symplectic_reflectors(d: int, rng, size: int | None, columns=None) -> House
     gen = as_generator(rng)
     if d < 2 or d % 2:
         raise ValueError(f"symplectic dimension must be even and at least 2, got {d}")
-    size = 1 if size is None else int(size)
+    size = 1 if size is None else _integer(size, "size")
     if size < 1:
         raise ValueError(f"size must be a positive integer, got {size}")
     n = d // 2

@@ -18,6 +18,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .haar import _integer
 from .shadows import SWEEP_COLUMNS, validate_density
 
 __all__ = [
@@ -55,10 +56,7 @@ def matrix_from_document(doc: Mapping[str, Any]) -> np.ndarray:
     """
     if not isinstance(doc, Mapping):
         raise ValueError("matrix document must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("matrix document needs an integer 'dim' field") from exc
+    dim = _integer(doc.get("dim"), "matrix field 'dim'")
     if dim < 1:
         raise ValueError(f"matrix dimension must be positive, got {dim}")
     if "re" not in doc:

@@ -27,11 +27,12 @@ convention is validated by recovering the exact CI/CII channel weights.
 The fit never builds these d^4 tensors, nor the empirical one: the basis
 Gram matrix is closed form, and the residual needs only the empirical
 tensor's Frobenius norm.  Regrouped as [(a,j), (b,i)], T is a Gram of pair
-products v_wa v_wj on the symmetric square, so the fit accumulates it
-packed, d(d+1)/2 on a side, with the same norm.
+products v_wa v_wj on the symmetric square, so the fit and
+:func:`mc_moment_tensor` accumulate it packed, d(d+1)/2 on a side.
 
 Every Monte-Carlo estimator draws through one checked, byte-bounded loop,
-:func:`_batches`, and takes its standard errors from :func:`_finalize`.
+:func:`_batches`; all but :func:`mc_moment_tensor`, which uses 32 block
+means, take their standard errors from :func:`_finalize`.
 """
 
 from __future__ import annotations
@@ -124,17 +125,17 @@ def pair_partitions(k: int) -> list[PairPartition]:
 # the draw loop and the mean/SEM rule
 # --------------------------------------------------------------------------
 
-#: Largest accumulator an estimator may hold, refused before any draw: the
-#: 32 block means of a moment tensor, 32 * 16 d^4 bytes (d <= 22), or a
-#: fit's, charged at 16 d^4 bytes (d <= 53).  A fit holds only a 16 P^2-byte
-#: packed Gram, P = d(d+1)/2; the d^4 charge is kept on purpose, as it
-#: fixes the sizes the fit and the CLI refuse.
+#: Largest accumulator an estimator may hold, refused before any draw: a
+#: moment tensor's 32 packed block means, 32 * 16 P^2 bytes, P = d(d+1)/2,
+#: and its mean and SEM, 24 d^4 bytes (d <= 30); a fit's, charged at
+#: 16 d^4 bytes (d <= 53) though its packed Gram takes 16 P^2 bytes, on
+#: purpose, as the charge fixes the sizes the fit and the CLI refuse.
 STATE_MAX_BYTES = 2**27
 
 # Budget for the largest temporary of a batch (the stack of draws, of pair
 # products, or of d^(2k) twirl operands).  Batches shrink below their caps
-# only past it.  A fit charges 16 d^3 bytes per draw, the d x d pair
-# products of its d rows, though its packed products take 16 P d; the
+# only past it.  A fit or moment tensor charges 16 d^3 bytes per draw, the
+# d x d pair products of its d rows, though its packed ones take 16 P d; the
 # charge is kept on purpose, since it sets the batch split and so the
 # seeded draws: a d = 8 fit batch, 8192 * 16 * 8^3 B, fills it exactly.
 _BATCH_BYTES = 64 * 2**20
@@ -306,30 +307,15 @@ class MomentTensor:
     n_samples: int
 
 
-def _add_pair_gram(out: np.ndarray, v: np.ndarray) -> None:
-    """Add sum_w r_w r_w^dagger over the rows of ``v`` to ``out``.
-
-    r_w[a, b] = v_wa conj(v_wb) are the per-row pair products.  The gemm
-    runs in row blocks of ``out`` under the batch budget, one block up to
-    d = 45.
-    """
-    d = v.shape[-1]
-    f = (v[:, :, :, None] * v[:, :, None, :].conj()).reshape(-1, d * d)
-    fc = f.conj()
-    rows = max(1, _BATCH_BYTES // (16 * f.shape[1]))
-    for lo in range(0, f.shape[1], rows):
-        out[lo : lo + rows] += f[:, lo : lo + rows].T @ fc
-
-
 def _add_packed_pair_gram(out: np.ndarray, v: np.ndarray) -> None:
     """Add sum_w g_w g_w^dagger over the rows of ``v`` to the P x P ``out``.
 
     g_w[a, j] = v_wa v_wj (a <= j) is the pair product on the symmetric
     square, packed with weight sqrt(2) off the diagonal, so that packing is
     an isometry.  T[a, b, i, j] = sum_w g_w[a, j] conj(g_w[b, i]), so
-    ``out`` has the Frobenius norm of :func:`_add_pair_gram`'s d^2 x d^2
-    sum at P = d(d+1)/2 on a side.  Real draws (O-parent families) take
-    real arithmetic, whose gemm is a symmetric rank-k update.
+    ``out`` holds T (see :func:`_unpack_pair_gram`) with its Frobenius norm
+    at P = d(d+1)/2 on a side.  Real draws (O-parent families) take real
+    arithmetic, whose gemm is a symmetric rank-k update.
     """
     d = v.shape[-1]
     x = v.reshape(-1, d).T
@@ -344,6 +330,18 @@ def _add_packed_pair_gram(out: np.ndarray, v: np.ndarray) -> None:
     out += g @ g.conj().T
 
 
+def _unpack_pair_gram(gram: np.ndarray, d: int) -> np.ndarray:
+    """T[a, b, i, j] = G[pk(a, j), pk(b, i)] / (w(a, j) w(b, i)) of a P x P
+    ``gram`` packed as by :func:`_add_packed_pair_gram`: pk in
+    ``np.triu_indices(d)`` order, w = sqrt(2) off the diagonal, 1 on it."""
+    rows, cols = np.triu_indices(d)
+    pk = np.empty((d, d), dtype=np.intp)
+    pk[rows, cols] = pk[cols, rows] = np.arange(rows.size)
+    w = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    g = gram / np.outer(w, w)
+    return g[pk[:, None, None, :], pk[None, :, :, None]]
+
+
 def mc_moment_tensor(spec: SpaceSpec, n_samples: int, rng=None) -> MomentTensor:
     """Estimate the channel tensor T by direct Monte Carlo.
 
@@ -354,28 +352,29 @@ def mc_moment_tensor(spec: SpaceSpec, n_samples: int, rng=None) -> MomentTensor:
     Raises
     ------
     ValueError
-        Before any draw, when ``n_samples < 2`` or when the block means,
-        32 * 16 d^4 bytes, would exceed :data:`STATE_MAX_BYTES`.
+        Before any draw, when ``n_samples < 2`` or when the packed block
+        means (32 * 16 P^2 bytes) and the returned mean and SEM (24 d^4
+        bytes) would exceed :data:`STATE_MAX_BYTES` (d > 30).  Draws are
+        charged 16 d^3 bytes, which fixes the seeded batch split.
     """
     d = spec.dim
+    p = d * (d + 1) // 2
     blocks = min(_N_BLOCKS, n_samples)
-    state = blocks * 16 * d**4
+    state = blocks * 16 * p**2 + 24 * d**4
     batches = _batches(spec, as_generator(rng), n_samples, n_samples, 16 * d**3, blocks, state)
     per_block = n_samples // blocks
-    block_means = np.zeros((blocks, d * d, d * d), dtype=complex)
+    block_means = np.zeros((blocks, p, p), dtype=complex)
     done = 0
     for v in batches:
-        _add_pair_gram(block_means[done // per_block], v)
+        _add_packed_pair_gram(block_means[done // per_block], v)
         done += len(v)
     block_means /= per_block
     mean = block_means.mean(axis=0)
-    dev = np.abs(block_means - mean) ** 2
-    sem = np.sqrt(dev.sum(axis=0) / (blocks - 1) / blocks)
-    # T[a, b, i, j] with the pair products giving [(ab), (ij)] directly.
-    shape = (d, d, d, d)
+    block_means -= mean
+    sem = np.sqrt(sum(np.abs(b) ** 2 for b in block_means) / (blocks - 1) / blocks)
     return MomentTensor(
-        mean=mean.reshape(shape),
-        sem=sem.reshape(shape),
+        mean=_unpack_pair_gram(mean, d),
+        sem=_unpack_pair_gram(sem, d),
         n_samples=per_block * blocks,
     )
 

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .haar import (
+    _integer,
     _MatrixStack,
     haar_orthogonal,
     haar_symplectic,
@@ -174,7 +175,7 @@ def make_space(
     """
     if family not in ALL_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {ALL_FAMILIES}")
-    dim = int(dim)
+    dim = _integer(dim, "dim")
     min_dim = 1 if family in GROUP_FAMILIES else 2
     if dim < min_dim:
         raise ValueError(f"{family} needs dimension >= {min_dim}, got {dim}")
@@ -189,13 +190,13 @@ def make_space(
         p = (total + 1) // 2
         q = total - p
     elif p is None:
-        q = int(q)
+        q = _integer(q, "q")
         p = total - q
     elif q is None:
-        p = int(p)
+        p = _integer(p, "p")
         q = total - p
     else:
-        p, q = int(p), int(q)
+        p, q = _integer(p, "p"), _integer(q, "q")
     if p < 0 or q < 0 or p + q != total:
         raise ValueError(
             f"{family} at dim {dim} needs p + q = {total} with p, q >= 0; "
@@ -419,7 +420,7 @@ def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: b
         draw when ``dense=False``.
     """
     gen = as_generator(rng)
-    count = 1 if size is None else int(size)
+    count = 1 if size is None else _integer(size, "size")
     if count < 1:
         raise ValueError(f"size must be a positive integer, got {count}")
     parent = None if spec.is_degenerate else _parent_draw(spec, gen, count)
@@ -485,7 +486,7 @@ def sample_subgroup(spec: SpaceSpec, rng=None, size: int | None = None) -> np.nd
     gen = as_generator(rng)
     if spec.is_group:
         return sample_point(spec, gen, size)
-    nsamp = 1 if size is None else size
+    nsamp = 1 if size is None else _integer(size, "size")
     draws = [
         (coords, _HAAR_BLOCK[kind](coords.size, gen, nsamp))
         for kind, coords in _k_blocks(spec)

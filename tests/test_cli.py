@@ -515,6 +515,20 @@ def test_estimate_rejects_malformed_file(tmp_path, matrix_files, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("dim", ["4.5", "true", '"4"'])
+def test_estimate_rejects_a_non_integer_dim(tmp_path, matrix_files, capsys, dim):
+    rho_path, obs_path = matrix_files
+    doc = json.loads(obs_path.read_text())
+    bad = tmp_path / "bad_dim.json"
+    bad.write_text(json.dumps(doc).replace('"dim": 4', f'"dim": {dim}'))
+    for state, obs in ((bad, obs_path), (rho_path, bad)):
+        argv = ["estimate", "--state", str(state), "--observable", str(obs),
+                "--space", "U", "--shots", "10"]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "'dim' must be an integer" in err and "Traceback" not in err
+
+
 # --------------------------------------------------------------- packaging
 
 

@@ -145,6 +145,21 @@ def test_lapack_and_numpy_matrices_agree(monkeypatch, special, d):
         assert lapack.dtype == draw.signs.dtype and lapack.shape == (9, d, d)
 
 
+@pytest.mark.parametrize(
+    "sampler, d",
+    [(partial(ginibre, "complex"), 3), (haar_unitary, 3), (haar_orthogonal, 3),
+     (haar_symplectic, 4)],
+    ids=["ginibre", "unitary", "orthogonal", "symplectic"],
+)
+def test_samplers_reject_non_integral_sizes(sampler, d):
+    for bad in (2.5, "2", True):
+        with pytest.raises(ValueError, match="^size must be an integer, got"):
+            sampler(d, RngStream(0), size=bad)
+    np.testing.assert_array_equal(
+        sampler(d, RngStream(0), size=np.int64(2)), sampler(d, RngStream(0), size=2.0)
+    )
+
+
 def test_reflector_draw_rejects_bad_arguments():
     with pytest.raises(ValueError):
         haar_unitary(0, RngStream(0), dense=False)

@@ -65,6 +65,17 @@ def test_matrix_document_rejects_malformed_input():
         matrix_from_document({"dim": 2, "re": [[1.0, "x"], [0.0, 0.0]]})
 
 
+@pytest.mark.parametrize("dim", [2.7, True, "2", None, float("nan")])
+def test_matrix_document_rejects_non_integer_dim(dim):
+    with pytest.raises(ValueError, match="'dim' must be an integer, got"):
+        matrix_from_document({"dim": dim, "re": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+def test_matrix_document_accepts_an_integral_float_dim():
+    m = matrix_from_document({"dim": 2.0, "re": [[1.0, 0.0], [0.0, 1.0]]})
+    np.testing.assert_array_equal(m, np.eye(2))
+
+
 def test_save_and_load_matrix(tmp_path):
     path = tmp_path / "m.json"
     save_matrix(path, AWKWARD)

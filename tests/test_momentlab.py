@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -333,22 +334,13 @@ _SQUARE_SPECS = [
 @pytest.mark.parametrize("family,dim,p,q", _SQUARE_SPECS)
 def test_packed_pair_gram_has_the_norm_of_the_full_pair_gram(family, dim, p, q):
     v = sample_point(make_space(family, dim, p, q), RngStream(52), size=37).astype(complex)
-    full = np.zeros((dim * dim,) * 2, dtype=complex)
-    momentlab._add_pair_gram(full, v)
+    full = np.einsum("nwa,nwb,nwi,nwj->abij", v, v.conj(), v.conj(), v)
     packed = np.zeros((dim * (dim + 1) // 2,) * 2, dtype=complex)
     momentlab._add_packed_pair_gram(packed, v)
     assert np.allclose(packed, packed.conj().T, rtol=0, atol=1e-12 * np.abs(packed).max())
     assert np.linalg.norm(packed) == pytest.approx(np.linalg.norm(full), rel=1e-12)
-
-
-def test_fit_never_builds_the_full_pair_gram(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the fit built the d^2 x d^2 pair-product tensor")
-
-    monkeypatch.setattr(momentlab, "_add_pair_gram", refuse)
-    for spec in (make_space("AI", 4), make_space("BDI", 5, 4, 1), make_space("CII", 6, 2, 1)):
-        fit = fit_channel_coefficients(spec, 200, RngStream(53))
-        assert 0.0 <= fit.residual_norm < np.inf
+    unpacked = momentlab._unpack_pair_gram(packed, dim)
+    np.testing.assert_allclose(unpacked, full, rtol=0, atol=1e-12 * np.abs(full).max())
 
 
 # Seeded fits, 3000 draws each: draws, coefficients, standard errors and
@@ -518,7 +510,7 @@ def test_moment_tensor_blocks_do_not_depend_on_the_batch_split(monkeypatch):
     draws = sample_point(spec, RngStream(43), size=320).astype(complex)
     _fixed_draws(monkeypatch, draws)
     whole = mc_moment_tensor(spec, 320, RngStream(44))
-    # 10 draws per block in batches of 3, and the gemm in row blocks of 12
+    # 10 draws per block, in batches of 3
     monkeypatch.setattr(momentlab, "_BATCH_BYTES", 16 * 4**3 * 3)
     served = _fixed_draws(monkeypatch, draws)
     split = mc_moment_tensor(spec, 320, RngStream(44))
@@ -555,3 +547,27 @@ def test_study_estimators_refuse_sizes_they_cannot_hold(monkeypatch):
         fit_channel_coefficients(make_space("SP", 128), 10)
     with pytest.raises(ValueError, match=r"U\(d=64\).* need \d+ bytes .*limit is \d+ bytes"):
         mc_moment_tensor(make_space("U", 64), 64)
+
+
+def test_moment_tensor_size_check_admits_d30_and_refuses_d31(monkeypatch):
+    # Packed block means 32 * 16 P^2 plus mean and SEM 24 d^4 bytes: d = 30
+    # fits under STATE_MAX_BYTES, d = 31 does not.
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=r"U\(d=31\).* need \d+ bytes"):
+        mc_moment_tensor(make_space("U", 31), 64)
+    with pytest.raises(AssertionError, match="drew before checking"):
+        mc_moment_tensor(make_space("U", 30), 64)
+
+
+def test_moment_tensor_holds_packed_block_means():
+    # The d^2 x d^2 block means of the full pair-product Gram alone would
+    # take 32 * 16 d^4 bytes.
+    d = 16
+    tracemalloc.start()
+    try:
+        tensor = mc_moment_tensor(make_space("U", d), 64, RngStream(54))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tensor.mean.shape == (d, d, d, d) and tensor.n_samples == 64
+    assert peak < 32 * 16 * d**4

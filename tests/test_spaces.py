@@ -47,6 +47,28 @@ def test_make_space_block_validation():
         make_space("U", 0)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, name",
+    [(("U", 3.9), {}, "dim"), (("AIII", 4), {"p": 2.5}, "p"), (("AIII", 4), {"q": 1.5}, "q"),
+     (("BDI", 4), {"p": 2, "q": "2"}, "q"), (("O", True), {}, "dim")],
+)
+def test_make_space_rejects_non_integral_parameters(args, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        make_space(*args, **kwargs)
+    assert make_space("AIII", np.int64(4), p=2.0) == make_space("AIII", 4, p=2, q=2)
+
+
+@pytest.mark.parametrize("sampler", [sample_point, sample_subgroup])
+def test_sample_point_rejects_non_integral_sizes(sampler):
+    spec = make_space("AIII", 4)
+    for bad in (2.5, "2", np.float64(1.5)):
+        with pytest.raises(ValueError, match="^size must be an integer, got"):
+            sampler(spec, RngStream(0), size=bad)
+    np.testing.assert_array_equal(
+        sampler(spec, RngStream(0), size=np.int64(2)), sampler(spec, RngStream(0), size=2.0)
+    )
+
+
 @pytest.mark.parametrize("family", ["AII", "DIII", "CI", "CII", "SP"])
 def test_even_dimension_required(family):
     with pytest.raises(ValueError):
