@@ -77,6 +77,7 @@ def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
         ``size`` is given.  Complex dtype except for ``kind='real'``.
     """
     gen = as_generator(rng)
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
     nsamp = 1 if size is None else _integer(size, "size")
@@ -288,6 +289,7 @@ def _haar_reflectors(
     O(d)).
     """
     gen = as_generator(rng)
+    d = _integer(d, "d")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     size = 1 if size is None else _integer(size, "size")
@@ -451,6 +453,7 @@ def _symplectic_reflectors(d: int, rng, size: int | None, columns=None) -> House
     stops after coordinate ``m - 1``, and gauges only coordinates ``< m``.
     """
     gen = as_generator(rng)
+    d = _integer(d, "d")
     if d < 2 or d % 2:
         raise ValueError(f"symplectic dimension must be even and at least 2, got {d}")
     size = 1 if size is None else _integer(size, "size")

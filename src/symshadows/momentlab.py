@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _kernels
 from .channel import apply_channel
-from .haar import symplectic_pairing
+from .haar import _integer, symplectic_pairing
 from .rng import as_generator
 from .spaces import (
     SpaceSpec,
@@ -149,14 +149,16 @@ _N_BLOCKS = 32
 def _batches(spec, gen, n_samples, cap, draw_bytes, blocks=1, state_bytes=0):
     """Check a Monte-Carlo request, then return its draws as lazy batches.
 
-    Raises ``ValueError`` before any draw when ``n_samples < 2`` or the
-    caller's ``state_bytes`` exceed :data:`STATE_MAX_BYTES`.  A batch holds
-    at most ``cap`` draws, fewer if ``draw_bytes`` per draw would pass the
-    budget, and never straddles two of ``blocks`` equal blocks.  Batches
-    call the module-level :func:`sample_point` when iterated, so a wrapper
-    set on it sees every draw, and values the caller takes from ``gen``
-    first come first.
+    Raises ``ValueError`` before any draw when ``n_samples`` is not an
+    integer of at least 2 or the caller's ``state_bytes`` exceed
+    :data:`STATE_MAX_BYTES`.  A batch holds at most ``cap`` draws, fewer if
+    ``draw_bytes`` per draw would pass the budget, and never straddles two
+    of ``blocks`` equal blocks.  Batches call the module-level
+    :func:`sample_point` when iterated, so a wrapper set on it sees every
+    draw, and values the caller takes from ``gen`` first come first.  They
+    hold the draws as drawn: real for the real families.
     """
+    n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2:
         raise ValueError(f"a standard error needs at least 2 samples, got {n_samples}")
     if state_bytes > STATE_MAX_BYTES:
@@ -167,9 +169,7 @@ def _batches(spec, gen, n_samples, cap, draw_bytes, blocks=1, state_bytes=0):
     per_block = n_samples // blocks
     size = max(1, min(cap, per_block, _BATCH_BYTES // draw_bytes))
     return (
-        np.ascontiguousarray(
-            sample_point(spec, gen, size=min(size, start + per_block - lo)), dtype=complex
-        )
+        np.ascontiguousarray(sample_point(spec, gen, size=min(size, start + per_block - lo)))
         for start in range(0, per_block * blocks, per_block)
         for lo in range(start, start + per_block, size)
     )
@@ -314,12 +314,12 @@ def _add_packed_pair_gram(out: np.ndarray, v: np.ndarray) -> None:
     square, packed with weight sqrt(2) off the diagonal, so that packing is
     an isometry.  T[a, b, i, j] = sum_w g_w[a, j] conj(g_w[b, i]), so
     ``out`` holds T (see :func:`_unpack_pair_gram`) with its Frobenius norm
-    at P = d(d+1)/2 on a side.  Real draws (O-parent families) take real
-    arithmetic, whose gemm is a symmetric rank-k update.
+    at P = d(d+1)/2 on a side.  Real draws (the O-parent families) take
+    real arithmetic, whose gemm is a symmetric rank-k update; complex ones,
+    single points included, take complex arithmetic, with the same values.
     """
     d = v.shape[-1]
-    x = v.reshape(-1, d).T
-    x = np.ascontiguousarray(x if x.imag.any() else x.real)
+    x = np.ascontiguousarray(v.reshape(-1, d).T)
     x_off = x * np.sqrt(2.0)
     g = np.empty((d * (d + 1) // 2, x.shape[1]), dtype=x.dtype)
     lo = 0
@@ -357,6 +357,7 @@ def mc_moment_tensor(spec: SpaceSpec, n_samples: int, rng=None) -> MomentTensor:
         bytes) would exceed :data:`STATE_MAX_BYTES` (d > 30).  Draws are
         charged 16 d^3 bytes, which fixes the seeded batch split.
     """
+    n_samples = _integer(n_samples, "n_samples")
     d = spec.dim
     p = d * (d + 1) // 2
     blocks = min(_N_BLOCKS, n_samples)
@@ -684,6 +685,7 @@ def h_equivariance_check(
     if conjugators is not None:
         conjugators = [np.asarray(h, dtype=complex) for h in conjugators]
         n_trials = len(conjugators)
+    n_trials = _integer(n_trials, "n_trials")
     if n_trials < 1:
         raise ValueError(f"an equivariance check needs at least 1 trial, got {n_trials}")
     gen = as_generator(rng)

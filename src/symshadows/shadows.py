@@ -32,8 +32,9 @@ import numpy as np
 
 from . import _kernels
 from .channel import apply_channel, invert_channel
+from .haar import _integer
 from .rng import RngStream, as_generator
-from .spaces import _SIGNATURE_FAMILIES, SpaceSpec, make_space, sample_point
+from .spaces import SpaceSpec, _block_total, make_space, sample_point
 from .variance import analytic_second_moment
 
 __all__ = [
@@ -437,22 +438,24 @@ def shadow_estimates(
     (n_shots,) float ndarray
         Single-record estimates, in draw order.
     """
-    _, factor, _, _, x = _prepare(spec, rho, observable, n_shots)
+    n_shots, _, factor, _, _, x = _prepare(spec, rho, observable, n_shots)
     return _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
 
 
 def _prepare(spec: SpaceSpec, rho, observable, n_shots: int):
     """Check the inputs of a streamed run once.
 
-    Returns the validated state, its low-rank factor, the checked
-    observable ``O``, the channel inverse ``M⁺`` and ``x = M⁺(O)``.
+    Returns ``n_shots`` as an int, the validated state, its low-rank
+    factor, the checked observable ``O``, the channel inverse ``M⁺`` and
+    ``x = M⁺(O)``.
     """
+    n_shots = _integer(n_shots, "n_shots")
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
     state, factor = _validated_state(spec, rho)
     obs = _as_observable(observable, spec.dim)
     inverse = invert_channel(spec)
-    return state, factor, obs, inverse, np.ascontiguousarray(inverse.apply(obs))
+    return n_shots, state, factor, obs, inverse, np.ascontiguousarray(inverse.apply(obs))
 
 
 def _streamed_estimates(spec, factor, x, n_shots, rng, batch_size) -> np.ndarray:
@@ -488,9 +491,9 @@ def run_estimation(
     and mapped through the channel inverse once.  ``n_shots`` must be at
     least 2, so that the report's variance and standard error exist.
     """
-    if n_shots < 2:
+    if _integer(n_shots, "n_shots") < 2:
         raise ValueError("variance estimation needs n_shots >= 2")
-    state, factor, obs, inverse, x = _prepare(spec, rho, observable, n_shots)
+    n_shots, state, factor, obs, inverse, x = _prepare(spec, rho, observable, n_shots)
     estimates = _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
     projected = inverse.is_projected(obs)
     if truth is None:
@@ -508,6 +511,7 @@ def median_of_means(per_record_estimates, n_batches: int) -> float:
     values = np.asarray(per_record_estimates, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("cannot aggregate an empty estimate list")
+    n_batches = _integer(n_batches, "n_batches")
     if not 1 <= n_batches <= values.size:
         raise ValueError(
             f"n_batches must lie in [1, {values.size}], got {n_batches}"
@@ -611,9 +615,9 @@ def signature_for_fraction(
     """
     if not math.isfinite(fraction):
         raise ValueError(f"signature fraction must be finite, got {fraction}")
-    if family not in _SIGNATURE_FAMILIES:
+    total = _block_total(family, dim)
+    if total is None:
         return None
-    total = dim // 2 if family == "CII" else dim
     target = min(max(fraction, -1.0), 1.0) * dim
     best: int | None = None
     for s in range(-total, total + 1):
@@ -642,9 +646,11 @@ def variance_sweep(config: SweepConfig) -> list[ResultRow]:
     Returns rows in deterministic grid order
     (family-major, then fraction, weight, instance).
     """
-    if config.n_shots < 2:
+    n_shots = _integer(config.n_shots, "n_shots")
+    n_instances = _integer(config.n_instances, "n_instances")
+    if n_shots < 2:
         raise ValueError("variance estimation needs n_shots >= 2")
-    if config.n_instances < 1:
+    if n_instances < 1:
         raise ValueError("n_instances must be at least 1")
     # Build every grid cell's spec before any sampling, so an unknown family
     # or an inadmissible dimension fails at once.
@@ -662,7 +668,7 @@ def variance_sweep(config: SweepConfig) -> list[ResultRow]:
     root = RngStream(config.seed)
     states = [
         random_pure_state(config.dim, root.child(10, inst))
-        for inst in range(config.n_instances)
+        for inst in range(n_instances)
     ]
     observables = {
         (wi, inst): random_observable(
@@ -672,17 +678,17 @@ def variance_sweep(config: SweepConfig) -> list[ResultRow]:
             rng=root.child(11, wi, inst),
         )
         for wi, weight in enumerate(config.diag_weights)
-        for inst in range(config.n_instances)
+        for inst in range(n_instances)
     }
     rows: list[ResultRow] = []
     for fi, ci, family, fraction, spec, (p, q, s), c_actual in cells:
         for wi, weight in enumerate(config.diag_weights):
-            for inst in range(config.n_instances):
+            for inst in range(n_instances):
                 estimates = shadow_estimates(
                     spec,
                     states[inst],
                     observables[wi, inst],
-                    config.n_shots,
+                    n_shots,
                     rng=root.child(12, fi, ci, wi, inst),
                 )
                 report = _report_from_estimates(estimates, None, False)
@@ -700,7 +706,7 @@ def variance_sweep(config: SweepConfig) -> list[ResultRow]:
                         c_actual=c_actual,
                         diag_weight=weight,
                         instance=inst,
-                        n_shots=config.n_shots,
+                        n_shots=n_shots,
                         empirical_variance=report.variance,
                         analytic_second_moment=analytic,
                         mean=report.mean,

@@ -28,11 +28,14 @@ quaternionic coordinates, so p + q = d/2).  The parent groups themselves
 plain Haar.
 
 Every σ has the form σ(g) = M κ(g) Mᵀ with M a signed permutation (1, J,
-I_pq or K_pq) and κ complex conjugation or the identity; the table
-:data:`_SIGMA` records (M, κ) once per family.  It drives
-:func:`involution` and :func:`sample_point`; with ``dense=False`` the latter
-returns an :class:`EnsembleDraw`, which applies ``V y = σ(g)ᴴ(g y)`` and
-``Vᴴ y = gᴴ(σ(g) y)`` to vectors in O(d²) per draw without forming V.
+or S = I_pq / K_pq) and κ complex conjugation or the identity.  The table
+above is :data:`_FAMILIES` in code: per family the parent, M, whether κ
+conjugates, and the kind of K's blocks; every other per-family fact
+(realness, the even-dimension rule, which families take p/q) is read off
+it.  It drives :func:`involution` and :func:`sample_point`; with
+``dense=False`` the latter returns an :class:`EnsembleDraw`, which applies
+``V y = σ(g)ᴴ(g y)`` and ``Vᴴ y = gᴴ(σ(g) y)`` to vectors in O(d²) per draw
+without forming V.
 
 AIII, BDI and CII are Grassmannians, and are drawn without σ.  With
 S = I_pq (K_pq for CII) and P_q the projector onto the q-block,
@@ -56,6 +59,7 @@ here as per-family structural witnesses used throughout the test batteries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,13 +89,44 @@ __all__ = [
     "signature_matrix",
 ]
 
-GROUP_FAMILIES = ("U", "O", "SO", "SP")
-QUOTIENT_FAMILIES = ("AI", "AII", "AIII", "BDI", "DIII", "CI", "CII")
+
+class _Family(NamedTuple):
+    """One row of the module table."""
+
+    parent: str  # "U", "O" or "SP"
+    m: str | None  # σ's signed permutation: "1", "J" or "S" (I_pq/K_pq); None for a group
+    conj: bool  # whether κ is complex conjugation
+    k: str  # K's block kind; "U/2" is U(n/2) embedded as by _embed_complex
+
+
+_FAMILIES = {
+    "U": _Family("U", None, False, "U"),
+    "O": _Family("O", None, False, "O"),
+    "SO": _Family("O", None, False, "SO"),
+    "SP": _Family("SP", None, False, "SP"),
+    "AI": _Family("U", "1", True, "O"),
+    "AII": _Family("U", "J", True, "SP"),
+    "AIII": _Family("U", "S", False, "U"),
+    "BDI": _Family("O", "S", False, "SO"),
+    "DIII": _Family("O", "J", False, "U/2"),
+    "CI": _Family("SP", "J", False, "U/2"),
+    "CII": _Family("SP", "S", False, "SP"),
+}
+
+GROUP_FAMILIES = tuple(f for f, row in _FAMILIES.items() if row.m is None)
+QUOTIENT_FAMILIES = tuple(f for f, row in _FAMILIES.items() if row.m is not None)
 ALL_FAMILIES = GROUP_FAMILIES + QUOTIENT_FAMILIES
 
-_EVEN_DIM_FAMILIES = frozenset({"SP", "AII", "DIII", "CI", "CII"})
-_SIGNATURE_FAMILIES = frozenset({"AIII", "BDI", "CII"})
-_REAL_FAMILIES = frozenset({"O", "SO", "BDI", "DIII"})
+
+def _block_total(family: str, dim: int) -> int | None:
+    """p + q for the families that take blocks (M = S), else None.
+
+    CII's blocks count quaternionic coordinates, so their total is d/2.
+    """
+    row = _FAMILIES.get(family)
+    if row is None or row.m != "S":
+        return None
+    return dim // 2 if row.parent == "SP" else dim
 
 
 @dataclass(frozen=True)
@@ -121,19 +156,7 @@ class SpaceSpec:
     @property
     def parent(self) -> str:
         """Parent-group label: 'U', 'O', or 'SP'."""
-        return {
-            "U": "U",
-            "O": "O",
-            "SO": "O",
-            "SP": "SP",
-            "AI": "U",
-            "AII": "U",
-            "AIII": "U",
-            "BDI": "O",
-            "DIII": "O",
-            "CI": "SP",
-            "CII": "SP",
-        }[self.family]
+        return _FAMILIES[self.family].parent
 
     @property
     def signature(self) -> int | None:
@@ -150,7 +173,7 @@ class SpaceSpec:
     @property
     def is_real(self) -> bool:
         """True when sampled matrices are real."""
-        return self.family in _REAL_FAMILIES
+        return self.parent == "O"
 
     def label(self) -> str:
         """Short human-readable tag, e.g. ``AIII(d=4,p=2,q=2)``."""
@@ -179,13 +202,14 @@ def make_space(
     min_dim = 1 if family in GROUP_FAMILIES else 2
     if dim < min_dim:
         raise ValueError(f"{family} needs dimension >= {min_dim}, got {dim}")
-    if family in _EVEN_DIM_FAMILIES and dim % 2:
+    row = _FAMILIES[family]
+    if (row.parent == "SP" or row.m == "J") and dim % 2:
         raise ValueError(f"{family} needs an even dimension, got {dim}")
-    if family not in _SIGNATURE_FAMILIES:
+    total = _block_total(family, dim)
+    if total is None:
         if p is not None or q is not None:
             raise ValueError(f"{family} does not take block sizes p/q")
         return SpaceSpec(family, dim)
-    total = dim if family in ("AIII", "BDI") else dim // 2
     if p is None and q is None:
         p = (total + 1) // 2
         q = total - p
@@ -205,39 +229,22 @@ def make_space(
     return SpaceSpec(family, dim, p, q)
 
 
+def _coords(spec: SpaceSpec, lo: int, hi: int) -> np.ndarray:
+    """Coordinates ``lo, …, hi - 1`` of a block; quaternionic ones (SP parent,
+    so CII) come with their J-partners ``d/2 + i``."""
+    coords = np.arange(lo, hi)
+    if spec.parent == "SP":
+        coords = np.concatenate([coords, spec.dim // 2 + coords])
+    return coords
+
+
 def signature_matrix(spec: SpaceSpec) -> np.ndarray:
     """The diagonal sign matrix defining the involution (I_pq or K_pq)."""
-    if spec.family in ("AIII", "BDI"):
-        return np.diag(np.concatenate([np.ones(spec.p), -np.ones(spec.q)]))
-    if spec.family == "CII":
-        block = np.concatenate([np.ones(spec.p), -np.ones(spec.q)])
-        return np.diag(np.concatenate([block, block]))
-    raise ValueError(f"{spec.family} has no signature matrix")
-
-
-def _no_perm(spec: SpaceSpec):
-    return np.arange(spec.dim), np.ones(spec.dim)
-
-
-def _pairing(spec: SpaceSpec):
-    return symplectic_pairing(spec.dim)
-
-
-def _signature(spec: SpaceSpec):
-    return np.arange(spec.dim), np.diag(signature_matrix(spec)).copy()
-
-
-#: σ(g) = M κ(g) Mᵀ per quotient family: the builder of the signed
-#: permutation M (index map and signs) and whether κ is complex conjugation.
-_SIGMA = {
-    "AI": (_no_perm, True),
-    "AII": (_pairing, True),
-    "AIII": (_signature, False),
-    "BDI": (_signature, False),
-    "DIII": (_pairing, False),
-    "CI": (_pairing, False),
-    "CII": (_signature, False),
-}
+    if spec.p is None:
+        raise ValueError(f"{spec.family} has no signature matrix")
+    sign = -np.ones(spec.dim)
+    sign[_coords(spec, 0, spec.p)] = 1.0
+    return np.diag(sign)
 
 
 @dataclass(frozen=True)
@@ -263,12 +270,16 @@ class _Involution:
 
 
 def _sigma(spec: SpaceSpec) -> _Involution:
-    if spec.family not in _SIGMA:
+    row = _FAMILIES[spec.family]
+    if row.m is None:
         raise ValueError(f"group ensemble {spec.family} carries no involution")
-    build, conj = _SIGMA[spec.family]
-    perm, sign = build(spec)
+    if row.m == "J":
+        perm, sign = symplectic_pairing(spec.dim)
+    else:
+        perm = np.arange(spec.dim)
+        sign = np.diag(signature_matrix(spec)).copy() if row.m == "S" else np.ones(spec.dim)
     perm_t = np.argsort(perm)
-    return _Involution(perm, sign, perm_t, sign[perm_t], conj)
+    return _Involution(perm, sign, perm_t, sign[perm_t], row.conj)
 
 
 def involution(spec: SpaceSpec, g: np.ndarray) -> np.ndarray:
@@ -301,7 +312,7 @@ class EnsembleDraw(_MatrixStack):
         self.size = size
         self.dim = spec.dim
         self._involution = self._sign = self._flip = None
-        if parent is not None and spec.family in _SIGNATURE_FAMILIES:
+        if parent is not None and spec.p is not None:
             self._sign, self._flip = _grassmannian(spec)
         elif parent is not None and not spec.is_group:
             self._involution = _sigma(spec)
@@ -378,17 +389,14 @@ def _grassmannian(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     m = min(spec.p, spec.q)
     sign = np.diag(signature_matrix(spec)) * (1.0 if m == spec.q else -1.0)
-    flip = np.arange(m)
-    if spec.family == "CII":
-        flip = np.concatenate([flip, spec.dim // 2 + flip])
-    return sign, flip
+    return sign, _coords(spec, 0, m)
 
 
 def _parent_draw(spec: SpaceSpec, gen: np.random.Generator, size: int):
     # The samplers are looked up as this module's attributes at call time,
     # so a wrapper set on ``spaces.haar_unitary`` (a tracer) sees every draw.
     # The Grassmannians need only the first min(p, q) columns of g.
-    columns = min(spec.p, spec.q) if spec.family in _SIGNATURE_FAMILIES else None
+    columns = None if spec.p is None else min(spec.p, spec.q)
     parent = spec.parent
     if parent == "U":
         return haar_unitary(spec.dim, gen, size, dense=False, columns=columns)
@@ -431,35 +439,19 @@ def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: b
     return v[0] if size is None else v
 
 
-#: The kind of K's blocks per family: the K column of the module table.
-#: "U/2" is U(n/2) embedded in n coordinates as by :func:`_embed_complex`.
-_K_KIND = {
-    "U": "U", "O": "O", "SO": "SO", "SP": "SP",
-    "AI": "O", "AII": "SP", "AIII": "U",
-    "BDI": "SO", "DIII": "U/2", "CI": "U/2", "CII": "SP",
-}
-
-
 def _k_blocks(spec: SpaceSpec) -> list[tuple[str, np.ndarray]]:
     """K as diagonal blocks: ``(kind, coordinates)`` per non-empty block.
 
-    A group is one block of its own kind; a CII block holds its
-    quaternionic coordinates and their J-partners.
+    A group is one block of its own kind; the blocks of the families that
+    take p/q hold the coordinates of :func:`_coords`.
     """
-    fam, d = spec.family, spec.dim
-    if fam not in _K_KIND:
-        raise ValueError(f"unknown family {fam!r}")
-    if fam not in _SIGNATURE_FAMILIES:
-        return [(_K_KIND[fam], np.arange(d))]
-    blocks = []
-    for lo, m in ((0, spec.p), (spec.p, spec.q)):
-        if m == 0:
-            continue
-        coords = np.arange(lo, lo + m)
-        if fam == "CII":
-            coords = np.concatenate([coords, d // 2 + coords])
-        blocks.append((_K_KIND[fam], coords))
-    return blocks
+    if spec.family not in _FAMILIES:
+        raise ValueError(f"unknown family {spec.family!r}")
+    kind = _FAMILIES[spec.family].k
+    if spec.p is None:
+        return [(kind, np.arange(spec.dim))]
+    bounds = ((0, spec.p), (spec.p, spec.p + spec.q))
+    return [(kind, _coords(spec, lo, hi)) for lo, hi in bounds if hi > lo]
 
 
 #: Per block kind of :func:`_k_blocks`: an ``(size, n, n)`` Haar stack.  The
@@ -487,6 +479,8 @@ def sample_subgroup(spec: SpaceSpec, rng=None, size: int | None = None) -> np.nd
     if spec.is_group:
         return sample_point(spec, gen, size)
     nsamp = 1 if size is None else _integer(size, "size")
+    if nsamp < 1:
+        raise ValueError(f"size must be a positive integer, got {nsamp}")
     draws = [
         (coords, _HAAR_BLOCK[kind](coords.size, gen, nsamp))
         for kind, coords in _k_blocks(spec)

@@ -33,6 +33,7 @@ from .channel import (
     channel_weights,
     choi_matrix,
 )
+from .haar import _integer
 from .rng import RngStream
 from .spaces import ALL_FAMILIES, GROUP_FAMILIES, make_space, sample_point, structural_witness
 from .variance import second_moment_coefficients
@@ -276,8 +277,10 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if space is not None and space not in ALL_FAMILIES:
         raise ValueError(f"unknown family {space!r}")
+    samples = None if samples is None else _integer(samples, "samples")
     if samples is not None and samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
+    dim = None if dim is None else _integer(dim, "dim")
     if dim is not None and dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     if suite == "all":

@@ -160,6 +160,21 @@ def test_samplers_reject_non_integral_sizes(sampler, d):
     )
 
 
+@pytest.mark.parametrize(
+    "sampler, d, name",
+    [(partial(ginibre, "complex"), 4, "n"), (haar_unitary, 4, "d"), (haar_orthogonal, 4, "d"),
+     (haar_symplectic, 4, "d")],
+    ids=["ginibre", "unitary", "orthogonal", "symplectic"],
+)
+def test_samplers_reject_non_integral_dimensions(sampler, d, name):
+    for bad in (3.5, "3", True, np.float64(2.5)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            sampler(bad, RngStream(0), size=2)
+    np.testing.assert_array_equal(
+        sampler(float(d), RngStream(0), size=2), sampler(d, RngStream(0), size=2)
+    )
+
+
 def test_reflector_draw_rejects_bad_arguments():
     with pytest.raises(ValueError):
         haar_unitary(0, RngStream(0), dense=False)

@@ -1,5 +1,6 @@
 """Combinatorics, Monte-Carlo twirls, and the moment-tensor fit."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -534,6 +535,42 @@ def test_estimators_refuse_fewer_than_two_samples_before_drawing(monkeypatch, na
     _refuse_draws(monkeypatch)
     with pytest.raises(ValueError, match="at least 2 samples"):
         _ESTIMATORS[name](make_space("AI", 3), n, RngStream(45))
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3"])
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_estimators_reject_non_integral_sample_counts_before_drawing(monkeypatch, name, n):
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match="^n_samples must be an integer, got"):
+        _ESTIMATORS[name](make_space("AI", 3), n, RngStream(45))
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_estimators_take_an_integral_float_sample_count(name):
+    def fields(result):
+        return [dataclasses.astuple(r) for r in (result if isinstance(result, list) else [result])]
+
+    spec = make_space("AI", 3)
+    np.testing.assert_equal(
+        fields(_ESTIMATORS[name](spec, 64.0, RngStream(45))),
+        fields(_ESTIMATORS[name](spec, 64, RngStream(45))),
+    )
+
+
+@pytest.mark.parametrize("n_trials", [2.5, True, "3"])
+def test_h_equivariance_rejects_non_integral_trial_counts(monkeypatch, n_trials):
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match="^n_trials must be an integer, got"):
+        h_equivariance_check(make_space("AI", 3), n_trials, RngStream(36))
+
+
+def test_study_loop_keeps_real_draws_real():
+    # Realness is the spec's is_real: the pair Gram then takes real arithmetic.
+    for spec in (make_space("BDI", 4), make_space("DIII", 4), make_space("O", 3),
+                 make_space("AI", 3), make_space("CI", 4)):
+        batches = list(momentlab._batches(spec, RngStream(46).generator(), 5, 8, 16))
+        expected = np.float64 if spec.is_real else np.complex128
+        assert [b.dtype for b in batches] == [expected], spec.label()
 
 
 def test_moment_identities_reject_a_single_sample():

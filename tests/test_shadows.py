@@ -296,6 +296,39 @@ def test_median_of_means_reduces_to_mean_and_resists_outliers():
     assert median_of_means(spiked, 3) < 100
 
 
+def test_median_of_means_rejects_non_integral_batch_counts():
+    values = np.arange(9, dtype=float)
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="^n_batches must be an integer, got"):
+            median_of_means(values, bad)
+    assert median_of_means(values, 3.0) == median_of_means(values, 3)
+
+
+@pytest.mark.parametrize("run", [shadow_estimates, run_estimation])
+def test_streamed_runs_reject_non_integral_shot_counts(monkeypatch, run):
+    spec, rho, obs = make_space("U", 4), _state(4, 85), _traceless_observable(4, 86)
+    np.testing.assert_array_equal(
+        shadow_estimates(spec, rho, obs, 4.0, RngStream(88)),
+        shadow_estimates(spec, rho, obs, 4, RngStream(88)),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before checking n_shots")
+
+    monkeypatch.setattr(shadows, "sample_point", refuse)
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="^n_shots must be an integer, got"):
+            run(spec, rho, obs, bad)
+
+
+@pytest.mark.parametrize("field", ["n_shots", "n_instances"])
+def test_variance_sweep_rejects_non_integral_counts(field):
+    for bad in (2.5, True, "3"):
+        config = SweepConfig(dim=2, families=("U",), **{field: bad})
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+            variance_sweep(config)
+
+
 def test_median_of_means_error_paths():
     with pytest.raises(ValueError):
         median_of_means([], 1)
@@ -329,6 +362,15 @@ def test_signature_for_fraction_clamps_large_fractions(family, dim, total, fract
     # clamp to [-1, 1] snaps every large |c| to the extreme split.
     assert signature_for_fraction(family, dim, fraction) == (total, 0, total)
     assert signature_for_fraction(family, dim, -fraction) == (0, total, -total)
+
+
+@pytest.mark.parametrize("family", ["AIII", "BDI", "CII"])
+def test_make_space_accepts_every_snapped_signature(family):
+    for dim in range(2, 10, 2 if family == "CII" else 1):
+        for fraction in np.linspace(-1.25, 1.25, 41):
+            p, q, s = signature_for_fraction(family, dim, fraction)
+            spec = make_space(family, dim, p=p, q=q)
+            assert (spec.p, spec.q, spec.signature) == (p, q, s)
 
 
 @pytest.mark.parametrize("fraction", [np.nan, np.inf, -np.inf])

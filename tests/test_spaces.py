@@ -25,6 +25,46 @@ def test_family_lists():
     assert len(ALL_FAMILIES) == 11
 
 
+#: The catalogue: parent, is_real, dtype of a sampled stack, whether an odd d
+#: is refused, whether p/q are taken, and the smallest d make_space accepts.
+_CATALOGUE = {
+    "U": ("U", False, np.complex128, False, False, 1),
+    "O": ("O", True, np.float64, False, False, 1),
+    "SO": ("O", True, np.float64, False, False, 1),
+    "SP": ("SP", False, np.complex128, True, False, 2),
+    "AI": ("U", False, np.complex128, False, False, 2),
+    "AII": ("U", False, np.complex128, True, False, 2),
+    "AIII": ("U", False, np.complex128, False, True, 2),
+    "BDI": ("O", True, np.float64, False, True, 2),
+    "DIII": ("O", True, np.float64, True, False, 2),
+    "CI": ("SP", False, np.complex128, True, False, 2),
+    "CII": ("SP", False, np.complex128, True, True, 2),
+}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_family_catalogue(family):
+    parent, real, dtype, even_only, blocks, min_dim = _CATALOGUE[family]
+    spec = make_space(family, 4)
+    assert (spec.parent, spec.is_real) == (parent, real)
+    assert sample_point(spec, RngStream(1), size=2).dtype == dtype
+    assert sample_point(spec, RngStream(1), size=2, dense=False).matrix().dtype == dtype
+    if even_only:
+        with pytest.raises(ValueError, match="needs an even dimension"):
+            make_space(family, 3)
+    else:
+        assert make_space(family, 3).dim == 3
+    if blocks:
+        assert make_space(family, 4, p=1).p == 1
+    else:
+        with pytest.raises(ValueError, match="does not take block sizes"):
+            make_space(family, 4, p=1)
+    assert make_space(family, min_dim).dim == min_dim
+    for d in range(min_dim):
+        with pytest.raises(ValueError):
+            make_space(family, d)
+
+
 def test_make_space_defaults_balanced_blocks():
     spec = make_space("AIII", 6)
     assert (spec.p, spec.q) == (3, 3)
@@ -67,6 +107,14 @@ def test_sample_point_rejects_non_integral_sizes(sampler):
     np.testing.assert_array_equal(
         sampler(spec, RngStream(0), size=np.int64(2)), sampler(spec, RngStream(0), size=2.0)
     )
+
+
+@pytest.mark.parametrize("spec", [make_space(f, 2) for f in ALL_FAMILIES], ids=lambda s: s.label())
+def test_sample_subgroup_refuses_empty_stacks(spec):
+    # BDI(d=2) has two SO(1) blocks, which draw nothing, so no sampler refused.
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="^size must be a positive integer"):
+            sample_subgroup(spec, RngStream(0), size=bad)
 
 
 @pytest.mark.parametrize("family", ["AII", "DIII", "CI", "CII", "SP"])

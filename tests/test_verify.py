@@ -22,6 +22,15 @@ def test_run_suite_rejects_unknown_names():
         run_suite("haar", space="E8")
 
 
+@pytest.mark.parametrize("field", ["dim", "samples"])
+def test_run_suite_rejects_non_integral_counts(field):
+    # dim=2.5 ran no check at all, and an empty list reads as a pass.
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+            run_suite("witness", **{field: bad})
+    assert run_suite("witness", dim=4.0) == run_suite("witness", dim=4)
+
+
 @pytest.mark.parametrize(
     "suite, space, dim, message",
     [
