@@ -81,6 +81,8 @@ def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
     nsamp = 1 if size is None else _integer(size, "size")
+    if nsamp < 1:
+        raise ValueError(f"size must be a positive integer, got {nsamp}")
     if kind == "real":
         z = gen.standard_normal((nsamp, n, n))
     elif kind == "complex":

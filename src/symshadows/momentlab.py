@@ -28,7 +28,9 @@ The fit never builds these d^4 tensors, nor the empirical one: the basis
 Gram matrix is closed form, and the residual needs only the empirical
 tensor's Frobenius norm.  Regrouped as [(a,j), (b,i)], T is a Gram of pair
 products v_wa v_wj on the symmetric square, so the fit and
-:func:`mc_moment_tensor` accumulate it packed, d(d+1)/2 on a side.
+:func:`mc_moment_tensor` accumulate it packed, d(d+1)/2 on a side, in
+blocks of pair products of a fixed byte size, each block one real symmetric
+rank-k update (complex draws as their stacked real and imaginary parts).
 
 Every Monte-Carlo estimator draws through one checked, byte-bounded loop,
 :func:`_batches`; all but :func:`mc_moment_tensor`, which uses 32 block
@@ -135,10 +137,16 @@ STATE_MAX_BYTES = 2**27
 # Budget for the largest temporary of a batch (the stack of draws, of pair
 # products, or of d^(2k) twirl operands).  Batches shrink below their caps
 # only past it.  A fit or moment tensor charges 16 d^3 bytes per draw, the
-# d x d pair products of its d rows, though its packed ones take 16 P d; the
-# charge is kept on purpose, since it sets the batch split and so the
-# seeded draws: a d = 8 fit batch, 8192 * 16 * 8^3 B, fills it exactly.
+# d x d pair products of its d rows, though it holds only _GRAM_BLOCK_BYTES
+# of packed ones at a time; the charge is kept on purpose, since it sets the
+# batch split and so the seeded draws: a d = 8 fit batch, 8192 * 16 * 8^3 B,
+# fills it exactly.
 _BATCH_BYTES = 64 * 2**20
+# Pair products held at once by one block of the residual Gram
+# (:func:`_add_packed_pair_gram`): 16 P bytes per row of a complex draw, its
+# real and imaginary parts, and 8 P for a real one.  A complex block holds
+# them twice, as g and as the stacked [Re g; Im g].
+_GRAM_BLOCK_BYTES = 2**20
 _BATCH_DRAWS = 8192
 _IDENTITY_BATCH_DRAWS = 65536
 _TWIRL_ELEMENTS = 4_000_000
@@ -146,7 +154,7 @@ _CHANNEL_ELEMENTS = 2_000_000
 _N_BLOCKS = 32
 
 
-def _batches(spec, gen, n_samples, cap, draw_bytes, blocks=1, state_bytes=0):
+def _batches(spec, gen, n_samples, cap, draw_bytes, blocks=1, state_bytes=0, dense=True):
     """Check a Monte-Carlo request, then return its draws as lazy batches.
 
     Raises ``ValueError`` before any draw when ``n_samples`` is not an
@@ -156,7 +164,9 @@ def _batches(spec, gen, n_samples, cap, draw_bytes, blocks=1, state_bytes=0):
     of ``blocks`` equal blocks.  Batches call the module-level
     :func:`sample_point` when iterated, so a wrapper set on it sees every
     draw, and values the caller takes from ``gen`` first come first.  They
-    hold the draws as drawn: real for the real families.
+    hold the draws as drawn: real for the real families.  With ``dense=False``
+    each batch is the :class:`~symshadows.spaces.EnsembleDraw` of the same
+    draws, from the same stream, split the same way.
     """
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2:
@@ -168,11 +178,14 @@ def _batches(spec, gen, n_samples, cap, draw_bytes, blocks=1, state_bytes=0):
         )
     per_block = n_samples // blocks
     size = max(1, min(cap, per_block, _BATCH_BYTES // draw_bytes))
-    return (
-        np.ascontiguousarray(sample_point(spec, gen, size=min(size, start + per_block - lo)))
+    sizes = (
+        min(size, start + per_block - lo)
         for start in range(0, per_block * blocks, per_block)
         for lo in range(start, start + per_block, size)
     )
+    if not dense:
+        return (sample_point(spec, gen, size=n, dense=False) for n in sizes)
+    return (np.ascontiguousarray(sample_point(spec, gen, size=n)) for n in sizes)
 
 
 def _finalize(values, n):
@@ -314,20 +327,37 @@ def _add_packed_pair_gram(out: np.ndarray, v: np.ndarray) -> None:
     square, packed with weight sqrt(2) off the diagonal, so that packing is
     an isometry.  T[a, b, i, j] = sum_w g_w[a, j] conj(g_w[b, i]), so
     ``out`` holds T (see :func:`_unpack_pair_gram`) with its Frobenius norm
-    at P = d(d+1)/2 on a side.  Real draws (the O-parent families) take
-    real arithmetic, whose gemm is a symmetric rank-k update; complex ones,
-    single points included, take complex arithmetic, with the same values.
+    at P = d(d+1)/2 on a side.
+
+    The rows are taken in blocks of :data:`_GRAM_BLOCK_BYTES` of pair
+    products, so the working set does not grow with the batch.  Every block
+    is a real symmetric rank-k update, ``m @ m.T``: for real draws (the
+    O-parent families) m = g; for complex ones, single points included,
+    m = [Re g; Im g] (2P rows), and g g^dagger = (A11 + A22) + i(A21 - A12)
+    in the 2 x 2 block split of m m^T, half the flops of a complex gemm.
     """
     d = v.shape[-1]
-    x = np.ascontiguousarray(v.reshape(-1, d).T)
-    x_off = x * np.sqrt(2.0)
-    g = np.empty((d * (d + 1) // 2, x.shape[1]), dtype=x.dtype)
-    lo = 0
-    for a in range(d):
-        np.multiply(x[a], x[a], out=g[lo])
-        np.multiply(x[a], x_off[a + 1 :], out=g[lo + 1 : lo + d - a])
-        lo += d - a
-    out += g @ g.conj().T
+    p = d * (d + 1) // 2
+    rows = v.reshape(-1, d)
+    real = rows.dtype.kind != "c"
+    step = max(1, _GRAM_BLOCK_BYTES // ((8 if real else 16) * p))
+    g = np.empty((p, min(step, len(rows))), dtype=rows.dtype)
+    acc = np.zeros((p, p) if real else (2 * p, 2 * p))
+    for lo in range(0, len(rows), step):
+        x = np.ascontiguousarray(rows[lo : lo + step].T)
+        x_off = x * np.sqrt(2.0)
+        gb = g[:, : x.shape[1]]
+        k = 0
+        for a in range(d):
+            np.multiply(x[a], x[a], out=gb[k])
+            np.multiply(x[a], x_off[a + 1 :], out=gb[k + 1 : k + d - a])
+            k += d - a
+        m = gb if real else np.concatenate((gb.real, gb.imag))
+        acc += m @ m.T
+    if real:
+        out += acc
+    else:
+        out += (acc[:p, :p] + acc[p:, p:]) + 1j * (acc[p:, :p] - acc[:p, p:])
 
 
 def _unpack_pair_gram(gram: np.ndarray, d: int) -> np.ndarray:
@@ -462,7 +492,11 @@ def fit_channel_coefficients(spec: SpaceSpec, n_samples: int, rng=None) -> Momen
     fitted basis weights and reported with propagated errors.  The residual
     needs only the empirical tensor's Frobenius norm, which the fit takes
     from the tensor's Gram on the symmetric square: a P x P accumulator,
-    P = d(d+1)/2, of 16 P^2 bytes.
+    P = d(d+1)/2, of 16 P^2 bytes, summed over 1 MiB blocks of pair
+    products in real arithmetic (complex draws as [Re g; Im g]), so its
+    working set does not grow with the batch.  Draws are still charged
+    16 d^3 bytes and the state 16 d^4, so the batch splits, and with them
+    the seeded draws, are those of the unblocked fit.
 
     Raises
     ------
@@ -577,13 +611,25 @@ def entry_moments(spec: SpaceSpec, targets, n_samples: int, rng=None) -> list[Mo
     [0.0]
     """
     d = spec.dim
-    batches = _batches(spec, as_generator(rng), n_samples, _IDENTITY_BATCH_DRAWS, 16 * d * d)
+    # Draws are charged as dense, 16 d^2 bytes, so the batch split, and with
+    # it the seeded draws, is that of the dense loop.
+    batches = _batches(
+        spec, as_generator(rng), n_samples, _IDENTITY_BATCH_DRAWS, 16 * d * d, dense=False
+    )
+    wanted = {j for _, (_, j), _, _ in targets}
 
-    def values(v):
+    def values(draw):
+        # V[:, i, j] is row i of V e_j: one applied column per distinct j,
+        # O(d^2) per draw, where the dense matrix costs O(d^3).
+        columns = {}
+        for j in wanted:
+            e = np.zeros((d, draw.size))
+            e[j] = 1.0
+            columns[j] = draw.apply(e)
         # Column-major, so each target's column is summed pairwise.
-        out = np.empty((len(v), len(targets)), order="F")
+        out = np.empty((draw.size, len(targets)), order="F")
         for t, (_, (i, j), k, _) in enumerate(targets):
-            out[:, t] = np.abs(v[:, i, j]) ** k
+            out[:, t] = np.abs(columns[j][i]) ** k
         return out
 
     mean, sem = _finalize(map(values, batches), n_samples)

@@ -438,30 +438,36 @@ def shadow_estimates(
     (n_shots,) float ndarray
         Single-record estimates, in draw order.
     """
-    n_shots, _, factor, _, _, x = _prepare(spec, rho, observable, n_shots)
+    n_shots, batch_size, _, factor, _, _, x = _prepare(
+        spec, rho, observable, n_shots, batch_size
+    )
     return _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
 
 
-def _prepare(spec: SpaceSpec, rho, observable, n_shots: int):
-    """Check the inputs of a streamed run once.
+def _prepare(spec: SpaceSpec, rho, observable, n_shots: int, batch_size):
+    """Check the inputs of a streamed run once, the counts first.
 
-    Returns ``n_shots`` as an int, the validated state, its low-rank
-    factor, the checked observable ``O``, the channel inverse ``M⁺`` and
-    ``x = M⁺(O)``.
+    Returns ``n_shots`` and ``batch_size`` as ints (the default batch filled
+    in), the validated state, its low-rank factor, the checked observable
+    ``O``, the channel inverse ``M⁺`` and ``x = M⁺(O)``.
     """
     n_shots = _integer(n_shots, "n_shots")
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
+    if batch_size is None:
+        batch_size = max(1, min(n_shots, 2_000_000 // (spec.dim * spec.dim)))
+    batch_size = _integer(batch_size, "batch_size")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be a positive integer, got {batch_size}")
     state, factor = _validated_state(spec, rho)
     obs = _as_observable(observable, spec.dim)
     inverse = invert_channel(spec)
-    return n_shots, state, factor, obs, inverse, np.ascontiguousarray(inverse.apply(obs))
+    x = np.ascontiguousarray(inverse.apply(obs))
+    return n_shots, batch_size, state, factor, obs, inverse, x
 
 
 def _streamed_estimates(spec, factor, x, n_shots, rng, batch_size) -> np.ndarray:
     gen = as_generator(rng)
-    if batch_size is None:
-        batch_size = max(1, min(int(n_shots), 2_000_000 // (spec.dim * spec.dim)))
     out = np.empty(n_shots, dtype=np.float64)
     done = 0
     while done < n_shots:
@@ -493,7 +499,9 @@ def run_estimation(
     """
     if _integer(n_shots, "n_shots") < 2:
         raise ValueError("variance estimation needs n_shots >= 2")
-    n_shots, state, factor, obs, inverse, x = _prepare(spec, rho, observable, n_shots)
+    n_shots, batch_size, state, factor, obs, inverse, x = _prepare(
+        spec, rho, observable, n_shots, batch_size
+    )
     estimates = _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
     projected = inverse.is_projected(obs)
     if truth is None:

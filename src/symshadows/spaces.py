@@ -378,6 +378,9 @@ class EnsembleDraw(_MatrixStack):
         g = self.parent.matrix()
         if self._involution is None:
             return g
+        if _FAMILIES[spec.family].m == "1":
+            # AI: σ(g) = ḡ, so V = gᵀ g without involution's fancy-index copy.
+            return np.ascontiguousarray(np.swapaxes(g, -1, -2)) @ g
         return np.swapaxes(involution(spec, g).conj(), -1, -2) @ g
 
 

@@ -160,6 +160,13 @@ def test_samplers_reject_non_integral_sizes(sampler, d):
     )
 
 
+@pytest.mark.parametrize("kind", ["real", "complex", "quaternion"])
+def test_ginibre_refuses_empty_stacks(kind):
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="^size must be a positive integer"):
+            ginibre(kind, 3, RngStream(0), size=bad)
+
+
 @pytest.mark.parametrize(
     "sampler, d, name",
     [(partial(ginibre, "complex"), 4, "n"), (haar_unitary, 4, "d"), (haar_orthogonal, 4, "d"),

@@ -281,14 +281,26 @@ def test_closed_form_gram_equals_entrywise_basis_gram(parent, d):
     assert np.array_equal(gram, np.array(expected, dtype=float))
 
 
+class _DenseDraw:
+    """A served stack of matrices as a ``dense=False`` draw: ``apply`` only."""
+
+    def __init__(self, v):
+        self.v = v
+        self.size = len(v)
+
+    def apply(self, y):
+        return np.einsum("nij,jn->in", self.v, y)
+
+
 def _fixed_draws(monkeypatch, draws):
     """Serve ``draws`` in order to every momentlab.sample_point call."""
     served = [0]
 
-    def fixed(spec, rng=None, size=None):
+    def fixed(spec, rng=None, size=None, dense=True):
         start = served[0]
         served[0] += size
-        return draws[start : start + size]
+        batch = draws[start : start + size]
+        return batch if dense else _DenseDraw(batch)
 
     monkeypatch.setattr(momentlab, "sample_point", fixed)
     return served
@@ -342,6 +354,50 @@ def test_packed_pair_gram_has_the_norm_of_the_full_pair_gram(family, dim, p, q):
     assert np.linalg.norm(packed) == pytest.approx(np.linalg.norm(full), rel=1e-12)
     unpacked = momentlab._unpack_pair_gram(packed, dim)
     np.testing.assert_allclose(unpacked, full, rtol=0, atol=1e-12 * np.abs(full).max())
+
+
+def _gram_reference(v):
+    """sum_w g_w g_w^dagger as one complex gemm over the packed pair products."""
+    d = v.shape[-1]
+    rows = v.reshape(-1, d).astype(complex)
+    a, j = np.triu_indices(d)
+    g = (rows[:, a] * rows[:, j] * np.where(a == j, 1.0, np.sqrt(2.0))).T
+    return g @ g.conj().T
+
+
+# Real (BDI), complex (AI, CI) and single-point (AIII and BDI with an empty
+# block) draws whose rows span several Gram blocks and end in a partial one.
+@pytest.mark.parametrize(
+    "family,dim,p,q,size",
+    [("AI", 8, None, None, 700), ("CI", 6, None, None, 2000), ("BDI", 8, 4, 4, 1500),
+     ("AIII", 8, 8, 0, 700), ("BDI", 8, 8, 0, 1500)],
+)
+def test_blocked_pair_gram_matches_one_complex_gemm(family, dim, p, q, size):
+    v = sample_point(make_space(family, dim, p, q), RngStream(54), size=size)
+    n_rows = size * dim
+    per_row = (8 if v.dtype.kind == "f" else 16) * dim * (dim + 1) // 2
+    block = momentlab._GRAM_BLOCK_BYTES // per_row
+    assert n_rows > 2 * block and n_rows % block
+    expected = _gram_reference(v)
+    packed = np.zeros_like(expected)
+    # Two calls accumulate, as the fit's batches do.
+    momentlab._add_packed_pair_gram(packed, v[: size // 3])
+    momentlab._add_packed_pair_gram(packed, v[size // 3 :])
+    assert np.linalg.norm(packed - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_pair_gram_working_set_does_not_grow_with_the_batch():
+    # The whole-batch gemm of a 2048-draw AI(8) batch held 22 MB of pair
+    # products and their conjugate transpose; blocks keep it a few MB.
+    v = sample_point(make_space("AI", 8), RngStream(55), size=2048)
+    packed = np.zeros((36, 36), dtype=complex)
+    tracemalloc.start()
+    try:
+        momentlab._add_packed_pair_gram(packed, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # Seeded fits, 3000 draws each: draws, coefficients, standard errors and
@@ -445,9 +501,9 @@ def test_every_estimator_draws_exactly_n_samples_through_sample_point(
     sizes = []
     original = momentlab.sample_point
 
-    def counting(spec, rng=None, size=None):
+    def counting(spec, rng=None, size=None, dense=True):
         sizes.append(size)
-        return original(spec, rng, size=size)
+        return original(spec, rng, size=size, dense=dense)
 
     monkeypatch.setattr(momentlab, "sample_point", counting)
     _ESTIMATORS[name](spec, 96, RngStream(42))
@@ -462,9 +518,9 @@ def test_batches_keep_their_caps_at_the_sizes_seeded_outputs_use(monkeypatch):
     sizes = []
     original = momentlab.sample_point
 
-    def counting(spec, rng=None, size=None):
+    def counting(spec, rng=None, size=None, dense=True):
         sizes.append(size)
-        return original(spec, rng, size=size)
+        return original(spec, rng, size=size, dense=dense)
 
     monkeypatch.setattr(momentlab, "sample_point", counting)
     fit_channel_coefficients(make_space("AI", 8), 8193, RngStream(46))

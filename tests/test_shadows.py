@@ -321,6 +321,26 @@ def test_streamed_runs_reject_non_integral_shot_counts(monkeypatch, run):
             run(spec, rho, obs, bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [(0, "^batch_size must be a positive integer, got 0"),
+     (2.5, "^batch_size must be an integer, got 2.5"),
+     (True, "^batch_size must be an integer, got True")],
+    ids=["zero", "fraction", "bool"],
+)
+@pytest.mark.parametrize("run", [shadow_estimates, run_estimation])
+def test_streamed_runs_check_batch_size_before_the_state(monkeypatch, run, bad, message):
+    # rho is no density matrix, so the batch size is checked before the state.
+    spec, obs = make_space("U", 3), _traceless_observable(3, 89)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before checking batch_size")
+
+    monkeypatch.setattr(shadows, "sample_point", refuse)
+    with pytest.raises(ValueError, match=message):
+        run(spec, np.zeros((3, 3)), obs, 4, 1, batch_size=bad)
+
+
 @pytest.mark.parametrize("field", ["n_shots", "n_instances"])
 def test_variance_sweep_rejects_non_integral_counts(field):
     for bad in (2.5, True, "3"):

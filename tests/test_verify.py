@@ -81,9 +81,9 @@ def test_haar_moments_draw_through_the_checked_loop(monkeypatch):
     sizes = []
     original = momentlab.sample_point
 
-    def counting(spec, rng=None, size=None):
+    def counting(spec, rng=None, size=None, dense=True):
         sizes.append(size)
-        return original(spec, rng, size=size)
+        return original(spec, rng, size=size, dense=dense)
 
     monkeypatch.setattr(momentlab, "sample_point", counting)
     checks = run_suite("haar", samples=5000)
