@@ -1,23 +1,32 @@
 """Haar sampling on the classical compact groups U(d), O(d), SO(d), SP(d).
 
-All four are drawn as products of Householder reflectors built from fresh
-Gaussian vectors of decreasing length (Stewart, SIAM J. Numer. Anal.
-17:403 (1980); Mezzadri, "How to generate random matrices from the
-classical compact groups", Notices AMS 54 (2007)), quaternionic ones for
-SP(d) (Bunse-Gerstner, Byers & Mehrmann, Numer. Math. 55:83 (1989)).
-Reflector ``k`` is the one Householder QR of a Ginibre matrix would build
-from its ``k``-th column, and a gauge (unit phases; a Haar Sp(1) element
-per quaternionic coordinate for SP) makes the law exactly Haar.  A draw is
-held packed (:class:`HouseholderDraw`, returned with ``dense=False``): a
-round costs about d²/2 Gaussians, and applying it to a vector costs O(d²),
-with no d×d matrix formed unless :meth:`HouseholderDraw.matrix` is asked
-for.  Reflector ``k`` fixes the first ``k`` basis vectors, so the first
-``m`` columns of a draw depend only on reflectors ``0, …, m-1`` and their
-gauge entries; ``columns=m`` draws only those, d·m − m(m−1)/2 Gaussians,
-and applying the draw then costs O(d·m).
+Two samplers share each group, one per use.
 
-The matrix samplers accept ``size=None`` for a single ``(d, d)`` matrix or
-an integer ``size`` for a stacked ``(size, d, d)`` batch, and draw from a
+* **Dense** (``dense=True``, the default): products of Householder
+  reflectors built from fresh Gaussian vectors of decreasing length
+  (Stewart, SIAM J. Numer. Anal. 17:403 (1980); Mezzadri, "How to generate
+  random matrices from the classical compact groups", Notices AMS 54
+  (2007)), quaternionic ones for SP(d) (Bunse-Gerstner, Byers & Mehrmann,
+  Numer. Math. 55:83 (1989)).  Reflector ``k`` is the one Householder QR of
+  a Ginibre matrix would build from its ``k``-th column, and a gauge (unit
+  phases; a Haar Sp(1) element per quaternionic coordinate for SP) makes
+  the law exactly Haar.  :class:`HouseholderDraw` holds the reflectors, about
+  d²/2 Gaussians per draw, and forms the matrices (LAPACK ``?ungqr`` from
+  ``ORGQR_MIN_DIM`` on).  Reflector ``k`` fixes the first ``k`` basis
+  vectors, so ``columns=m`` draws only the ``m`` reflectors that the first
+  ``m`` columns depend on and forms only those columns.
+* **Deferred** (``dense=False``): for code that applies a draw to a few
+  vectors.  Haar measure is revealed one direction at a time: given the
+  input/output pairs fixed so far, a new direction's image is uniform on the
+  unit sphere of the outputs' complement (:class:`DeferredUnitary`), and the
+  squared length of a Haar subspace's projection of a fresh direction is
+  Beta-distributed (:class:`DeferredSubspace`, the span of the first
+  ``columns`` columns).  Applying a draw to k vectors costs k fresh Gaussian
+  d-vectors and O(k²d), whatever d; ``matrix()`` completes a draw from a
+  stream spawned off the caller's, with the same law.
+
+The samplers accept ``size=None`` for a single ``(d, d)`` matrix or an
+integer ``size`` for a stacked ``(size, d, d)`` batch, and draw from a
 :class:`numpy.random.Generator` (or anything :func:`symshadows.rng.as_generator`
 accepts).
 """
@@ -29,6 +38,8 @@ import numpy as np
 from .rng import as_generator
 
 __all__ = [
+    "DeferredSubspace",
+    "DeferredUnitary",
     "HouseholderDraw",
     "ginibre",
     "haar_unitary",
@@ -135,12 +146,13 @@ class _MatrixStack:
 class HouseholderDraw(_MatrixStack):
     """A batch of Haar draws from U(d), O(d), SO(d) or SP(d), held as reflectors.
 
-    Draw ``n`` is ``g = H_0 H_1 ⋯ H_{m-1} D`` with ``H_k = 1 - tau[k, n]
-    v_k v_kᴴ`` and ``tau = 2/‖v_k‖²``; ``m`` is d − 1 (d/2 − 1 quaternionic
-    reflectors for SP) for a full draw, and the ``columns`` asked for
-    otherwise, with ``D = 1`` past them.  (LAPACK scales ``v_k[k]`` to 1; the
-    scale of ``v_k`` does not change ``H_k``, so it is left as drawn.)  In
-    the ``(c, d/c)`` view of a vector (``c = 2`` for SP, whose rows ``i``,
+    The dense samplers' draw: :meth:`matrix` forms it.  Draw ``n`` is
+    ``g = H_0 H_1 ⋯ H_{m-1} D`` with ``H_k = 1 - tau[k, n] v_k v_kᴴ`` and
+    ``tau = 2/‖v_k‖²``; ``m`` is d − 1 (d/2 − 1 quaternionic reflectors for
+    SP) for a full draw, and the ``columns`` asked for otherwise, with
+    ``D = 1`` past them.  (LAPACK scales ``v_k[k]`` to 1; the scale of
+    ``v_k`` does not change ``H_k``, so it is left as drawn.)  In the
+    ``(c, d/c)`` view of a vector (``c = 2`` for SP, whose rows ``i``,
     ``d/2 + i`` form quaternionic coordinate ``i``; else 1), ``v_k`` covers
     coordinates ``k//c, …``; SP's ``v_{2j+1} = J conj(v_{2j})`` is
     orthogonal to ``v_{2j}``.  Every array keeps the batch axis last.
@@ -173,55 +185,33 @@ class HouseholderDraw(_MatrixStack):
         self.dim, self.size = signs.shape
         self._blocks = 1 if swap is None else 2
 
-    def _reflect_all(self, out: np.ndarray, order) -> None:
-        """In place: ``out <- H_k out`` for each ``k`` in ``order``; ``out`` is ``(d, B)``."""
-        c = self._blocks
-        view = out.reshape(c, self.dim // c, out.shape[1])
-        for k in order:
-            lo, m = self.offsets[k], self.dim // c - k // c
-            v = self.reflectors[lo : lo + c * m].reshape(c, m, -1)
-            seg = view[:, k // c :]
-            coef = (v.conj() * seg).sum(axis=(0, 1))
-            coef *= self.tau[k]
-            seg -= v * coef
+    def matrix(self, columns: int | None = None) -> np.ndarray:
+        """The draws as dense matrices, ``(B, d, d)``, or their leading columns.
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)``."""
-        out = np.ascontiguousarray(y * self.signs)
-        if self.swap is not None:
-            out += self.swap * np.roll(y, self.dim // 2, axis=0)
-        self._reflect_all(out, range(len(self.offsets) - 1, -1, -1))
-        return out
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)``."""
-        out = np.array(y, dtype=np.result_type(y, self.reflectors), order="C")
-        self._reflect_all(out, range(len(self.offsets)))
-        if self.swap is None:
-            out *= self.signs.conj()
-            return out
-        return self.signs.conj() * out + np.roll(self.swap.conj() * out, self.dim // 2, axis=0)
-
-    def matrix(self) -> np.ndarray:
-        """The draws as dense ``(B, d, d)`` matrices.
-
-        Reflectors are applied to ``D`` right to left, and ``H_k`` only
-        touches the trailing ``k//c, …`` coordinate block of the partial
-        product, so this costs d³/3 per draw rather than d³.  For U/O from
-        ``d = ORGQR_MIN_DIM`` on, LAPACK's blocked ``?ungqr``/``?orgqr``
+        With ``columns=m`` only the first ``m`` (quaternionic) columns are
+        formed, ``(B, d, c·m)``; SP's are columns ``0, …, m-1`` and then
+        ``d/2, …, d/2 + m - 1``.  They depend on reflectors ``0, …, m-1``
+        alone.  Reflectors are applied to ``D`` right to left, and ``H_k``
+        only touches the trailing ``k//c, …`` coordinate block of the
+        partial product, so a full draw costs d³/3 rather than d³.  For U/O
+        from ``d = ORGQR_MIN_DIM`` on, LAPACK's blocked ``?ungqr``/``?orgqr``
         does this per draw; below it, and for SP, one NumPy pass over the
         whole batch is faster.
         """
         d, c = self.dim, self._blocks
+        kept = d // c if columns is None else columns
         if c == 1 and d >= ORGQR_MIN_DIM:
-            return self._matrix_lapack()
-        out = np.zeros((d, d, self.size), dtype=self.signs.dtype)
-        rows = np.arange(d)
-        out[rows, rows] = self.signs
-        if self.swap is not None:
-            out[rows, np.roll(rows, d // 2)] = self.swap
-        view = out.reshape(c, d // c, c, d // c, self.size)
+            return self._matrix_lapack(kept)
+        out = np.zeros((d, c * kept, self.size), dtype=self.signs.dtype)
+        view = out.reshape(c, d // c, c, kept, self.size)
+        diag = np.arange(kept)
+        for a in range(c):
+            view[a, diag, a, diag] = self.signs[a * (d // c) + diag]
+            if self.swap is not None:
+                view[a, diag, 1 - a, diag] = self.swap[a * (d // c) + diag]
         for k in range(len(self.offsets) - 1, -1, -1):
+            if k // c >= kept:
+                continue
             lo, m = self.offsets[k], d // c - k // c
             v = self.reflectors[lo : lo + c * m].reshape(c, m, -1)
             sub = view[:, k // c :, :, k // c :]
@@ -229,7 +219,7 @@ class HouseholderDraw(_MatrixStack):
             sub -= v[:, :, None, None, :] * coef[None, None]
         return np.ascontiguousarray(out.transpose(2, 0, 1))
 
-    def _matrix_lapack(self) -> np.ndarray:
+    def _matrix_lapack(self, kept: int) -> np.ndarray:
         # scipy.linalg takes about 0.3 s to import; only dense draws at
         # d >= ORGQR_MIN_DIM need it.
         from scipy.linalg import lapack
@@ -238,24 +228,408 @@ class HouseholderDraw(_MatrixStack):
         orgqr = lapack.zungqr if dtype.kind == "c" else lapack.dorgqr
         # LAPACK's packing: reflector k is 1 - t v vᴴ with v[k] = 1, stored
         # below the diagonal of column k; packed[n, k] is that column of
-        # draw n, so packed[n].T is the Fortran-ordered matrix.  Scaling
-        # v_k by 1/v_k[0] scales tau by |v_k[0]|².
-        packed = np.zeros((self.size, d, d), dtype=dtype)
-        tau = np.zeros((self.size, d), dtype=dtype)
-        for k in range(len(self.offsets)):
+        # draw n, so packed[n].T is the Fortran-ordered d x kept panel.
+        # Scaling v_k by 1/v_k[0] scales tau by |v_k[0]|².
+        reflectors = min(len(self.offsets), kept)
+        packed = np.zeros((self.size, kept, d), dtype=dtype)
+        tau = np.zeros((self.size, reflectors), dtype=dtype)
+        for k in range(reflectors):
             lo, m = self.offsets[k], d - k
             v = self.reflectors[lo : lo + m]
             head = np.where(self.tau[k] > 0, v[0], 1.0)
             packed[:, k, k + 1 :] = (v[1:] / head).T
             tau[:, k] = self.tau[k] * np.abs(v[0]) ** 2
-        out = np.empty_like(packed)
-        signs = self.signs.T
+        out = np.empty((self.size, d, kept), dtype=dtype)
+        signs = self.signs[:kept].T
         for n in range(self.size):
             q, _, info = orgqr(packed[n].T, tau[n], lwork=32 * d, overwrite_a=1)
             if info != 0:
                 raise RuntimeError(f"LAPACK ?ungqr/?orgqr failed with info={info}")
             np.multiply(q, signs[n], out=out[n])
         return out
+
+
+#: A query whose part outside the directions a deferred draw has revealed is
+#: at most this fraction of its norm is taken to lie in their span: that part
+#: is roundoff (or exactly zero), and its direction would be garbage.  Where
+#: a reveal is needed anyway, for other draws of the batch, such a draw
+#: reveals a fresh direction instead.
+REVEAL_RTOL = 1e-12
+
+
+class _Frame:
+    """Orthonormal vectors ``v_0, …, v_{n-1}``, stacked ``(n, d, B)``.
+
+    Storage grows by doubling, up to ``d`` vectors.
+    """
+
+    def __init__(self, dim: int, size: int, dtype):
+        self.dim = dim
+        self.n = 0
+        self._store = np.empty((min(dim, 4), dim, size), dtype=dtype)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._store[: self.n]
+
+    def add(self, v: np.ndarray) -> None:
+        if self.n == len(self._store):
+            grown = np.empty((min(self.dim, 2 * self.n),) + self._store.shape[1:], self._store.dtype)
+            grown[: self.n] = self._store
+            self._store = grown
+        self._store[self.n] = v
+        self.n += 1
+
+    def combine(self, coef: np.ndarray) -> np.ndarray:
+        """``Σ_i coef[i] v_i`` for coefficients ``(n, B)``."""
+        return _combine(self.vectors, coef)
+
+
+def _coefficients(vectors: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``⟨v_i, z⟩`` for vectors ``(n, d, B)`` and ``z`` ``(d, B)``: ``(n, B)``."""
+    if vectors.shape[2] == 1:
+        # One draw, as when a record completes its rotation: one BLAS product.
+        return (vectors[:, :, 0].conj() @ z[:, 0])[:, None]
+    if vectors.dtype.kind != "c":
+        return (vectors * z).sum(axis=1)
+    # Conjugating z and the (n, B) result copies less than conjugating the vectors.
+    return np.conjugate((vectors * z.conj()).sum(axis=1))
+
+
+def _combine(vectors: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``Σ_i coef[i] v_i`` for vectors ``(n, d, B)`` and coefficients ``(n, B)``."""
+    if not len(vectors):
+        return np.zeros(vectors.shape[1:], dtype=np.result_type(vectors, coef))
+    if vectors.shape[2] == 1:
+        return (coef[:, 0] @ vectors[:, :, 0])[:, None]
+    out = vectors[0] * coef[0]
+    for v, c in zip(vectors[1:], coef[1:]):
+        out += v * c
+    return out
+
+
+def _split(vectors: np.ndarray, z: np.ndarray):
+    """Split ``z`` over the span of ``vectors`` and the rest.
+
+    Returns the coefficients ``⟨v_i, z⟩``, the remainder, and the norms of
+    the remainder and of ``z``.  Classical Gram–Schmidt, with a second pass
+    where the first cancelled more than a third of ``z``'s norm: twice is
+    enough (Kahan and Parlett), so the remainder is orthogonal to the
+    vectors to roundoff even when it is small.  With no vectors the
+    remainder is ``z`` itself.
+    """
+    z_norm = _norms(z)
+    if not len(vectors):
+        return np.zeros((0, z.shape[1]), dtype=z.dtype), z, z_norm, z_norm
+    coef = _coefficients(vectors, z)
+    rest = z - _combine(vectors, coef)
+    norm = _norms(rest)
+    if np.any(norm < (2.0 / 3.0) * z_norm):
+        again = _coefficients(vectors, rest)
+        rest -= _combine(vectors, again)
+        coef += again
+        norm = _norms(rest)
+    return coef, rest, norm, z_norm
+
+
+def _norms(z: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of ``z``, ``(d, B)``."""
+    if z.dtype.kind != "c":
+        return np.sqrt(np.einsum("ib,ib->b", z, z))
+    parts = np.ascontiguousarray(z).view(np.float64)
+    return np.sqrt(np.einsum("ib,ib->b", parts, parts).reshape(-1, 2).sum(axis=1))
+
+
+def _theta(v: np.ndarray) -> np.ndarray:
+    """``J conj(v)`` for vectors stacked ``(d, B)``: SP(d) commutes with it."""
+    n = v.shape[0] // 2
+    out = np.empty_like(v)
+    np.negative(v[n:].conj(), out=out[:n])
+    np.conjugate(v[:n], out=out[n:])
+    return out
+
+
+class _DeferredDraw:
+    """What both deferred draws share: the field, the streams and fresh directions.
+
+    Reveals draw from the generator the draw was made with, as the draw is
+    used.  :meth:`matrix` completes the draw from a child generator spawned
+    off it, so forming the matrix leaves the caller's stream where it was.
+    """
+
+    def __init__(self, dim: int, size: int, gen: np.random.Generator, field: str):
+        self.dim = dim
+        self.size = size
+        self.field = field
+        self._gen = gen
+        self._child = None
+        self._dtype = np.float64 if field == "real" else np.complex128
+
+    def _frame(self) -> _Frame:
+        return _Frame(self.dim, self.size, self._dtype)
+
+    def _fresh(self, vectors: np.ndarray) -> np.ndarray:
+        """Unit vectors uniform on the sphere of the complement of ``vectors``, ``(d, b)``.
+
+        ``vectors`` is ``(n, d, b)``; one fresh Gaussian d-vector per column.
+        A quaternionic complement is closed under ``J conj``, so the result
+        is uniform on its sphere too.
+        """
+        count = vectors.shape[2]
+        if self.field == "real":
+            w = self._gen.standard_normal((self.dim, count))
+        else:
+            w = self._gen.standard_normal((self.dim, 2 * count)).view(np.complex128)
+        _, w, norm, _ = _split(vectors, w)
+        w *= 1.0 / norm
+        return w
+
+    def _directions(self, frame: _Frame, z: np.ndarray):
+        """Split ``z`` over ``frame``: its coefficients, the unit direction x of
+        its remainder, and the remainder's coefficient on x.
+
+        x is ``None`` when no draw of the batch has a remainder above
+        :data:`REVEAL_RTOL`.  Otherwise draws whose remainder is below it
+        get a fresh direction off the frame instead, with coefficient 0, so
+        every draw of the batch reveals one.
+        """
+        coef, rest, norm, z_norm = _split(frame.vectors, z)
+        small = norm <= REVEAL_RTOL * z_norm
+        if small.all():
+            return coef, None, None
+        x = rest * (1.0 / np.where(small, 1.0, norm))
+        if small.any():
+            x[:, small] = self._fresh(frame.vectors[:, :, small])
+            norm[small] = 0.0
+        return coef, x, norm
+
+    def _run(self, y: np.ndarray, one) -> np.ndarray:
+        """``one`` applied to ``y``; a real draw takes a complex ``y`` part by part."""
+        y = np.asarray(y)
+        if self.field != "real":
+            return one(np.asarray(y, dtype=np.complex128))
+        out = one(np.ascontiguousarray(y.real, dtype=np.float64))
+        if not np.iscomplexobj(y):
+            return out
+        if np.any(y.imag):
+            return out + 1j * one(np.ascontiguousarray(y.imag))
+        return out.astype(np.complex128)
+
+    def _completing(self):
+        """Swap in the completion stream; returns the caller's, to swap back."""
+        if self._child is None:
+            try:
+                self._child = self._gen.spawn(1)[0]
+            except TypeError:
+                # A bit generator made without a SeedSequence (a legacy
+                # RandomState's) cannot spawn: seed the child from the stream.
+                self._child = np.random.default_rng(self._gen.integers(2**63))
+        gen, self._gen = self._gen, self._child
+        return gen
+
+
+class DeferredUnitary(_MatrixStack, _DeferredDraw):
+    """A batch of Haar draws from U(d), O(d), SO(d) or SP(d), revealed as they are read.
+
+    A draw holds orthonormal inputs ``x_i`` and outputs ``y_i = g x_i``.
+    Applying ``g`` to ``z`` splits ``z`` over the ``x_i``; a remainder ``r``
+    reveals one more pair: ``x = r/‖r‖``, and ``g x`` uniform on the unit
+    sphere of the outputs' complement, which is its law given the pairs so
+    far (Mezzadri, Notices AMS 54 (2007)).  So applying a draw to k
+    independent vectors costs k fresh Gaussian d-vectors and O(k²d), and
+    applying it again to a vector in their span costs no randomness.
+    ``gᴴ`` reveals the same way with inputs and outputs swapped.
+
+    * SP(d) commutes with ``θ = J conj``: a pair ``(x, y)`` comes with
+      ``(θx, θy)``, and the complement stays quaternionic.
+    * A real parent takes a complex vector as its real and imaginary parts,
+      two real reveals; an all-zero part reveals nothing.
+    * SO(d): the first d − 1 pairs are those of O(d); the last output is
+      fixed, up to sign, by the others, and its sign by ``det g = +1``.
+
+    :meth:`matrix` reveals fresh pairs until the frame fills and returns
+    ``g = Σ y_i x_iᴴ``: a Haar draw that agrees with everything revealed.
+    ``shape`` is that of :meth:`matrix`, ``(B, d, d)``.
+    """
+
+    def __init__(self, dim: int, size: int, gen, *, field: str, special: bool = False):
+        _DeferredDraw.__init__(self, dim, size, gen, field)
+        self.special = special
+        self._inputs = self._frame()
+        self._outputs = self._frame()
+
+    @property
+    def revealed(self) -> int:
+        """Input directions revealed so far, θ partners included; d once complete."""
+        return self._inputs.n
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)``."""
+        return self._run(y, lambda z: self._map(z, self._inputs, self._outputs))
+
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)``."""
+        return self._run(y, lambda z: self._map(z, self._outputs, self._inputs))
+
+    def _map(self, z, src: _Frame, dst: _Frame) -> np.ndarray:
+        if src.n == self.dim:
+            return dst.combine(_coefficients(src.vectors, z))
+        coef, x, x_coef = self._directions(src, z)
+        if x is not None:
+            # The remainder is orthogonal to θx, so its coefficient there is 0.
+            added = self._reveal(src, dst, x)
+            new = np.zeros((added, self.size), dtype=coef.dtype)
+            new[0] = x_coef
+            coef = np.concatenate([coef, new])
+        return dst.combine(coef)
+
+    def _reveal(self, src: _Frame, dst: _Frame, x: np.ndarray) -> int:
+        """Add the pair ``x`` (unit, off ``src``) and a fresh image; return vectors added."""
+        y = self._fresh(dst.vectors)
+        if self.special and src.n == self.dim - 1:
+            frames = [np.concatenate([f.vectors, v[None]]) for f, v in ((src, x), (dst, y))]
+            y *= np.sign(np.linalg.det(frames[0].T) * np.linalg.det(frames[1].T))
+        src.add(x)
+        dst.add(y)
+        if self.field != "quaternion":
+            return 1
+        src.add(_theta(x))
+        dst.add(_theta(y))
+        return 2
+
+    def matrix(self) -> np.ndarray:
+        """Complete the draws and return them as dense ``(B, d, d)`` matrices."""
+        if self._inputs.n < self.dim:
+            gen = self._completing()
+            try:
+                while self._inputs.n < self.dim:
+                    self._reveal(self._inputs, self._outputs, self._fresh(self._inputs.vectors))
+            finally:
+                self._gen = gen
+        outputs = self._outputs.vectors.transpose(2, 1, 0)
+        return outputs @ self._inputs.vectors.transpose(2, 0, 1).conj()
+
+
+class DeferredSubspace(_DeferredDraw):
+    """A batch of Haar-random subspaces of rank m, revealed through their projector P.
+
+    The span of the first ``m`` columns of a Haar draw ``g`` (quaternionic
+    columns for SP(d)), ``P = g P_m gᴴ``.  A draw holds orthonormal vectors
+    ``Q = (x_1, w_1, x_2, w_2, …)`` whose span P maps to itself, with
+    ``P x_j = t_j x_j + s_j w_j`` and ``P w_j = s_j x_j + (1 - t_j) w_j``,
+    ``s_j = √(t_j(1-t_j))``; off Q it is a Haar projector of rank ``k`` on
+    the remaining ``n`` dimensions (``n = d``, or ``d/2`` quaternionic, and
+    ``k = m`` at first).  Projecting ``z`` reveals, for the unit remainder
+    ``x`` of ``z`` off Q, ``t = ‖P x‖²``, which is Beta(βk/2, β(n-k)/2)
+    with β = 1, 2, 4 for real, complex, quaternionic spaces, and ``w``,
+    uniform on the unit sphere off Q and x; then ``(n, k)`` becomes
+    ``(n-2, k-1)``.  At ``k = 0`` P vanishes off Q, and at ``k = n`` it is
+    the identity there: no further randomness.  So projecting costs one Beta
+    variate and one fresh Gaussian d-vector per reveal at every m, and
+    O(d·|Q|).  A real space takes a complex vector part by part; a
+    quaternionic one adds ``θ = J conj`` of each vector with it.
+
+    :meth:`matrix` reveals fresh directions until P is fixed and returns an
+    orthonormal basis of its range, ``(B, d, c·m)`` with c = 2 for
+    quaternionic spaces: ``√t_j x_j + √(1-t_j) w_j``, and the rest of the
+    space when ``k = n``.  That basis spans a Haar subspace, but is not
+    itself a Haar isometry.  ``shape`` is that of :meth:`matrix`.
+    """
+
+    ndim = 3
+    #: β of each field: real, complex and quaternionic dimensions count 1, 2, 4 reals.
+    _BETA = {"real": 1, "complex": 2, "quaternion": 4}
+
+    def __init__(self, dim: int, size: int, gen, *, field: str, rank: int):
+        _DeferredDraw.__init__(self, dim, size, gen, field)
+        self._copies = 2 if field == "quaternion" else 1
+        self.rank = rank
+        self._settled = self._frame()
+        self._t: list[np.ndarray] = []
+        self._free = dim // self._copies
+        self._left = rank
+        self._rest = None
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.size, self.dim, self._copies * self.rank)
+
+    @property
+    def revealed(self) -> int:
+        """Dimension of the span of Q, on which P is known so far."""
+        return self._settled.n
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """Return ``P y`` for stacked vectors ``y`` of shape ``(d, B)``."""
+        return self._run(y, self._project)
+
+    def _project(self, z: np.ndarray) -> np.ndarray:
+        settled = self._settled
+        if 0 < self._left < self._free:
+            coef, x, x_coef = self._directions(settled, z)
+            if x is not None:
+                # The remainder lies along x: its coefficients on θx, w, θw are 0.
+                self._reveal(x)
+                new = np.zeros((2 * self._copies, self.size), dtype=coef.dtype)
+                new[0] = x_coef
+                coef = np.concatenate([coef, new])
+            return settled.combine(self._on_settled(coef))
+        if self._left == self._free > 0:
+            coef, rest, _, _ = _split(settled.vectors, z)
+            return settled.combine(self._on_settled(coef)) + rest
+        return settled.combine(self._on_settled(_coefficients(settled.vectors, z)))
+
+    def _on_settled(self, coef: np.ndarray) -> np.ndarray:
+        """P on Q, in Q's coordinates: the 2 x 2 block of each reveal."""
+        if not self._t:
+            return coef
+        t = np.array(self._t)[:, None, :]
+        s = np.sqrt(t * (1.0 - t))
+        c = coef.reshape(len(self._t), 2, self._copies, -1)
+        out = np.empty_like(c)
+        out[:, 0] = t * c[:, 0] + s * c[:, 1]
+        out[:, 1] = s * c[:, 0] + (1.0 - t) * c[:, 1]
+        return out.reshape(coef.shape)
+
+    def _add(self, frame: _Frame, v: np.ndarray) -> None:
+        frame.add(v)
+        if self._copies == 2:
+            frame.add(_theta(v))
+
+    def _reveal(self, x: np.ndarray) -> None:
+        """Reveal ``P x`` for unit ``x`` off Q; see the class docstring."""
+        beta = self._BETA[self.field]
+        t = self._gen.beta(beta * self._left / 2, beta * (self._free - self._left) / 2, self.size)
+        self._add(self._settled, x)
+        self._add(self._settled, self._fresh(self._settled.vectors))
+        self._t.append(t)
+        self._free -= 2
+        self._left -= 1
+
+    def matrix(self) -> np.ndarray:
+        """Fix the subspaces and return an orthonormal basis of each, ``(B, d, c·m)``."""
+        if self._left and (self._left < self._free or self._rest is None):
+            gen = self._completing()
+            try:
+                while 0 < self._left < self._free:
+                    self._reveal(self._fresh(self._settled.vectors))
+                if self._left:
+                    # k = n: the whole rest of the space lies in the range.
+                    frame = self._frame()
+                    for v in self._settled.vectors:
+                        frame.add(v)
+                    for _ in range(self._free):
+                        self._add(frame, self._fresh(frame.vectors))
+                    self._rest = frame.vectors[self._settled.n :]
+            finally:
+                self._gen = gen
+        pairs = self._settled.vectors.reshape(len(self._t), 2, self._copies, self.dim, self.size)
+        t = np.array(self._t).reshape(-1, 1, 1, self.size)
+        basis = np.sqrt(t) * pairs[:, 0] + np.sqrt(1.0 - t) * pairs[:, 1]
+        basis = basis.reshape(-1, self.dim, self.size)
+        if self._left:
+            basis = np.concatenate([basis, self._rest])
+        return np.ascontiguousarray(basis.transpose(2, 1, 0))
 
 
 def _columns(columns, n: int) -> int:
@@ -269,7 +643,7 @@ def _columns(columns, n: int) -> int:
 
 
 def _haar_reflectors(
-    d: int, rng, size: int | None, *, real: bool, special: bool = False, columns=None
+    d: int, gen: np.random.Generator, size: int, m: int, *, real: bool, special: bool = False
 ) -> HouseholderDraw:
     """Draw Haar elements of U(d) (``real=False``) or O(d)/SO(d) as reflectors.
 
@@ -282,7 +656,7 @@ def _haar_reflectors(
     and the gauge entry that makes the law Haar (dividing out the phase of
     R's diagonal) is ``-phase``.  The last column is a scalar; its
     reflector is ``-1`` and is folded into its gauge entry, which is then
-    just ``phase``.  ``columns=m < d`` stops after column ``m - 1``.
+    just ``phase``.  ``m < d`` stops after column ``m - 1``.
 
     With ``special=True`` (real only) draws of determinant -1 have one gauge
     sign flipped: the first for a full draw, which makes the law Haar on
@@ -290,14 +664,6 @@ def _haar_reflectors(
     columns as drawn (for ``m < d`` they have the same law in SO(d) as in
     O(d)).
     """
-    gen = as_generator(rng)
-    d = _integer(d, "d")
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    size = 1 if size is None else _integer(size, "size")
-    if size < 1:
-        raise ValueError(f"size must be a positive integer, got {size}")
-    m = _columns(columns, d)
     lengths = np.arange(d, d - m, -1)
     n = int(lengths.sum())
     offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
@@ -335,8 +701,27 @@ def _haar_reflectors(
     return HouseholderDraw(reflectors, offsets[:r], tau, signs)
 
 
-def _dense(draw: HouseholderDraw, size: int | None) -> np.ndarray:
-    q = draw.matrix()
+def _draw(d, rng, size, dense: bool, columns, *, field: str, special: bool = False):
+    """Check the sizes, then draw as the public samplers document."""
+    gen = as_generator(rng)
+    d = _integer(d, "d")
+    if field == "quaternion" and (d < 2 or d % 2):
+        raise ValueError(f"symplectic dimension must be even and at least 2, got {d}")
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    count = 1 if size is None else _integer(size, "size")
+    if count < 1:
+        raise ValueError(f"size must be a positive integer, got {count}")
+    m = _columns(columns, d // 2 if field == "quaternion" else d)
+    if not dense:
+        if columns is None:
+            return DeferredUnitary(d, count, gen, field=field, special=special)
+        return DeferredSubspace(d, count, gen, field=field, rank=m)
+    if field == "quaternion":
+        draw = _symplectic_reflectors(d, gen, count, m)
+    else:
+        draw = _haar_reflectors(d, gen, count, m, real=field == "real", special=special)
+    q = draw.matrix(None if columns is None else m)
     return q[0] if size is None else q
 
 
@@ -348,28 +733,31 @@ def haar_unitary(
     Parameters
     ----------
     dense : bool
-        True (default): return ``(d, d)`` or ``(size, d, d)`` matrices.
-        False: return the :class:`HouseholderDraw` itself (``size`` draws,
-        one for ``size=None``), for code that only applies the unitaries
-        to vectors.
+        True (default): return ``(d, d)`` or ``(size, d, d)`` matrices,
+        formed from Householder reflectors.  False: return a deferred draw
+        (``size`` draws, one for ``size=None``) for code that only applies
+        the unitaries to vectors: a :class:`DeferredUnitary`, which draws
+        only the directions it is applied to.
     columns : int, optional
-        Draw only the ``columns`` reflectors (``1 <= columns <= d``) that
-        the first ``columns`` columns depend on.  Those columns then have
-        the law of a Haar draw's, and the matrix is still unitary, but its
-        other columns are not Haar.  For code that needs only the span of
-        the first columns, such as a Haar-random projector.
+        Only the span of the first ``columns`` columns (``1 <= columns <=
+        d``), a Haar-random subspace.  Dense: those columns, ``(size, d,
+        columns)``, drawn from the ``columns`` reflectors they depend on.
+        Deferred: a :class:`DeferredSubspace`, which applies the subspace's
+        projector to vectors.
 
     Examples
     --------
     >>> u = haar_unitary(3, rng=0)
     >>> np.allclose(u.conj().T @ u, np.eye(3))
     True
-    >>> w = haar_unitary(5, rng=0, size=2, dense=False, columns=2)
-    >>> w.reflectors.shape  # 5 + 4 Gaussians per draw, not 5·6/2
-    (9, 2)
+    >>> haar_unitary(5, rng=0, size=2, columns=2).shape
+    (2, 5, 2)
+    >>> w = haar_unitary(5, rng=0, size=2, dense=False)
+    >>> y = np.eye(5)[:, :2]
+    >>> np.allclose(w.apply_adjoint(w.apply(y)), y)
+    True
     """
-    draw = _haar_reflectors(d, rng, size, real=False, columns=columns)
-    return _dense(draw, size) if dense else draw
+    return _draw(d, rng, size, dense, columns, field="complex")
 
 
 def haar_orthogonal(
@@ -386,27 +774,27 @@ def haar_orthogonal(
     Parameters
     ----------
     special : bool
-        When True, condition on determinant +1 (Haar on SO(d)) by flipping
-        a gauge sign of draws with determinant -1.
+        When True, condition on determinant +1 (Haar on SO(d)).  A dense
+        draw flips a gauge sign of draws with determinant -1; a deferred
+        one fixes the sign of its last revealed direction.
     dense : bool
         As for :func:`haar_unitary`.
     columns : int, optional
-        As for :func:`haar_unitary`; with ``special=True`` the flipped sign
-        lies past the drawn columns.
+        As for :func:`haar_unitary`.  For ``columns < d`` the columns have
+        the same law in SO(d) as in O(d).
 
     Returns
     -------
-    ndarray or HouseholderDraw
-        Real ``float64`` matrices, or the draw when ``dense=False``.
+    ndarray, DeferredUnitary or DeferredSubspace
+        Real ``float64`` matrices, or the deferred draw when ``dense=False``.
 
     Examples
     --------
-    >>> w = haar_orthogonal(4, rng=0, special=True, size=3, columns=1)
+    >>> w = haar_orthogonal(4, rng=0, special=True, size=3)
     >>> np.allclose(np.linalg.det(w), 1.0), np.allclose(np.linalg.norm(w[:, :, 0], axis=1), 1.0)
     (True, True)
     """
-    draw = _haar_reflectors(d, rng, size, real=True, special=special, columns=columns)
-    return _dense(draw, size) if dense else draw
+    return _draw(d, rng, size, dense, columns, field="real", special=special)
 
 
 def symplectic_form(d: int) -> np.ndarray:
@@ -442,7 +830,7 @@ def symplectic_pairing(d: int) -> tuple[np.ndarray, np.ndarray]:
     return jperm, jsign
 
 
-def _symplectic_reflectors(d: int, rng, size: int | None, columns=None) -> HouseholderDraw:
+def _symplectic_reflectors(d: int, gen: np.random.Generator, size: int, m: int) -> HouseholderDraw:
     """Draw Haar elements of SP(d) as quaternionic reflectors.
 
     As :func:`_haar_reflectors`, per quaternionic coordinate ``j < d/2 - 1``:
@@ -451,18 +839,10 @@ def _symplectic_reflectors(d: int, rng, size: int | None, columns=None) -> House
     ``r`` the norm of ``x``'s two entries ``x_head`` on coordinate ``j``,
     ``v = x + (‖x‖/r) x_head`` and ``tau = 1/(‖x‖(‖x‖ + r))``.  An
     independent Haar Sp(1) gauge per coordinate makes the law Haar and
-    absorbs the last coordinate's reflector (-1).  ``columns=m < d/2``
-    stops after coordinate ``m - 1``, and gauges only coordinates ``< m``.
+    absorbs the last coordinate's reflector (-1).  ``m < d/2`` stops after
+    coordinate ``m - 1``, and gauges only coordinates ``< m``.
     """
-    gen = as_generator(rng)
-    d = _integer(d, "d")
-    if d < 2 or d % 2:
-        raise ValueError(f"symplectic dimension must be even and at least 2, got {d}")
-    size = 1 if size is None else _integer(size, "size")
-    if size < 1:
-        raise ValueError(f"size must be a positive integer, got {size}")
     n = d // 2
-    m = _columns(columns, n)
     lengths = 2 * np.arange(n, n - min(m, n - 1), -1)
     starts = np.cumsum(lengths) - lengths
     flat = gen.standard_normal((int(lengths.sum()), 2 * size))
@@ -503,7 +883,8 @@ def haar_symplectic(
     columns : int, optional
         As for :func:`haar_unitary`, counted in quaternionic coordinates
         (``1 <= columns <= d/2``): coordinate ``i`` is the column pair
-        ``i``, ``d/2 + i``.
+        ``i``, ``d/2 + i``, so a dense draw returns columns ``0, …,
+        columns - 1`` and then ``d/2, …, d/2 + columns - 1``.
 
     Examples
     --------
@@ -511,9 +892,7 @@ def haar_symplectic(
     >>> j = symplectic_form(4)
     >>> np.allclose(u.T @ j @ u, j), np.allclose(u.conj().T @ u, np.eye(4))
     (True, True)
-    >>> w = haar_symplectic(6, rng=1, dense=False, columns=1)
-    >>> w.reflectors.shape  # one pair v, J conj(v) of length 6, not three
-    (12, 1)
+    >>> haar_symplectic(6, rng=1, columns=1).shape  # columns 0 and 3
+    (6, 2)
     """
-    draw = _symplectic_reflectors(d, rng, size, columns)
-    return _dense(draw, size) if dense else draw
+    return _draw(d, rng, size, dense, columns, field="quaternion")

@@ -165,8 +165,9 @@ def _batches(spec, gen, n_samples, cap, draw_bytes, blocks=1, state_bytes=0, den
     :func:`sample_point` when iterated, so a wrapper set on it sees every
     draw, and values the caller takes from ``gen`` first come first.  They
     hold the draws as drawn: real for the real families.  With ``dense=False``
-    each batch is the :class:`~symshadows.spaces.EnsembleDraw` of the same
-    draws, from the same stream, split the same way.
+    each batch is a deferred :class:`~symshadows.spaces.EnsembleDraw`,
+    split the same way, which takes its values from ``gen`` as it is
+    applied: the same law as the dense draws, not the same values.
     """
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2:
@@ -611,8 +612,9 @@ def entry_moments(spec: SpaceSpec, targets, n_samples: int, rng=None) -> list[Mo
     [0.0]
     """
     d = spec.dim
-    # Draws are charged as dense, 16 d^2 bytes, so the batch split, and with
-    # it the seeded draws, is that of the dense loop.
+    # Draws are charged 16 d^2 bytes, a dense draw's size, though a deferred
+    # draw holds only the few directions its columns reveal: the charge fixes
+    # the batch split, and with it which seeded values each draw reveals.
     batches = _batches(
         spec, as_generator(rng), n_samples, _IDENTITY_BATCH_DRAWS, 16 * d * d, dense=False
     )
@@ -620,7 +622,7 @@ def entry_moments(spec: SpaceSpec, targets, n_samples: int, rng=None) -> list[Mo
 
     def values(draw):
         # V[:, i, j] is row i of V e_j: one applied column per distinct j,
-        # O(d^2) per draw, where the dense matrix costs O(d^3).
+        # a few revealed directions per draw, where the dense matrix costs O(d^3).
         columns = {}
         for j in wanted:
             e = np.zeros((d, draw.size))

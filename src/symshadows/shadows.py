@@ -8,8 +8,9 @@ so a round first picks one pure component ``u_k`` of
 ``V u_k``: the pair ``(V, outcome)`` has the same law, at every rank.  The
 streamed estimator never forms ``V``: it applies the draw to the chosen
 component for the Born probabilities and to the measured basis vector for
-the outcome row, O(d²) per vector for every parent group, and
-O(d·min(p, q)) for the Grassmannians AIII, BDI and CII.
+the outcome row.  The draw is deferred (:mod:`symshadows.haar`): it reveals
+only the directions these two vectors read, so a shot draws a few fresh
+Gaussian d-vectors and costs O(d) per revealed direction, for every family.
 Linear functionals ``tr(rho O)`` are then estimated by applying the
 pseudo-inverse of the measurement channel to the *observable* (the adjoint
 trick: the channel is self-adjoint in the Hilbert-Schmidt inner product),
@@ -115,8 +116,9 @@ def validate_density(rho: np.ndarray, *, tol: float = DENSITY_TOL) -> np.ndarray
 
 def random_pure_state(dim: int, rng=None) -> np.ndarray:
     """Density matrix of a Haar-random pure state in dimension ``dim``."""
+    dim = _integer(dim, "dim")
     if dim < 1:
-        raise ValueError("dimension must be positive")
+        raise ValueError(f"dimension must be positive, got {dim}")
     gen = as_generator(rng)
     vec = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
     vec /= np.linalg.norm(vec)
@@ -156,8 +158,9 @@ def random_observable(
     (dim, dim) ndarray
         Real when ``symmetric`` is set, complex Hermitian otherwise.
     """
+    dim = _integer(dim, "dim")
     if dim < 2:
-        raise ValueError("observable ensemble needs dimension >= 2")
+        raise ValueError(f"observable ensemble needs dimension >= 2, got {dim}")
     if not 0.0 <= diag_weight <= 1.0:
         raise ValueError(f"diag_weight must lie in [0, 1], got {diag_weight}")
     gen = as_generator(rng)
@@ -204,6 +207,8 @@ def sample_outcome(spec: SpaceSpec, rho: np.ndarray, rng=None) -> ShadowRecord:
         State to measure; validated to be a density matrix.
     rng : Generator, RngStream, int, or None, optional
         Randomness source for both the rotation draw and the outcome draw.
+        The recorded rotation completes the measured draw from a stream
+        spawned off ``rng``, so ``rng`` advances as in a streamed round.
 
     Raises
     ------
@@ -267,7 +272,7 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
     Returns
     -------
     draw : EnsembleDraw
-        The rotations; :meth:`EnsembleDraw.matrix` gives them as matrices.
+        The rotations; :meth:`EnsembleDraw.matrix` completes them as matrices.
     outcomes : (count,) int64 ndarray
     rows : (count, d) complex ndarray
     """
@@ -427,11 +432,10 @@ def shadow_estimates(
         Randomness source.
     batch_size : int, optional
         Rounds drawn per batch; defaults to ``2_000_000 // d**2`` (at most
-        ``n_shots``).  A batch holds the packed parent draws, about
-        ``d**2 / 2`` numbers per round for every parent group (about
-        ``d * min(p, q)`` for AIII, BDI and CII), and a few
-        length-``d`` vectors per round: the rotated component of ``rho``
-        and the outcome row.
+        ``n_shots``).  A batch holds O(d) numbers per round for every
+        family: the directions its deferred draws revealed (a few
+        length-``d`` vectors), the rotated component of ``rho`` and the
+        outcome row.
 
     Returns
     -------

@@ -34,18 +34,23 @@ conjugates, and the kind of K's blocks; every other per-family fact
 (realness, the even-dimension rule, which families take p/q) is read off
 it.  It drives :func:`involution` and :func:`sample_point`; with
 ``dense=False`` the latter returns an :class:`EnsembleDraw`, which applies
-``V y = σ(g)ᴴ(g y)`` and ``Vᴴ y = gᴴ(σ(g) y)`` to vectors in O(d²) per draw
-without forming V.
+``V y = σ(g)ᴴ(g y)`` and ``Vᴴ y = gᴴ(σ(g) y)`` to vectors without forming
+V, through a deferred parent draw that reveals only the directions it is
+applied to (:class:`~symshadows.haar.DeferredUnitary`): a pure-state shot
+draws 2 fresh d-vectors for a group and 4 for AI, AII, DIII and CI (a real
+parent reveals a complex vector's real and imaginary parts apart).
 
 AIII, BDI and CII are Grassmannians, and are drawn without σ.  With
 S = I_pq (K_pq for CII) and P_q the projector onto the q-block,
 V = S gᴴSg = S(1 − 2gᴴP_q g) depends on g only through a Haar-random
 rank-q projector.  With m = min(p, q), that projector has the law of
-h P_m hᴴ, or of 1 − h P_m hᴴ when m = p, where P_m projects onto the first
-m (quaternionic) coordinates and h is a parent draw truncated to its first
-m columns (the ``columns`` keyword of the :mod:`symshadows.haar` samplers).
-So V = ±S h F hᴴ with F = 1 − 2P_m, + when m = q: two passes of m
-reflectors, O(d·m) per vector.
+P = h P_m hᴴ, or of 1 − P when m = p, where P_m projects onto the first
+m (quaternionic) coordinates: P projects onto the span of a Haar draw's
+first m columns (the ``columns`` keyword of the :mod:`symshadows.haar`
+samplers).  So V = ±S(1 − 2P), + when m = q.  A dense draw forms the m
+columns W and V = ±S(1 − 2WWᴴ); a deferred one
+(:class:`~symshadows.haar.DeferredSubspace`) reveals ``P y`` with one Beta
+variate and one fresh d-vector, so a shot costs the same at every m.
 
 K is stated once, as the diagonal blocks of :func:`_k_blocks` read off
 the K column of the table; :func:`sample_subgroup` draws Haar on each block
@@ -297,13 +302,15 @@ class EnsembleDraw(_MatrixStack):
     """A batch of ensemble elements V, applied to vectors without forming V.
 
     ``V = g`` for the groups, ``V = σ(g)ᴴ g`` for AI, AII, DIII and CI,
-    ``V = ±S h F hᴴ`` for the Grassmannians AIII, BDI and CII (see the
-    module docstring; ``h`` is drawn truncated to ``min(p, q)`` columns) and
-    ``V = 1`` for a degenerate quotient.  Vectors are stacked with the batch
-    axis last, ``(d, B)``.  The parent draw is a
-    :class:`~symshadows.haar.HouseholderDraw` for all three parent groups,
-    applied in O(d²) per vector, O(d·min(p, q)) when truncated.  ``shape``
-    is that of :meth:`matrix`, ``(B, d, d)``.
+    ``V = ±S(1 − 2P)`` for the Grassmannians AIII, BDI and CII (see the
+    module docstring) and ``V = 1`` for a degenerate quotient.  Vectors are
+    stacked with the batch axis last, ``(d, B)``.  The parent is deferred:
+    a :class:`~symshadows.haar.DeferredUnitary` ``g``, or for the
+    Grassmannians a :class:`~symshadows.haar.DeferredSubspace` of rank
+    ``min(p, q)`` with projector P, and it draws only the directions that
+    ``apply`` and ``apply_adjoint`` read.  :meth:`matrix` completes the
+    parent and forms V from it.  ``shape`` is that of :meth:`matrix`,
+    ``(B, d, d)``.
     """
 
     def __init__(self, spec: SpaceSpec, parent, size: int):
@@ -311,25 +318,21 @@ class EnsembleDraw(_MatrixStack):
         self.parent = parent
         self.size = size
         self.dim = spec.dim
-        self._involution = self._sign = self._flip = None
+        self._involution = self._sign = None
         if parent is not None and spec.p is not None:
-            self._sign, self._flip = _grassmannian(spec)
+            self._sign = _grassmannian_sign(spec)[:, None]
         elif parent is not None and not spec.is_group:
             self._involution = _sigma(spec)
 
-    def _reflect(self, y: np.ndarray) -> np.ndarray:
-        """``h F hᴴ y`` for a Grassmannian's truncated parent draw ``h``."""
-        a = self.parent.apply_adjoint(y)
-        a[self._flip] *= -1.0
-        return self.parent.apply(a)
-
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """``V y = σ(g)ᴴ (g y) = M κ(gᴴ κ(Mᵀ g y))``, or ``±S h F hᴴ y``."""
+        """``V y = σ(g)ᴴ (g y) = M κ(gᴴ κ(Mᵀ g y))``, or ``±S(y − 2Py)``."""
         if self.parent is None:
             return np.array(y)
-        if self._flip is not None:
-            a = self._reflect(y)
-            a *= self._sign[:, None]
+        if self._sign is not None:
+            a = self.parent.project(y)
+            a *= -2.0
+            a += y
+            a *= self._sign
             return a
         a = self.parent.apply(y)
         sigma = self._involution
@@ -344,11 +347,15 @@ class EnsembleDraw(_MatrixStack):
         return sigma.m(a)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """``Vᴴ y = gᴴ (σ(g) y) = gᴴ M κ(g κ(Mᵀ y))``, or ``h F hᴴ (±S y)``."""
+        """``Vᴴ y = gᴴ (σ(g) y) = gᴴ M κ(g κ(Mᵀ y))``, or ``(1 − 2P)(±S y)``."""
         if self.parent is None:
             return np.array(y)
-        if self._flip is not None:
-            return self._reflect(self._sign[:, None] * y)
+        if self._sign is not None:
+            y = self._sign * y
+            a = self.parent.project(y)
+            a *= -2.0
+            a += y
+            return a
         sigma = self._involution
         if sigma is None:
             return self.parent.apply_adjoint(y)
@@ -361,52 +368,56 @@ class EnsembleDraw(_MatrixStack):
         return self.parent.apply_adjoint(sigma.m(a))
 
     def matrix(self) -> np.ndarray:
-        """The draws as dense ``(B, d, d)`` matrices; real for the real families."""
-        spec = self.spec
+        """Complete the draws, as dense ``(B, d, d)`` matrices; real for the real families."""
         if self.parent is None:
-            dtype = np.float64 if spec.is_real else np.complex128
-            eye = np.eye(spec.dim, dtype=dtype)
-            return np.broadcast_to(eye, (self.size, spec.dim, spec.dim)).copy()
-        if self._flip is not None:
-            # In place: the fits draw large dense batches.
-            w = self.parent.matrix()[:, :, self._flip]
-            v = w @ np.swapaxes(w.conj(), -1, -2)
-            v *= -2.0
-            v += np.eye(spec.dim)
-            v *= self._sign[:, None]
-            return v
-        g = self.parent.matrix()
-        if self._involution is None:
-            return g
-        if _FAMILIES[spec.family].m == "1":
-            # AI: σ(g) = ḡ, so V = gᵀ g without involution's fancy-index copy.
-            return np.ascontiguousarray(np.swapaxes(g, -1, -2)) @ g
-        return np.swapaxes(involution(spec, g).conj(), -1, -2) @ g
+            return _identities(self.spec, self.size)
+        return _coset_matrix(self.spec, self.parent.matrix())
 
 
-def _grassmannian(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``V = ±S h F hᴴ`` for AIII, BDI and CII; see the module docstring.
+def _identities(spec: SpaceSpec, size: int) -> np.ndarray:
+    dtype = np.float64 if spec.is_real else np.complex128
+    return np.broadcast_to(np.eye(spec.dim, dtype=dtype), (size, spec.dim, spec.dim)).copy()
 
-    Returns the diagonal of ±S, and the coordinates where F = 1 − 2P_m is
-    −1: the first m = min(p, q) (quaternionic) ones.
+
+def _coset_matrix(spec: SpaceSpec, g: np.ndarray) -> np.ndarray:
+    """V from dense parent draws ``g``, ``(B, d, d)``; for the Grassmannians
+    ``g`` is ``(B, d, c·m)``, an orthonormal basis W of P's range."""
+    if spec.p is not None:
+        # In place: the fits draw large dense batches.
+        v = g @ np.swapaxes(g.conj(), -1, -2)
+        v *= -2.0
+        v += np.eye(spec.dim)
+        v *= _grassmannian_sign(spec)[:, None]
+        return v
+    if spec.is_group:
+        return g
+    if _FAMILIES[spec.family].m == "1":
+        # AI: σ(g) = ḡ, so V = gᵀ g without involution's fancy-index copy.
+        return np.ascontiguousarray(np.swapaxes(g, -1, -2)) @ g
+    return np.swapaxes(involution(spec, g).conj(), -1, -2) @ g
+
+
+def _grassmannian_sign(spec: SpaceSpec) -> np.ndarray:
+    """The diagonal of ±S in ``V = ±S(1 − 2P)``, P of rank m = min(p, q).
+
+    + when m = q; see the module docstring.
     """
     m = min(spec.p, spec.q)
-    sign = np.diag(signature_matrix(spec)) * (1.0 if m == spec.q else -1.0)
-    return sign, _coords(spec, 0, m)
+    return np.diag(signature_matrix(spec)) * (1.0 if m == spec.q else -1.0)
 
 
-def _parent_draw(spec: SpaceSpec, gen: np.random.Generator, size: int):
+def _parent_draw(spec: SpaceSpec, gen: np.random.Generator, size: int, dense: bool):
     # The samplers are looked up as this module's attributes at call time,
     # so a wrapper set on ``spaces.haar_unitary`` (a tracer) sees every draw.
-    # The Grassmannians need only the first min(p, q) columns of g.
+    # The Grassmannians need only the span of the first min(p, q) columns.
     columns = None if spec.p is None else min(spec.p, spec.q)
     parent = spec.parent
     if parent == "U":
-        return haar_unitary(spec.dim, gen, size, dense=False, columns=columns)
+        return haar_unitary(spec.dim, gen, size, dense=dense, columns=columns)
     if parent == "O":
         special = spec.family != "O"
-        return haar_orthogonal(spec.dim, gen, special, size, dense=False, columns=columns)
-    return haar_symplectic(spec.dim, gen, size, dense=False, columns=columns)
+        return haar_orthogonal(spec.dim, gen, special, size, dense=dense, columns=columns)
+    return haar_symplectic(spec.dim, gen, size, dense=dense, columns=columns)
 
 
 def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: bool = True):
@@ -419,10 +430,12 @@ def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: b
     Parameters
     ----------
     dense : bool
-        True (default): return matrices.  False: return the
-        :class:`EnsembleDraw` (``size`` draws, one for ``size=None``), which
-        applies V and Vᴴ to vectors without forming V; its ``matrix()`` is
-        what ``dense=True`` returns, from the same random stream.
+        True (default): return matrices, formed from Householder draws of
+        the parent.  False: return the :class:`EnsembleDraw` (``size``
+        draws, one for ``size=None``), whose deferred parent draws only the
+        directions it is applied to.  Its ``matrix()`` completes those draws
+        with the same law, not with the values ``dense=True`` gives on the
+        same stream.
 
     Returns
     -------
@@ -434,11 +447,10 @@ def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: b
     count = 1 if size is None else _integer(size, "size")
     if count < 1:
         raise ValueError(f"size must be a positive integer, got {count}")
-    parent = None if spec.is_degenerate else _parent_draw(spec, gen, count)
-    draw = EnsembleDraw(spec, parent, count)
+    parent = None if spec.is_degenerate else _parent_draw(spec, gen, count, dense)
     if not dense:
-        return draw
-    v = draw.matrix()
+        return EnsembleDraw(spec, parent, count)
+    v = _identities(spec, count) if parent is None else _coset_matrix(spec, parent)
     return v[0] if size is None else v
 
 

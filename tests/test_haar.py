@@ -5,9 +5,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from symshadows import haar
+from symshadows import haar, spaces
 from symshadows.haar import (
-    HouseholderDraw,
+    DeferredSubspace,
+    DeferredUnitary,
     ginibre,
     haar_orthogonal,
     haar_symplectic,
@@ -101,9 +102,10 @@ def test_unitary_determinant_is_uniform_on_the_circle(d):
 
 
 @pytest.mark.parametrize(
-    "family, d", [("SO", 1), ("SO", 2), ("SO", 5), ("BDI", 5), ("BDI", 6), ("DIII", 4), ("DIII", 6)]
+    "family, d", [("SO", 1), ("SO", 2), ("SO", 3), ("SO", 5), ("DIII", 4), ("DIII", 6), ("DIII", 8)]
 )
 def test_special_orthogonal_parents_have_unit_determinant(family, d):
+    # The deferred parent fixes its last direction by det g = +1.
     g = sample_point(make_space(family, d), RngStream(13), 256, dense=False).parent.matrix()
     assert not np.iscomplexobj(g)
     assert np.max(np.abs(np.linalg.det(g) - 1.0)) <= 1e-12
@@ -115,28 +117,48 @@ def test_orthogonal_group_parent_takes_both_determinants():
     assert dets.min() < 0 < dets.max()
 
 
+def _reflectors(sampler, d, rng, size, m=None, special=False):
+    """The Householder draw behind ``sampler``'s dense matrices, from the same stream."""
+    gen = RngStream(*rng).generator() if isinstance(rng, tuple) else RngStream(rng).generator()
+    if sampler is haar_symplectic:
+        return haar._symplectic_reflectors(d, gen, size, d // 2 if m is None else m)
+    real = sampler is not haar_unitary
+    special = special or isinstance(sampler, partial)
+    return haar._haar_reflectors(d, gen, size, d if m is None else m, real=real, special=special)
+
+
+def _applies_its_completion(draw, d, size):
+    """``apply``/``apply_adjoint`` before completion agree with ``matrix()`` after it."""
+    gen = RngStream(16).generator()
+    y = gen.standard_normal((d, size)) + 1j * gen.standard_normal((d, size))
+    forward, backward = draw.apply(y), draw.apply_adjoint(y)
+    g = draw.matrix()
+    assert g.shape == draw.shape
+    np.testing.assert_allclose(forward, np.einsum("nij,jn->in", g, y), atol=1e-13)
+    np.testing.assert_allclose(backward, np.einsum("nji,jn->in", g.conj(), y), atol=1e-13)
+    assert np.max(np.abs(np.swapaxes(g.conj(), 1, 2) @ g - np.eye(d))) < 1e-13
+    return g
+
+
 @pytest.mark.parametrize("sampler", [haar_unitary, haar_orthogonal])
 @pytest.mark.parametrize("d", [1, 2, 5, 9, 24])
 def test_reflector_draw_applies_its_matrix(sampler, d):
-    draw = sampler(d, RngStream(15), size=7, dense=False)
+    draw = _reflectors(sampler, d, 15, 7)
     assert draw.reflectors.shape == (d * (d + 1) // 2 - 1, 7)
     assert draw.shape == (7, d, d) and draw.ndim == 3
-    g = draw.matrix()
-    np.testing.assert_array_equal(g, sampler(d, RngStream(15), size=7))
-    gen = RngStream(16).generator()
-    y = gen.standard_normal((d, 7)) + 1j * gen.standard_normal((d, 7))
-    np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jn->in", g, y), atol=1e-13)
-    np.testing.assert_allclose(
-        draw.apply_adjoint(y), np.einsum("nji,jn->in", g.conj(), y), atol=1e-13
-    )
+    np.testing.assert_array_equal(draw.matrix(), sampler(d, RngStream(15), size=7))
+    deferred = sampler(d, RngStream(15), size=7, dense=False)
+    assert isinstance(deferred, DeferredUnitary) and deferred.shape == (7, d, d)
+    g = _applies_its_completion(deferred, d, 7)
+    assert g.dtype == (np.complex128 if sampler is haar_unitary else np.float64)
 
 
 @pytest.mark.parametrize("special", [False, True])
 @pytest.mark.parametrize("d", [1, 2, 5, 24])
 def test_lapack_and_numpy_matrices_agree(monkeypatch, special, d):
-    kinds = [haar_orthogonal(d, RngStream(17), special, size=9, dense=False)]
+    kinds = [_reflectors(haar_orthogonal, d, 17, 9, special=special)]
     if not special:
-        kinds.append(haar_unitary(d, RngStream(17), size=9, dense=False))
+        kinds.append(_reflectors(haar_unitary, d, 17, 9))
     for draw in kinds:
         monkeypatch.setattr(haar, "ORGQR_MIN_DIM", 1)
         lapack = draw.matrix()
@@ -263,17 +285,13 @@ def test_symplectic_trace_moments(d):
 @pytest.mark.parametrize("d", [2, 4, 10, 24])
 def test_symplectic_draw_applies_its_matrix(d):
     n = d // 2
-    draw = haar_symplectic(d, RngStream(15), size=7, dense=False)
+    draw = _reflectors(haar_symplectic, d, 15, 7)
     assert draw.reflectors.shape == (2 * (n * (n + 1) - 2), 7)
     assert draw.shape == (7, d, d) and draw.ndim == 3
-    g = draw.matrix()
-    np.testing.assert_array_equal(g, haar_symplectic(d, RngStream(15), size=7))
-    gen = RngStream(16).generator()
-    y = gen.standard_normal((d, 7)) + 1j * gen.standard_normal((d, 7))
-    np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jn->in", g, y), atol=1e-13)
-    np.testing.assert_allclose(
-        draw.apply_adjoint(y), np.einsum("nji,jn->in", g.conj(), y), atol=1e-13
-    )
+    np.testing.assert_array_equal(draw.matrix(), haar_symplectic(d, RngStream(15), size=7))
+    g = _applies_its_completion(haar_symplectic(d, RngStream(15), size=7, dense=False), d, 7)
+    j = symplectic_form(d)
+    assert np.max(np.abs(np.swapaxes(g, 1, 2) @ j @ g - j)) < 1e-13
 
 
 @pytest.mark.parametrize("d, size, bad", [(3, None, 3), (0, None, 0), (-2, None, -2),
@@ -311,32 +329,29 @@ def _drawn_columns(sampler, d, m):
 @pytest.mark.parametrize("sampler, d, m", _TRUNCATED, ids=_truncated_ids)
 def test_truncated_columns_are_orthonormal_with_haar_moments(sampler, d, m):
     cols = _drawn_columns(sampler, d, m)
-    w = sampler(d, RngStream(20, (d, m)), size=64, columns=m)[:, :, cols]
+    w = sampler(d, RngStream(20, (d, m)), size=64, columns=m)
+    assert w.shape == (64, d, cols.size)
     gram = np.swapaxes(w.conj(), 1, 2) @ w
     assert np.max(np.abs(gram - np.eye(cols.size))) < 1e-12
-    # The columns through the draw itself: W = h[:, cols] = h e_cols.  A
-    # wrong gauge leaves |W| alone but shows in E W = 0.
-    draw = sampler(d, RngStream(21, (d, m)), size=N_MOMENT // 2, dense=False, columns=m)
-    real = draw.signs.dtype.kind == "f"
+    # A wrong gauge leaves |W| alone but shows in E W = 0.
+    w = sampler(d, RngStream(21, (d, m)), size=N_MOMENT // 2, columns=m)
+    real = not np.iscomplexobj(w)
     fourth = 3 / (d * (d + 2)) if real else 2 / (d * (d + 1))
-    for j in cols:
-        basis = np.zeros((d, draw.size))
-        basis[j] = 1.0
-        w = draw.apply(basis)
-        x = np.abs(w) ** 2
-        for i in range(d):
-            assert _sems(w[i].real, 0.0) <= 5, (i, j)
-            assert real or _sems(w[i].imag, 0.0) <= 5, (i, j)
-            assert _sems(x[i], 1 / d) <= 5, (i, j)
-            assert _sems(x[i] ** 2, fourth) <= 5, (i, j)
+    x = np.abs(w) ** 2
+    for i in range(d):
+        for j in range(cols.size):
+            assert _sems(w[:, i, j].real, 0.0) <= 5, (i, j)
+            assert real or _sems(w[:, i, j].imag, 0.0) <= 5, (i, j)
+            assert _sems(x[:, i, j], 1 / d) <= 5, (i, j)
+            assert _sems(x[:, i, j] ** 2, fourth) <= 5, (i, j)
 
 
 @pytest.mark.parametrize("sampler, d, m", _TRUNCATED + [(haar_unitary, 30, 4),
                                                       (haar_orthogonal, 30, 15),
                                                       (haar_symplectic, 24, 5)],
                          ids=_truncated_ids)
-def test_truncated_draw_applies_its_matrix(monkeypatch, sampler, d, m):
-    draw = sampler(d, RngStream(15), size=7, dense=False, columns=m)
+def test_truncated_draw_forms_only_its_kept_columns(monkeypatch, sampler, d, m):
+    draw = _reflectors(sampler, d, 15, 7, m)
     if sampler is haar_symplectic:
         n = d // 2
         full = m == n
@@ -346,20 +361,41 @@ def test_truncated_draw_applies_its_matrix(monkeypatch, sampler, d, m):
     else:
         assert draw.reflectors.shape == (d * m - m * (m - 1) // 2, 7)
         assert len(draw.offsets) == m
+    cols = _drawn_columns(sampler, d, m)
+    monkeypatch.setattr(haar, "ORGQR_MIN_DIM", 10**6)
     g = draw.matrix()
-    np.testing.assert_array_equal(g, sampler(d, RngStream(15), size=7, columns=m))
     assert np.max(np.abs(np.swapaxes(g.conj(), 1, 2) @ g - np.eye(d))) < 1e-12
-    if draw.signs.dtype.kind == "f" and sampler is not haar_orthogonal:
+    if np.isrealobj(g) and sampler is not haar_orthogonal:
         assert np.max(np.abs(np.linalg.det(g) - 1.0)) < 1e-12
+    # The NumPy pass over the kept columns alone makes the same operations
+    # on them as the pass over all d.
+    panel = draw.matrix(m)
+    np.testing.assert_array_equal(panel, g[:, :, cols])
     if sampler is not haar_symplectic:
         monkeypatch.setattr(haar, "ORGQR_MIN_DIM", 1)
+        np.testing.assert_allclose(draw.matrix(m), g[:, :, cols], rtol=0, atol=1e-14)
         np.testing.assert_allclose(draw.matrix(), g, rtol=0, atol=1e-13)
-    gen = RngStream(16).generator()
-    y = gen.standard_normal((d, 7)) + 1j * gen.standard_normal((d, 7))
-    np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jn->in", g, y), atol=1e-13)
-    np.testing.assert_allclose(
-        draw.apply_adjoint(y), np.einsum("nji,jn->in", g.conj(), y), atol=1e-13
-    )
+    monkeypatch.undo()
+    np.testing.assert_array_equal(sampler(d, RngStream(15), size=7, columns=m), draw.matrix(m))
+
+
+@pytest.mark.parametrize("spec", [make_space("AIII", 32, 26), make_space("BDI", 32, 4),
+                                  make_space("AIII", 8, 3), make_space("BDI", 7, 5),
+                                  make_space("CII", 12, 2)], ids=lambda s: s.label())
+def test_dense_grassmannian_draws_keep_the_full_formation(spec):
+    # V = ±S(1 - 2 W Wᴴ) with W the m kept columns: the same V as from all
+    # d columns of the truncated draw, bit for bit below ORGQR_MIN_DIM.
+    m = min(spec.p, spec.q)
+    sampler = {"U": haar_unitary, "O": partial(haar_orthogonal, special=True),
+               "SP": haar_symplectic}[spec.parent]
+    g = _reflectors(sampler, spec.dim, 40, 16, m).matrix()
+    w = g[:, :, _drawn_columns(sampler, spec.dim, m)]
+    expected = spaces._coset_matrix(spec, w)
+    v = sample_point(spec, RngStream(40), 16)
+    if spec.dim < haar.ORGQR_MIN_DIM or spec.parent == "SP":
+        np.testing.assert_array_equal(v, expected)
+    else:
+        np.testing.assert_allclose(v, expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("sampler, d", [(haar_unitary, 1), (haar_unitary, 5),
@@ -407,9 +443,13 @@ def test_samplers_reject_bad_columns(sampler, d, bad):
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_every_ensemble_draws_its_parent_as_reflectors(family):
-    draw = sample_point(make_space(family, 4), RngStream(19), 3, dense=False)
-    assert isinstance(draw.parent, HouseholderDraw)
+def test_every_ensemble_defers_its_parent_draw(family):
+    spec = make_space(family, 4)
+    draw = sample_point(spec, RngStream(19), 3, dense=False)
+    kind = DeferredUnitary if spec.p is None else DeferredSubspace
+    assert isinstance(draw.parent, kind) and draw.parent.size == 3
+    # Nothing is drawn until the draw is applied.
+    assert draw.parent.revealed == 0
 
 
 def test_samplers_are_deterministic():

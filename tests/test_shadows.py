@@ -322,6 +322,21 @@ def test_streamed_runs_reject_non_integral_shot_counts(monkeypatch, run):
 
 
 @pytest.mark.parametrize(
+    "make, smallest",
+    [(random_pure_state, 1), (lambda dim, rng: random_observable(dim, 0.5, rng=rng), 2)],
+    ids=["state", "observable"],
+)
+def test_state_and_observable_generators_check_their_dimension(make, smallest):
+    np.testing.assert_array_equal(make(3.0, RngStream(89)), make(3, RngStream(89)))
+    np.testing.assert_array_equal(make(np.int64(3), RngStream(89)), make(3, RngStream(89)))
+    for bad in (2.5, True, "3", np.float64(3.5)):
+        with pytest.raises(ValueError, match="^dim must be an integer, got"):
+            make(bad, RngStream(89))
+    with pytest.raises(ValueError, match=f"got {smallest - 1}$"):
+        make(smallest - 1, RngStream(89))
+
+
+@pytest.mark.parametrize(
     "bad, message",
     [(0, "^batch_size must be a positive integer, got 0"),
      (2.5, "^batch_size must be an integer, got 2.5"),
@@ -527,15 +542,20 @@ def _grid_observable(d, field, gen):
 @example(spec=make_space("AI", 5), rank="mixed", field="complex", seed=10)
 @example(spec=make_space("AII", 2), rank="pure", field="real", seed=11)
 def test_matrix_free_shots_match_materialized_rotations(spec, rank, field, seed):
+    # Each streamed shot against the dense arithmetic on the completion of
+    # the draw it measured, with the same uniforms.
     d, count = spec.dim, 6
     gen = np.random.default_rng(seed)
     rho = validate_density(_grid_state(d, rank, gen))
     obs = _grid_observable(d, field, gen)
     x = invert_channel(spec).apply(obs)
     _, factor = shadows._validated_state(spec, rho)
-    # the same draw, materialized, with the same uniforms
+    draw, outcomes, rows = shadows._measure_batch(
+        spec, factor, np.random.default_rng(seed + 1), count
+    )
+    v = draw.matrix()
     replay = np.random.default_rng(seed + 1)
-    v = sample_point(spec, replay, count)
+    sample_point(spec, replay, count, dense=False)
     uniforms = replay.random(count)
     if rank == "pure":
         vc = v.astype(complex)
@@ -552,10 +572,6 @@ def test_matrix_free_shots_match_materialized_rotations(spec, rank, field, seed)
         y = np.einsum("nij,jn->ni", v, vectors[:, k])
         dense_outcomes = _kernels.choose_outcomes(weights[k, None] * np.abs(y) ** 2, rest)
     dense = _kernels.row_quadratic(v[np.arange(count), dense_outcomes].astype(complex), x)
-    draw, outcomes, rows = shadows._measure_batch(
-        spec, factor, np.random.default_rng(seed + 1), count
-    )
-    np.testing.assert_array_equal(v, draw.matrix())
     np.testing.assert_array_equal(outcomes, dense_outcomes)
     estimates = _kernels.row_quadratic(rows, x)
     np.testing.assert_allclose(estimates, dense, rtol=0, atol=1e-12)
@@ -591,18 +607,17 @@ def test_estimates_form_no_rotation_matrix(monkeypatch, family, rank):
     assert values.shape == (64,) and np.all(np.isfinite(values))
 
 
-def _repeated(draw, count):
-    """An EnsembleDraw that applies ``draw``'s single rotation ``count`` times."""
-    parent = draw.parent
-    swap = None if parent.swap is None else np.repeat(parent.swap, count, axis=1)
-    parent = HouseholderDraw(
-        np.repeat(parent.reflectors, count, axis=1),
-        parent.offsets,
-        np.repeat(parent.tau, count, axis=1),
-        np.repeat(parent.signs, count, axis=1),
-        swap,
-    )
-    return EnsembleDraw(draw.spec, parent, count)
+class _Repeated:
+    """A draw that applies one fixed rotation ``v`` to every vector of a batch."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def apply(self, y):
+        return self.v @ y
+
+    def apply_adjoint(self, y):
+        return self.v.conj().T @ y
 
 
 @pytest.mark.parametrize(
@@ -619,7 +634,7 @@ def test_mixed_state_outcomes_follow_born_law_for_a_fixed_rotation(monkeypatch, 
     fixed = sample_point(spec, RngStream(32), 1, dense=False)
     v = fixed.matrix()[0]
     expected = np.einsum("wa,ab,wb->w", v, rho, v.conj()).real
-    monkeypatch.setattr(shadows, "sample_point", lambda s, g, count, dense: _repeated(fixed, count))
+    monkeypatch.setattr(shadows, "sample_point", lambda s, g, count, dense: _Repeated(v))
     gen = RngStream(33).generator()
     counts = np.zeros(d)
     for _ in range(n_rounds // batch):

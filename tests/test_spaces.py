@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from symshadows.haar import haar_unitary, symplectic_form
+from symshadows import haar
+from symshadows.haar import (
+    DeferredSubspace,
+    haar_orthogonal,
+    haar_symplectic,
+    haar_unitary,
+    symplectic_form,
+)
 from symshadows.rng import RngStream
 from symshadows.spaces import (
     ALL_FAMILIES,
@@ -160,10 +167,15 @@ _EVEN_DIM = {"SP", "AII", "DIII", "CI", "CII"}
 def test_ensemble_draw_applies_its_matrix(family, d):
     spec = make_space(family, d)
     draw = sample_point(spec, RngStream(22), size=5, dense=False)
+    gen = RngStream(23).generator()
+    z = gen.standard_normal((d, 5)) + 1j * gen.standard_normal((d, 5))
+    before = (draw.apply(z), draw.apply_adjoint(z))
+    # The completion agrees with what the draw revealed before it.
     v = draw.matrix()
     assert draw.shape == v.shape == (5, d, d)
-    np.testing.assert_array_equal(v, sample_point(spec, RngStream(22), size=5))
-    gen = RngStream(23).generator()
+    np.testing.assert_allclose(before[0], np.einsum("nij,jn->in", v, z), atol=1e-13)
+    np.testing.assert_allclose(before[1], np.einsum("nji,jn->in", v.conj(), z), atol=1e-13)
+    assert structural_witness(spec, v).passed
     y = gen.standard_normal((d, 5)) + 1j * gen.standard_normal((d, 5))
     np.testing.assert_allclose(draw.apply(y), np.einsum("nij,jn->in", v, y), atol=1e-13)
     np.testing.assert_allclose(
@@ -214,13 +226,18 @@ def test_grassmannian_first_moment(spec):
                       make_space("CII", 10, 3, 2)],
     ids=lambda s: s.label(),
 )
-def test_grassmannians_draw_min_p_q_reflectors(spec):
+def test_grassmannians_draw_a_rank_min_p_q_subspace(spec):
     m = min(spec.p, spec.q)
-    parent = sample_point(spec, RngStream(32), size=3, dense=False).parent
-    # CII's quaternionic reflector j is the pair v_j, J conj(v_j).
-    assert len(parent.offsets) == (2 * m if spec.family == "CII" else m)
-    if spec.family != "CII":
-        assert parent.reflectors.shape == (spec.dim * m - m * (m - 1) // 2, 3)
+    c = 2 if spec.family == "CII" else 1
+    draw = sample_point(spec, RngStream(32), size=3, dense=False)
+    assert isinstance(draw.parent, DeferredSubspace)
+    assert draw.parent.rank == m and draw.parent.shape == (3, spec.dim, c * m)
+    w = draw.parent.matrix()
+    assert w.shape == (3, spec.dim, c * m)
+    assert np.max(np.abs(np.swapaxes(w.conj(), 1, 2) @ w - np.eye(c * m))) < 1e-13
+    # The dense path forms only the m (quaternionic) columns it keeps.
+    sampler = {"U": haar_unitary, "O": haar_orthogonal, "SP": haar_symplectic}[spec.parent]
+    assert sampler(spec.dim, RngStream(33), size=3, columns=m).shape == (3, spec.dim, c * m)
 
 
 def test_witness_negative_control():
@@ -396,3 +413,43 @@ def test_signed_symmetry_respects_family_structure():
     for trial in range(10):
         h = np.asarray(sample_signed_symmetry(spec, RngStream(21, (trial,))))
         assert np.max(np.abs(np.imag(h))) == 0.0
+
+
+# Dense draws of the eight families that are not Grassmannians are formed as
+# before, from the full Householder draw: V = g, gᵀg or σ(g)ᴴg.  Column 0 of
+# the second of two seeded draws at d = 4, pinned to 1e-12 (BLAS builds may
+# round the coset product differently).
+_PINNED_DENSE = {
+    "U": [(-0.14612187685575306-0.4747062415720812j), (0.03205794428059673+0.71436601418059j), (0.2610972484677723+0.19022910713618232j), (-0.015591904278003266+0.3706128350052319j)],
+    "O": [0.1561153710405201, -0.46539632529007735, -0.5182044597735189, 0.7003559018115065],
+    "SO": [0.1561153710405201, -0.46539632529007735, -0.5182044597735189, 0.7003559018115065],
+    "SP": [(0.4850547842168237+0.24918739161323744j), (-0.02905406530752419-0.4995600879972565j), (0.19813948017179583-0.12010308742585257j), (-0.6155622311428546+0.1400793143797493j)],
+    "AI": [(-0.8184116093523967+0.27231161891268724j), (0.13461154801524322+0.03809633312436919j), (-0.33863373715582523-0.0520313370363163j), (-0.1347143803820517-0.3177250197421686j)],
+    "AII": [(0.3596246637307865+0.8149537446832739j), (-0.08993178915357199-0.4202625149654219j), (-2.7998763649301085e-17+0j), (-0.14527115702573334+0.026617250312710304j)],
+    "DIII": [0.08173094441083216, -0.0441769035738516, -1.621122909020234e-17, -0.9956748735989777],
+    "CI": [(0.3085967928296834+0.05071817856814168j), (-0.025810734665949825+0.1270429371647378j), (8.500508814319093e-18-0.8384212666009365j), (0.07925332959212694-0.419712131550146j)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_DENSE))
+@pytest.mark.parametrize("d", [4, 6, 24])
+def test_dense_draws_of_the_other_families_are_unchanged(family, d):
+    spec = make_space(family, d)
+    v = sample_point(spec, RngStream(7), 2)
+    if d == 4:
+        np.testing.assert_allclose(v[1, :, 0], _PINNED_DENSE[family], rtol=0, atol=1e-12)
+    # Bit for bit the full Householder draw of the parent, then the coset map.
+    gen = RngStream(7).generator()
+    if spec.parent == "SP":
+        g = haar._symplectic_reflectors(d, gen, 2, d // 2).matrix()
+    else:
+        g = haar._haar_reflectors(
+            d, gen, 2, d, real=spec.is_real, special=spec.is_real and family != "O"
+        ).matrix()
+    if family in GROUP_FAMILIES:
+        expected = g
+    elif family == "AI":
+        expected = np.ascontiguousarray(np.swapaxes(g, -1, -2)) @ g
+    else:
+        expected = np.swapaxes(involution(spec, g).conj(), -1, -2) @ g
+    np.testing.assert_array_equal(v, expected)
