@@ -17,6 +17,7 @@ Quick start::
 from .channel import (
     ChannelInverse,
     ChannelWeights,
+    SectorSplit,
     SectorSpectrum,
     apply_channel,
     build_superoperator,
@@ -103,6 +104,7 @@ __all__ = [
     "QUOTIENT_FAMILIES",
     "ResultRow",
     "RngStream",
+    "SectorSplit",
     "SectorSpectrum",
     "ShadowRecord",
     "SpaceSpec",

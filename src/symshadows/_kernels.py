@@ -61,7 +61,10 @@ def row_quadratic(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     rows : (B, d) complex ndarray
     x : (d, d) complex ndarray (Hermitian in normal use)
     """
-    return np.einsum("na,ab,nb->n", rows, x, rows.conj(), optimize=True).real
+    # One gemm, then a real row reduction: Re(y conj(r)) = Re y Re r + Im y Im r.
+    # A three-operand einsum would plan its contraction path on every call.
+    y = rows @ x
+    return np.einsum("nb,nb->n", y.real, rows.real) + np.einsum("nb,nb->n", y.imag, rows.imag)
 
 
 def proj_unitary(v: np.ndarray) -> np.ndarray:

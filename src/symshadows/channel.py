@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "ChannelWeights",
     "SectorSpectrum",
     "ChannelInverse",
+    "SectorSplit",
     "dephase",
     "parent_channel",
     "channel_weights",
@@ -422,17 +424,20 @@ def _sector_parts(spec: SpaceSpec, m: np.ndarray) -> dict[str, np.ndarray]:
     d = spec.dim
     parts = {}
     if spec.parent in ("O", "SO"):
-        sym = (m + np.swapaxes(m, -1, -2)) / 2.0
+        sym = (m + np.swapaxes(m, -1, -2)) * 0.5
         parts["antisymmetric"] = m - sym
         m = sym
-    trace_part = np.trace(m, axis1=-2, axis2=-1)[..., None, None] / d * np.eye(d)
+    idx = np.arange(d)
+    trace_part = np.zeros_like(m)
+    trace_part[..., idx, idx] = np.trace(m, axis1=-2, axis2=-1)[..., None] / d
     parts["identity"] = trace_part
     if spec.is_group:
         label = "traceless" if spec.parent in ("U", "SP") else "symmetric_traceless"
         parts[label] = m - trace_part
         return parts
-    diag_part = dephase(m) - trace_part
-    off_part = m - dephase(m)
+    diagonal = dephase(m)
+    diag_part = diagonal - trace_part
+    off_part = m - diagonal
     if spec.parent == "U":
         parts["diagonal"], parts["off_diagonal"] = diag_part, off_part
     elif spec.parent == "O":
@@ -440,13 +445,33 @@ def _sector_parts(spec: SpaceSpec, m: np.ndarray) -> dict[str, np.ndarray]:
     else:
         jperm, _ = symplectic_pairing(d)
         swapped = diag_part[..., jperm, :][..., :, jperm]
-        parts["diagonal_pair_symmetric"] = (diag_part + swapped) / 2.0
-        parts["diagonal_pair_antisymmetric"] = (diag_part - swapped) / 2.0
+        parts["diagonal_pair_symmetric"] = (diag_part + swapped) * 0.5
+        parts["diagonal_pair_antisymmetric"] = (diag_part - swapped) * 0.5
         pair = np.zeros((d, d), dtype=bool)
         pair[np.arange(d), jperm] = True
         parts["pair_off_diagonal"] = np.where(pair, off_part, 0.0)
         parts["off_diagonal"] = np.where(pair, 0.0, off_part)
     return parts
+
+
+class SectorSplit(NamedTuple):
+    """One sector split of an operator ``m`` by a :class:`ChannelInverse`.
+
+    Attributes
+    ----------
+    inverse : ndarray
+        M+(m).
+    null : ndarray
+        The component of ``m`` in the channel's null sectors; ``m - null``
+        is the projection of ``m`` onto the channel image, M(M+(m)).
+    projected : bool
+        True when ``null`` has non-negligible weight, above 1e-9 of the
+        Hilbert-Schmidt norm of ``m``.
+    """
+
+    inverse: np.ndarray
+    null: np.ndarray
+    projected: bool
 
 
 class ChannelInverse:
@@ -460,9 +485,11 @@ class ChannelInverse:
     applying it is O(d^2) for every parent.  Instances are cached and must
     be treated as immutable.
 
-    Use :meth:`apply` (or call the object) for M+(m), and
-    :meth:`removed_norm` to measure how much of an operator lives in the
-    null space and is silently projected away.
+    :meth:`split` splits an operator into its sectors once and returns
+    M+(m), the null-sector component of ``m`` and whether that component
+    is non-negligible; :meth:`apply` (or calling the object),
+    :meth:`removed_norm` and :meth:`is_projected` each read one field of
+    that split.
     """
 
     def __init__(self, spec: SpaceSpec):
@@ -476,38 +503,40 @@ class ChannelInverse:
                 f"{spec.label()} channel is null on every non-identity sector"
             )
 
-    def _parts(self, m: np.ndarray) -> dict[str, np.ndarray]:
+    def split(self, m: np.ndarray) -> SectorSplit:
+        """Split ``m`` into its sectors once; see :class:`SectorSplit`."""
         m = np.asarray(m, dtype=complex)
         d = self.spec.dim
         if m.shape[-2:] != (d, d):
             raise ValueError(
                 f"matrix shape {m.shape} does not match ensemble dimension {d}"
             )
-        return _sector_parts(self.spec, m)
+        # Every part is a fresh array, so the sums are formed in place.
+        parts = _sector_parts(self.spec, m)
+        inverse = parts["identity"]
+        for label, lam in self._kept:
+            if label != "identity":
+                inverse += np.divide(parts[label], lam, out=parts[label])
+        null = np.zeros_like(m)
+        for label in self._null:
+            null += parts[label]
+        scale = float(np.linalg.norm(m))
+        projected = scale > 0.0 and float(np.linalg.norm(null)) > 1e-9 * scale
+        return SectorSplit(inverse, null, projected)
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         """Evaluate M+(m); components in null sectors are projected out."""
-        parts = self._parts(m)
-        out = parts["identity"]
-        for label, lam in self._kept:
-            if label != "identity":
-                out = out + parts[label] / lam
-        return out
+        return self.split(m).inverse
 
     __call__ = apply
 
     def removed_norm(self, m: np.ndarray) -> float:
         """Hilbert-Schmidt norm of the null-sector component of ``m``."""
-        parts = self._parts(m)
-        removed_sq = sum(float(np.linalg.norm(parts[lab]) ** 2) for lab in self._null)
-        return removed_sq**0.5
+        return float(np.linalg.norm(self.split(m).null))
 
     def is_projected(self, m: np.ndarray) -> bool:
         """True when ``m`` has non-negligible weight outside the image."""
-        scale = float(np.linalg.norm(np.asarray(m)))
-        if scale == 0.0:
-            return False
-        return self.removed_norm(m) > 1e-9 * scale
+        return self.split(m).projected
 
 
 @lru_cache(maxsize=64)

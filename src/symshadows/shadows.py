@@ -32,7 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .channel import apply_channel, invert_channel
+# Nothing here calls apply_channel; it stays a module attribute because the
+# benchmark's tracer (perfbench/tracing.py) wraps shadows.apply_channel by name.
+from .channel import apply_channel, invert_channel  # noqa: F401
 from .haar import _integer
 from .rng import RngStream, as_generator
 from .spaces import SpaceSpec, _block_total, make_space, sample_point
@@ -95,6 +97,14 @@ def validate_density(rho: np.ndarray, *, tol: float = DENSITY_TOL) -> np.ndarray
     InvalidStateError
         If the matrix is not square, has a non-finite entry, is not
         Hermitian or not unit trace, or has an eigenvalue below ``-tol``.
+
+    Notes
+    -----
+    Positivity is tested by a Cholesky factorization of ``rho + tol·I``,
+    which exists iff every eigenvalue exceeds ``-tol``.  Only when it fails
+    are the eigenvalues computed, and the state is rejected iff the least
+    one is below ``-tol``; so a state is never rejected without an
+    eigenvalue check, and a valid one costs no eigendecomposition.
     """
     arr = np.ascontiguousarray(rho, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -108,9 +118,15 @@ def validate_density(rho: np.ndarray, *, tol: float = DENSITY_TOL) -> np.ndarray
     trace_gap = abs(complex(np.trace(arr)) - 1.0)
     if trace_gap > tol:
         raise InvalidStateError(f"state trace differs from 1 by {trace_gap:.3e}")
-    eigmin = float(np.linalg.eigvalsh(arr)[0])
-    if eigmin < -tol:
-        raise InvalidStateError(f"state has negative eigenvalue {eigmin:.3e}")
+    # Cheaper than eigvalsh; see Notes.  The factorization also fails at
+    # lambda_min = -tol exactly, and by roundoff just above it, so the
+    # eigenvalues decide every rejection.
+    try:
+        np.linalg.cholesky(arr + tol * np.eye(arr.shape[0]))
+    except np.linalg.LinAlgError:
+        eigmin = float(np.linalg.eigvalsh(arr)[0])
+        if eigmin < -tol:
+            raise InvalidStateError(f"state has negative eigenvalue {eigmin:.3e}") from None
     return arr
 
 
@@ -359,11 +375,11 @@ def estimate_observable(
 ) -> EstimationReport:
     """Estimate ``tr(rho O)`` from stored protocol rounds.
 
-    The channel pseudo-inverse is applied once to the observable; each
-    record then contributes ``<w| V M⁺(O) V† |w>``.  When ``O`` has a
-    component in the channel's null space the estimate targets the
-    projection of ``O`` onto the image, and the report's ``projected``
-    flag is set.
+    The observable is split into its channel sectors once, which gives
+    ``M⁺(O)`` and the projection flag; each record then contributes
+    ``<w| V M⁺(O) V† |w>``.  When ``O`` has a component in the channel's
+    null space the estimate targets the projection of ``O`` onto the image,
+    and the report's ``projected`` flag is set.
 
     Parameters
     ----------
@@ -379,15 +395,13 @@ def estimate_observable(
     batch = list(records)
     if not batch:
         raise ValueError("cannot estimate from an empty record list")
-    obs = _as_observable(observable, spec.dim)
-    inverse = invert_channel(spec)
-    x = np.ascontiguousarray(inverse.apply(obs))
+    split = invert_channel(spec).split(_as_observable(observable, spec.dim))
     rows = np.ascontiguousarray(
         np.stack([np.asarray(rec.rotation)[rec.outcome] for rec in batch]),
         dtype=np.complex128,
     )
-    estimates = _kernels.row_quadratic(rows, x)
-    return _report_from_estimates(estimates, truth, inverse.is_projected(obs))
+    estimates = _kernels.row_quadratic(rows, split.inverse)
+    return _report_from_estimates(estimates, truth, split.projected)
 
 
 def _as_observable(observable: np.ndarray, dim: int) -> np.ndarray:
@@ -442,10 +456,10 @@ def shadow_estimates(
     (n_shots,) float ndarray
         Single-record estimates, in draw order.
     """
-    n_shots, batch_size, _, factor, _, _, x = _prepare(
+    n_shots, batch_size, _, factor, _, split = _prepare(
         spec, rho, observable, n_shots, batch_size
     )
-    return _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
+    return _streamed_estimates(spec, factor, split.inverse, n_shots, rng, batch_size)
 
 
 def _prepare(spec: SpaceSpec, rho, observable, n_shots: int, batch_size):
@@ -453,7 +467,8 @@ def _prepare(spec: SpaceSpec, rho, observable, n_shots: int, batch_size):
 
     Returns ``n_shots`` and ``batch_size`` as ints (the default batch filled
     in), the validated state, its low-rank factor, the checked observable
-    ``O``, the channel inverse ``M⁺`` and ``x = M⁺(O)``.
+    ``O`` and its one sector split (:class:`~symshadows.channel.SectorSplit`:
+    ``M⁺(O)``, the null-sector part of ``O`` and the projection flag).
     """
     n_shots = _integer(n_shots, "n_shots")
     if n_shots < 1:
@@ -465,9 +480,7 @@ def _prepare(spec: SpaceSpec, rho, observable, n_shots: int, batch_size):
         raise ValueError(f"batch_size must be a positive integer, got {batch_size}")
     state, factor = _validated_state(spec, rho)
     obs = _as_observable(observable, spec.dim)
-    inverse = invert_channel(spec)
-    x = np.ascontiguousarray(inverse.apply(obs))
-    return n_shots, batch_size, state, factor, obs, inverse, x
+    return n_shots, batch_size, state, factor, obs, invert_channel(spec).split(obs)
 
 
 def _streamed_estimates(spec, factor, x, n_shots, rng, batch_size) -> np.ndarray:
@@ -496,21 +509,25 @@ def run_estimation(
     When ``truth`` is not supplied it is computed as the trace pairing of
     ``rho`` with the projection of the observable onto the channel image —
     the quantity the estimator is actually unbiased for (equal to
-    ``tr(rho O)`` whenever ``O`` lies in the image).  The state is validated
-    (one eigendecomposition) and factored once, and the observable checked
-    and mapped through the channel inverse once.  ``n_shots`` must be at
-    least 2, so that the report's variance and standard error exist.
+    ``tr(rho O)`` whenever ``O`` lies in the image).  Outside its shots a
+    call does one Cholesky factorization, the O(d² r) low-rank factor of a
+    rank-r state, and O(d²) more work: the state is validated (no
+    eigendecomposition unless it sits at the positivity edge, see
+    :func:`validate_density`) and factored once, and the observable is
+    checked and split into its channel sectors once.  That split gives
+    ``M⁺(O)``, the ``projected`` flag and the truth ``tr(rho (O - N))``,
+    N being the null-sector part of ``O``.  ``n_shots`` must be at least 2,
+    so that the report's variance and standard error exist.
     """
     if _integer(n_shots, "n_shots") < 2:
         raise ValueError("variance estimation needs n_shots >= 2")
-    n_shots, batch_size, state, factor, obs, inverse, x = _prepare(
+    n_shots, batch_size, state, factor, obs, split = _prepare(
         spec, rho, observable, n_shots, batch_size
     )
-    estimates = _streamed_estimates(spec, factor, x, n_shots, rng, batch_size)
-    projected = inverse.is_projected(obs)
+    estimates = _streamed_estimates(spec, factor, split.inverse, n_shots, rng, batch_size)
     if truth is None:
-        truth = float(np.trace(state @ apply_channel(spec, x)).real)
-    return _report_from_estimates(estimates, truth, projected)
+        truth = float(np.vdot(state, obs - split.null).real)
+    return _report_from_estimates(estimates, truth, split.projected)
 
 
 def median_of_means(per_record_estimates, n_batches: int) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symshadows import _kernels, haar, shadows, spaces
+from symshadows import _kernels, channel, haar, shadows, spaces
 from symshadows.channel import apply_channel, invert_channel
 from symshadows.haar import HouseholderDraw
 from symshadows.rng import RngStream
@@ -72,6 +72,67 @@ def test_validate_density_rejects_non_finite_entries(bad):
     rho = np.diag([bad, 0.5]).astype(complex)
     with pytest.raises(InvalidStateError, match="non-finite"):
         validate_density(rho)
+
+
+def _with_spectrum(eigenvalues, seed):
+    """A generic (rotated) Hermitian matrix with the given spectrum."""
+    u = haar.haar_unitary(len(eigenvalues), RngStream(seed))
+    return u @ np.diag(eigenvalues) @ u.conj().T
+
+
+def _count_calls(monkeypatch, owner, names, counts=None):
+    """Count calls of ``owner.<name>`` for each name into ``counts``."""
+    counts = {} if counts is None else counts
+    for name in names:
+        original = getattr(owner, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return counts
+
+
+def test_validate_density_rejects_just_past_the_tolerance():
+    tol = shadows.DENSITY_TOL
+    rho = _with_spectrum([0.5 + 2 * tol, 0.3, 0.2, -2 * tol], 61)
+    with pytest.raises(InvalidStateError, match=r"negative eigenvalue -2\.000e-10"):
+        validate_density(rho)
+
+
+def test_validate_density_accepts_half_the_tolerance_below_zero():
+    tol = shadows.DENSITY_TOL
+    validate_density(np.diag([1.0 + tol / 2, 0.0, -tol / 2]))
+    validate_density(_with_spectrum([0.6 + tol / 2, 0.4, 0.0, -tol / 2], 62))
+
+
+def test_validate_density_falls_back_to_the_eigenvalue_rule_at_the_edge(monkeypatch):
+    # At lambda_min = -tol exactly, rho + tol·I is singular, so its Cholesky
+    # factorization fails; the eigenvalues decide, and -tol is not below -tol.
+    tol = shadows.DENSITY_TOL
+    counts = _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
+    validate_density(np.diag([1.0 + tol, -tol]))
+    assert counts == {"eigvalsh": 1}
+
+
+def test_validate_density_accepts_states_without_eigendecomposition(monkeypatch):
+    counts = _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
+    validate_density(_state(16, 63))
+    validate_density(_wishart_state(16, 16, 64))
+    assert counts == {}
+
+
+def test_validate_density_honours_the_callers_tolerance():
+    rho = np.diag([1.0 + 5e-4, -5e-4])
+    validate_density(rho, tol=1e-3)
+    with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+        validate_density(rho)
+
+
+def test_validate_density_rejects_indefinite_matrix_with_positive_diagonal():
+    with pytest.raises(InvalidStateError, match=r"negative eigenvalue -4\.000e-01"):
+        validate_density(np.array([[0.5, 0.9], [0.9, 0.5]]))
 
 
 def test_random_pure_state_is_rank_one_projector():
@@ -711,24 +772,46 @@ def test_record_path_matches_streamed_path(spec):
 @pytest.mark.parametrize(
     "spec", [make_space("AIII", 4, 2, 2), make_space("CI", 4)], ids=lambda s: s.label()
 )
-def test_run_estimation_validates_and_decomposes_once(monkeypatch, spec):
-    counts = {}
-
-    def counting(owner, name):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    for name in ("validate_density", "_as_observable", "invert_channel"):
-        counting(shadows, name)
-    for name in ("eigh", "eigvalsh"):
-        counting(np.linalg, name)
+def test_run_estimation_validates_once_without_eigendecomposition(monkeypatch, spec):
+    counts = _count_calls(
+        monkeypatch,
+        shadows,
+        ("validate_density", "_as_observable", "invert_channel", "apply_channel"),
+    )
+    _count_calls(monkeypatch, channel, ("_sector_parts",), counts)
+    _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "cholesky"), counts)
     run_estimation(spec, _state(4, 96), _traceless_observable(4, 97), 40, RngStream(98))
-    assert counts.pop("validate_density") == 1
-    assert counts.pop("_as_observable") == 1
-    assert counts.pop("invert_channel") == 1
-    assert sum(counts.values()) == 1, counts
+    assert counts == {
+        "validate_density": 1,
+        "_as_observable": 1,
+        "invert_channel": 1,
+        "_sector_parts": 1,
+        "cholesky": 1,
+    }
+
+
+_ORACLE_SPECS = [
+    make_space(family, d, p, total - p) if total is not None else make_space(family, d)
+    for d in (2, 4, 6, 8)
+    for family in ALL_FAMILIES
+    for total in [spaces._block_total(family, d)]
+    for p in (range(total + 1) if total is not None else [None])
+]
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS, ids=lambda s: s.label())
+def test_run_estimation_truth_and_flag_match_the_channel_oracle(spec):
+    # The truth read off the one sector split, tr(rho (O - N)), against
+    # M(M⁺(O)) formed by the channel itself, for a generic observable (with
+    # a null-sector part where the channel has null sectors) and one in the
+    # image.
+    d = spec.dim
+    gen = np.random.default_rng(99)
+    rho = _wishart_state(d, d, 100)
+    inverse = invert_channel(spec)
+    generic = _grid_observable(d, "complex", gen)
+    for obs in (generic, apply_channel(spec, generic)):
+        report = run_estimation(spec, rho, obs, 2, RngStream(101))
+        oracle = float(np.trace(rho @ apply_channel(spec, inverse.apply(obs))).real)
+        assert abs(report.truth - oracle) <= 1e-13
+        assert report.projected == inverse.is_projected(obs)
