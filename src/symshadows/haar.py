@@ -22,8 +22,9 @@ Two samplers share each group, one per use.
   squared length of a Haar subspace's projection of a fresh direction is
   Beta-distributed (:class:`DeferredSubspace`, the span of the first
   ``columns`` columns).  Applying a draw to k vectors costs k fresh Gaussian
-  d-vectors and O(k²d), whatever d; ``matrix()`` completes a draw from a
-  stream spawned off the caller's, with the same law.
+  d-vectors and O(k²d), whatever d.  :meth:`DeferredUnitary.matrix`
+  completes a draw from its own generator, which it advances, with the same
+  law.
 
 The samplers accept ``size=None`` for a single ``(d, d)`` matrix or an
 integer ``size`` for a stacked ``(size, d, d)`` batch, and draw from a
@@ -141,6 +142,24 @@ class _MatrixStack:
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.size, self.dim, self.dim)
+
+
+class _Completable(_MatrixStack):
+    """A deferred draw of ``(B, d, d)`` matrices that ``apply`` reveals as it is read."""
+
+    def matrix(self) -> np.ndarray:
+        """Complete the draws and return them as dense ``(B, d, d)`` matrices.
+
+        Column ``j`` is ``apply(e_j)``: it reveals what the draw has not yet
+        revealed, from the draw's own generator, which advances.  Once the
+        draw is complete a call draws nothing more.  Real for a real draw.
+        """
+        out = np.empty(self.shape, dtype=self._dtype)
+        for j in range(self.dim):
+            e = np.zeros((self.dim, self.size), dtype=self._dtype)
+            e[j] = 1.0
+            out[:, :, j] = self.apply(e).T
+        return out
 
 
 class HouseholderDraw(_MatrixStack):
@@ -288,7 +307,7 @@ class _Frame:
 def _coefficients(vectors: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``⟨v_i, z⟩`` for vectors ``(n, d, B)`` and ``z`` ``(d, B)``: ``(n, B)``."""
     if vectors.shape[2] == 1:
-        # One draw, as when a record completes its rotation: one BLAS product.
+        # One draw, as a single recorded round has: one BLAS product.
         return (vectors[:, :, 0].conj() @ z[:, 0])[:, None]
     if vectors.dtype.kind != "c":
         return (vectors * z).sum(axis=1)
@@ -350,11 +369,10 @@ def _theta(v: np.ndarray) -> np.ndarray:
 
 
 class _DeferredDraw:
-    """What both deferred draws share: the field, the streams and fresh directions.
+    """What both deferred draws share: the field, the stream and fresh directions.
 
     Reveals draw from the generator the draw was made with, as the draw is
-    used.  :meth:`matrix` completes the draw from a child generator spawned
-    off it, so forming the matrix leaves the caller's stream where it was.
+    used.
     """
 
     def __init__(self, dim: int, size: int, gen: np.random.Generator, field: str):
@@ -362,7 +380,6 @@ class _DeferredDraw:
         self.size = size
         self.field = field
         self._gen = gen
-        self._child = None
         self._dtype = np.float64 if field == "real" else np.complex128
 
     def _frame(self) -> _Frame:
@@ -415,20 +432,8 @@ class _DeferredDraw:
             return out + 1j * one(np.ascontiguousarray(y.imag))
         return out.astype(np.complex128)
 
-    def _completing(self):
-        """Swap in the completion stream; returns the caller's, to swap back."""
-        if self._child is None:
-            try:
-                self._child = self._gen.spawn(1)[0]
-            except TypeError:
-                # A bit generator made without a SeedSequence (a legacy
-                # RandomState's) cannot spawn: seed the child from the stream.
-                self._child = np.random.default_rng(self._gen.integers(2**63))
-        gen, self._gen = self._gen, self._child
-        return gen
 
-
-class DeferredUnitary(_MatrixStack, _DeferredDraw):
+class DeferredUnitary(_Completable, _DeferredDraw):
     """A batch of Haar draws from U(d), O(d), SO(d) or SP(d), revealed as they are read.
 
     A draw holds orthonormal inputs ``x_i`` and outputs ``y_i = g x_i``.
@@ -447,8 +452,8 @@ class DeferredUnitary(_MatrixStack, _DeferredDraw):
     * SO(d): the first d − 1 pairs are those of O(d); the last output is
       fixed, up to sign, by the others, and its sign by ``det g = +1``.
 
-    :meth:`matrix` reveals fresh pairs until the frame fills and returns
-    ``g = Σ y_i x_iᴴ``: a Haar draw that agrees with everything revealed.
+    :meth:`matrix` applies ``g`` to the basis vectors, which fills the
+    frame, and returns a Haar draw that agrees with everything revealed.
     ``shape`` is that of :meth:`matrix`, ``(B, d, d)``.
     """
 
@@ -497,18 +502,6 @@ class DeferredUnitary(_MatrixStack, _DeferredDraw):
         dst.add(_theta(y))
         return 2
 
-    def matrix(self) -> np.ndarray:
-        """Complete the draws and return them as dense ``(B, d, d)`` matrices."""
-        if self._inputs.n < self.dim:
-            gen = self._completing()
-            try:
-                while self._inputs.n < self.dim:
-                    self._reveal(self._inputs, self._outputs, self._fresh(self._inputs.vectors))
-            finally:
-                self._gen = gen
-        outputs = self._outputs.vectors.transpose(2, 1, 0)
-        return outputs @ self._inputs.vectors.transpose(2, 0, 1).conj()
-
 
 class DeferredSubspace(_DeferredDraw):
     """A batch of Haar-random subspaces of rank m, revealed through their projector P.
@@ -529,11 +522,8 @@ class DeferredSubspace(_DeferredDraw):
     O(d·|Q|).  A real space takes a complex vector part by part; a
     quaternionic one adds ``θ = J conj`` of each vector with it.
 
-    :meth:`matrix` reveals fresh directions until P is fixed and returns an
-    orthonormal basis of its range, ``(B, d, c·m)`` with c = 2 for
-    quaternionic spaces: ``√t_j x_j + √(1-t_j) w_j``, and the rest of the
-    space when ``k = n``.  That basis spans a Haar subspace, but is not
-    itself a Haar isometry.  ``shape`` is that of :meth:`matrix`.
+    ``shape`` is that of the dense draw's kept columns, ``(B, d, c·m)`` with
+    c = 2 for quaternionic spaces.
     """
 
     ndim = 3
@@ -548,7 +538,6 @@ class DeferredSubspace(_DeferredDraw):
         self._t: list[np.ndarray] = []
         self._free = dim // self._copies
         self._left = rank
-        self._rest = None
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -605,31 +594,6 @@ class DeferredSubspace(_DeferredDraw):
         self._t.append(t)
         self._free -= 2
         self._left -= 1
-
-    def matrix(self) -> np.ndarray:
-        """Fix the subspaces and return an orthonormal basis of each, ``(B, d, c·m)``."""
-        if self._left and (self._left < self._free or self._rest is None):
-            gen = self._completing()
-            try:
-                while 0 < self._left < self._free:
-                    self._reveal(self._fresh(self._settled.vectors))
-                if self._left:
-                    # k = n: the whole rest of the space lies in the range.
-                    frame = self._frame()
-                    for v in self._settled.vectors:
-                        frame.add(v)
-                    for _ in range(self._free):
-                        self._add(frame, self._fresh(frame.vectors))
-                    self._rest = frame.vectors[self._settled.n :]
-            finally:
-                self._gen = gen
-        pairs = self._settled.vectors.reshape(len(self._t), 2, self._copies, self.dim, self.size)
-        t = np.array(self._t).reshape(-1, 1, 1, self.size)
-        basis = np.sqrt(t) * pairs[:, 0] + np.sqrt(1.0 - t) * pairs[:, 1]
-        basis = basis.reshape(-1, self.dim, self.size)
-        if self._left:
-            basis = np.concatenate([basis, self._rest])
-        return np.ascontiguousarray(basis.transpose(2, 1, 0))
 
 
 def _columns(columns, n: int) -> int:
@@ -737,7 +701,8 @@ def haar_unitary(
         formed from Householder reflectors.  False: return a deferred draw
         (``size`` draws, one for ``size=None``) for code that only applies
         the unitaries to vectors: a :class:`DeferredUnitary`, which draws
-        only the directions it is applied to.
+        only the directions it is applied to.  Its ``matrix()`` completes
+        the draws from their own generator, which it advances.
     columns : int, optional
         Only the span of the first ``columns`` columns (``1 <= columns <=
         d``), a Haar-random subspace.  Dense: those columns, ``(size, d,

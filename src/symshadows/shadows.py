@@ -2,20 +2,21 @@
 
 One protocol round draws a rotation ``V`` from the configured ensemble,
 measures ``V rho V^†`` in the computational basis, and stores the pair
-``(V, outcome)``.  The Born law ``<w|V rho V^†|w>`` is linear in ``rho``,
+``(row, outcome)``: the measured row ``V[w, :] = conj(V^† e_w)`` and its
+index ``w``, the classical shadow of Huang, Kueng & Preskill (Nat. Phys.
+16:1050, 2020).  The Born law ``<w|V rho V^†|w>`` is linear in ``rho``,
 so a round first picks one pure component ``u_k`` of
 ``rho = sum_k w_k u_k u_k^†`` with probability ``w_k`` and then measures
-``V u_k``: the pair ``(V, outcome)`` has the same law, at every rank.  The
-streamed estimator never forms ``V``: it applies the draw to the chosen
-component for the Born probabilities and to the measured basis vector for
-the outcome row.  The draw is deferred (:mod:`symshadows.haar`): it reveals
-only the directions these two vectors read, so a shot draws a few fresh
-Gaussian d-vectors and costs O(d) per revealed direction, for every family.
-Linear functionals ``tr(rho O)`` are then estimated by applying the
-pseudo-inverse of the measurement channel to the *observable* (the adjoint
-trick: the channel is self-adjoint in the Hilbert-Schmidt inner product),
-so each record contributes a single quadratic form
-``<w| V M⁺(O) V† |w>``.
+``V u_k``: the outcome has the same law, at every rank.  No round forms
+``V``: it applies the draw to the chosen component for the Born
+probabilities and to the measured basis vector for the row.  The draw is
+deferred (:mod:`symshadows.haar`): it reveals only the directions these two
+vectors read, so a shot draws a few fresh Gaussian d-vectors and costs O(d)
+per revealed direction, for every family.  Linear functionals
+``tr(rho O)`` are then estimated by applying the pseudo-inverse of the
+measurement channel to the *observable* (the adjoint trick: the channel is
+self-adjoint in the Hilbert-Schmidt inner product), so each record
+contributes a single quadratic form ``<w| V M⁺(O) V† |w>``.
 
 The module also provides the observable ensemble used in the variance study
 (a diagonal/off-diagonal interpolation with unit Frobenius norm) and the
@@ -112,7 +113,7 @@ def validate_density(rho: np.ndarray, *, tol: float = DENSITY_TOL) -> np.ndarray
     # NaN compares False, so every tolerance check below would pass on it.
     if not np.isfinite(arr).all():
         raise InvalidStateError("state has non-finite entries")
-    herm_gap = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+    herm_gap = _hermitian_gap(arr)
     if herm_gap > tol:
         raise InvalidStateError(f"state is not Hermitian (max deviation {herm_gap:.3e})")
     trace_gap = abs(complex(np.trace(arr)) - 1.0)
@@ -128,6 +129,11 @@ def validate_density(rho: np.ndarray, *, tol: float = DENSITY_TOL) -> np.ndarray
         if eigmin < -tol:
             raise InvalidStateError(f"state has negative eigenvalue {eigmin:.3e}") from None
     return arr
+
+
+def _hermitian_gap(arr: np.ndarray) -> float:
+    """``max|a − aᴴ|`` of a square matrix, 0 for an empty one."""
+    return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
 
 
 def random_pure_state(dim: int, rng=None) -> np.ndarray:
@@ -197,23 +203,25 @@ def random_observable(
 
 @dataclass(frozen=True)
 class ShadowRecord:
-    """One stored protocol round: the drawn rotation and the observed outcome.
+    """One stored protocol round: the measured row and the observed outcome.
 
     Attributes
     ----------
-    rotation : (d, d) ndarray
-        Ensemble element ``V`` applied before the computational-basis
-        measurement.
+    row : (d,) ndarray
+        Row ``V[w, :]`` of the ensemble element ``V`` applied before the
+        computational-basis measurement, ``w`` the outcome: all that the
+        estimator reads of ``V``.  Real for the real families and the
+        degenerate quotients.
     outcome : int
-        Measured basis index in ``[0, d)``.
+        Measured basis index ``w`` in ``[0, d)``.
     """
 
-    rotation: np.ndarray
+    row: np.ndarray
     outcome: int
 
 
 def sample_outcome(spec: SpaceSpec, rho: np.ndarray, rng=None) -> ShadowRecord:
-    """Run one protocol round: draw ``V``, measure ``V rho V^†``, record both.
+    """Run one protocol round: draw ``V``, measure ``V rho V^†``, record the row read.
 
     Parameters
     ----------
@@ -222,9 +230,9 @@ def sample_outcome(spec: SpaceSpec, rho: np.ndarray, rng=None) -> ShadowRecord:
     rho : (d, d) array_like
         State to measure; validated to be a density matrix.
     rng : Generator, RngStream, int, or None, optional
-        Randomness source for both the rotation draw and the outcome draw.
-        The recorded rotation completes the measured draw from a stream
-        spawned off ``rng``, so ``rng`` advances as in a streamed round.
+        Randomness source for both the rotation draw and the outcome draw;
+        it advances as in a streamed round.  ``V`` is never formed: the
+        draw reveals only the directions the round reads.
 
     Raises
     ------
@@ -232,9 +240,8 @@ def sample_outcome(spec: SpaceSpec, rho: np.ndarray, rng=None) -> ShadowRecord:
         If ``rho`` fails validation or its dimension does not match ``spec``.
     """
     _, factor = _validated_state(spec, rho)
-    draw, outcomes, _ = _measure_batch(spec, factor, as_generator(rng), 1)
-    rotation = np.ascontiguousarray(draw.matrix()[0], dtype=np.complex128)
-    return ShadowRecord(rotation=rotation, outcome=int(outcomes[0]))
+    _, outcomes, rows = _measure_batch(spec, factor, as_generator(rng), 1)
+    return ShadowRecord(row=rows[0], outcome=int(outcomes[0]))
 
 
 def _validated_state(spec: SpaceSpec, rho: np.ndarray):
@@ -288,9 +295,11 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
     Returns
     -------
     draw : EnsembleDraw
-        The rotations; :meth:`EnsembleDraw.matrix` completes them as matrices.
+        The rotations, deferred: :meth:`EnsembleDraw.matrix` completes them.
     outcomes : (count,) int64 ndarray
-    rows : (count, d) complex ndarray
+    rows : (count, d) ndarray
+        The outcome rows ``V[w, :]``; real for the real families and the
+        degenerate quotients.
     """
     weights, vectors = factor
     draw = sample_point(spec, gen, count, dense=False)
@@ -376,15 +385,19 @@ def estimate_observable(
     """Estimate ``tr(rho O)`` from stored protocol rounds.
 
     The observable is split into its channel sectors once, which gives
-    ``M⁺(O)`` and the projection flag; each record then contributes
-    ``<w| V M⁺(O) V† |w>``.  When ``O`` has a component in the channel's
-    null space the estimate targets the projection of ``O`` onto the image,
-    and the report's ``projected`` flag is set.
+    ``M⁺(O)`` and the projection flag; each record's row ``r = V[w, :]``
+    then contributes ``<w| V M⁺(O) V† |w> = Re(r M⁺(O) r†)``, as in a
+    streamed run.  When ``O`` has a component in the channel's null space
+    the estimate targets the projection of ``O`` onto the image, and the
+    report's ``projected`` flag is set.
 
     Parameters
     ----------
     records : sequence of ShadowRecord
         Nonempty batch of protocol rounds, all from ``spec``'s ensemble.
+        Every record is checked before any arithmetic: its ``row`` must be
+        a finite vector of shape ``(d,)`` and its ``outcome`` an integer in
+        ``[0, d)``, else a ``ValueError`` names the record's index.
     observable : (d, d) array_like
         Hermitian observable.
     spec : SpaceSpec
@@ -395,13 +408,22 @@ def estimate_observable(
     batch = list(records)
     if not batch:
         raise ValueError("cannot estimate from an empty record list")
+    rows = np.stack([_record_row(i, rec, spec.dim) for i, rec in enumerate(batch)])
     split = invert_channel(spec).split(_as_observable(observable, spec.dim))
-    rows = np.ascontiguousarray(
-        np.stack([np.asarray(rec.rotation)[rec.outcome] for rec in batch]),
-        dtype=np.complex128,
-    )
     estimates = _kernels.row_quadratic(rows, split.inverse)
     return _report_from_estimates(estimates, truth, split.projected)
+
+
+def _record_row(index: int, record: ShadowRecord, dim: int) -> np.ndarray:
+    """The checked row of record ``index``; ``ValueError`` naming it otherwise."""
+    row = np.asarray(record.row)
+    # In this order, isfinite only sees numeric vectors.
+    if not (row.shape == (dim,) and np.issubdtype(row.dtype, np.number) and np.isfinite(row).all()):
+        raise ValueError(f"record {index}: row must be a finite vector of shape ({dim},)")
+    w = record.outcome
+    if isinstance(w, (bool, np.bool_)) or not isinstance(w, (int, np.integer)) or not 0 <= w < dim:
+        raise ValueError(f"record {index}: outcome must be an integer in [0, {dim}), got {w!r}")
+    return row
 
 
 def _as_observable(observable: np.ndarray, dim: int) -> np.ndarray:
@@ -410,7 +432,7 @@ def _as_observable(observable: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(f"observable shape {arr.shape} does not match dimension {dim}")
     if not np.isfinite(arr).all():
         raise ValueError("observable has non-finite entries")
-    if float(np.max(np.abs(arr - arr.conj().T))) > 1e-10:
+    if _hermitian_gap(arr) > 1e-10:
         raise ValueError("observable must be Hermitian")
     return arr
 

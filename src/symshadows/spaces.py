@@ -69,8 +69,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .haar import (
+    _Completable,
     _integer,
-    _MatrixStack,
     haar_orthogonal,
     haar_symplectic,
     haar_unitary,
@@ -298,7 +298,7 @@ def involution(spec: SpaceSpec, g: np.ndarray) -> np.ndarray:
     return signs * h[..., sigma.perm[:, None], sigma.perm[None, :]]
 
 
-class EnsembleDraw(_MatrixStack):
+class EnsembleDraw(_Completable):
     """A batch of ensemble elements V, applied to vectors without forming V.
 
     ``V = g`` for the groups, ``V = σ(g)ᴴ g`` for AI, AII, DIII and CI,
@@ -308,8 +308,8 @@ class EnsembleDraw(_MatrixStack):
     a :class:`~symshadows.haar.DeferredUnitary` ``g``, or for the
     Grassmannians a :class:`~symshadows.haar.DeferredSubspace` of rank
     ``min(p, q)`` with projector P, and it draws only the directions that
-    ``apply`` and ``apply_adjoint`` read.  :meth:`matrix` completes the
-    parent and forms V from it.  ``shape`` is that of :meth:`matrix`,
+    ``apply`` and ``apply_adjoint`` read.  :meth:`matrix` completes V by
+    applying it to the basis vectors.  ``shape`` is that of :meth:`matrix`,
     ``(B, d, d)``.
     """
 
@@ -318,6 +318,7 @@ class EnsembleDraw(_MatrixStack):
         self.parent = parent
         self.size = size
         self.dim = spec.dim
+        self._dtype = np.float64 if spec.is_real else np.complex128
         self._involution = self._sign = None
         if parent is not None and spec.p is not None:
             self._sign = _grassmannian_sign(spec)[:, None]
@@ -366,17 +367,6 @@ class EnsembleDraw(_MatrixStack):
         if sigma.conj:
             np.conjugate(a, out=a)
         return self.parent.apply_adjoint(sigma.m(a))
-
-    def matrix(self) -> np.ndarray:
-        """Complete the draws, as dense ``(B, d, d)`` matrices; real for the real families."""
-        if self.parent is None:
-            return _identities(self.spec, self.size)
-        return _coset_matrix(self.spec, self.parent.matrix())
-
-
-def _identities(spec: SpaceSpec, size: int) -> np.ndarray:
-    dtype = np.float64 if spec.is_real else np.complex128
-    return np.broadcast_to(np.eye(spec.dim, dtype=dtype), (size, spec.dim, spec.dim)).copy()
 
 
 def _coset_matrix(spec: SpaceSpec, g: np.ndarray) -> np.ndarray:
@@ -434,8 +424,8 @@ def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: b
         the parent.  False: return the :class:`EnsembleDraw` (``size``
         draws, one for ``size=None``), whose deferred parent draws only the
         directions it is applied to.  Its ``matrix()`` completes those draws
-        with the same law, not with the values ``dense=True`` gives on the
-        same stream.
+        from their own generator, which it advances, with the same law, not
+        with the values ``dense=True`` gives on the same stream.
 
     Returns
     -------
@@ -450,7 +440,8 @@ def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: b
     parent = None if spec.is_degenerate else _parent_draw(spec, gen, count, dense)
     if not dense:
         return EnsembleDraw(spec, parent, count)
-    v = _identities(spec, count) if parent is None else _coset_matrix(spec, parent)
+    # A degenerate draw is the identity; its completion draws nothing.
+    v = EnsembleDraw(spec, None, count).matrix() if parent is None else _coset_matrix(spec, parent)
     return v[0] if size is None else v
 
 

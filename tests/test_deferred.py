@@ -172,14 +172,21 @@ def test_repeated_and_mixed_queries_are_consistent(spec):
     _check_completion(spec, draw, [(y, vy, draw.apply_adjoint(y)), (z, vz, draw.apply_adjoint(z))])
 
 
-def test_completion_leaves_the_stream_where_it_was():
+def test_completion_is_idempotent_and_a_full_frame_draws_nothing():
+    # matrix() completes the draw from its own generator, which advances;
+    # once the frame is full, further calls draw nothing and agree bit for bit.
     gen = RngStream(13).generator()
     draw = sample_point(make_space("AI", 6), gen, 4, dense=False)
     draw.apply(np.eye(6)[:, :4].astype(complex))
     state = gen.bit_generator.state
     v = draw.matrix()
-    assert gen.bit_generator.state == state
-    np.testing.assert_array_equal(draw.matrix(), v)
+    assert gen.bit_generator.state != state
+    assert draw.parent.revealed == 6
+    state = gen.bit_generator.state
+    again = draw.matrix()
+    assert gen.bit_generator.state == state and draw.parent.revealed == 6
+    np.testing.assert_array_equal(draw.matrix(), again)
+    np.testing.assert_allclose(again, v, rtol=0, atol=1e-13)
 
 
 # ------------------------------------------------------ (d) frames that fill
@@ -282,10 +289,13 @@ def test_subspace_corner_cases_need_no_degenerate_beta(sampler, d, m, betas):
         y = _complex(q, (d, count))
         applied.append((y, draw.project(y)))
     assert getattr(gen, "calls", 0) == betas
-    w = draw.matrix()
-    assert w.shape == (count, d, c * m) == draw.shape
-    p = w @ np.swapaxes(w.conj(), 1, 2)
-    assert np.max(np.abs(np.swapaxes(w.conj(), 1, 2) @ w - np.eye(c * m))) < 1e-13
+    assert draw.shape == (count, d, c * m)
+    # P on the basis vectors: a Hermitian projector of rank c·m.
+    p = np.stack([draw.project(np.tile(e[:, None], count)).T for e in np.eye(d)], 2)
+    assert getattr(gen, "calls", 0) == betas
+    assert np.max(np.abs(p @ p - p)) < 1e-13
+    assert np.max(np.abs(p - np.swapaxes(p.conj(), 1, 2))) < 1e-13
+    np.testing.assert_allclose(np.trace(p, axis1=1, axis2=2), c * m, rtol=0, atol=1e-13)
     for y, py in applied:
         np.testing.assert_allclose(py, np.einsum("nij,jn->in", p, y), rtol=0, atol=1e-12)
 

@@ -454,7 +454,9 @@ def test_seeded_fits_are_pinned(case):
 
 def test_study_path_loads_no_second_blas():
     # scipy ships its own OpenBLAS, whose thread pool would compete with
-    # NumPy's; the d = 8 fits and the d = 16 sweep must not import it.
+    # NumPy's, and takes about 0.3 s to import; the d = 8 fits, the d = 16
+    # sweep and the estimation path (streamed runs up to d = 128, and a
+    # recorded round) must not import it.
     script = (
         "import sys\n"
         "from symshadows import momentlab, shadows, spaces\n"
@@ -463,6 +465,13 @@ def test_study_path_loads_no_second_blas():
         "shadows.variance_sweep(shadows.SweepConfig(\n"
         "    dim=16, signature_fractions=(0.25, 0.75), diag_weights=(0.2, 0.9),\n"
         "    n_instances=1, n_shots=64, seed=0))\n"
+        "for args in (('U', 32), ('CII', 32, 8, 8), ('AIII', 128, 64, 64)):\n"
+        "    spec = spaces.make_space(*args)\n"
+        "    rho = shadows.random_pure_state(spec.dim, 1)\n"
+        "    obs = shadows.random_observable(spec.dim, 0.5, rng=2)\n"
+        "    shadows.run_estimation(spec, rho, obs, 64, rng=3)\n"
+        "rec = shadows.sample_outcome(spec, rho, 4)\n"
+        "shadows.estimate_observable([rec], obs, spec)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ)

@@ -176,10 +176,10 @@ def test_sample_outcome_record_contents():
     spec = make_space("U", 3)
     rec = sample_outcome(spec, _state(3, 63), RngStream(64))
     assert isinstance(rec, ShadowRecord)
-    assert rec.rotation.shape == (3, 3)
+    assert rec.row.shape == (3,)
     assert 0 <= rec.outcome < 3
     again = sample_outcome(spec, _state(3, 63), RngStream(64))
-    np.testing.assert_array_equal(rec.rotation, again.rotation)
+    np.testing.assert_array_equal(rec.row, again.row)
     assert rec.outcome == again.outcome
 
 
@@ -193,7 +193,7 @@ def test_sample_outcome_degenerate_quotient_is_classical():
     n = 400
     for i in range(n):
         rec = sample_outcome(spec, rho, stream.child(i))
-        np.testing.assert_array_equal(rec.rotation, np.eye(2))
+        np.testing.assert_array_equal(rec.row, np.eye(2)[rec.outcome])
         hits += rec.outcome
     sem = np.sqrt(0.75 * 0.25 / n)
     assert abs(hits / n - 0.75) <= 5 * sem
@@ -214,12 +214,7 @@ def test_estimate_observable_matches_manual_contraction():
     from symshadows.channel import invert_channel
 
     x = invert_channel(spec).apply(obs)
-    manual = np.array(
-        [
-            (rec.rotation[rec.outcome] @ x @ rec.rotation[rec.outcome].conj()).real
-            for rec in records
-        ]
-    )
+    manual = np.array([(rec.row @ x @ rec.row.conj()).real for rec in records])
     assert report.mean == pytest.approx(manual.mean(), rel=1e-12)
     assert report.variance == pytest.approx(manual.var(ddof=1), rel=1e-12)
     assert report.sem == pytest.approx(
@@ -240,6 +235,34 @@ def test_estimate_observable_error_paths():
     non_hermitian = np.triu(np.ones((3, 3)))
     with pytest.raises(ValueError):
         estimate_observable([rec], non_hermitian, spec)
+
+
+_ROW = np.full(3, 1 / np.sqrt(3), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (ShadowRecord(np.eye(3), 0), "row must be a finite vector of shape"),
+        (ShadowRecord(np.ones(4) / 2, 0), "row must be a finite vector of shape"),
+        (ShadowRecord(np.array(["a", "b", "c"]), 0), "row must be a finite vector of shape"),
+        (ShadowRecord(np.array([np.nan, 0, 1]), 0), "row must be a finite vector of shape"),
+        (ShadowRecord(np.array([np.inf, 0, 1]), 0), "row must be a finite vector of shape"),
+        (ShadowRecord(_ROW, -1), "outcome must be an integer in"),
+        (ShadowRecord(_ROW, 3), "outcome must be an integer in"),
+        (ShadowRecord(_ROW, 5), "outcome must be an integer in"),
+        (ShadowRecord(_ROW, 1.5), "outcome must be an integer in"),
+        (ShadowRecord(_ROW, True), "outcome must be an integer in"),
+    ],
+    ids=["matrix", "long", "text", "nan", "inf", "negative", "equal-d", "past-d", "float", "bool"],
+)
+def test_estimate_observable_checks_every_record(monkeypatch, bad, match):
+    # The bad record is named by its index, before any arithmetic.
+    spec = make_space("U", 3)
+    good = sample_outcome(spec, _state(3, 70), RngStream(71))
+    monkeypatch.setattr(shadows, "invert_channel", None)
+    with pytest.raises(ValueError, match=f"^record 1: {match}"):
+        estimate_observable([good, bad, good], _traceless_observable(3, 69), spec)
 
 
 def test_observables_with_non_finite_entries_are_rejected():
@@ -662,10 +685,13 @@ def test_estimates_form_no_rotation_matrix(monkeypatch, family, rank):
     spec = make_space(family, 6)
     rho = _state(6, 90) if rank == 1 else _wishart_state(6, rank, 90)
     assert shadows._validated_state(spec, rho)[1][0].size == rank
-    values = shadow_estimates(
-        spec, rho, random_observable(6, 0.5, rng=RngStream(91)), 64, RngStream(92)
-    )
+    obs = random_observable(6, 0.5, rng=RngStream(91))
+    values = shadow_estimates(spec, rho, obs, 64, RngStream(92))
     assert values.shape == (64,) and np.all(np.isfinite(values))
+    gen = RngStream(93).generator()
+    records = [sample_outcome(spec, rho, gen) for _ in range(4)]
+    assert all(rec.row.shape == (6,) for rec in records)
+    assert np.isfinite(estimate_observable(records, obs, spec).mean)
 
 
 class _Repeated:
@@ -755,18 +781,30 @@ def test_streamed_draws_go_through_the_module_level_samplers(monkeypatch, spec, 
     assert counts == expected
 
 
+_RECORD_CASES = [
+    (make_space(family, d), rank)
+    for d in (2, 3, 8)
+    for family in ALL_FAMILIES
+    if d % 2 == 0 or family not in _EVEN_DIM
+    for rank in ("pure", "full")
+] + [(make_space("AIII", 5, 3, 2), "pure"), (make_space("CII", 8, 3, 1), "pure")]
+
+
 @pytest.mark.parametrize(
-    "spec", [make_space("AIII", 5, 3, 2), make_space("CII", 8, 3, 1)], ids=lambda s: s.label()
+    "spec, rank",
+    _RECORD_CASES,
+    ids=[s.label() + ("-full" if r == "full" else "") for s, r in _RECORD_CASES],
 )
-def test_record_path_matches_streamed_path(spec):
+def test_record_path_matches_streamed_path(spec, rank):
+    # A record's row is the streamed shot's row, so the estimates are equal.
     d, n = spec.dim, 12
-    rho = _state(d, 93)
+    rho = _state(d, 93) if rank == "pure" else _wishart_state(d, d, 93)
     obs = random_observable(d, 0.4, rng=RngStream(94))
     gen = RngStream(95).generator()
     records = [sample_outcome(spec, rho, gen) for _ in range(n)]
     per_record = [estimate_observable([rec], obs, spec).mean for rec in records]
     streamed = shadow_estimates(spec, rho, obs, n, RngStream(95).generator(), batch_size=1)
-    np.testing.assert_allclose(streamed, per_record, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(streamed, per_record)
 
 
 @pytest.mark.parametrize(

@@ -232,9 +232,11 @@ def test_grassmannians_draw_a_rank_min_p_q_subspace(spec):
     draw = sample_point(spec, RngStream(32), size=3, dense=False)
     assert isinstance(draw.parent, DeferredSubspace)
     assert draw.parent.rank == m and draw.parent.shape == (3, spec.dim, c * m)
-    w = draw.parent.matrix()
-    assert w.shape == (3, spec.dim, c * m)
-    assert np.max(np.abs(np.swapaxes(w.conj(), 1, 2) @ w - np.eye(c * m))) < 1e-13
+    # P on the basis vectors: a Hermitian projector of rank c·m.
+    p = np.stack([draw.parent.project(np.tile(e[:, None], 3)).T for e in np.eye(spec.dim)], 2)
+    assert np.max(np.abs(p @ p - p)) < 1e-13
+    assert np.max(np.abs(p - np.swapaxes(p.conj(), 1, 2))) < 1e-13
+    np.testing.assert_allclose(np.trace(p, axis1=1, axis2=2), c * m, rtol=0, atol=1e-13)
     # The dense path forms only the m (quaternionic) columns it keeps.
     sampler = {"U": haar_unitary, "O": haar_orthogonal, "SP": haar_symplectic}[spec.parent]
     assert sampler(spec.dim, RngStream(33), size=3, columns=m).shape == (3, spec.dim, c * m)
