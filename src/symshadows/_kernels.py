@@ -22,28 +22,33 @@ __all__ = [
 ]
 
 
-def born_probs(amplitudes: np.ndarray) -> np.ndarray:
+def born_probs(amplitudes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Measurement-basis outcome probabilities ``p[n, w] = |amplitudes[n, w]|²``.
 
     Parameters
     ----------
     amplitudes : (B, d) ndarray
         One rotated state vector ``V_n u_n`` per row.
+    out : (B, d) float ndarray, optional
+        Where to write the probabilities.
 
     Returns
     -------
     (B, d) float ndarray
     """
-    return amplitudes.real**2 + amplitudes.imag**2
+    return np.add(np.square(amplitudes.real, out=out), amplitudes.imag**2, out=out)
 
 
-def choose_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def choose_outcomes(
+    probs: np.ndarray, uniforms: np.ndarray, cum: np.ndarray | None = None
+) -> np.ndarray:
     """Inverse-CDF sampling of one outcome index per row.
 
     ``uniforms`` must be i.i.d. on [0, 1); the outcome for row ``n`` is the
-    smallest ``w`` with ``cumsum(probs[n])[w] >= uniforms[n]``.
+    smallest ``w`` with ``cumsum(probs[n])[w] >= uniforms[n]``.  ``cum``,
+    shaped like ``probs``, receives the cumulative sums if given.
     """
-    cum = np.cumsum(probs, axis=1)
+    cum = np.cumsum(probs, axis=1, out=cum)
     idx = np.argmax(cum >= uniforms[:, None], axis=1)
     # Roundoff can leave the total marginally below the drawn uniform; the
     # final bin absorbs that sliver.
@@ -53,17 +58,19 @@ def choose_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def row_quadratic(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+def row_quadratic(rows: np.ndarray, x: np.ndarray, product: np.ndarray | None = None) -> np.ndarray:
     """Per-row quadratic form ``Re(<row_n| X |row_n>)``.
 
     Parameters
     ----------
     rows : (B, d) complex ndarray
     x : (d, d) complex ndarray (Hermitian in normal use)
+    product : (B, d) complex ndarray, optional
+        Where to form ``rows @ x``.
     """
     # One gemm, then a real row reduction: Re(y conj(r)) = Re y Re r + Im y Im r.
     # A three-operand einsum would plan its contraction path on every call.
-    y = rows @ x
+    y = np.matmul(rows, x, out=product)
     return np.einsum("nb,nb->n", y.real, rows.real) + np.einsum("nb,nb->n", y.imag, rows.imag)
 
 

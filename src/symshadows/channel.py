@@ -414,43 +414,80 @@ def channel_spectrum(spec: SpaceSpec) -> SectorSpectrum:
     return SectorSpectrum(labels, eigenvalues, multiplicities)
 
 
-def _sector_parts(spec: SpaceSpec, m: np.ndarray) -> dict[str, np.ndarray]:
+def _part_count(spec: SpaceSpec) -> int:
+    """Arrays :func:`_sector_parts` forms for ``spec``, one per part."""
+    if spec.is_group:
+        return 3 if spec.parent in ("O", "SO") else 2
+    return {"U": 3, "O": 4, "SP": 5}[spec.parent]
+
+
+def _sector_parts(spec: SpaceSpec, m: np.ndarray, store: np.ndarray) -> dict[str, np.ndarray]:
     """Orthogonal projections of ``m`` onto the sectors of :func:`channel_spectrum`.
 
     Keyed by sector label; the parts sum to ``m`` (sectors of multiplicity
     zero get an all-zero part) and each one is an O(d^2) elementwise
-    operation on the entries of ``m``, batched over leading axes.
+    operation on the entries of ``m``, batched over leading axes.  The
+    parts are formed in place in ``store``, complex and shaped ``(k,) +
+    m.shape`` with ``k`` at least :func:`_part_count`.  Their entries are
+    those of the whole-matrix formulas (``m - dephase(m)``, ``(D + J D
+    Jᵀ)/2``, …), but only the entries a formula can make nonzero are
+    computed.
     """
+    slots = iter(store)
+
+    def zeros() -> np.ndarray:
+        slot = next(slots)
+        slot.fill(0.0)
+        return slot
+
     d = spec.dim
-    parts = {}
-    if spec.parent in ("O", "SO"):
-        sym = (m + np.swapaxes(m, -1, -2)) * 0.5
-        parts["antisymmetric"] = m - sym
-        m = sym
     idx = np.arange(d)
-    trace_part = np.zeros_like(m)
+    parts = {}
+    # Whether m is an array of this function's own, free to overwrite.
+    own = spec.parent in ("O", "SO")
+    if own:
+        sym = np.add(m, np.swapaxes(m, -1, -2), out=next(slots))
+        sym *= 0.5
+        parts["antisymmetric"] = np.subtract(m, sym, out=next(slots))
+        m = sym
+    trace_part = zeros()
     trace_part[..., idx, idx] = np.trace(m, axis1=-2, axis2=-1)[..., None] / d
     parts["identity"] = trace_part
     if spec.is_group:
         label = "traceless" if spec.parent in ("U", "SP") else "symmetric_traceless"
-        parts[label] = m - trace_part
+        parts[label] = np.subtract(m, trace_part, out=m if own else next(slots))
         return parts
-    diagonal = dephase(m)
-    diag_part = diagonal - trace_part
-    off_part = m - diagonal
+    # dephase(m) - trace_part is diagonal, and m - dephase(m) is m with
+    # m_ii - m_ii on the diagonal.
+    diagonal = m[..., idx, idx]
+    diag_part = zeros()
+    diag_part[..., idx, idx] = diagonal - trace_part[..., idx, idx]
+    if own:
+        off_part = m
+    else:
+        off_part = next(slots)
+        np.copyto(off_part, m)
+    off_part[..., idx, idx] -= diagonal
     if spec.parent == "U":
         parts["diagonal"], parts["off_diagonal"] = diag_part, off_part
     elif spec.parent == "O":
         parts["diagonal"], parts["symmetric_off_diagonal"] = diag_part, off_part
     else:
+        # J D Jᵀ of the diagonal D = diag_part is diagonal, D's entries
+        # permuted; the pair entries m_{i,i#} of m - dephase(m) are m's.
         jperm, _ = symplectic_pairing(d)
-        swapped = diag_part[..., jperm, :][..., :, jperm]
-        parts["diagonal_pair_symmetric"] = (diag_part + swapped) * 0.5
-        parts["diagonal_pair_antisymmetric"] = (diag_part - swapped) * 0.5
-        pair = np.zeros((d, d), dtype=bool)
-        pair[np.arange(d), jperm] = True
-        parts["pair_off_diagonal"] = np.where(pair, off_part, 0.0)
-        parts["off_diagonal"] = np.where(pair, 0.0, off_part)
+        dd = diag_part[..., idx, idx]
+        swapped = dd[..., jperm]
+        pair_symmetric = zeros()
+        pair_symmetric[..., idx, idx] = (dd + swapped) * 0.5
+        parts["diagonal_pair_symmetric"] = pair_symmetric
+        diag_part[..., idx, idx] = (dd - swapped) * 0.5
+        parts["diagonal_pair_antisymmetric"] = diag_part
+        pair_part = zeros()
+        pair_part[..., idx, jperm] = off_part[..., idx, jperm]
+        parts["pair_off_diagonal"] = pair_part
+        off_part[..., idx, jperm] = 0.0
+        parts["off_diagonal"] = off_part
     return parts
 
 
@@ -467,6 +504,10 @@ class SectorSplit(NamedTuple):
     projected : bool
         True when ``null`` has non-negligible weight, above 1e-9 of the
         Hilbert-Schmidt norm of ``m``.
+
+    ``inverse`` and ``null`` are views of one block that held every sector
+    part of the split, a few times the size of ``m``; copy them to keep
+    one without the rest.
     """
 
     inverse: np.ndarray
@@ -511,13 +552,17 @@ class ChannelInverse:
             raise ValueError(
                 f"matrix shape {m.shape} does not match ensemble dimension {d}"
             )
-        # Every part is a fresh array, so the sums are formed in place.
-        parts = _sector_parts(self.spec, m)
+        # One block holds every part and the null component: a split's
+        # working set is one allocation, which the allocator keeps mapped
+        # from split to split.  The sums are formed in place.
+        store = np.empty((_part_count(self.spec) + 1,) + m.shape, dtype=complex)
+        parts = _sector_parts(self.spec, m, store[:-1])
         inverse = parts["identity"]
         for label, lam in self._kept:
             if label != "identity":
                 inverse += np.divide(parts[label], lam, out=parts[label])
-        null = np.zeros_like(m)
+        null = store[-1]
+        null.fill(0.0)
         for label in self._null:
             null += parts[label]
         scale = float(np.linalg.norm(m))

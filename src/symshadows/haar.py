@@ -24,7 +24,13 @@ Two samplers share each group, one per use.
   ``columns`` columns).  Applying a draw to k vectors costs k fresh Gaussian
   d-vectors and O(k²d), whatever d.  :meth:`DeferredUnitary.matrix`
   completes a draw from its own generator, which it advances, with the same
-  law.
+  law.  A deferred draw works in a workspace, one allocation: a streamed
+  call's (see :func:`symshadows.shadows.shadow_estimates`), or one of its
+  own, made at first use.  It holds the revealed directions, as many as
+  one measured round reveals (``apply`` then ``apply_adjoint`` of every
+  draw), and the registers of the arithmetic.  A draw applied past that
+  round, as ``matrix()`` and ``momentlab.entry_moments`` do, moves its
+  directions to an array of its own that doubles as it fills.
 
 The samplers accept ``size=None`` for a single ``(d, d)`` matrix or an
 integer ``size`` for a stacked ``(size, d, d)`` batch, and draw from a
@@ -33,6 +39,8 @@ accepts).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -275,80 +283,199 @@ class HouseholderDraw(_MatrixStack):
 #: reveals a fresh direction instead.
 REVEAL_RTOL = 1e-12
 
+#: Byte boundary of every array a workspace hands out.
+_ALIGN = 64
+#: Bytes a workspace holds past its rounds' arrays, for their alignment.
+_SLACK = 4096
+#: Complex d-vectors per round that one application of a deferred draw holds
+#: at once besides its frames: the split's two registers, the remainder of
+#: a Grassmannian's settled split, and a complex copy of a real query (or a
+#: real draw's parts of a complex one).
+_SCRATCH_VECTORS = 4
+
+
+class _Workspace:
+    """One allocation that deferred draws work in, handed out as a stack of arrays.
+
+    A streamed call makes one, sized for its largest batch, and every
+    batch's draw works inside it: the draw's frames and the d-vector
+    registers of its arithmetic are views of it.  glibc raises its mmap
+    threshold to the largest block freed and trims only free top space of
+    twice that, so the one block stays mapped from call to call, where a
+    dozen separate (d, B) arrays per batch were handed back to the OS and
+    faulted in again on every call.
+
+    :meth:`take` hands out the next free bytes as an array, and ``with
+    workspace:`` releases at exit what was taken inside it.  A request past
+    the end gets an array of its own: a draw used past the rounds it was
+    sized for is still right, only slower.
+    """
+
+    def __init__(self, nbytes: int):
+        self._buffer = np.empty(nbytes, dtype=np.uint8)
+        self._top = 0
+        self._marks: list[int] = []
+
+    def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialized C-contiguous array of ``shape`` and ``dtype``."""
+        dtype = np.dtype(dtype)
+        start = -(-self._top // _ALIGN) * _ALIGN
+        end = start + math.prod(shape) * dtype.itemsize
+        if end > self._buffer.size:
+            return np.empty(shape, dtype)
+        self._top = end
+        return self._buffer[start:end].view(dtype).reshape(shape)
+
+    def clear(self) -> None:
+        """Release every array: the next batch starts from the bottom."""
+        self._top = 0
+
+    def __enter__(self) -> _Workspace:
+        self._marks.append(self._top)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._top = self._marks.pop()
+
+
+#: Most directions a frame gains in one measured round, of any family: four
+#: parent applications of a real or quaternionic draw, or two of a real or
+#: quaternionic subspace (see :func:`_frame_capacity`).
+_ROUND_VECTORS = 8
+
+
+def _frame_capacity(dim: int, field: str, applications: int, subspace: bool) -> int:
+    """Directions a frame gains over ``applications`` of a deferred draw, at most ``dim``.
+
+    A reveal adds one direction, or a subspace's pair ``x``, ``w``, each with
+    its θ partner for a quaternionic draw, and a real draw reveals a complex
+    query's real and imaginary parts apart.
+    """
+    per_reveal = 2 if subspace else 1
+    parts = 2 if field == "real" else 1
+    copies = 2 if field == "quaternion" else 1
+    return min(dim, applications * per_reveal * parts * copies)
+
+
+def _draw_bytes(dim: int, field: str, applications: int, subspace: bool) -> int:
+    """Workspace bytes per round of a deferred draw used ``applications`` times.
+
+    Its frames (one for a subspace, inputs and outputs otherwise), then the
+    scratch of one application.
+    """
+    frames = 1 if subspace else 2
+    capacity = _frame_capacity(dim, field, applications, subspace)
+    itemsize = 8 if field == "real" else 16
+    return (frames * capacity * itemsize + _SCRATCH_VECTORS * 16) * dim
+
 
 class _Frame:
     """Orthonormal vectors ``v_0, …, v_{n-1}``, stacked ``(n, d, B)``.
 
-    Storage grows by doubling, up to ``d`` vectors.
+    The store is a view of the draw's workspace, with room for the
+    directions the draw was sized for (:meth:`_DeferredDraw._use`).  A draw
+    applied past that, as ``matrix()`` completion and
+    ``momentlab.entry_moments`` do, doubles the store into an array of its
+    own, up to ``d`` vectors.
     """
 
     def __init__(self, dim: int, size: int, dtype):
         self.dim = dim
         self.n = 0
-        self._store = np.empty((min(dim, 4), dim, size), dtype=dtype)
+        self._store = np.empty((0, dim, size), dtype=dtype)
 
     @property
     def vectors(self) -> np.ndarray:
         return self._store[: self.n]
 
-    def add(self, v: np.ndarray) -> None:
-        if self.n == len(self._store):
-            grown = np.empty((min(self.dim, 2 * self.n),) + self._store.shape[1:], self._store.dtype)
-            grown[: self.n] = self._store
+    def room(self, k: int) -> np.ndarray:
+        """Slots for the next ``k`` vectors, ``(k, d, B)``: write them, then :meth:`push`."""
+        if self.n + k > len(self._store):
+            capacity = min(self.dim, max(2 * len(self._store), self.n + k))
+            grown = np.empty((capacity,) + self._store.shape[1:], self._store.dtype)
+            grown[: self.n] = self.vectors
             self._store = grown
-        self._store[self.n] = v
+        return self._store[self.n : self.n + k]
+
+    def push(self) -> None:
+        """Keep the vector written to the first slot of :meth:`room`."""
         self.n += 1
 
-    def combine(self, coef: np.ndarray) -> np.ndarray:
-        """``Σ_i coef[i] v_i`` for coefficients ``(n, B)``."""
-        return _combine(self.vectors, coef)
+    def combine(self, coef: np.ndarray, out: np.ndarray, ws: _Workspace) -> np.ndarray:
+        """``Σ_i coef[i] v_i`` into ``out``, for coefficients ``(n, B)``."""
+        return _combine(self.vectors, coef, out, ws)
 
 
-def _coefficients(vectors: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``⟨v_i, z⟩`` for vectors ``(n, d, B)`` and ``z`` ``(d, B)``: ``(n, B)``."""
+def _coefficients(vectors: np.ndarray, z: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """``⟨v_i, z⟩`` for vectors ``(n, d, B)`` and ``z`` ``(d, B)``: ``(n, B)``.
+
+    Up to :data:`_ROUND_VECTORS` vectors, as many as a frame holds in a
+    measured round, go one at a time through a register; more, as a
+    completion has, in one stacked product, which may not fit the
+    workspace.  Each sum over ``d`` runs in the same order either way.
+    """
     if vectors.shape[2] == 1:
         # One draw, as a single recorded round has: one BLAS product.
         return (vectors[:, :, 0].conj() @ z[:, 0])[:, None]
-    if vectors.dtype.kind != "c":
-        return (vectors * z).sum(axis=1)
-    # Conjugating z and the (n, B) result copies less than conjugating the vectors.
-    return np.conjugate((vectors * z.conj()).sum(axis=1))
+    coef = np.empty((len(vectors), z.shape[1]), dtype=np.result_type(vectors, z))
+    with ws:
+        if coef.dtype.kind == "c":
+            # Conjugating z and the (n, B) result copies less than conjugating the vectors.
+            z = np.conjugate(z, out=ws.take(z.shape, z.dtype))
+        if len(vectors) > _ROUND_VECTORS:
+            product = np.multiply(vectors, z, out=ws.take(vectors.shape, coef.dtype))
+            np.sum(product, axis=1, out=coef)
+        else:
+            product = ws.take(z.shape, coef.dtype)
+            for v, c in zip(vectors, coef):
+                np.sum(np.multiply(v, z, out=product), axis=0, out=c)
+    if coef.dtype.kind == "c":
+        np.conjugate(coef, out=coef)
+    return coef
 
 
-def _combine(vectors: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """``Σ_i coef[i] v_i`` for vectors ``(n, d, B)`` and coefficients ``(n, B)``."""
+def _combine(vectors: np.ndarray, coef: np.ndarray, out: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """``Σ_i coef[i] v_i`` into ``out``, for vectors ``(n, d, B)`` and coefficients ``(n, B)``."""
     if not len(vectors):
-        return np.zeros(vectors.shape[1:], dtype=np.result_type(vectors, coef))
+        out[...] = 0.0
+        return out
     if vectors.shape[2] == 1:
-        return (coef[:, 0] @ vectors[:, :, 0])[:, None]
-    out = vectors[0] * coef[0]
-    for v, c in zip(vectors[1:], coef[1:]):
-        out += v * c
+        out[:, 0] = coef[:, 0] @ vectors[:, :, 0]
+        return out
+    np.multiply(vectors[0], coef[0], out=out)
+    with ws:
+        term = ws.take(out.shape, out.dtype)
+        for v, c in zip(vectors[1:], coef[1:]):
+            out += np.multiply(v, c, out=term)
     return out
 
 
-def _split(vectors: np.ndarray, z: np.ndarray):
+def _split(vectors: np.ndarray, z: np.ndarray, out: np.ndarray, ws: _Workspace):
     """Split ``z`` over the span of ``vectors`` and the rest.
 
-    Returns the coefficients ``⟨v_i, z⟩``, the remainder, and the norms of
-    the remainder and of ``z``.  Classical Gram–Schmidt, with a second pass
-    where the first cancelled more than a third of ``z``'s norm: twice is
-    enough (Kahan and Parlett), so the remainder is orthogonal to the
-    vectors to roundoff even when it is small.  With no vectors the
-    remainder is ``z`` itself.
+    Returns the coefficients ``⟨v_i, z⟩``, the remainder, written to
+    ``out`` (which may be ``z``), and the norms of the remainder and of
+    ``z``.  Classical Gram–Schmidt, with a second pass where the first
+    cancelled more than a third of ``z``'s norm: twice is enough (Kahan and
+    Parlett), so the remainder is orthogonal to the vectors to roundoff even
+    when it is small.  With no vectors the remainder is ``z`` itself.
     """
     z_norm = _norms(z)
     if not len(vectors):
-        return np.zeros((0, z.shape[1]), dtype=z.dtype), z, z_norm, z_norm
-    coef = _coefficients(vectors, z)
-    rest = z - _combine(vectors, coef)
-    norm = _norms(rest)
+        if out is not z:
+            np.copyto(out, z)
+        return np.zeros((0, z.shape[1]), dtype=z.dtype), out, z_norm, z_norm
+    coef = _coefficients(vectors, z, ws)
+    with ws:
+        np.subtract(z, _combine(vectors, coef, ws.take(z.shape, z.dtype), ws), out=out)
+    norm = _norms(out)
     if np.any(norm < (2.0 / 3.0) * z_norm):
-        again = _coefficients(vectors, rest)
-        rest -= _combine(vectors, again)
+        again = _coefficients(vectors, out, ws)
+        with ws:
+            out -= _combine(vectors, again, ws.take(z.shape, z.dtype), ws)
         coef += again
-        norm = _norms(rest)
-    return coef, rest, norm, z_norm
+        norm = _norms(out)
+    return coef, out, norm, z_norm
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -359,21 +486,26 @@ def _norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ib,ib->b", parts, parts).reshape(-1, 2).sum(axis=1))
 
 
-def _theta(v: np.ndarray) -> np.ndarray:
-    """``J conj(v)`` for vectors stacked ``(d, B)``: SP(d) commutes with it."""
+def _theta(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``J conj(v)`` into ``out``, for vectors stacked ``(d, B)``: SP(d) commutes with it."""
     n = v.shape[0] // 2
-    out = np.empty_like(v)
-    np.negative(v[n:].conj(), out=out[:n])
+    np.negative(np.conjugate(v[n:], out=out[:n]), out=out[:n])
     np.conjugate(v[:n], out=out[n:])
     return out
 
 
 class _DeferredDraw:
-    """What both deferred draws share: the field, the stream and fresh directions.
+    """What both deferred draws share: the field, the stream, the workspace and fresh directions.
 
     Reveals draw from the generator the draw was made with, as the draw is
-    used.
+    used.  The draw works in a :class:`_Workspace`: the one a streamed call
+    gives it (:meth:`_use`) before it is first applied, or else one of its
+    own, made at first use and sized for ``apply`` and ``apply_adjoint`` of
+    every draw of the batch.
     """
+
+    #: Whether the draw is a subspace, whose reveals add pairs x, w to one frame.
+    _SUBSPACE = False
 
     def __init__(self, dim: int, size: int, gen: np.random.Generator, field: str):
         self.dim = dim
@@ -381,56 +513,93 @@ class _DeferredDraw:
         self.field = field
         self._gen = gen
         self._dtype = np.float64 if field == "real" else np.complex128
+        self._copies = 2 if field == "quaternion" else 1
+        self._ws: _Workspace | None = None
 
-    def _frame(self) -> _Frame:
-        return _Frame(self.dim, self.size, self._dtype)
+    def _frames(self) -> tuple[_Frame, ...]:
+        raise NotImplementedError
 
-    def _fresh(self, vectors: np.ndarray) -> np.ndarray:
-        """Unit vectors uniform on the sphere of the complement of ``vectors``, ``(d, b)``.
+    def _use(self, workspace: _Workspace, applications: int) -> None:
+        """Work in ``workspace``, with frames sized for ``applications`` per draw."""
+        capacity = _frame_capacity(self.dim, self.field, applications, self._SUBSPACE)
+        for frame in self._frames():
+            frame._store = workspace.take((capacity, self.dim, self.size), self._dtype)
+        self._ws = workspace
 
-        ``vectors`` is ``(n, d, b)``; one fresh Gaussian d-vector per column.
+    def _workspace(self) -> _Workspace:
+        if self._ws is None:
+            nbytes = self.size * _draw_bytes(self.dim, self.field, 2, self._SUBSPACE) + _SLACK
+            self._use(_Workspace(nbytes), 2)
+        return self._ws
+
+    def _result(self, y: np.ndarray) -> np.ndarray:
+        """A new array for the image of ``y``: complex unless the draw and ``y`` are real."""
+        return np.empty(y.shape, np.result_type(y, self._dtype))
+
+    def _fresh(self, vectors: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Unit vectors uniform on the sphere of the complement of ``vectors``, into ``out``.
+
+        ``vectors`` is ``(n, d, b)`` and ``out`` a C-contiguous ``(d, b)``.
+        One fresh Gaussian d-vector per column is drawn into ``out``:
+        ``standard_normal(out=…)`` draws the values a new array would hold.
         A quaternionic complement is closed under ``J conj``, so the result
         is uniform on its sphere too.
         """
-        count = vectors.shape[2]
-        if self.field == "real":
-            w = self._gen.standard_normal((self.dim, count))
-        else:
-            w = self._gen.standard_normal((self.dim, 2 * count)).view(np.complex128)
-        _, w, norm, _ = _split(vectors, w)
+        self._gen.standard_normal(out=out if self.field == "real" else out.view(np.float64))
+        _, w, norm, _ = _split(vectors, out, out, self._ws)
         w *= 1.0 / norm
         return w
 
-    def _directions(self, frame: _Frame, z: np.ndarray):
+    def _directions(self, frame: _Frame, z: np.ndarray, room: int):
         """Split ``z`` over ``frame``: its coefficients, the unit direction x of
         its remainder, and the remainder's coefficient on x.
 
-        x is ``None`` when no draw of the batch has a remainder above
-        :data:`REVEAL_RTOL`.  Otherwise draws whose remainder is below it
-        get a fresh direction off the frame instead, with coefficient 0, so
-        every draw of the batch reveals one.
+        x is written to the first of ``room`` slots the frame makes for what
+        a reveal adds (:meth:`_Frame.room`).  It is ``None`` when no draw of
+        the batch has a remainder above :data:`REVEAL_RTOL`.  Otherwise draws
+        whose remainder is below it get a fresh direction off the frame
+        instead, with coefficient 0, so every draw of the batch reveals one.
         """
-        coef, rest, norm, z_norm = _split(frame.vectors, z)
+        x = frame.room(room)[0]
+        coef, _, norm, z_norm = _split(frame.vectors, z, x, self._ws)
         small = norm <= REVEAL_RTOL * z_norm
         if small.all():
             return coef, None, None
-        x = rest * (1.0 / np.where(small, 1.0, norm))
+        x *= 1.0 / np.where(small, 1.0, norm)
         if small.any():
-            x[:, small] = self._fresh(frame.vectors[:, :, small])
+            with self._ws as ws:
+                out = ws.take((self.dim, int(small.sum())), self._dtype)
+                x[:, small] = self._fresh(frame.vectors[:, :, small], out)
             norm[small] = 0.0
         return coef, x, norm
 
-    def _run(self, y: np.ndarray, one) -> np.ndarray:
-        """``one`` applied to ``y``; a real draw takes a complex ``y`` part by part."""
-        y = np.asarray(y)
+    def _run(self, y: np.ndarray, one, out: np.ndarray) -> np.ndarray:
+        """``one(z, out)`` for ``z = y``; a real draw takes a complex ``y`` part by part."""
+        ws = self._workspace()
         if self.field != "real":
-            return one(np.asarray(y, dtype=np.complex128))
-        out = one(np.ascontiguousarray(y.real, dtype=np.float64))
+            if y.dtype == np.complex128:
+                return one(y, out)
+            with ws:
+                z = ws.take(y.shape, np.complex128)
+                np.copyto(z, y)
+                return one(z, out)
         if not np.iscomplexobj(y):
-            return out
-        if np.any(y.imag):
-            return out + 1j * one(np.ascontiguousarray(y.imag))
-        return out.astype(np.complex128)
+            if y.dtype == np.float64 and y.flags.c_contiguous:
+                return one(y, out)
+            with ws:
+                z = ws.take(y.shape, np.float64)
+                np.copyto(z, y)
+                return one(z, out)
+        with ws:
+            part = ws.take(y.shape, np.float64)
+            np.copyto(part, y.real)
+            real = one(part, ws.take(y.shape, np.float64))
+            if not np.any(y.imag):
+                np.copyto(out, real)
+                return out
+            np.copyto(part, y.imag)
+            imag = one(part, ws.take(y.shape, np.float64))
+            return np.add(real, np.multiply(1j, imag, out=out), out=out)
 
 
 class DeferredUnitary(_Completable, _DeferredDraw):
@@ -460,8 +629,11 @@ class DeferredUnitary(_Completable, _DeferredDraw):
     def __init__(self, dim: int, size: int, gen, *, field: str, special: bool = False):
         _DeferredDraw.__init__(self, dim, size, gen, field)
         self.special = special
-        self._inputs = self._frame()
-        self._outputs = self._frame()
+        self._inputs = _Frame(dim, size, self._dtype)
+        self._outputs = _Frame(dim, size, self._dtype)
+
+    def _frames(self) -> tuple[_Frame, ...]:
+        return self._inputs, self._outputs
 
     @property
     def revealed(self) -> int:
@@ -470,36 +642,51 @@ class DeferredUnitary(_Completable, _DeferredDraw):
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)``."""
-        return self._run(y, lambda z: self._map(z, self._inputs, self._outputs))
+        y = np.asarray(y)
+        return self._apply(y, self._result(y))
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)``."""
-        return self._run(y, lambda z: self._map(z, self._outputs, self._inputs))
+        y = np.asarray(y)
+        return self._apply_adjoint(y, self._result(y))
 
-    def _map(self, z, src: _Frame, dst: _Frame) -> np.ndarray:
+    def _apply(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`apply` into ``out``."""
+        return self._run(y, lambda z, o: self._map(z, self._inputs, self._outputs, o), out)
+
+    def _apply_adjoint(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`apply_adjoint` into ``out``."""
+        return self._run(y, lambda z, o: self._map(z, self._outputs, self._inputs, o), out)
+
+    def _map(self, z, src: _Frame, dst: _Frame, out: np.ndarray) -> np.ndarray:
+        ws = self._ws
         if src.n == self.dim:
-            return dst.combine(_coefficients(src.vectors, z))
-        coef, x, x_coef = self._directions(src, z)
+            return dst.combine(_coefficients(src.vectors, z, ws), out, ws)
+        coef, x, x_coef = self._directions(src, z, self._copies)
         if x is not None:
             # The remainder is orthogonal to θx, so its coefficient there is 0.
             added = self._reveal(src, dst, x)
             new = np.zeros((added, self.size), dtype=coef.dtype)
             new[0] = x_coef
             coef = np.concatenate([coef, new])
-        return dst.combine(coef)
+        return dst.combine(coef, out, ws)
 
     def _reveal(self, src: _Frame, dst: _Frame, x: np.ndarray) -> int:
-        """Add the pair ``x`` (unit, off ``src``) and a fresh image; return vectors added."""
-        y = self._fresh(dst.vectors)
+        """Keep the pair of ``x`` (unit, off ``src``, in its room) and a fresh image;
+        return the vectors added."""
+        y = dst.room(self._copies)[0]
+        self._fresh(dst.vectors, y)
         if self.special and src.n == self.dim - 1:
             frames = [np.concatenate([f.vectors, v[None]]) for f, v in ((src, x), (dst, y))]
             y *= np.sign(np.linalg.det(frames[0].T) * np.linalg.det(frames[1].T))
-        src.add(x)
-        dst.add(y)
+        src.push()
+        dst.push()
         if self.field != "quaternion":
             return 1
-        src.add(_theta(x))
-        dst.add(_theta(y))
+        _theta(x, src.room(1)[0])
+        src.push()
+        _theta(y, dst.room(1)[0])
+        dst.push()
         return 2
 
 
@@ -527,17 +714,20 @@ class DeferredSubspace(_DeferredDraw):
     """
 
     ndim = 3
+    _SUBSPACE = True
     #: β of each field: real, complex and quaternionic dimensions count 1, 2, 4 reals.
     _BETA = {"real": 1, "complex": 2, "quaternion": 4}
 
     def __init__(self, dim: int, size: int, gen, *, field: str, rank: int):
         _DeferredDraw.__init__(self, dim, size, gen, field)
-        self._copies = 2 if field == "quaternion" else 1
         self.rank = rank
-        self._settled = self._frame()
+        self._settled = _Frame(dim, size, self._dtype)
         self._t: list[np.ndarray] = []
         self._free = dim // self._copies
         self._left = rank
+
+    def _frames(self) -> tuple[_Frame, ...]:
+        return (self._settled,)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -550,23 +740,31 @@ class DeferredSubspace(_DeferredDraw):
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """Return ``P y`` for stacked vectors ``y`` of shape ``(d, B)``."""
-        return self._run(y, self._project)
+        y = np.asarray(y)
+        return self._project(y, self._result(y))
 
-    def _project(self, z: np.ndarray) -> np.ndarray:
-        settled = self._settled
+    def _project(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`project` into ``out``."""
+        return self._run(y, self._project_part, out)
+
+    def _project_part(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        settled, ws = self._settled, self._ws
         if 0 < self._left < self._free:
-            coef, x, x_coef = self._directions(settled, z)
+            coef, x, x_coef = self._directions(settled, z, 2 * self._copies)
             if x is not None:
                 # The remainder lies along x: its coefficients on θx, w, θw are 0.
                 self._reveal(x)
                 new = np.zeros((2 * self._copies, self.size), dtype=coef.dtype)
                 new[0] = x_coef
                 coef = np.concatenate([coef, new])
-            return settled.combine(self._on_settled(coef))
+            return settled.combine(self._on_settled(coef), out, ws)
         if self._left == self._free > 0:
-            coef, rest, _, _ = _split(settled.vectors, z)
-            return settled.combine(self._on_settled(coef)) + rest
-        return settled.combine(self._on_settled(_coefficients(settled.vectors, z)))
+            with ws:
+                coef, rest, _, _ = _split(settled.vectors, z, ws.take(z.shape, z.dtype), ws)
+                settled.combine(self._on_settled(coef), out, ws)
+                out += rest
+            return out
+        return settled.combine(self._on_settled(_coefficients(settled.vectors, z, ws)), out, ws)
 
     def _on_settled(self, coef: np.ndarray) -> np.ndarray:
         """P on Q, in Q's coordinates: the 2 x 2 block of each reveal."""
@@ -580,17 +778,21 @@ class DeferredSubspace(_DeferredDraw):
         out[:, 1] = s * c[:, 0] + (1.0 - t) * c[:, 1]
         return out.reshape(coef.shape)
 
-    def _add(self, frame: _Frame, v: np.ndarray) -> None:
-        frame.add(v)
+    def _keep(self, v: np.ndarray) -> None:
+        """Keep ``v``, written to the settled frame's room, and its θ partner."""
+        settled = self._settled
+        settled.push()
         if self._copies == 2:
-            frame.add(_theta(v))
+            _theta(v, settled.room(1)[0])
+            settled.push()
 
     def _reveal(self, x: np.ndarray) -> None:
-        """Reveal ``P x`` for unit ``x`` off Q; see the class docstring."""
+        """Reveal ``P x`` for unit ``x`` off Q, in the frame's room; see the class docstring."""
         beta = self._BETA[self.field]
         t = self._gen.beta(beta * self._left / 2, beta * (self._free - self._left) / 2, self.size)
-        self._add(self._settled, x)
-        self._add(self._settled, self._fresh(self._settled.vectors))
+        self._keep(x)
+        w = self._settled.room(1)[0]
+        self._keep(self._fresh(self._settled.vectors, w))
         self._t.append(t)
         self._free -= 2
         self._left -= 1

@@ -36,9 +36,16 @@ from . import _kernels
 # Nothing here calls apply_channel; it stays a module attribute because the
 # benchmark's tracer (perfbench/tracing.py) wraps shadows.apply_channel by name.
 from .channel import apply_channel, invert_channel  # noqa: F401
-from .haar import _integer
+from .haar import _SLACK, _integer, _Workspace
 from .rng import RngStream, as_generator
-from .spaces import SpaceSpec, _block_total, make_space, sample_point
+from .spaces import (
+    EnsembleDraw,
+    SpaceSpec,
+    _block_total,
+    _round_bytes,
+    make_space,
+    sample_point,
+)
 from .variance import analytic_second_moment
 
 __all__ = [
@@ -131,9 +138,35 @@ def validate_density(rho: np.ndarray, *, tol: float = DENSITY_TOL) -> np.ndarray
     return arr
 
 
+#: Entries of ``a − aᴴ`` that :func:`_hermitian_gap` forms at a time.
+_GAP_BLOCK = 8192
+
+
 def _hermitian_gap(arr: np.ndarray) -> float:
-    """``max|a − aᴴ|`` of a square matrix, 0 for an empty one."""
-    return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+    """``max|a − aᴴ|`` of a square complex matrix, 0 for an empty one.
+
+    Entry (j, i) of ``a − aᴴ`` is minus the conjugate of entry (i, j), of the
+    same modulus to the bit, so only the upper triangle is formed: a block
+    of rows at a time, from column ``i`` on, in one small buffer.  Each
+    entry and its modulus are computed as in the whole-matrix expression
+    ``abs(a - a.conj().T)``, so the maximum is the same.
+    """
+    d = arr.shape[0]
+    if d * d <= _GAP_BLOCK:
+        # Small enough for one block: the whole-matrix expression is cheaper.
+        return float(np.max(np.abs(arr - arr.conj().T))) if d else 0.0
+    rows = max(1, _GAP_BLOCK // d)
+    # One allocation: a complex block of differences, then their moduli.
+    buffer = np.empty(3 * rows * d)
+    diff, modulus = buffer[: 2 * rows * d].view(np.complex128), buffer[2 * rows * d :]
+    gap = 0.0
+    for lo in range(0, d, rows):
+        shape = (min(d, lo + rows) - lo, d - lo)
+        block = diff[: shape[0] * shape[1]].reshape(shape)
+        np.conjugate(arr[lo:, lo : lo + shape[0]].T, out=block)
+        np.subtract(arr[lo : lo + shape[0], lo:], block, out=block)
+        gap = max(gap, float(np.abs(block, out=modulus[: block.size].reshape(shape)).max()))
+    return gap
 
 
 def random_pure_state(dim: int, rng=None) -> np.ndarray:
@@ -241,7 +274,7 @@ def sample_outcome(spec: SpaceSpec, rho: np.ndarray, rng=None) -> ShadowRecord:
     """
     _, factor = _validated_state(spec, rho)
     _, outcomes, rows = _measure_batch(spec, factor, as_generator(rng), 1)
-    return ShadowRecord(row=rows[0], outcome=int(outcomes[0]))
+    return ShadowRecord(row=rows[0].copy(), outcome=int(outcomes[0]))
 
 
 def _validated_state(spec: SpaceSpec, rho: np.ndarray):
@@ -280,7 +313,7 @@ def _state_factor(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(weights), np.stack(vectors, axis=1)
 
 
-def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int):
+def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int, workspace=None):
     """Run ``count`` protocol rounds on the state ``sum_k w_k u_k u_kᴴ``.
 
     Each round draws a rotation ``V`` and a uniform ``u``.  ``u`` picks
@@ -292,6 +325,11 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
     applied to the chosen components and, for the outcome rows
     ``V[w, :]``, to the measured basis vectors, ``conj(Vᴴ e_w)``.
 
+    The draw and every (d, count) array of the batch live in ``workspace``
+    (a streamed call's, sized by :func:`_batch_workspace` for at least
+    ``count`` rounds), or in a new one.  The rows are a view of it: they
+    hold until the workspace is cleared for the next batch.
+
     Returns
     -------
     draw : EnsembleDraw
@@ -302,21 +340,51 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
         degenerate quotients.
     """
     weights, vectors = factor
+    d = spec.dim
+    ws = _batch_workspace(spec, count) if workspace is None else workspace
     draw = sample_point(spec, gen, count, dense=False)
+    if isinstance(draw, EnsembleDraw):
+        draw._use(ws)
+        forward, backward = draw._apply, draw._apply_adjoint
+    else:
+        # Any other draw (sample_point replaced by a fixed rotation, say) is
+        # applied through its public methods, into arrays of its own.
+        def forward(y, out):
+            return draw.apply(y)
+
+        def backward(y, out):
+            return draw.apply_adjoint(y)
+
+    # V's dtype: a degenerate draw is the identity, whose rows are the real
+    # basis vectors.
+    dtype = np.float64 if spec.is_real or spec.is_degenerate else np.complex128
     uniforms = gen.random(count)
     cum = np.cumsum(weights)
     # The weights sum to tr(rho) only within the validation tolerance; a
     # uniform past the last cumulative weight goes to the last component.
     k = np.minimum(np.searchsorted(cum, uniforms), weights.size - 1)
     uniforms -= np.concatenate(([0.0], cum[:-1]))[k]
-    rotated = draw.apply(vectors[:, k])
-    probs = _kernels.born_probs(rotated.T)
-    _check_probabilities(probs)
-    outcomes = _kernels.choose_outcomes(weights[k, None] * probs, uniforms)
-    basis = np.zeros((spec.dim, count))
-    basis[outcomes, np.arange(count)] = 1.0
-    rows = draw.apply_adjoint(basis).conj().T
-    return draw, outcomes, rows
+    # Registers are (d, count), batch axis last, as the draw's vectors are;
+    # the kernels read their transposes.
+    with ws:
+        chosen = np.take(vectors, k, axis=1, out=ws.take((d, count), vectors.dtype), mode="clip")
+        rotated = forward(chosen, ws.take((d, count), np.result_type(chosen, dtype)))
+        probs = _kernels.born_probs(rotated.T, out=ws.take((d, count), np.float64).T)
+        _check_probabilities(probs)
+        outcomes = _kernels.choose_outcomes(
+            np.multiply(weights[k, None], probs, out=probs),
+            uniforms,
+            cum=ws.take((d, count), np.float64).T,
+        )
+    rows = ws.take((d, count), dtype)
+    with ws:
+        basis = ws.take((d, count), np.float64)
+        basis.fill(0.0)
+        basis[outcomes, np.arange(count)] = 1.0
+        rows = backward(basis, rows)
+    if rows.dtype.kind == "c":
+        np.conjugate(rows, out=rows)
+    return draw, outcomes, rows.T
 
 
 def _check_probabilities(probs: np.ndarray) -> None:
@@ -471,7 +539,11 @@ def shadow_estimates(
         ``n_shots``).  A batch holds O(d) numbers per round for every
         family: the directions its deferred draws revealed (a few
         length-``d`` vectors), the rotated component of ``rho`` and the
-        outcome row.
+        outcome row.  The call allocates them once, as one workspace for
+        its largest batch that every batch reuses: per round, 11 complex
+        d-vectors (16·d bytes each) for U, O and SO, 12 for AIII and BDI,
+        15 for SP, 16 for CII, 18 for AI, AII and DIII and 26 for CI
+        (fewer at small d); 5.5 to 13 KiB per round at d = 32.
 
     Returns
     -------
@@ -505,14 +577,34 @@ def _prepare(spec: SpaceSpec, rho, observable, n_shots: int, batch_size):
     return n_shots, batch_size, state, factor, obs, invert_channel(spec).split(obs)
 
 
+#: Complex d-vectors per round that :func:`_measure_batch` and the
+#: estimator hold at once besides the draw's: the chosen component, its
+#: image, and the probabilities and their cumulative sums, of a half each;
+#: later the rows and the product of the quadratic form.
+_MEASURE_VECTORS = 3
+
+
+def _batch_workspace(spec: SpaceSpec, rounds: int) -> _Workspace:
+    """One workspace for batches of up to ``rounds`` rounds of ``spec``.
+
+    ``(_MEASURE_VECTORS + c) · 16·d`` bytes per round, with ``c`` the
+    draw's frames and scratch in complex d-vectors.
+    """
+    return _Workspace(rounds * (_round_bytes(spec) + _MEASURE_VECTORS * 16 * spec.dim) + _SLACK)
+
+
 def _streamed_estimates(spec, factor, x, n_shots, rng, batch_size) -> np.ndarray:
+    """Per-shot estimates from batches that all work in one workspace."""
     gen = as_generator(rng)
     out = np.empty(n_shots, dtype=np.float64)
+    ws = _batch_workspace(spec, min(batch_size, n_shots))
     done = 0
     while done < n_shots:
         count = min(batch_size, n_shots - done)
-        _, _, rows = _measure_batch(spec, factor, gen, count)
-        out[done : done + count] = _kernels.row_quadratic(rows, x)
+        ws.clear()
+        _, _, rows = _measure_batch(spec, factor, gen, count, ws)
+        product = ws.take((count, spec.dim), np.result_type(rows, x))
+        out[done : done + count] = _kernels.row_quadratic(rows, x, product=product)
         done += count
     return out
 

@@ -69,8 +69,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .haar import (
+    _SLACK,
     _Completable,
+    _draw_bytes,
     _integer,
+    _Workspace,
     haar_orthogonal,
     haar_symplectic,
     haar_unitary,
@@ -265,13 +268,16 @@ class _Involution:
     sign_t: np.ndarray
     conj: bool
 
-    def m(self, y: np.ndarray) -> np.ndarray:
-        """``M y`` for vectors stacked ``(d, B)``."""
-        return self.sign[:, None] * y[self.perm]
+    def m(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``M y`` into ``out``, for vectors stacked ``(d, B)``."""
+        # mode="clip" writes straight into out; the default would buffer.
+        np.take(y, self.perm, axis=0, out=out, mode="clip")
+        return np.multiply(self.sign[:, None], out, out=out)
 
-    def mt(self, y: np.ndarray) -> np.ndarray:
-        """``Mᵀ y`` for vectors stacked ``(d, B)``."""
-        return self.sign_t[:, None] * y[self.perm_t]
+    def mt(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``Mᵀ y`` into ``out``, for vectors stacked ``(d, B)``."""
+        np.take(y, self.perm_t, axis=0, out=out, mode="clip")
+        return np.multiply(self.sign_t[:, None], out, out=out)
 
 
 def _sigma(spec: SpaceSpec) -> _Involution:
@@ -308,9 +314,11 @@ class EnsembleDraw(_Completable):
     a :class:`~symshadows.haar.DeferredUnitary` ``g``, or for the
     Grassmannians a :class:`~symshadows.haar.DeferredSubspace` of rank
     ``min(p, q)`` with projector P, and it draws only the directions that
-    ``apply`` and ``apply_adjoint`` read.  :meth:`matrix` completes V by
-    applying it to the basis vectors.  ``shape`` is that of :meth:`matrix`,
-    ``(B, d, d)``.
+    ``apply`` and ``apply_adjoint`` read.  The draw and its parent work in
+    one workspace: a streamed call's (:meth:`_use`), or their own, made at
+    first use and sized for one ``apply`` and one ``apply_adjoint``.
+    :meth:`matrix` completes V by applying it to the basis vectors.
+    ``shape`` is that of :meth:`matrix`, ``(B, d, d)``.
     """
 
     def __init__(self, spec: SpaceSpec, parent, size: int):
@@ -320,53 +328,108 @@ class EnsembleDraw(_Completable):
         self.dim = spec.dim
         self._dtype = np.float64 if spec.is_real else np.complex128
         self._involution = self._sign = None
+        self._ws = None
         if parent is not None and spec.p is not None:
             self._sign = _grassmannian_sign(spec)[:, None]
         elif parent is not None and not spec.is_group:
             self._involution = _sigma(spec)
 
+    def _use(self, workspace: _Workspace) -> None:
+        """Work in ``workspace``, with the parent's frames sized for one measured round."""
+        self._ws = workspace
+        if self.parent is not None:
+            self.parent._use(workspace, _parent_applications(self.spec))
+
+    def _workspace(self) -> _Workspace:
+        if self._ws is None:
+            self._use(_Workspace(self.size * _round_bytes(self.spec) + _SLACK))
+        return self._ws
+
     def apply(self, y: np.ndarray) -> np.ndarray:
         """``V y = σ(g)ᴴ (g y) = M κ(gᴴ κ(Mᵀ g y))``, or ``±S(y − 2Py)``."""
         if self.parent is None:
             return np.array(y)
-        if self._sign is not None:
-            a = self.parent.project(y)
-            a *= -2.0
-            a += y
-            a *= self._sign
-            return a
-        a = self.parent.apply(y)
-        sigma = self._involution
-        if sigma is None:
-            return a
-        a = sigma.mt(a)
-        if sigma.conj:
-            a = a.conj()
-        a = self.parent.apply_adjoint(a)
-        if sigma.conj:
-            np.conjugate(a, out=a)
-        return sigma.m(a)
+        y = np.asarray(y)
+        return self._apply(y, np.empty(y.shape, np.result_type(y, self._dtype)))
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """``Vᴴ y = gᴴ (σ(g) y) = gᴴ M κ(g κ(Mᵀ y))``, or ``(1 − 2P)(±S y)``."""
         if self.parent is None:
             return np.array(y)
+        y = np.asarray(y)
+        return self._apply_adjoint(y, np.empty(y.shape, np.result_type(y, self._dtype)))
+
+    def _apply(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`apply` into ``out``, whose dtype is that of ``V y``."""
+        if self.parent is None:
+            np.copyto(out, y)
+            return out
+        ws = self._workspace()
         if self._sign is not None:
-            y = self._sign * y
-            a = self.parent.project(y)
+            a = self.parent._project(y, out)
             a *= -2.0
             a += y
+            a *= self._sign
             return a
         sigma = self._involution
         if sigma is None:
-            return self.parent.apply_adjoint(y)
-        a = sigma.mt(y)
-        if sigma.conj:
-            a = a.conj()
-        a = self.parent.apply(a)
-        if sigma.conj:
-            np.conjugate(a, out=a)
-        return self.parent.apply_adjoint(sigma.m(a))
+            return self.parent._apply(y, out)
+        with ws:
+            a = self.parent._apply(y, ws.take(y.shape, out.dtype))
+            a = sigma.mt(a, ws.take(y.shape, out.dtype))
+            if sigma.conj:
+                np.conjugate(a, out=a)
+            a = self.parent._apply_adjoint(a, ws.take(y.shape, out.dtype))
+            if sigma.conj:
+                np.conjugate(a, out=a)
+            return sigma.m(a, out)
+
+    def _apply_adjoint(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`apply_adjoint` into ``out``, whose dtype is that of ``Vᴴ y``."""
+        if self.parent is None:
+            np.copyto(out, y)
+            return out
+        ws = self._workspace()
+        if self._sign is not None:
+            with ws:
+                y = np.multiply(
+                    self._sign, y, out=ws.take(y.shape, np.result_type(self._sign, y))
+                )
+                a = self.parent._project(y, out)
+                a *= -2.0
+                a += y
+            return a
+        sigma = self._involution
+        if sigma is None:
+            return self.parent._apply_adjoint(y, out)
+        with ws:
+            a = sigma.mt(y, ws.take(y.shape, y.dtype))
+            if sigma.conj:
+                np.conjugate(a, out=a)
+            a = self.parent._apply(a, ws.take(y.shape, out.dtype))
+            if sigma.conj:
+                np.conjugate(a, out=a)
+            return self.parent._apply_adjoint(sigma.m(a, ws.take(y.shape, out.dtype)), out)
+
+
+def _parent_applications(spec: SpaceSpec) -> int:
+    """Parent applications in one ``apply`` and one ``apply_adjoint`` of V.
+
+    One each for a group or a Grassmannian, two each for a σ map.
+    """
+    return 2 if spec.is_group or spec.p is not None else 4
+
+
+def _round_bytes(spec: SpaceSpec) -> int:
+    """Workspace bytes per round of a deferred draw of ``spec``, its parent's included."""
+    if spec.is_degenerate:
+        return 0
+    field = {"U": "complex", "O": "real", "SP": "quaternion"}[spec.parent]
+    parent = _draw_bytes(spec.dim, field, _parent_applications(spec), spec.p is not None)
+    # Complex d-vectors V holds besides its parent's: σ's three registers
+    # around the parent's two applications, or ±S y for a Grassmannian's Vᴴ.
+    coset = 0 if spec.is_group else 1 if spec.p is not None else 3
+    return parent + coset * 16 * spec.dim
 
 
 def _coset_matrix(spec: SpaceSpec, g: np.ndarray) -> np.ndarray:
