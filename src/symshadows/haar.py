@@ -11,10 +11,11 @@ Two samplers share each group, one per use.
   a Ginibre matrix would build from its ``k``-th column, and a gauge (unit
   phases; a Haar Sp(1) element per quaternionic coordinate for SP) makes
   the law exactly Haar.  :class:`HouseholderDraw` holds the reflectors, about
-  d²/2 Gaussians per draw, and forms the matrices (LAPACK ``?ungqr`` from
-  ``ORGQR_MIN_DIM`` on).  Reflector ``k`` fixes the first ``k`` basis
+  d²/2 Gaussians per draw, and forms the matrices in one NumPy pass over
+  the batch at every d.  Reflector ``k`` fixes the first ``k`` basis
   vectors, so ``columns=m`` draws only the ``m`` reflectors that the first
-  ``m`` columns depend on and forms only those columns.
+  ``m`` columns depend on and forms only those columns.  A request whose
+  result would exceed physical memory raises ``ValueError`` before drawing.
 * **Deferred** (``dense=False``): for code that applies a draw to a few
   vectors.  Haar measure is revealed one direction at a time: given the
   input/output pairs fixed so far, a new direction's image is uniform on the
@@ -41,6 +42,7 @@ accepts).
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -71,6 +73,30 @@ def _integer(value, name: str) -> int:
     if n is None or n != value or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return n
+
+
+def _physical_memory() -> int | None:
+    """The machine's physical memory in bytes, or None where ``os.sysconf`` cannot say."""
+    try:
+        pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page if pages > 0 and page > 0 else None
+
+
+def _refuse_oversize(shape: tuple[int, ...], dtype, request: str) -> None:
+    """``ValueError`` naming ``request`` when a ``shape`` result exceeds physical memory.
+
+    Raised before anything is allocated: otherwise NumPy's ``MemoryError``
+    comes later, or, under overcommit, the process is killed once gigabytes
+    of a lazily touched array have been written.  Nothing is refused where
+    the physical memory cannot be read.
+    """
+    limit = _physical_memory()
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if limit is not None and nbytes > limit:
+        raise ValueError(f"{request}: the {shape} result needs {nbytes} bytes, "
+                         f"more than the {limit} bytes of physical memory")
 
 
 def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
@@ -129,14 +155,6 @@ def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
     return z[0] if size is None else z
 
 
-#: Dimension from which :meth:`HouseholderDraw.matrix` forms each draw with
-#: LAPACK's blocked ``?ungqr``/``?orgqr`` rather than a batched NumPy pass.
-#: Measured per U(d) draw on a 2-core machine (OpenBLAS): NumPy 14 µs vs
-#: LAPACK 17 µs at d = 16, 40 µs vs 22 µs at d = 24, 84 µs vs 33 µs at
-#: d = 32, 6.6 ms vs 1.7 ms at d = 128; O(d) breaks even near d = 24.
-ORGQR_MIN_DIM = 24
-
-
 class _MatrixStack:
     """``shape`` and ``ndim`` of the ``(B, d, d)`` stack that ``matrix()`` returns.
 
@@ -177,12 +195,11 @@ class HouseholderDraw(_MatrixStack):
     ``g = H_0 H_1 ⋯ H_{m-1} D`` with ``H_k = 1 - tau[k, n] v_k v_kᴴ`` and
     ``tau = 2/‖v_k‖²``; ``m`` is d − 1 (d/2 − 1 quaternionic reflectors for
     SP) for a full draw, and the ``columns`` asked for otherwise, with
-    ``D = 1`` past them.  (LAPACK scales ``v_k[k]`` to 1; the scale of
-    ``v_k`` does not change ``H_k``, so it is left as drawn.)  In the
-    ``(c, d/c)`` view of a vector (``c = 2`` for SP, whose rows ``i``,
-    ``d/2 + i`` form quaternionic coordinate ``i``; else 1), ``v_k`` covers
-    coordinates ``k//c, …``; SP's ``v_{2j+1} = J conj(v_{2j})`` is
-    orthogonal to ``v_{2j}``.  Every array keeps the batch axis last.
+    ``D = 1`` past them.  In the ``(c, d/c)`` view of a vector (``c = 2``
+    for SP, whose rows ``i``, ``d/2 + i`` form quaternionic coordinate
+    ``i``; else 1), ``v_k`` covers coordinates ``k//c, …``; SP's
+    ``v_{2j+1} = J conj(v_{2j})`` is orthogonal to ``v_{2j}``.  Every array
+    keeps the batch axis last.
 
     Attributes
     ----------
@@ -220,15 +237,12 @@ class HouseholderDraw(_MatrixStack):
         ``d/2, …, d/2 + m - 1``.  They depend on reflectors ``0, …, m-1``
         alone.  Reflectors are applied to ``D`` right to left, and ``H_k``
         only touches the trailing ``k//c, …`` coordinate block of the
-        partial product, so a full draw costs d³/3 rather than d³.  For U/O
-        from ``d = ORGQR_MIN_DIM`` on, LAPACK's blocked ``?ungqr``/``?orgqr``
-        does this per draw; below it, and for SP, one NumPy pass over the
-        whole batch is faster.
+        partial product, so a full draw costs d³/3 rather than d³.  One
+        NumPy pass applies each reflector to the whole batch, at every d
+        and for every group.
         """
         d, c = self.dim, self._blocks
         kept = d // c if columns is None else columns
-        if c == 1 and d >= ORGQR_MIN_DIM:
-            return self._matrix_lapack(kept)
         out = np.zeros((d, c * kept, self.size), dtype=self.signs.dtype)
         view = out.reshape(c, d // c, c, kept, self.size)
         diag = np.arange(kept)
@@ -245,35 +259,6 @@ class HouseholderDraw(_MatrixStack):
             coef = np.einsum("aib,aicjb->cjb", v.conj(), sub) * self.tau[k]
             sub -= v[:, :, None, None, :] * coef[None, None]
         return np.ascontiguousarray(out.transpose(2, 0, 1))
-
-    def _matrix_lapack(self, kept: int) -> np.ndarray:
-        # scipy.linalg takes about 0.3 s to import; only dense draws at
-        # d >= ORGQR_MIN_DIM need it.
-        from scipy.linalg import lapack
-
-        d, dtype = self.dim, self.signs.dtype
-        orgqr = lapack.zungqr if dtype.kind == "c" else lapack.dorgqr
-        # LAPACK's packing: reflector k is 1 - t v vᴴ with v[k] = 1, stored
-        # below the diagonal of column k; packed[n, k] is that column of
-        # draw n, so packed[n].T is the Fortran-ordered d x kept panel.
-        # Scaling v_k by 1/v_k[0] scales tau by |v_k[0]|².
-        reflectors = min(len(self.offsets), kept)
-        packed = np.zeros((self.size, kept, d), dtype=dtype)
-        tau = np.zeros((self.size, reflectors), dtype=dtype)
-        for k in range(reflectors):
-            lo, m = self.offsets[k], d - k
-            v = self.reflectors[lo : lo + m]
-            head = np.where(self.tau[k] > 0, v[0], 1.0)
-            packed[:, k, k + 1 :] = (v[1:] / head).T
-            tau[:, k] = self.tau[k] * np.abs(v[0]) ** 2
-        out = np.empty((self.size, d, kept), dtype=dtype)
-        signs = self.signs[:kept].T
-        for n in range(self.size):
-            q, _, info = orgqr(packed[n].T, tau[n], lwork=32 * d, overwrite_a=1)
-            if info != 0:
-                raise RuntimeError(f"LAPACK ?ungqr/?orgqr failed with info={info}")
-            np.multiply(q, signs[n], out=out[n])
-        return out
 
 
 #: A query whose part outside the directions a deferred draw has revealed is
@@ -883,6 +868,9 @@ def _draw(d, rng, size, dense: bool, columns, *, field: str, special: bool = Fal
         if columns is None:
             return DeferredUnitary(d, count, gen, field=field, special=special)
         return DeferredSubspace(d, count, gen, field=field, rank=m)
+    kept = d if columns is None else (2 * m if field == "quaternion" else m)
+    dtype = np.float64 if field == "real" else np.complex128
+    _refuse_oversize((count, d, kept), dtype, f"d={d}, size={count}")
     if field == "quaternion":
         draw = _symplectic_reflectors(d, gen, count, m)
     else:

@@ -36,7 +36,7 @@ from . import _kernels
 # Nothing here calls apply_channel; it stays a module attribute because the
 # benchmark's tracer (perfbench/tracing.py) wraps shadows.apply_channel by name.
 from .channel import apply_channel, invert_channel  # noqa: F401
-from .haar import _SLACK, _integer, _Workspace
+from .haar import _SLACK, _integer, _refuse_oversize, _Workspace
 from .rng import RngStream, as_generator
 from .spaces import (
     EnsembleDraw,
@@ -531,7 +531,8 @@ def shadow_estimates(
     observable : (d, d) array_like
         Hermitian observable.
     n_shots : int
-        Number of protocol rounds.
+        Number of protocol rounds; a ``ValueError`` refuses, before anything
+        is allocated, a count whose output would exceed physical memory.
     rng : Generator, RngStream, int, or None, optional
         Randomness source.
     batch_size : int, optional
@@ -567,6 +568,7 @@ def _prepare(spec: SpaceSpec, rho, observable, n_shots: int, batch_size):
     n_shots = _integer(n_shots, "n_shots")
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
+    _refuse_oversize((n_shots,), np.float64, f"n_shots={n_shots}")
     if batch_size is None:
         batch_size = max(1, min(n_shots, 2_000_000 // (spec.dim * spec.dim)))
     batch_size = _integer(batch_size, "batch_size")

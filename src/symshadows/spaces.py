@@ -73,6 +73,7 @@ from .haar import (
     _Completable,
     _draw_bytes,
     _integer,
+    _refuse_oversize,
     _Workspace,
     haar_orthogonal,
     haar_symplectic,
@@ -478,7 +479,8 @@ def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: b
 
     Degenerate signature choices (an empty block) make the quotient a single
     point; the exact identity matrix is returned for every draw, and no
-    randomness is drawn.
+    randomness is drawn.  A dense result that would exceed physical memory
+    is refused with a ``ValueError`` before any draw.
 
     Parameters
     ----------
@@ -500,6 +502,9 @@ def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: b
     count = 1 if size is None else _integer(size, "size")
     if count < 1:
         raise ValueError(f"size must be a positive integer, got {count}")
+    if dense:
+        dtype = np.float64 if spec.is_real else np.complex128
+        _refuse_oversize((count, spec.dim, spec.dim), dtype, f"d={spec.dim}, size={count}")
     parent = None if spec.is_degenerate else _parent_draw(spec, gen, count, dense)
     if not dense:
         return EnsembleDraw(spec, parent, count)
@@ -550,11 +555,10 @@ def sample_subgroup(spec: SpaceSpec, rng=None, size: int | None = None) -> np.nd
     nsamp = 1 if size is None else _integer(size, "size")
     if nsamp < 1:
         raise ValueError(f"size must be a positive integer, got {nsamp}")
-    draws = [
-        (coords, _HAAR_BLOCK[kind](coords.size, gen, nsamp))
-        for kind, coords in _k_blocks(spec)
-    ]
-    d = spec.dim
+    d, blocks = spec.dim, _k_blocks(spec)
+    dtype = np.complex128 if any(kind in ("U", "SP") for kind, _ in blocks) else np.float64
+    _refuse_oversize((nsamp, d, d), dtype, f"d={d}, size={nsamp}")
+    draws = [(coords, _HAAR_BLOCK[kind](coords.size, gen, nsamp)) for kind, coords in blocks]
     out = np.zeros((nsamp, d, d), dtype=np.result_type(*(b.dtype for _, b in draws)))
     for coords, block in draws:
         out[:, coords[:, None], coords[None, :]] = block

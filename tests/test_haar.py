@@ -1,5 +1,6 @@
 """Distributional and structural checks of the parent-group samplers."""
 
+import os
 from functools import partial
 
 import numpy as np
@@ -17,7 +18,7 @@ from symshadows.haar import (
     symplectic_pairing,
 )
 from symshadows.rng import RngStream
-from symshadows.spaces import ALL_FAMILIES, make_space, sample_point
+from symshadows.spaces import ALL_FAMILIES, make_space, sample_point, sample_subgroup
 
 N_MOMENT = 200_000
 
@@ -153,20 +154,6 @@ def test_reflector_draw_applies_its_matrix(sampler, d):
     assert g.dtype == (np.complex128 if sampler is haar_unitary else np.float64)
 
 
-@pytest.mark.parametrize("special", [False, True])
-@pytest.mark.parametrize("d", [1, 2, 5, 24])
-def test_lapack_and_numpy_matrices_agree(monkeypatch, special, d):
-    kinds = [_reflectors(haar_orthogonal, d, 17, 9, special=special)]
-    if not special:
-        kinds.append(_reflectors(haar_unitary, d, 17, 9))
-    for draw in kinds:
-        monkeypatch.setattr(haar, "ORGQR_MIN_DIM", 1)
-        lapack = draw.matrix()
-        monkeypatch.setattr(haar, "ORGQR_MIN_DIM", 10**6)
-        np.testing.assert_allclose(lapack, draw.matrix(), rtol=0, atol=1e-13)
-        assert lapack.dtype == draw.signs.dtype and lapack.shape == (9, d, d)
-
-
 @pytest.mark.parametrize(
     "sampler, d",
     [(partial(ginibre, "complex"), 3), (haar_unitary, 3), (haar_orthogonal, 3),
@@ -202,6 +189,53 @@ def test_samplers_reject_non_integral_dimensions(sampler, d, name):
     np.testing.assert_array_equal(
         sampler(float(d), RngStream(0), size=2), sampler(d, RngStream(0), size=2)
     )
+
+
+#: The physical memory the refusal tests pretend to have: a refusal that
+#: fails allocates a few MiB, not the machine.
+_SMALL_MEMORY = 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "draw, request_",
+    [(lambda gen: haar_unitary(600, gen), "d=600, size=1"),
+     (lambda gen: haar_orthogonal(64, gen, size=200), "d=64, size=200"),
+     (lambda gen: haar_symplectic(64, gen, size=100), "d=64, size=100"),
+     (lambda gen: haar_unitary(64, gen, size=200, columns=40), "d=64, size=200"),
+     (lambda gen: sample_point(make_space("U", 64), gen, 100), "d=64, size=100"),
+     (lambda gen: sample_point(make_space("AIII", 64, 2, 62), gen, 100), "d=64, size=100"),
+     (lambda gen: sample_point(make_space("AIII", 64, 64, 0), gen, 100), "d=64, size=100"),
+     (lambda gen: sample_subgroup(make_space("AIII", 64, 32, 32), gen, 100), "d=64, size=100"),
+     (lambda gen: sample_subgroup(make_space("AI", 64), gen, 200), "d=64, size=200")],
+    ids=["U", "O", "SP", "U-columns", "point-U", "point-AIII", "point-degenerate",
+         "subgroup-AIII", "subgroup-AI"],
+)
+def test_dense_draws_past_physical_memory_are_refused_before_drawing(monkeypatch, draw, request_):
+    # A Grassmannian's parent keeps 2 columns, and a degenerate point draws
+    # nothing: the d x d result is what is refused.
+    monkeypatch.setattr(haar, "_physical_memory", lambda: _SMALL_MEMORY)
+    gen = RngStream(30).generator()
+    with pytest.raises(ValueError, match=f"^{request_}: the .* result needs .* physical memory"):
+        draw(gen)
+    assert gen.random() == RngStream(30).generator().random()
+    assert haar_unitary(64, gen, size=10).shape == (10, 64, 64)
+    assert haar_orthogonal(64, gen, size=128).nbytes == _SMALL_MEMORY
+
+
+def test_nothing_is_refused_where_physical_memory_is_unknown(monkeypatch):
+    if hasattr(os, "sysconf"):
+        assert haar._physical_memory() > _SMALL_MEMORY
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    for patch in (lambda: monkeypatch.setattr(os, "sysconf", unknown),
+                  lambda: monkeypatch.setattr(os, "sysconf", lambda name: -1),
+                  lambda: monkeypatch.delattr(os, "sysconf", raising=False)):
+        patch()
+        assert haar._physical_memory() is None
+        haar._refuse_oversize((2**62,), np.complex128, "size")
+        assert haar_unitary(8, RngStream(31), size=2).shape == (2, 8, 8)
 
 
 def test_reflector_draw_rejects_bad_arguments():
@@ -350,7 +384,7 @@ def test_truncated_columns_are_orthonormal_with_haar_moments(sampler, d, m):
                                                       (haar_orthogonal, 30, 15),
                                                       (haar_symplectic, 24, 5)],
                          ids=_truncated_ids)
-def test_truncated_draw_forms_only_its_kept_columns(monkeypatch, sampler, d, m):
+def test_truncated_draw_forms_only_its_kept_columns(sampler, d, m):
     draw = _reflectors(sampler, d, 15, 7, m)
     if sampler is haar_symplectic:
         n = d // 2
@@ -362,7 +396,6 @@ def test_truncated_draw_forms_only_its_kept_columns(monkeypatch, sampler, d, m):
         assert draw.reflectors.shape == (d * m - m * (m - 1) // 2, 7)
         assert len(draw.offsets) == m
     cols = _drawn_columns(sampler, d, m)
-    monkeypatch.setattr(haar, "ORGQR_MIN_DIM", 10**6)
     g = draw.matrix()
     assert np.max(np.abs(np.swapaxes(g.conj(), 1, 2) @ g - np.eye(d))) < 1e-12
     if np.isrealobj(g) and sampler is not haar_orthogonal:
@@ -371,11 +404,6 @@ def test_truncated_draw_forms_only_its_kept_columns(monkeypatch, sampler, d, m):
     # on them as the pass over all d.
     panel = draw.matrix(m)
     np.testing.assert_array_equal(panel, g[:, :, cols])
-    if sampler is not haar_symplectic:
-        monkeypatch.setattr(haar, "ORGQR_MIN_DIM", 1)
-        np.testing.assert_allclose(draw.matrix(m), g[:, :, cols], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(draw.matrix(), g, rtol=0, atol=1e-13)
-    monkeypatch.undo()
     np.testing.assert_array_equal(sampler(d, RngStream(15), size=7, columns=m), draw.matrix(m))
 
 
@@ -384,18 +412,14 @@ def test_truncated_draw_forms_only_its_kept_columns(monkeypatch, sampler, d, m):
                                   make_space("CII", 12, 2)], ids=lambda s: s.label())
 def test_dense_grassmannian_draws_keep_the_full_formation(spec):
     # V = ±S(1 - 2 W Wᴴ) with W the m kept columns: the same V as from all
-    # d columns of the truncated draw, bit for bit below ORGQR_MIN_DIM.
+    # d columns of the truncated draw, bit for bit.
     m = min(spec.p, spec.q)
     sampler = {"U": haar_unitary, "O": partial(haar_orthogonal, special=True),
                "SP": haar_symplectic}[spec.parent]
     g = _reflectors(sampler, spec.dim, 40, 16, m).matrix()
     w = g[:, :, _drawn_columns(sampler, spec.dim, m)]
     expected = spaces._coset_matrix(spec, w)
-    v = sample_point(spec, RngStream(40), 16)
-    if spec.dim < haar.ORGQR_MIN_DIM or spec.parent == "SP":
-        np.testing.assert_array_equal(v, expected)
-    else:
-        np.testing.assert_allclose(v, expected, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(sample_point(spec, RngStream(40), 16), expected)
 
 
 @pytest.mark.parametrize("sampler, d", [(haar_unitary, 1), (haar_unitary, 5),

@@ -454,14 +454,20 @@ def test_seeded_fits_are_pinned(case):
 
 def test_study_path_loads_no_second_blas():
     # scipy ships its own OpenBLAS, whose thread pool would compete with
-    # NumPy's, and takes about 0.3 s to import; the d = 8 fits, the d = 16
-    # sweep and the estimation path (streamed runs up to d = 128, and a
-    # recorded round) must not import it.
+    # NumPy's, and takes about 0.3 s to import.  The package needs only
+    # NumPy: the d = 8 fits and one at AI(24), dense draws up to d = 128,
+    # K draws, the d = 16 sweep and the estimation path (streamed runs up to
+    # d = 128, and a recorded round) must not import it.
     script = (
         "import sys\n"
         "from symshadows import momentlab, shadows, spaces\n"
         "for family in spaces.QUOTIENT_FAMILIES:\n"
         "    momentlab.fit_channel_coefficients(spaces.make_space(family, 8), 256, rng=0)\n"
+        "momentlab.fit_channel_coefficients(spaces.make_space('AI', 24), 512, rng=0)\n"
+        "for family in ('U', 'O', 'AI', 'BDI'):\n"
+        "    for dim in (32, 128):\n"
+        "        spaces.sample_point(spaces.make_space(family, dim), 1, size=2)\n"
+        "spaces.sample_subgroup(spaces.make_space('AIII', 64), 1, size=2)\n"
         "shadows.variance_sweep(shadows.SweepConfig(\n"
         "    dim=16, signature_fractions=(0.25, 0.75), diag_weights=(0.2, 0.9),\n"
         "    n_instances=1, n_shots=64, seed=0))\n"

@@ -405,6 +405,24 @@ def test_streamed_runs_reject_non_integral_shot_counts(monkeypatch, run):
             run(spec, rho, obs, bad)
 
 
+@pytest.mark.parametrize("run", [shadow_estimates, run_estimation])
+def test_streamed_runs_past_physical_memory_are_refused_before_the_state(monkeypatch, run):
+    # With 8000 bytes of memory 1000 shots fit and 1001 do not: the call
+    # refuses before it checks rho, which is no density matrix, and before
+    # any draw.
+    monkeypatch.setattr(haar, "_physical_memory", lambda: 8000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before checking n_shots")
+
+    spec, obs = make_space("U", 3), _traceless_observable(3, 89)
+    with monkeypatch.context() as m:
+        m.setattr(shadows, "sample_point", refuse)
+        with pytest.raises(ValueError, match=r"^n_shots=1001: the \(1001,\) result needs 8008 bytes"):
+            run(spec, np.zeros((3, 3)), obs, 1001)
+    assert run(spec, _state(3, 85), obs, 1000, RngStream(90)) is not None
+
+
 @pytest.mark.parametrize(
     "make, smallest",
     [(random_pure_state, 1), (lambda dim, rng: random_observable(dim, 0.5, rng=rng), 2)],

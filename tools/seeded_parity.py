@@ -15,16 +15,23 @@ its own ``src`` on the path and reports, for the same seeds:
 * deferred draws used on their own: ``apply``, ``apply_adjoint`` and
   ``matrix()`` of ``sample_point(..., dense=False)``, ``project`` of the
   Haar samplers' ``columns=`` draws, and ``entry_moments``;
+* dense draws: ``sample_point`` and ``sample_subgroup`` for every family
+  (and the second block splits) at d = 8, 23, 24, 32 and 64;
+* ``fit_channel_coefficients`` for one family per parent group (AI, DIII,
+  CI) at d = 8 and 24;
 * ``variance_sweep`` rows;
 * the stdout of the ``estimate`` and ``sweep`` commands.
 
-Floats are compared bit for bit.  The script prints the first difference
-and exits with status 1, or prints a summary and exits with status 0.
+Floats are compared bit for bit.  The script prints every output that
+differs, with the largest absolute difference of its floats (real and
+imaginary parts apart), and exits with status 1; or it prints a summary and
+exits with status 0.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +39,8 @@ import tempfile
 from pathlib import Path
 
 DIMS = (2, 3, 8, 32)
+DENSE_DIMS = (8, 23, 24, 32, 64)
+FIT_FAMILIES = ("AI", "DIII", "CI")
 EVEN_ONLY = {"SP", "AII", "DIII", "CI", "CII"}
 
 
@@ -68,10 +77,10 @@ def _states(d: int, seed: int):
     return {"pure": np.outer(psi, psi.conj()), "full": mixed}, obs
 
 
-def _specs():
+def _specs(dims=DIMS):
     from symshadows.spaces import ALL_FAMILIES, make_space
 
-    for d in DIMS:
+    for d in dims:
         for family in ALL_FAMILIES:
             if d % 2 and family in EVEN_ONLY:
                 continue
@@ -141,7 +150,32 @@ def emit() -> dict:
         seed=5,
     )
     out["variance_sweep"] = [list(vars(row).values()) for row in shadows.variance_sweep(config)]
+    out.update(_dense())
     return _encode(out)
+
+
+def _dense() -> dict:
+    """Dense draws and the fits made from them."""
+    from symshadows.momentlab import fit_channel_coefficients
+    from symshadows.rng import RngStream
+    from symshadows.spaces import make_space, sample_point, sample_subgroup
+
+    out = {}
+    for i, spec in enumerate(_specs(DENSE_DIMS)):
+        size = 2 if spec.dim == 64 else 4
+        out[f"dense sample_point {spec.label()}"] = sample_point(spec, RngStream(i, (8,)), size)
+        out[f"dense sample_subgroup {spec.label()}"] = sample_subgroup(
+            spec, RngStream(i, (9,)), size
+        )
+    for d in (8, 24):
+        for family in FIT_FAMILIES:
+            fit = fit_channel_coefficients(make_space(family, d), 256, RngStream(d, (10,)))
+            out[f"fit {family}({d})"] = [
+                fit.coefficients, fit.standard_errors, fit.residual_norm,
+                fit.mixing_weight, fit.mixing_weight_sem,
+                fit.dephasing_weight, fit.dephasing_weight_sem,
+            ]
+    return out
 
 
 def _cli_outputs(env: dict, workdir: Path) -> dict:
@@ -189,30 +223,44 @@ def collect(tree: Path, workdir: Path) -> dict:
     return outputs
 
 
-def _first_difference(a, b, where=""):
-    if type(a) is not type(b):
-        return f"{where}: {a!r} != {b!r}"
-    if isinstance(a, dict):
+def _pairs(a, b, where=""):
+    """The leaves of two encoded outputs side by side; ``ValueError`` where their shapes differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise ValueError(f"{where}: keys {sorted(a)} != {sorted(b)}")
         for key in a:
-            if key not in b:
-                return f"{where}/{key}: missing on one side"
-            diff = _first_difference(a[key], b[key], f"{where}/{key}")
-            if diff:
-                return diff
-        return None
-    if isinstance(a, list):
+            yield from _pairs(a[key], b[key], f"{where}/{key}")
+    elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return f"{where}: lengths {len(a)} != {len(b)}"
+            raise ValueError(f"{where}: lengths {len(a)} != {len(b)}")
         for i, (x, y) in enumerate(zip(a, b)):
-            diff = _first_difference(x, y, f"{where}[{i}]")
-            if diff:
-                return diff
-        return None
-    if a != b:
-        if isinstance(a, str) and a.startswith(("0x", "-0x")):
-            a, b = float.fromhex(a), float.fromhex(b)
-        return f"{where}: {a!r} != {b!r}"
+            yield from _pairs(x, y, f"{where}[{i}]")
+    else:
+        yield where, a, b
+
+
+def _as_float(value):
+    """The float an encoded leaf holds (``float.hex`` form), or None for any other leaf."""
+    if isinstance(value, str) and value.lstrip("-").startswith(("0x", "inf", "nan")):
+        return float.fromhex(value)
     return None
+
+
+def _difference(a, b) -> str:
+    """How two encoded outputs differ: the largest absolute difference of
+    their floats, or the first other leaf that differs."""
+    largest = 0.0
+    try:
+        for where, x, y in _pairs(a, b):
+            if x == y:
+                continue
+            fx, fy = _as_float(x), _as_float(y)
+            if fx is None or fy is None or math.isnan(fx) or math.isnan(fy):
+                return f"{where}: {str(x)[:60]!r} != {str(y)[:60]!r}"
+            largest = max(largest, abs(fx - fy))
+    except ValueError as err:
+        return f"shapes differ at {err}"
+    return f"largest absolute difference {largest:.3g}"
 
 
 def main(argv: list[str]) -> int:
@@ -226,12 +274,14 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = collect(Path(argv[0]).resolve(), Path(tmp))
         mine = collect(here, Path(tmp))
-    if set(base) != set(mine):
-        print(f"keys differ: {sorted(set(base) ^ set(mine))[:5]}")
-        return 1
-    diff = _first_difference(base, mine)
-    if diff:
-        print(f"first difference: {diff}")
+    missing = sorted(set(base) ^ set(mine))
+    for key in missing:
+        print(f"on one side only: {key}")
+    differing = [key for key in base if key in mine and base[key] != mine[key]]
+    for key in differing:
+        print(f"differs: {key}: {_difference(base[key], mine[key])}")
+    if missing or differing:
+        print(f"{len(differing)} of {len(base)} outputs differ, {len(missing)} on one side only")
         return 1
     print(f"identical: {len(base)} outputs")
     return 0
