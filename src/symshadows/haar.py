@@ -25,13 +25,17 @@ Two samplers share each group, one per use.
   ``columns`` columns).  Applying a draw to k vectors costs k fresh Gaussian
   d-vectors and O(k²d), whatever d.  :meth:`DeferredUnitary.matrix`
   completes a draw from its own generator, which it advances, with the same
-  law.  A deferred draw works in a workspace, one allocation: a streamed
-  call's (see :func:`symshadows.shadows.shadow_estimates`), or one of its
-  own, made at first use.  It holds the revealed directions, as many as
-  one measured round reveals (``apply`` then ``apply_adjoint`` of every
-  draw), and the registers of the arithmetic.  A draw applied past that
-  round, as ``matrix()`` and ``momentlab.entry_moments`` do, moves its
-  directions to an array of its own that doubles as it fills.
+  law.  Every operation (``apply``, ``apply_adjoint``, ``project``) writes
+  to an ``out`` array when one is given and returns it.  A deferred draw
+  works in a workspace, one allocation: a streamed call's (see
+  :func:`symshadows.shadows.shadow_estimates`), or one of its own, made at
+  first use.  It holds the revealed directions, as many as one measured
+  round reveals (``apply`` then ``apply_adjoint`` of every draw), a product
+  register of as many, in which the inner products with them are one
+  stacked NumPy product, and the d-vector registers of the arithmetic.  A
+  draw applied past that round, as ``matrix()`` and
+  ``momentlab.entry_moments`` do, moves its directions to an array of its
+  own that doubles as it fills, and its products to arrays of their own.
 
 The samplers accept ``size=None`` for a single ``(d, d)`` matrix or an
 integer ``size`` for a stacked ``(size, d, d)`` batch, and draw from a
@@ -85,7 +89,13 @@ def _physical_memory() -> int | None:
 
 
 def _refuse_oversize(shape: tuple[int, ...], dtype, request: str) -> None:
-    """``ValueError`` naming ``request`` when a ``shape`` result exceeds physical memory.
+    """``ValueError`` naming ``request`` when a ``shape`` result exceeds physical memory."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    _refuse_bytes(nbytes, request, f"the {shape} result")
+
+
+def _refuse_bytes(nbytes: int, request: str, what: str) -> None:
+    """``ValueError`` naming ``request`` when ``what`` needs more than physical memory.
 
     Raised before anything is allocated: otherwise NumPy's ``MemoryError``
     comes later, or, under overcommit, the process is killed once gigabytes
@@ -93,9 +103,8 @@ def _refuse_oversize(shape: tuple[int, ...], dtype, request: str) -> None:
     the physical memory cannot be read.
     """
     limit = _physical_memory()
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if limit is not None and nbytes > limit:
-        raise ValueError(f"{request}: the {shape} result needs {nbytes} bytes, "
+        raise ValueError(f"{request}: {what} needs {nbytes} bytes, "
                          f"more than the {limit} bytes of physical memory")
 
 
@@ -273,10 +282,12 @@ _ALIGN = 64
 #: Bytes a workspace holds past its rounds' arrays, for their alignment.
 _SLACK = 4096
 #: Complex d-vectors per round that one application of a deferred draw holds
-#: at once besides its frames: the split's two registers, the remainder of
-#: a Grassmannian's settled split, and a complex copy of a real query (or a
-#: real draw's parts of a complex one).
-_SCRATCH_VECTORS = 4
+#: at once besides its frames and its product register: the split's
+#: remainder (or the conjugated query), the remainder of a Grassmannian's
+#: settled split, and a complex copy of a real query (or a real draw's parts
+#: of a complex one).  :func:`_combine`'s one-vector register is taken only
+#: while the product register is free.
+_SCRATCH_VECTORS = 3
 
 
 class _Workspace:
@@ -323,12 +334,6 @@ class _Workspace:
         self._top = self._marks.pop()
 
 
-#: Most directions a frame gains in one measured round, of any family: four
-#: parent applications of a real or quaternionic draw, or two of a real or
-#: quaternionic subspace (see :func:`_frame_capacity`).
-_ROUND_VECTORS = 8
-
-
 def _frame_capacity(dim: int, field: str, applications: int, subspace: bool) -> int:
     """Directions a frame gains over ``applications`` of a deferred draw, at most ``dim``.
 
@@ -345,23 +350,25 @@ def _frame_capacity(dim: int, field: str, applications: int, subspace: bool) -> 
 def _draw_bytes(dim: int, field: str, applications: int, subspace: bool) -> int:
     """Workspace bytes per round of a deferred draw used ``applications`` times.
 
-    Its frames (one for a subspace, inputs and outputs otherwise), then the
-    scratch of one application.
+    Its frames (one for a subspace, inputs and outputs otherwise), the
+    product register of :func:`_coefficients`, which holds a full frame,
+    then the scratch of one application.
     """
     frames = 1 if subspace else 2
     capacity = _frame_capacity(dim, field, applications, subspace)
     itemsize = 8 if field == "real" else 16
-    return (frames * capacity * itemsize + _SCRATCH_VECTORS * 16) * dim
+    return ((frames + 1) * capacity * itemsize + _SCRATCH_VECTORS * 16) * dim
 
 
 class _Frame:
     """Orthonormal vectors ``v_0, …, v_{n-1}``, stacked ``(n, d, B)``.
 
     The store is a view of the draw's workspace, with room for the
-    directions the draw was sized for (:meth:`_DeferredDraw._use`).  A draw
-    applied past that, as ``matrix()`` completion and
+    directions the draw was sized for (:meth:`_DeferredDraw._use`); the
+    workspace holds a product register of that size too (:func:`_draw_bytes`).
+    A draw applied past that, as ``matrix()`` completion and
     ``momentlab.entry_moments`` do, doubles the store into an array of its
-    own, up to ``d`` vectors.
+    own, up to ``d`` vectors, and its products no longer fit the workspace.
     """
 
     def __init__(self, dim: int, size: int, dtype):
@@ -386,18 +393,13 @@ class _Frame:
         """Keep the vector written to the first slot of :meth:`room`."""
         self.n += 1
 
-    def combine(self, coef: np.ndarray, out: np.ndarray, ws: _Workspace) -> np.ndarray:
-        """``Σ_i coef[i] v_i`` into ``out``, for coefficients ``(n, B)``."""
-        return _combine(self.vectors, coef, out, ws)
-
 
 def _coefficients(vectors: np.ndarray, z: np.ndarray, ws: _Workspace) -> np.ndarray:
     """``⟨v_i, z⟩`` for vectors ``(n, d, B)`` and ``z`` ``(d, B)``: ``(n, B)``.
 
-    Up to :data:`_ROUND_VECTORS` vectors, as many as a frame holds in a
-    measured round, go one at a time through a register; more, as a
-    completion has, in one stacked product, which may not fit the
-    workspace.  Each sum over ``d`` runs in the same order either way.
+    One stacked product in a register of the vectors' size, summed over
+    ``d``: a measured round's frames fit the workspace, a completion's may
+    not.
     """
     if vectors.shape[2] == 1:
         # One draw, as a single recorded round has: one BLAS product.
@@ -407,13 +409,8 @@ def _coefficients(vectors: np.ndarray, z: np.ndarray, ws: _Workspace) -> np.ndar
         if coef.dtype.kind == "c":
             # Conjugating z and the (n, B) result copies less than conjugating the vectors.
             z = np.conjugate(z, out=ws.take(z.shape, z.dtype))
-        if len(vectors) > _ROUND_VECTORS:
-            product = np.multiply(vectors, z, out=ws.take(vectors.shape, coef.dtype))
-            np.sum(product, axis=1, out=coef)
-        else:
-            product = ws.take(z.shape, coef.dtype)
-            for v, c in zip(vectors, coef):
-                np.sum(np.multiply(v, z, out=product), axis=0, out=c)
+        product = np.multiply(vectors, z, out=ws.take(vectors.shape, coef.dtype))
+        np.sum(product, axis=1, out=coef)
     if coef.dtype.kind == "c":
         np.conjugate(coef, out=coef)
     return coef
@@ -427,6 +424,9 @@ def _combine(vectors: np.ndarray, coef: np.ndarray, out: np.ndarray, ws: _Worksp
     if vectors.shape[2] == 1:
         out[:, 0] = coef[:, 0] @ vectors[:, :, 0]
         return out
+    # One term at a time through one register, unlike _coefficients: a
+    # stacked product would write n·d·B values that the sum then reads back
+    # from beyond the cache, which made streamed SP-parent shots slower.
     np.multiply(vectors[0], coef[0], out=out)
     with ws:
         term = ws.take(out.shape, out.dtype)
@@ -463,6 +463,11 @@ def _split(vectors: np.ndarray, z: np.ndarray, out: np.ndarray, ws: _Workspace):
     return coef, out, norm, z_norm
 
 
+def _output(y: np.ndarray, dtype, out: np.ndarray | None) -> np.ndarray:
+    """``out``, or a new array for the image of ``y`` under a map of ``dtype``."""
+    return np.empty(y.shape, np.result_type(y, dtype)) if out is None else out
+
+
 def _norms(z: np.ndarray) -> np.ndarray:
     """Euclidean norms of the columns of ``z``, ``(d, B)``."""
     if z.dtype.kind != "c":
@@ -486,7 +491,9 @@ class _DeferredDraw:
     used.  The draw works in a :class:`_Workspace`: the one a streamed call
     gives it (:meth:`_use`) before it is first applied, or else one of its
     own, made at first use and sized for ``apply`` and ``apply_adjoint`` of
-    every draw of the batch.
+    every draw of the batch.  Each operation writes its result to an
+    ``out`` array when one is given, as a streamed call gives them from its
+    workspace, and returns it; else to a new array (:func:`_output`).
     """
 
     #: Whether the draw is a subspace, whose reveals add pairs x, w to one frame.
@@ -516,10 +523,6 @@ class _DeferredDraw:
             nbytes = self.size * _draw_bytes(self.dim, self.field, 2, self._SUBSPACE) + _SLACK
             self._use(_Workspace(nbytes), 2)
         return self._ws
-
-    def _result(self, y: np.ndarray) -> np.ndarray:
-        """A new array for the image of ``y``: complex unless the draw and ``y`` are real."""
-        return np.empty(y.shape, np.result_type(y, self._dtype))
 
     def _fresh(self, vectors: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Unit vectors uniform on the sphere of the complement of ``vectors``, into ``out``.
@@ -558,8 +561,10 @@ class _DeferredDraw:
             norm[small] = 0.0
         return coef, x, norm
 
-    def _run(self, y: np.ndarray, one, out: np.ndarray) -> np.ndarray:
+    def _run(self, y, one, out: np.ndarray | None) -> np.ndarray:
         """``one(z, out)`` for ``z = y``; a real draw takes a complex ``y`` part by part."""
+        y = np.asarray(y)
+        out = _output(y, self._dtype, out)
         ws = self._workspace()
         if self.field != "real":
             if y.dtype == np.complex128:
@@ -625,28 +630,18 @@ class DeferredUnitary(_Completable, _DeferredDraw):
         """Input directions revealed so far, θ partners included; d once complete."""
         return self._inputs.n
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)``."""
-        y = np.asarray(y)
-        return self._apply(y, self._result(y))
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)``."""
-        y = np.asarray(y)
-        return self._apply_adjoint(y, self._result(y))
-
-    def _apply(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`apply` into ``out``."""
+    def apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Return ``g y`` for stacked vectors ``y`` of shape ``(d, B)``, in ``out`` if given."""
         return self._run(y, lambda z, o: self._map(z, self._inputs, self._outputs, o), out)
 
-    def _apply_adjoint(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`apply_adjoint` into ``out``."""
+    def apply_adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)``, in ``out`` if given."""
         return self._run(y, lambda z, o: self._map(z, self._outputs, self._inputs, o), out)
 
     def _map(self, z, src: _Frame, dst: _Frame, out: np.ndarray) -> np.ndarray:
         ws = self._ws
         if src.n == self.dim:
-            return dst.combine(_coefficients(src.vectors, z, ws), out, ws)
+            return _combine(dst.vectors, _coefficients(src.vectors, z, ws), out, ws)
         coef, x, x_coef = self._directions(src, z, self._copies)
         if x is not None:
             # The remainder is orthogonal to θx, so its coefficient there is 0.
@@ -654,7 +649,7 @@ class DeferredUnitary(_Completable, _DeferredDraw):
             new = np.zeros((added, self.size), dtype=coef.dtype)
             new[0] = x_coef
             coef = np.concatenate([coef, new])
-        return dst.combine(coef, out, ws)
+        return _combine(dst.vectors, coef, out, ws)
 
     def _reveal(self, src: _Frame, dst: _Frame, x: np.ndarray) -> int:
         """Keep the pair of ``x`` (unit, off ``src``, in its room) and a fresh image;
@@ -723,13 +718,8 @@ class DeferredSubspace(_DeferredDraw):
         """Dimension of the span of Q, on which P is known so far."""
         return self._settled.n
 
-    def project(self, y: np.ndarray) -> np.ndarray:
-        """Return ``P y`` for stacked vectors ``y`` of shape ``(d, B)``."""
-        y = np.asarray(y)
-        return self._project(y, self._result(y))
-
-    def _project(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`project` into ``out``."""
+    def project(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Return ``P y`` for stacked vectors ``y`` of shape ``(d, B)``, in ``out`` if given."""
         return self._run(y, self._project_part, out)
 
     def _project_part(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -742,14 +732,15 @@ class DeferredSubspace(_DeferredDraw):
                 new = np.zeros((2 * self._copies, self.size), dtype=coef.dtype)
                 new[0] = x_coef
                 coef = np.concatenate([coef, new])
-            return settled.combine(self._on_settled(coef), out, ws)
+            return _combine(settled.vectors, self._on_settled(coef), out, ws)
         if self._left == self._free > 0:
             with ws:
                 coef, rest, _, _ = _split(settled.vectors, z, ws.take(z.shape, z.dtype), ws)
-                settled.combine(self._on_settled(coef), out, ws)
+                _combine(settled.vectors, self._on_settled(coef), out, ws)
                 out += rest
             return out
-        return settled.combine(self._on_settled(_coefficients(settled.vectors, z, ws)), out, ws)
+        coef = _coefficients(settled.vectors, z, ws)
+        return _combine(settled.vectors, self._on_settled(coef), out, ws)
 
     def _on_settled(self, coef: np.ndarray) -> np.ndarray:
         """P on Q, in Q's coordinates: the 2 x 2 block of each reveal."""

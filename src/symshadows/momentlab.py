@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _kernels
 from .channel import apply_channel
-from .haar import _integer, symplectic_pairing
+from .haar import _integer, _refuse_bytes, symplectic_pairing
 from .rng import as_generator
 from .spaces import (
     SpaceSpec,
@@ -154,16 +154,20 @@ _CHANNEL_ELEMENTS = 2_000_000
 _N_BLOCKS = 32
 
 
-def _batches(spec, gen, n_samples, cap, draw_bytes, blocks=1, state_bytes=0, dense=True):
+def _batches(
+    spec, gen, n_samples, cap, draw_bytes, blocks=1, state_bytes=0, dense=True, request=None
+):
     """Check a Monte-Carlo request, then return its draws as lazy batches.
 
     Raises ``ValueError`` before any draw when ``n_samples`` is not an
-    integer of at least 2 or the caller's ``state_bytes`` exceed
-    :data:`STATE_MAX_BYTES`.  A batch holds at most ``cap`` draws, fewer if
-    ``draw_bytes`` per draw would pass the budget, and never straddles two
-    of ``blocks`` equal blocks.  Batches call the module-level
-    :func:`sample_point` when iterated, so a wrapper set on it sees every
-    draw, and values the caller takes from ``gen`` first come first.  They
+    integer of at least 2, the caller's ``state_bytes`` exceed
+    :data:`STATE_MAX_BYTES`, or one draw's ``draw_bytes`` exceed physical
+    memory; that refusal names ``request`` (default ``d=…``).  A batch
+    holds at most ``cap`` draws, fewer if ``draw_bytes`` per draw would
+    pass the budget, and never straddles two of ``blocks`` equal blocks.
+    Batches call the module-level :func:`sample_point` when iterated, so a
+    wrapper set on it sees every draw, and values the caller takes from
+    ``gen`` first come first.  They
     hold the draws as drawn: real for the real families.  With ``dense=False``
     each batch is a deferred :class:`~symshadows.spaces.EnsembleDraw`,
     split the same way, which takes its values from ``gen`` as it is
@@ -177,6 +181,7 @@ def _batches(spec, gen, n_samples, cap, draw_bytes, blocks=1, state_bytes=0, den
             f"{spec.label()}: the moment accumulators need {state_bytes} bytes "
             f"({state_bytes / 2**30:.2f} GiB); the limit is {STATE_MAX_BYTES} bytes"
         )
+    _refuse_bytes(draw_bytes, request or f"d={spec.dim}", "one draw")
     per_block = n_samples // blocks
     size = max(1, min(cap, per_block, _BATCH_BYTES // draw_bytes))
     sizes = (
@@ -229,7 +234,9 @@ def mc_twirl(spec: SpaceSpec, k: int, a: np.ndarray, n_samples: int, rng=None) -
     ----------
     spec : SpaceSpec
     k : int
-        Twirl order, 1, 2 or 3 (the operand lives on d^k dimensions).
+        Twirl order, 1, 2 or 3 (the operand lives on d^k dimensions).  A
+        ``ValueError`` naming k and d refuses, before any draw, an order
+        whose one draw's d^k x d^k values would exceed physical memory.
     a : ndarray, shape (d**k, d**k)
         Operand in matrix form.
     n_samples : int
@@ -249,7 +256,8 @@ def mc_twirl(spec: SpaceSpec, k: int, a: np.ndarray, n_samples: int, rng=None) -
     if a.shape != (dk, dk):
         raise ValueError(f"operand shape {a.shape} does not match (d^k, d^k) = ({dk}, {dk})")
     batches = _batches(
-        spec, as_generator(rng), n_samples, _TWIRL_ELEMENTS // (dk * dk), 16 * dk * dk
+        spec, as_generator(rng), n_samples, _TWIRL_ELEMENTS // (dk * dk), 16 * dk * dk,
+        request=f"k={k}, d={d}",
     )
 
     def values(v):

@@ -36,7 +36,7 @@ from . import _kernels
 # Nothing here calls apply_channel; it stays a module attribute because the
 # benchmark's tracer (perfbench/tracing.py) wraps shadows.apply_channel by name.
 from .channel import apply_channel, invert_channel  # noqa: F401
-from .haar import _SLACK, _integer, _refuse_oversize, _Workspace
+from .haar import _SLACK, _integer, _refuse_bytes, _refuse_oversize, _Workspace
 from .rng import RngStream, as_generator
 from .spaces import (
     EnsembleDraw,
@@ -199,7 +199,8 @@ def random_observable(
     Parameters
     ----------
     dim : int
-        Matrix dimension, at least 2.
+        Matrix dimension, at least 2; a ``ValueError`` refuses, before any
+        draw, one whose result would exceed physical memory.
     diag_weight : float
         Interpolation weight ``w`` in [0, 1]; 1 gives a diagonal
         observable, 0 a purely off-diagonal one.
@@ -218,6 +219,7 @@ def random_observable(
         raise ValueError(f"observable ensemble needs dimension >= 2, got {dim}")
     if not 0.0 <= diag_weight <= 1.0:
         raise ValueError(f"diag_weight must lie in [0, 1], got {diag_weight}")
+    _refuse_oversize((dim, dim), np.float64 if symmetric else np.complex128, f"dim={dim}")
     gen = as_generator(rng)
     diag = gen.standard_normal(dim)
     diag -= diag.mean()
@@ -326,7 +328,7 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
     ``V[w, :]``, to the measured basis vectors, ``conj(Vᴴ e_w)``.
 
     The draw and every (d, count) array of the batch live in ``workspace``
-    (a streamed call's, sized by :func:`_batch_workspace` for at least
+    (a streamed call's, sized by :func:`_batch_bytes` for at least
     ``count`` rounds), or in a new one.  The rows are a view of it: they
     hold until the workspace is cleared for the next batch.
 
@@ -341,20 +343,12 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
     """
     weights, vectors = factor
     d = spec.dim
-    ws = _batch_workspace(spec, count) if workspace is None else workspace
+    ws = _Workspace(_batch_bytes(spec, count)) if workspace is None else workspace
     draw = sample_point(spec, gen, count, dense=False)
     if isinstance(draw, EnsembleDraw):
+        # Any other draw (sample_point replaced by a fixed rotation, say)
+        # works in arrays of its own: the returned arrays are used.
         draw._use(ws)
-        forward, backward = draw._apply, draw._apply_adjoint
-    else:
-        # Any other draw (sample_point replaced by a fixed rotation, say) is
-        # applied through its public methods, into arrays of its own.
-        def forward(y, out):
-            return draw.apply(y)
-
-        def backward(y, out):
-            return draw.apply_adjoint(y)
-
     # V's dtype: a degenerate draw is the identity, whose rows are the real
     # basis vectors.
     dtype = np.float64 if spec.is_real or spec.is_degenerate else np.complex128
@@ -368,7 +362,7 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
     # the kernels read their transposes.
     with ws:
         chosen = np.take(vectors, k, axis=1, out=ws.take((d, count), vectors.dtype), mode="clip")
-        rotated = forward(chosen, ws.take((d, count), np.result_type(chosen, dtype)))
+        rotated = draw.apply(chosen, ws.take((d, count), np.result_type(chosen, dtype)))
         probs = _kernels.born_probs(rotated.T, out=ws.take((d, count), np.float64).T)
         _check_probabilities(probs)
         outcomes = _kernels.choose_outcomes(
@@ -381,7 +375,7 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
         basis = ws.take((d, count), np.float64)
         basis.fill(0.0)
         basis[outcomes, np.arange(count)] = 1.0
-        rows = backward(basis, rows)
+        rows = draw.apply_adjoint(basis, rows)
     if rows.dtype.kind == "c":
         np.conjugate(rows, out=rows)
     return draw, outcomes, rows.T
@@ -539,12 +533,15 @@ def shadow_estimates(
         Rounds drawn per batch; defaults to ``2_000_000 // d**2`` (at most
         ``n_shots``).  A batch holds O(d) numbers per round for every
         family: the directions its deferred draws revealed (a few
-        length-``d`` vectors), the rotated component of ``rho`` and the
-        outcome row.  The call allocates them once, as one workspace for
-        its largest batch that every batch reuses: per round, 11 complex
-        d-vectors (16·d bytes each) for U, O and SO, 12 for AIII and BDI,
-        15 for SP, 16 for CII, 18 for AI, AII and DIII and 26 for CI
-        (fewer at small d); 5.5 to 13 KiB per round at d = 32.
+        length-``d`` vectors), a product register as large, the rotated
+        component of ``rho`` and the outcome row.  The call allocates them
+        once, as one workspace for its largest batch that every batch
+        reuses: per round, 12 complex d-vectors (16·d bytes each) for U, O
+        and SO, 15 for AIII and BDI, 18 for SP, 21 for AI, AII and DIII,
+        23 for CII and 33 for CI (fewer at small d); 6 to 16.5 KiB per
+        round at d = 32.  A ``ValueError`` naming ``batch_size`` refuses,
+        before the state is checked, a batch whose workspace would exceed
+        physical memory.
 
     Returns
     -------
@@ -560,6 +557,9 @@ def shadow_estimates(
 def _prepare(spec: SpaceSpec, rho, observable, n_shots: int, batch_size):
     """Check the inputs of a streamed run once, the counts first.
 
+    A count whose output, or a batch size whose workspace, would exceed
+    physical memory is refused before the state is checked.
+
     Returns ``n_shots`` and ``batch_size`` as ints (the default batch filled
     in), the validated state, its low-rank factor, the checked observable
     ``O`` and its one sector split (:class:`~symshadows.channel.SectorSplit`:
@@ -574,6 +574,9 @@ def _prepare(spec: SpaceSpec, rho, observable, n_shots: int, batch_size):
     batch_size = _integer(batch_size, "batch_size")
     if batch_size < 1:
         raise ValueError(f"batch_size must be a positive integer, got {batch_size}")
+    rounds = min(batch_size, n_shots)
+    _refuse_bytes(_batch_bytes(spec, rounds), f"batch_size={batch_size}",
+                  f"the workspace of {rounds} rounds")
     state, factor = _validated_state(spec, rho)
     obs = _as_observable(observable, spec.dim)
     return n_shots, batch_size, state, factor, obs, invert_channel(spec).split(obs)
@@ -586,20 +589,20 @@ def _prepare(spec: SpaceSpec, rho, observable, n_shots: int, batch_size):
 _MEASURE_VECTORS = 3
 
 
-def _batch_workspace(spec: SpaceSpec, rounds: int) -> _Workspace:
-    """One workspace for batches of up to ``rounds`` rounds of ``spec``.
+def _batch_bytes(spec: SpaceSpec, rounds: int) -> int:
+    """Bytes of one workspace for batches of up to ``rounds`` rounds of ``spec``.
 
-    ``(_MEASURE_VECTORS + c) · 16·d`` bytes per round, with ``c`` the
-    draw's frames and scratch in complex d-vectors.
+    ``(_MEASURE_VECTORS + c) · 16·d`` per round, with ``c`` the draw's
+    frames, register and scratch in complex d-vectors.
     """
-    return _Workspace(rounds * (_round_bytes(spec) + _MEASURE_VECTORS * 16 * spec.dim) + _SLACK)
+    return rounds * (_round_bytes(spec) + _MEASURE_VECTORS * 16 * spec.dim) + _SLACK
 
 
 def _streamed_estimates(spec, factor, x, n_shots, rng, batch_size) -> np.ndarray:
     """Per-shot estimates from batches that all work in one workspace."""
     gen = as_generator(rng)
     out = np.empty(n_shots, dtype=np.float64)
-    ws = _batch_workspace(spec, min(batch_size, n_shots))
+    ws = _Workspace(_batch_bytes(spec, min(batch_size, n_shots)))
     done = 0
     while done < n_shots:
         count = min(batch_size, n_shots - done)

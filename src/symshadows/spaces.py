@@ -73,6 +73,7 @@ from .haar import (
     _Completable,
     _draw_bytes,
     _integer,
+    _output,
     _refuse_oversize,
     _Workspace,
     haar_orthogonal,
@@ -317,7 +318,9 @@ class EnsembleDraw(_Completable):
     ``min(p, q)`` with projector P, and it draws only the directions that
     ``apply`` and ``apply_adjoint`` read.  The draw and its parent work in
     one workspace: a streamed call's (:meth:`_use`), or their own, made at
-    first use and sized for one ``apply`` and one ``apply_adjoint``.
+    first use and sized for one ``apply`` and one ``apply_adjoint``.  Both
+    write their result to ``out`` when it is given (a streamed call gives
+    arrays of its workspace) and return it; else they return a new array.
     :meth:`matrix` completes V by applying it to the basis vectors.
     ``shape`` is that of :meth:`matrix`, ``(B, d, d)``.
     """
@@ -346,47 +349,37 @@ class EnsembleDraw(_Completable):
             self._use(_Workspace(self.size * _round_bytes(self.spec) + _SLACK))
         return self._ws
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
+    def apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``V y = σ(g)ᴴ (g y) = M κ(gᴴ κ(Mᵀ g y))``, or ``±S(y − 2Py)``."""
-        if self.parent is None:
-            return np.array(y)
         y = np.asarray(y)
-        return self._apply(y, np.empty(y.shape, np.result_type(y, self._dtype)))
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """``Vᴴ y = gᴴ (σ(g) y) = gᴴ M κ(g κ(Mᵀ y))``, or ``(1 − 2P)(±S y)``."""
-        if self.parent is None:
-            return np.array(y)
-        y = np.asarray(y)
-        return self._apply_adjoint(y, np.empty(y.shape, np.result_type(y, self._dtype)))
-
-    def _apply(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`apply` into ``out``, whose dtype is that of ``V y``."""
+        out = _output(y, y.dtype if self.parent is None else self._dtype, out)
         if self.parent is None:
             np.copyto(out, y)
             return out
         ws = self._workspace()
         if self._sign is not None:
-            a = self.parent._project(y, out)
+            a = self.parent.project(y, out)
             a *= -2.0
             a += y
             a *= self._sign
             return a
         sigma = self._involution
         if sigma is None:
-            return self.parent._apply(y, out)
+            return self.parent.apply(y, out)
         with ws:
-            a = self.parent._apply(y, ws.take(y.shape, out.dtype))
+            a = self.parent.apply(y, ws.take(y.shape, out.dtype))
             a = sigma.mt(a, ws.take(y.shape, out.dtype))
             if sigma.conj:
                 np.conjugate(a, out=a)
-            a = self.parent._apply_adjoint(a, ws.take(y.shape, out.dtype))
+            a = self.parent.apply_adjoint(a, ws.take(y.shape, out.dtype))
             if sigma.conj:
                 np.conjugate(a, out=a)
             return sigma.m(a, out)
 
-    def _apply_adjoint(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`apply_adjoint` into ``out``, whose dtype is that of ``Vᴴ y``."""
+    def apply_adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``Vᴴ y = gᴴ (σ(g) y) = gᴴ M κ(g κ(Mᵀ y))``, or ``(1 − 2P)(±S y)``."""
+        y = np.asarray(y)
+        out = _output(y, y.dtype if self.parent is None else self._dtype, out)
         if self.parent is None:
             np.copyto(out, y)
             return out
@@ -396,21 +389,21 @@ class EnsembleDraw(_Completable):
                 y = np.multiply(
                     self._sign, y, out=ws.take(y.shape, np.result_type(self._sign, y))
                 )
-                a = self.parent._project(y, out)
+                a = self.parent.project(y, out)
                 a *= -2.0
                 a += y
             return a
         sigma = self._involution
         if sigma is None:
-            return self.parent._apply_adjoint(y, out)
+            return self.parent.apply_adjoint(y, out)
         with ws:
             a = sigma.mt(y, ws.take(y.shape, y.dtype))
             if sigma.conj:
                 np.conjugate(a, out=a)
-            a = self.parent._apply(a, ws.take(y.shape, out.dtype))
+            a = self.parent.apply(a, ws.take(y.shape, out.dtype))
             if sigma.conj:
                 np.conjugate(a, out=a)
-            return self.parent._apply_adjoint(sigma.m(a, ws.take(y.shape, out.dtype)), out)
+            return self.parent.apply_adjoint(sigma.m(a, ws.take(y.shape, out.dtype)), out)
 
 
 def _parent_applications(spec: SpaceSpec) -> int:

@@ -380,3 +380,37 @@ def test_completion_from_a_generator_that_cannot_spawn():
     draw = sample_point(make_space("CI", 4), gen, 3, dense=False)
     y = _complex(RngStream(28).generator(), (4, 3))
     _check_completion(make_space("CI", 4), draw, [(y, draw.apply(y), draw.apply_adjoint(y))])
+
+
+# ------------------------------------------------------------- out= arrays
+# Every deferred operation takes an optional out, as a streamed call's
+# workspace arrays are given: the result is written there and returned, and
+# it is the array a call without out would have made, bit for bit.
+
+_OUT_DRAWS = {
+    "U": lambda g: sample_point(make_space("U", 6), g, 4, dense=False),
+    "sigma-DIII": lambda g: sample_point(make_space("DIII", 6), g, 4, dense=False),
+    "sigma-AII": lambda g: sample_point(make_space("AII", 6), g, 4, dense=False),
+    "grassmannian-BDI": lambda g: sample_point(make_space("BDI", 6, 4, 2), g, 4, dense=False),
+    "degenerate-AIII": lambda g: sample_point(make_space("AIII", 6, 6, 0), g, 4, dense=False),
+    "unitary-real": lambda g: haar_orthogonal(6, g, size=4, dense=False),
+    "unitary-complex": lambda g: haar_unitary(6, g, size=4, dense=False),
+    "subspace-real": lambda g: haar_orthogonal(6, g, size=4, dense=False, columns=2),
+    "subspace-complex": lambda g: haar_unitary(6, g, size=4, dense=False, columns=2),
+    "subspace-quaternion": lambda g: haar_symplectic(6, g, size=4, dense=False, columns=1),
+}
+
+
+@pytest.mark.parametrize("y_field", ["real", "complex"])
+@pytest.mark.parametrize("make", _OUT_DRAWS.values(), ids=_OUT_DRAWS.keys())
+def test_out_is_returned_and_holds_what_a_new_array_would(make, y_field):
+    given, fresh = make(RngStream(29)), make(RngStream(29))
+    methods = ["project"] if isinstance(given, DeferredSubspace) else ["apply", "apply_adjoint"]
+    q = RngStream(30).generator()
+    for _ in range(2):
+        y = q.standard_normal((6, 4)) if y_field == "real" else _complex(q, (6, 4))
+        for name in methods:
+            expected = getattr(fresh, name)(y)
+            out = np.full_like(expected, np.nan)
+            assert getattr(given, name)(y, out=out) is out
+            assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes(), name

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import symshadows
-from symshadows import momentlab
+from symshadows import haar, momentlab
 from symshadows.channel import apply_channel, build_superoperator, channel_weights
 from symshadows.haar import haar_unitary, symplectic_form, symplectic_pairing
 from symshadows.momentlab import (
@@ -655,6 +655,18 @@ def test_study_estimators_refuse_sizes_they_cannot_hold(monkeypatch):
         fit_channel_coefficients(make_space("SP", 128), 10)
     with pytest.raises(ValueError, match=r"U\(d=64\).* need \d+ bytes .*limit is \d+ bytes"):
         mc_moment_tensor(make_space("U", 64), 64)
+
+
+def test_twirl_refuses_a_draw_past_physical_memory_before_drawing(monkeypatch):
+    # One order-3 draw at d = 9 is a complex 729 x 729 matrix, 8.5 MB; the
+    # operand is a broadcast view, which holds nothing, as at d = 64, where
+    # one draw would be a terabyte.
+    monkeypatch.setattr(haar, "_physical_memory", lambda: 4 * 2**20)
+    spec, gen = make_space("U", 9), RngStream(47).generator()
+    with pytest.raises(ValueError, match=r"^k=3, d=9: one draw needs 8503056 bytes"):
+        mc_twirl(spec, 3, np.broadcast_to(np.complex128(1.0), (9**3, 9**3)), 4, gen)
+    assert gen.random() == RngStream(47).generator().random()
+    assert mc_twirl(spec, 2, np.eye(81), 4, gen).mean.shape == (81, 81)
 
 
 def test_moment_tensor_size_check_admits_d30_and_refuses_d31(monkeypatch):

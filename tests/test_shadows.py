@@ -409,7 +409,8 @@ def test_streamed_runs_reject_non_integral_shot_counts(monkeypatch, run):
 def test_streamed_runs_past_physical_memory_are_refused_before_the_state(monkeypatch, run):
     # With 8000 bytes of memory 1000 shots fit and 1001 do not: the call
     # refuses before it checks rho, which is no density matrix, and before
-    # any draw.
+    # any draw.  The 1000 shots run in batches of 4, whose workspace fits
+    # too.
     monkeypatch.setattr(haar, "_physical_memory", lambda: 8000)
 
     def refuse(*args, **kwargs):
@@ -420,7 +421,41 @@ def test_streamed_runs_past_physical_memory_are_refused_before_the_state(monkeyp
         m.setattr(shadows, "sample_point", refuse)
         with pytest.raises(ValueError, match=r"^n_shots=1001: the \(1001,\) result needs 8008 bytes"):
             run(spec, np.zeros((3, 3)), obs, 1001)
-    assert run(spec, _state(3, 85), obs, 1000, RngStream(90)) is not None
+    assert run(spec, _state(3, 85), obs, 1000, RngStream(90), batch_size=4) is not None
+
+
+@pytest.mark.parametrize("run", [shadow_estimates, run_estimation])
+def test_streamed_runs_refuse_a_workspace_past_physical_memory_before_the_state(
+    monkeypatch, run
+):
+    # A U(32) round holds 15 complex 32-vectors, 7680 bytes: with 4 MiB of
+    # memory 546 rounds fit and 10**4 do not, though the (10**4,) output
+    # does.  The workspace is sized for min(batch_size, n_shots) rounds.
+    monkeypatch.setattr(haar, "_physical_memory", lambda: 4 * 2**20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before checking batch_size")
+
+    spec, obs = make_space("U", 32), _traceless_observable(32, 89)
+    with monkeypatch.context() as m:
+        m.setattr(shadows, "sample_point", refuse)
+        with pytest.raises(
+            ValueError, match=r"^batch_size=10000: the workspace of 10000 rounds needs \d+ bytes"
+        ):
+            run(spec, np.zeros((32, 32)), obs, 10**4, batch_size=10**4)
+    assert len(shadow_estimates(spec, _state(32, 91), obs, 100, RngStream(92), 10**6)) == 100
+
+
+def test_random_observable_refuses_a_dimension_past_physical_memory(monkeypatch):
+    # 4 MiB hold a complex 512 x 512 matrix and a real 724 x 724 one.
+    monkeypatch.setattr(haar, "_physical_memory", lambda: 4 * 2**20)
+    gen = RngStream(93).generator()
+    for dim, symmetric in ((513, False), (725, True)):
+        with pytest.raises(ValueError, match=rf"^dim={dim}: the \({dim}, {dim}\) result needs"):
+            random_observable(dim, 0.5, symmetric=symmetric, rng=gen)
+    assert gen.random() == RngStream(93).generator().random()
+    assert random_observable(512, 0.5, rng=gen).shape == (512, 512)
+    assert random_observable(724, 0.5, symmetric=True, rng=gen).shape == (724, 724)
 
 
 @pytest.mark.parametrize(
@@ -718,10 +753,10 @@ class _Repeated:
     def __init__(self, v):
         self.v = v
 
-    def apply(self, y):
+    def apply(self, y, out=None):
         return self.v @ y
 
-    def apply_adjoint(self, y):
+    def apply_adjoint(self, y, out=None):
         return self.v.conj().T @ y
 
 

@@ -15,6 +15,9 @@ its own ``src`` on the path and reports, for the same seeds:
 * deferred draws used on their own: ``apply``, ``apply_adjoint`` and
   ``matrix()`` of ``sample_point(..., dense=False)``, ``project`` of the
   Haar samplers' ``columns=`` draws, and ``entry_moments``;
+* deferred completions at d = 32: ``matrix()`` of 64 draws of
+  ``sample_point(..., dense=False)`` for U, DIII, CI, BDI(32, 16, 16) and
+  CII(32, 8, 8), whose frames outgrow a measured round's;
 * dense draws: ``sample_point`` and ``sample_subgroup`` for every family
   (and the second block splits) at d = 8, 23, 24, 32 and 64;
 * ``fit_channel_coefficients`` for one family per parent group (AI, DIII,
@@ -42,6 +45,8 @@ DIMS = (2, 3, 8, 32)
 DENSE_DIMS = (8, 23, 24, 32, 64)
 FIT_FAMILIES = ("AI", "DIII", "CI")
 EVEN_ONLY = {"SP", "AII", "DIII", "CI", "CII"}
+COMPLETIONS = (("U", None, None), ("DIII", None, None), ("CI", None, None), ("BDI", 16, 16),
+               ("CII", 8, 8))
 
 
 def _encode(value):
@@ -150,8 +155,22 @@ def emit() -> dict:
         seed=5,
     )
     out["variance_sweep"] = [list(vars(row).values()) for row in shadows.variance_sweep(config)]
+    out.update(_completions())
     out.update(_dense())
     return _encode(out)
+
+
+def _completions() -> dict:
+    """Deferred draws at d = 32 completed to dense matrices."""
+    from symshadows.rng import RngStream
+    from symshadows.spaces import make_space, sample_point
+
+    out = {}
+    for i, (family, p, q) in enumerate(COMPLETIONS):
+        spec = make_space(family, 32, p=p, q=q)
+        draw = sample_point(spec, RngStream(i, (11,)), 64, dense=False)
+        out[f"completion {spec.label()}"] = draw.matrix()
+    return out
 
 
 def _dense() -> dict:
