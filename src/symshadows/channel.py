@@ -23,8 +23,10 @@ the eigenvectors: every channel, of every parent, is diagonal on a handful of
 named operator sectors (identity, traceless diagonal, off-diagonal, split
 further by transpose symmetry for orthogonal parents and by the symplectic
 pairing i <-> i# for symplectic ones), so its spectrum and its
-Moore-Penrose pseudo-inverse are closed form and the pseudo-inverse acts by
-O(d^2) elementwise sector projections.  The dense d^2 x d^2 superoperator and
+Moore-Penrose pseudo-inverse are closed form.  The pseudo-inverse is one
+O(d^2) elementwise assembly, with no sector part formed: off the diagonal
+every part is the input times one weight, and the O(d) diagonal and pair
+entries are summed sector by sector.  The dense d^2 x d^2 superoperator and
 Choi matrix are still materialized, for small d only, as an independent
 oracle for tests and the verify suite.
 
@@ -414,81 +416,9 @@ def channel_spectrum(spec: SpaceSpec) -> SectorSpectrum:
     return SectorSpectrum(labels, eigenvalues, multiplicities)
 
 
-def _part_count(spec: SpaceSpec) -> int:
-    """Arrays :func:`_sector_parts` forms for ``spec``, one per part."""
-    if spec.is_group:
-        return 3 if spec.parent in ("O", "SO") else 2
-    return {"U": 3, "O": 4, "SP": 5}[spec.parent]
-
-
-def _sector_parts(spec: SpaceSpec, m: np.ndarray, store: np.ndarray) -> dict[str, np.ndarray]:
-    """Orthogonal projections of ``m`` onto the sectors of :func:`channel_spectrum`.
-
-    Keyed by sector label; the parts sum to ``m`` (sectors of multiplicity
-    zero get an all-zero part) and each one is an O(d^2) elementwise
-    operation on the entries of ``m``, batched over leading axes.  The
-    parts are formed in place in ``store``, complex and shaped ``(k,) +
-    m.shape`` with ``k`` at least :func:`_part_count`.  Their entries are
-    those of the whole-matrix formulas (``m - dephase(m)``, ``(D + J D
-    Jᵀ)/2``, …), but only the entries a formula can make nonzero are
-    computed.
-    """
-    slots = iter(store)
-
-    def zeros() -> np.ndarray:
-        slot = next(slots)
-        slot.fill(0.0)
-        return slot
-
-    d = spec.dim
-    idx = np.arange(d)
-    parts = {}
-    # Whether m is an array of this function's own, free to overwrite.
-    own = spec.parent in ("O", "SO")
-    if own:
-        sym = np.add(m, np.swapaxes(m, -1, -2), out=next(slots))
-        sym *= 0.5
-        parts["antisymmetric"] = np.subtract(m, sym, out=next(slots))
-        m = sym
-    trace_part = zeros()
-    trace_part[..., idx, idx] = np.trace(m, axis1=-2, axis2=-1)[..., None] / d
-    parts["identity"] = trace_part
-    if spec.is_group:
-        label = "traceless" if spec.parent in ("U", "SP") else "symmetric_traceless"
-        parts[label] = np.subtract(m, trace_part, out=m if own else next(slots))
-        return parts
-    # dephase(m) - trace_part is diagonal, and m - dephase(m) is m with
-    # m_ii - m_ii on the diagonal.
-    diagonal = m[..., idx, idx]
-    diag_part = zeros()
-    diag_part[..., idx, idx] = diagonal - trace_part[..., idx, idx]
-    if own:
-        off_part = m
-    else:
-        off_part = next(slots)
-        np.copyto(off_part, m)
-    off_part[..., idx, idx] -= diagonal
-    if spec.parent == "U":
-        parts["diagonal"], parts["off_diagonal"] = diag_part, off_part
-    elif spec.parent == "O":
-        parts["diagonal"], parts["symmetric_off_diagonal"] = diag_part, off_part
-    else:
-        # J D Jᵀ of the diagonal D = diag_part is diagonal, D's entries
-        # permuted; the pair entries m_{i,i#} of m - dephase(m) are m's.
-        jperm, _ = symplectic_pairing(d)
-        dd = diag_part[..., idx, idx]
-        swapped = dd[..., jperm]
-        pair_symmetric = zeros()
-        pair_symmetric[..., idx, idx] = (dd + swapped) * 0.5
-        parts["diagonal_pair_symmetric"] = pair_symmetric
-        diag_part[..., idx, idx] = (dd - swapped) * 0.5
-        parts["diagonal_pair_antisymmetric"] = diag_part
-        pair_part = zeros()
-        pair_part[..., idx, jperm] = off_part[..., idx, jperm]
-        parts["pair_off_diagonal"] = pair_part
-        off_part[..., idx, jperm] = 0.0
-        parts["off_diagonal"] = off_part
-    return parts
+#: The sector holding the off-diagonal entries m_ij, i != j, of every parent
+#: (bar the pair entries m_{i,i#} of symplectic-parent quotients).
+_BULK = ("traceless", "symmetric_traceless", "off_diagonal", "symmetric_off_diagonal")
 
 
 class SectorSplit(NamedTuple):
@@ -505,9 +435,8 @@ class SectorSplit(NamedTuple):
         True when ``null`` has non-negligible weight, above 1e-9 of the
         Hilbert-Schmidt norm of ``m``.
 
-    ``inverse`` and ``null`` are views of one block that held every sector
-    part of the split, a few times the size of ``m``; copy them to keep
-    one without the rest.
+    ``inverse`` and ``null`` are the two slots of one ``(2,) + m.shape``
+    block; copy one to keep it without the other.
     """
 
     inverse: np.ndarray
@@ -526,23 +455,32 @@ class ChannelInverse:
     applying it is O(d^2) for every parent.  Instances are cached and must
     be treated as immutable.
 
-    :meth:`split` splits an operator into its sectors once and returns
-    M+(m), the null-sector component of ``m`` and whether that component
-    is non-negligible; :meth:`apply` (or calling the object),
-    :meth:`removed_norm` and :meth:`is_projected` each read one field of
-    that split.
+    :meth:`split` returns M+(m), the null-sector component of ``m`` and
+    whether that component is non-negligible, without forming any sector
+    part: off the diagonal every part is ``m`` (its symmetric or
+    antisymmetric half, for orthogonal parents) times one weight, and the
+    diagonal and symplectic pair entries are summed sector by sector in
+    O(d).  :meth:`apply` (or calling the object), :meth:`removed_norm` and
+    :meth:`is_projected` each read one field of that split.
     """
 
     def __init__(self, spec: SpaceSpec):
         self.spec = spec
         spectrum = channel_spectrum(spec)
         sectors = list(zip(spectrum.labels, spectrum.eigenvalues))
-        self._kept = tuple((lab, lam) for lab, lam in sectors if abs(lam) > NULL_TOL)
+        # The identity sector (eigenvalue 1) starts every sum of split.
+        self._kept = tuple(
+            (lab, lam) for lab, lam in sectors if abs(lam) > NULL_TOL and lab != "identity"
+        )
         self._null = tuple(lab for lab, lam in sectors if abs(lam) <= NULL_TOL)
-        if all(label == "identity" for label, _ in self._kept):
+        if not self._kept:
             raise ValueError(
                 f"{spec.label()} channel is null on every non-identity sector"
             )
+        # The bulk sector's eigenvalue, None where it is null or, for
+        # symplectic-parent quotients at d = 2, empty.
+        self._bulk = next((lam for lab, lam in self._kept if lab in _BULK), None)
+        self._bulk_null = any(lab in _BULK for lab in self._null)
 
     def split(self, m: np.ndarray) -> SectorSplit:
         """Split ``m`` into its sectors once; see :class:`SectorSplit`."""
@@ -552,22 +490,76 @@ class ChannelInverse:
             raise ValueError(
                 f"matrix shape {m.shape} does not match ensemble dimension {d}"
             )
-        # One block holds every part and the null component: a split's
-        # working set is one allocation, which the allocator keeps mapped
-        # from split to split.  The sums are formed in place.
-        store = np.empty((_part_count(self.spec) + 1,) + m.shape, dtype=complex)
-        parts = _sector_parts(self.spec, m, store[:-1])
-        inverse = parts["identity"]
-        for label, lam in self._kept:
-            if label != "identity":
-                inverse += np.divide(parts[label], lam, out=parts[label])
-        null = store[-1]
-        null.fill(0.0)
-        for label in self._null:
-            null += parts[label]
         scale = float(np.linalg.norm(m))
+        inverse, null = np.empty((2,) + m.shape, dtype=complex)
+        idx = np.arange(d)
+        # Per sector, its part's diagonal and (SP-parent quotients) its
+        # entries m_{i,i#}; a sector that leaves them zero is absent.
+        diagonal, pair = {}, {}
+        orthogonal = self.spec.parent in ("O", "SO")
+        if orthogonal:
+            # m = s + (m - s), s symmetric: s is split further, and m - s
+            # is the antisymmetric sector, null for every orthogonal parent.
+            np.add(m, np.swapaxes(m, -1, -2), out=inverse)
+            inverse *= 0.5
+            np.subtract(m, inverse, out=null)
+            diagonal["antisymmetric"] = null[..., idx, idx]
+            m = inverse
+        trace = np.trace(m, axis1=-2, axis2=-1)[..., None] / d
+        entries = m[..., idx, idx]
+        traceless = entries - trace
+        diagonal.update(
+            traceless=traceless,
+            symmetric_traceless=traceless,
+            diagonal=traceless,
+            off_diagonal=entries - entries,
+            symmetric_off_diagonal=entries - entries,
+        )
+        if self.spec.parent == "SP" and not self.spec.is_group:
+            jperm, _ = symplectic_pairing(d)
+            swapped = traceless[..., jperm]
+            diagonal["diagonal_pair_symmetric"] = (traceless + swapped) * 0.5
+            diagonal["diagonal_pair_antisymmetric"] = (traceless - swapped) * 0.5
+            pair["pair_off_diagonal"] = m[..., idx, jperm]
+        # Every other entry is the bulk sector's: M+(m) is m/lambda there (0
+        # where the sector is null), and the null part sums the null
+        # sectors in label order.  Adding 0.0 turns -0.0 into 0.0, so each
+        # entry equals the sum of whole sector parts started from a zero
+        # matrix; it also makes m * (1/lambda) equal NumPy's m / lambda,
+        # which is (a + 0b)(1/lambda) per real part.
+        if orthogonal:
+            if self._bulk_null:
+                np.add(np.add(m, 0.0, out=m), null, out=null)
+            else:
+                null += 0.0
+        elif self._bulk_null:
+            np.add(m, 0.0, out=null)
+        else:
+            null.fill(0.0)
+        if self._bulk is None:
+            inverse.fill(0.0)
+        else:
+            np.multiply(m, 1.0 / self._bulk, out=inverse)
+            inverse += 0.0
+        inverse[..., idx, idx], null[..., idx, idx] = self._sums(diagonal, trace)
+        if pair:
+            inverse[..., idx, jperm], null[..., idx, jperm] = self._sums(pair, 0.0)
         projected = scale > 0.0 and float(np.linalg.norm(null)) > 1e-9 * scale
         return SectorSplit(inverse, null, projected)
+
+    def _sums(self, parts: dict, start):
+        """M+ and the null part on the entries ``parts`` gives per sector.
+
+        Each is summed over the sectors in label order, M+ from ``start``
+        (the identity part's entries) and the null part from 0, as whole
+        parts would be; an absent sector adds 0.0.
+        """
+        inverse, null = start, 0.0
+        for label, lam in self._kept:
+            inverse = inverse + parts.get(label, 0.0) / lam
+        for label in self._null:
+            null = null + parts.get(label, 0.0)
+        return inverse, null
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         """Evaluate M+(m); components in null sectors are projected out."""

@@ -79,6 +79,14 @@ def _integer(value, name: str) -> int:
     return n
 
 
+def _count(size) -> int:
+    """Draws a sampler's ``size`` asks for, 1 for None; ``ValueError`` unless positive."""
+    count = 1 if size is None else _integer(size, "size")
+    if count < 1:
+        raise ValueError(f"size must be a positive integer, got {count}")
+    return count
+
+
 def _physical_memory() -> int | None:
     """The machine's physical memory in bytes, or None where ``os.sysconf`` cannot say."""
     try:
@@ -135,9 +143,7 @@ def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
     n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
-    nsamp = 1 if size is None else _integer(size, "size")
-    if nsamp < 1:
-        raise ValueError(f"size must be a positive integer, got {nsamp}")
+    nsamp = _count(size)
     if kind == "real":
         z = gen.standard_normal((nsamp, n, n))
     elif kind == "complex":
@@ -851,9 +857,7 @@ def _draw(d, rng, size, dense: bool, columns, *, field: str, special: bool = Fal
         raise ValueError(f"symplectic dimension must be even and at least 2, got {d}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    count = 1 if size is None else _integer(size, "size")
-    if count < 1:
-        raise ValueError(f"size must be a positive integer, got {count}")
+    count = _count(size)
     m = _columns(columns, d // 2 if field == "quaternion" else d)
     if not dense:
         if columns is None:

@@ -170,10 +170,15 @@ def _hermitian_gap(arr: np.ndarray) -> float:
 
 
 def random_pure_state(dim: int, rng=None) -> np.ndarray:
-    """Density matrix of a Haar-random pure state in dimension ``dim``."""
+    """Density matrix of a Haar-random pure state in dimension ``dim``.
+
+    A ``dim`` whose ``(dim, dim)`` result would exceed physical memory is
+    refused with a ``ValueError`` before any draw.
+    """
     dim = _integer(dim, "dim")
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
+    _refuse_oversize((dim, dim), np.complex128, f"dim={dim}")
     gen = as_generator(rng)
     vec = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
     vec /= np.linalg.norm(vec)

@@ -71,6 +71,7 @@ import numpy as np
 from .haar import (
     _SLACK,
     _Completable,
+    _count,
     _draw_bytes,
     _integer,
     _output,
@@ -492,9 +493,7 @@ def sample_point(spec: SpaceSpec, rng=None, size: int | None = None, *, dense: b
         draw when ``dense=False``.
     """
     gen = as_generator(rng)
-    count = 1 if size is None else _integer(size, "size")
-    if count < 1:
-        raise ValueError(f"size must be a positive integer, got {count}")
+    count = _count(size)
     if dense:
         dtype = np.float64 if spec.is_real else np.complex128
         _refuse_oversize((count, spec.dim, spec.dim), dtype, f"d={spec.dim}, size={count}")
@@ -545,9 +544,7 @@ def sample_subgroup(spec: SpaceSpec, rng=None, size: int | None = None) -> np.nd
     gen = as_generator(rng)
     if spec.is_group:
         return sample_point(spec, gen, size)
-    nsamp = 1 if size is None else _integer(size, "size")
-    if nsamp < 1:
-        raise ValueError(f"size must be a positive integer, got {nsamp}")
+    nsamp = _count(size)
     d, blocks = spec.dim, _k_blocks(spec)
     dtype = np.complex128 if any(kind in ("U", "SP") for kind, _ in blocks) else np.float64
     _refuse_oversize((nsamp, d, d), dtype, f"d={d}, size={nsamp}")

@@ -5,6 +5,7 @@ moment sums over the invariant delta/form bases, cross-checked by Monte
 Carlo in the fit and verify suites) and are frozen as exact fractions.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -402,3 +403,52 @@ def test_symplectic_parent_inverse_runs_at_d128_without_dense_path(monkeypatch):
         rng=RngStream(16),
     )
     assert np.isfinite(report.mean)
+
+
+_SPLIT_SPECS = ALL_D4_SPECS + [
+    make_space("AII", 2),
+    make_space("BDI", 4, 0, 4),
+    make_space("CII", 4, 0, 2),
+    make_space("CI", 2),
+]
+
+
+@pytest.mark.parametrize("spec", _SPLIT_SPECS, ids=lambda s: s.label())
+def test_split_of_a_stack_splits_each_matrix(spec):
+    gen = RngStream(17).generator()
+    d = spec.dim
+    stack = gen.standard_normal((3, d, d)) + 1j * gen.standard_normal((3, d, d))
+    split = invert_channel(spec).split(stack)
+    assert split.inverse.shape == split.null.shape == stack.shape
+    for k, m in enumerate(stack):
+        one = invert_channel(spec).split(m)
+        np.testing.assert_array_equal(split.inverse[k], one.inverse)
+        np.testing.assert_array_equal(split.null[k], one.null)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_space("U", 128),
+        make_space("O", 128),
+        make_space("AIII", 128, 64, 64),
+        make_space("BDI", 128, 80, 48),
+        make_space("DIII", 128),
+        make_space("CI", 128),
+        make_space("CII", 128, 40, 24),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_split_holds_two_arrays(spec):
+    # One (2, d, d) block for M+(m) and the null part, plus O(d) vectors
+    # (and, for orthogonal parents, NumPy's buffer for the transposed add).
+    m = _random_hermitian(128, seed=18)
+    inv = invert_channel(spec)
+    inv.split(m)
+    tracemalloc.start()
+    try:
+        inv.split(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * m.nbytes

@@ -458,6 +458,16 @@ def test_random_observable_refuses_a_dimension_past_physical_memory(monkeypatch)
     assert random_observable(724, 0.5, symmetric=True, rng=gen).shape == (724, 724)
 
 
+def test_random_pure_state_refuses_a_dimension_past_physical_memory(monkeypatch):
+    # 4 MiB hold a complex 512 x 512 matrix.
+    monkeypatch.setattr(haar, "_physical_memory", lambda: 4 * 2**20)
+    gen = RngStream(93).generator()
+    with pytest.raises(ValueError, match=r"^dim=513: the \(513, 513\) result needs"):
+        random_pure_state(513, rng=gen)
+    assert gen.random() == RngStream(93).generator().random()
+    assert random_pure_state(512, rng=gen).shape == (512, 512)
+
+
 @pytest.mark.parametrize(
     "make, smallest",
     [(random_pure_state, 1), (lambda dim, rng: random_observable(dim, 0.5, rng=rng), 2)],
@@ -869,14 +879,14 @@ def test_run_estimation_validates_once_without_eigendecomposition(monkeypatch, s
         shadows,
         ("validate_density", "_as_observable", "invert_channel", "apply_channel"),
     )
-    _count_calls(monkeypatch, channel, ("_sector_parts",), counts)
+    _count_calls(monkeypatch, channel.ChannelInverse, ("split",), counts)
     _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "cholesky"), counts)
     run_estimation(spec, _state(4, 96), _traceless_observable(4, 97), 40, RngStream(98))
     assert counts == {
         "validate_density": 1,
         "_as_observable": 1,
         "invert_channel": 1,
-        "_sector_parts": 1,
+        "split": 1,
         "cholesky": 1,
     }
 

@@ -23,6 +23,11 @@ its own ``src`` on the path and reports, for the same seeds:
 * ``fit_channel_coefficients`` for one family per parent group (AI, DIII,
   CI) at d = 8 and 24;
 * ``variance_sweep`` rows;
+* ``invert_channel(spec).split`` (``inverse``, ``null`` and ``projected``)
+  of a complex, a real-symmetric and a diagonal observable, for every family
+  at d = 1, 2, 3, 8, 32 and 128 with its default blocks and, where it takes
+  blocks, p = 0 (one empty block) and p = 1; at d = 128 the two arrays are
+  compared by the SHA-256 digest of their bytes;
 * the stdout of the ``estimate`` and ``sweep`` commands.
 
 Floats are compared bit for bit.  The script prints every output that
@@ -47,6 +52,7 @@ FIT_FAMILIES = ("AI", "DIII", "CI")
 EVEN_ONLY = {"SP", "AII", "DIII", "CI", "CII"}
 COMPLETIONS = (("U", None, None), ("DIII", None, None), ("CI", None, None), ("BDI", 16, 16),
                ("CII", 8, 8))
+SPLIT_DIMS = (1, 2, 3, 8, 32, 128)
 
 
 def _encode(value):
@@ -157,6 +163,7 @@ def emit() -> dict:
     out["variance_sweep"] = [list(vars(row).values()) for row in shadows.variance_sweep(config)]
     out.update(_completions())
     out.update(_dense())
+    out.update(_splits())
     return _encode(out)
 
 
@@ -170,6 +177,50 @@ def _completions() -> dict:
         spec = make_space(family, 32, p=p, q=q)
         draw = sample_point(spec, RngStream(i, (11,)), 64, dense=False)
         out[f"completion {spec.label()}"] = draw.matrix()
+    return out
+
+
+def _block_splits(d: int):
+    """Every family at ``d``: its default blocks and, where it takes blocks, p = 0 and p = 1."""
+    from symshadows.spaces import ALL_FAMILIES, _block_total, make_space
+
+    for family in ALL_FAMILIES:
+        total = _block_total(family, d)
+        blocks = [(None, None)] + [(p, total - p) for p in (0, 1) if total is not None]
+        specs = []
+        for p, q in blocks:
+            try:
+                spec = make_space(family, d, p, q)
+            except ValueError:  # no such space at this d
+                continue
+            if spec not in specs:
+                specs.append(spec)
+        yield from specs
+
+
+def _splits() -> dict:
+    """Sector splits of a complex, a real-symmetric and a diagonal observable."""
+    import hashlib
+
+    import numpy as np
+
+    from symshadows.channel import invert_channel
+    from symshadows.shadows import random_observable
+
+    out = {}
+    for d in SPLIT_DIMS:
+        gen = np.random.default_rng(d)
+        c = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+        observables = {"complex": c, "real-symmetric": c.real + c.real.T}
+        if d > 1:
+            observables["diagonal"] = random_observable(d, 1.0, rng=gen)
+        for spec in _block_splits(d):
+            for kind, obs in observables.items():
+                split = invert_channel(spec).split(obs)
+                arrays = [split.inverse, split.null]
+                if d == 128:
+                    arrays = [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+                out[f"split {spec.label()} {kind}"] = arrays + [split.projected]
     return out
 
 
