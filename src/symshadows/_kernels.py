@@ -48,12 +48,12 @@ def choose_outcomes(
     smallest ``w`` with ``cumsum(probs[n])[w] >= uniforms[n]``.  ``cum``,
     shaped like ``probs``, receives the cumulative sums if given.
     """
-    cum = np.cumsum(probs, axis=1, out=cum)
-    idx = np.argmax(cum >= uniforms[:, None], axis=1)
+    cum = np.add.accumulate(probs, axis=1, out=cum)
+    idx = (cum >= uniforms[:, None]).argmax(axis=1)
     # Roundoff can leave the total marginally below the drawn uniform; the
     # final bin absorbs that sliver.
     short = cum[:, -1] < uniforms
-    if np.any(short):
+    if short.any():
         idx = np.where(short, probs.shape[1] - 1, idx)
     return idx.astype(np.int64)
 

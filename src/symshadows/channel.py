@@ -460,8 +460,9 @@ class ChannelInverse:
     part: off the diagonal every part is ``m`` (its symmetric or
     antisymmetric half, for orthogonal parents) times one weight, and the
     diagonal and symplectic pair entries are summed sector by sector in
-    O(d).  :meth:`apply` (or calling the object), :meth:`removed_norm` and
-    :meth:`is_projected` each read one field of that split.
+    O(d).  :meth:`apply` (or calling the object) forms M+(m) alone, the
+    same bits without the null part and its norms; :meth:`removed_norm` and
+    :meth:`is_projected` each read one field of a split.
     """
 
     def __init__(self, spec: SpaceSpec):
@@ -484,14 +485,36 @@ class ChannelInverse:
 
     def split(self, m: np.ndarray) -> SectorSplit:
         """Split ``m`` into its sectors once; see :class:`SectorSplit`."""
+        m = self._checked(m)
+        scale = float(np.linalg.norm(m))
+        inverse, null = np.empty((2,) + m.shape, dtype=complex)
+        self._assemble(m, inverse, null)
+        projected = scale > 0.0 and float(np.linalg.norm(null)) > 1e-9 * scale
+        return SectorSplit(inverse, null, projected)
+
+    def apply(self, m: np.ndarray) -> np.ndarray:
+        """Evaluate M+(m); components in null sectors are projected out.
+
+        The inverse of :meth:`split`, to the bit, without the null part and
+        the two norms of its ``projected`` flag.
+        """
+        m = self._checked(m)
+        return self._assemble(m, np.empty(m.shape, dtype=complex), None)
+
+    __call__ = apply
+
+    def _checked(self, m) -> np.ndarray:
         m = np.asarray(m, dtype=complex)
         d = self.spec.dim
         if m.shape[-2:] != (d, d):
             raise ValueError(
                 f"matrix shape {m.shape} does not match ensemble dimension {d}"
             )
-        scale = float(np.linalg.norm(m))
-        inverse, null = np.empty((2,) + m.shape, dtype=complex)
+        return m
+
+    def _assemble(self, m: np.ndarray, inverse: np.ndarray, null: np.ndarray | None):
+        """M+(m) into ``inverse`` and, unless it is None, the null part into ``null``."""
+        d = self.spec.dim
         idx = np.arange(d)
         # Per sector, its part's diagonal and (SP-parent quotients) its
         # entries m_{i,i#}; a sector that leaves them zero is absent.
@@ -502,8 +525,9 @@ class ChannelInverse:
             # is the antisymmetric sector, null for every orthogonal parent.
             np.add(m, np.swapaxes(m, -1, -2), out=inverse)
             inverse *= 0.5
-            np.subtract(m, inverse, out=null)
-            diagonal["antisymmetric"] = null[..., idx, idx]
+            if null is not None:
+                np.subtract(m, inverse, out=null)
+                diagonal["antisymmetric"] = null[..., idx, idx]
             m = inverse
         trace = np.trace(m, axis1=-2, axis2=-1)[..., None] / d
         entries = m[..., idx, idx]
@@ -527,45 +551,46 @@ class ChannelInverse:
         # entry equals the sum of whole sector parts started from a zero
         # matrix; it also makes m * (1/lambda) equal NumPy's m / lambda,
         # which is (a + 0b)(1/lambda) per real part.
-        if orthogonal:
+        if null is not None and orthogonal:
             if self._bulk_null:
                 np.add(np.add(m, 0.0, out=m), null, out=null)
             else:
                 null += 0.0
-        elif self._bulk_null:
+        elif null is not None and self._bulk_null:
             np.add(m, 0.0, out=null)
-        else:
+        elif null is not None:
             null.fill(0.0)
         if self._bulk is None:
             inverse.fill(0.0)
         else:
             np.multiply(m, 1.0 / self._bulk, out=inverse)
             inverse += 0.0
-        inverse[..., idx, idx], null[..., idx, idx] = self._sums(diagonal, trace)
+        inverse[..., idx, idx] = self._inverse_sum(diagonal, trace)
         if pair:
-            inverse[..., idx, jperm], null[..., idx, jperm] = self._sums(pair, 0.0)
-        projected = scale > 0.0 and float(np.linalg.norm(null)) > 1e-9 * scale
-        return SectorSplit(inverse, null, projected)
+            inverse[..., idx, jperm] = self._inverse_sum(pair, 0.0)
+        if null is not None:
+            null[..., idx, idx] = self._null_sum(diagonal)
+            if pair:
+                null[..., idx, jperm] = self._null_sum(pair)
+        return inverse
 
-    def _sums(self, parts: dict, start):
-        """M+ and the null part on the entries ``parts`` gives per sector.
+    def _inverse_sum(self, parts: dict, start):
+        """M+ on the entries ``parts`` gives per sector.
 
-        Each is summed over the sectors in label order, M+ from ``start``
-        (the identity part's entries) and the null part from 0, as whole
-        parts would be; an absent sector adds 0.0.
+        Summed over the kept sectors in label order from ``start`` (the
+        identity part's entries), as whole parts would be; an absent sector
+        adds 0.0.  :meth:`_null_sum` sums the null sectors so from 0.
         """
-        inverse, null = start, 0.0
         for label, lam in self._kept:
-            inverse = inverse + parts.get(label, 0.0) / lam
+            start = start + parts.get(label, 0.0) / lam
+        return start
+
+    def _null_sum(self, parts: dict):
+        """The null part on the entries ``parts`` gives per sector; see :meth:`_inverse_sum`."""
+        null = 0.0
         for label in self._null:
             null = null + parts.get(label, 0.0)
-        return inverse, null
-
-    def apply(self, m: np.ndarray) -> np.ndarray:
-        """Evaluate M+(m); components in null sectors are projected out."""
-        return self.split(m).inverse
-
-    __call__ = apply
+        return null
 
     def removed_norm(self, m: np.ndarray) -> float:
         """Hilbert-Schmidt norm of the null-sector component of ``m``."""

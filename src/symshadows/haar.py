@@ -287,12 +287,15 @@ REVEAL_RTOL = 1e-12
 _ALIGN = 64
 #: Bytes a workspace holds past its rounds' arrays, for their alignment.
 _SLACK = 4096
+#: Largest ``(d, B)`` result, in bytes, that :func:`_combine` forms from one
+#: stacked product of its terms; a larger one is summed a term at a time.
+_STACK_BYTES = 32768
 #: Complex d-vectors per round that one application of a deferred draw holds
 #: at once besides its frames and its product register: the split's
 #: remainder (or the conjugated query), the remainder of a Grassmannian's
 #: settled split, and a complex copy of a real query (or a real draw's parts
-#: of a complex one).  :func:`_combine`'s one-vector register is taken only
-#: while the product register is free.
+#: of a complex one).  :func:`_combine` takes its product or one-vector
+#: register only while the product register is free.
 _SCRATCH_VECTORS = 3
 
 
@@ -326,7 +329,7 @@ class _Workspace:
         if end > self._buffer.size:
             return np.empty(shape, dtype)
         self._top = end
-        return self._buffer[start:end].view(dtype).reshape(shape)
+        return np.ndarray(shape, dtype, self._buffer, start)
 
     def clear(self) -> None:
         """Release every array: the next batch starts from the bottom."""
@@ -400,8 +403,10 @@ class _Frame:
         self.n += 1
 
 
-def _coefficients(vectors: np.ndarray, z: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """``⟨v_i, z⟩`` for vectors ``(n, d, B)`` and ``z`` ``(d, B)``: ``(n, B)``.
+def _coefficients(
+    vectors: np.ndarray, z: np.ndarray, ws: _Workspace, out: np.ndarray
+) -> np.ndarray:
+    """``⟨v_i, z⟩`` into ``out``, ``(n, B)``, for vectors ``(n, d, B)`` and ``z`` ``(d, B)``.
 
     One stacked product in a register of the vectors' size, summed over
     ``d``: a measured round's frames fit the workspace, a completion's may
@@ -409,17 +414,20 @@ def _coefficients(vectors: np.ndarray, z: np.ndarray, ws: _Workspace) -> np.ndar
     """
     if vectors.shape[2] == 1:
         # One draw, as a single recorded round has: one BLAS product.
-        return (vectors[:, :, 0].conj() @ z[:, 0])[:, None]
-    coef = np.empty((len(vectors), z.shape[1]), dtype=np.result_type(vectors, z))
+        out[:, 0] = vectors[:, :, 0].conj() @ z[:, 0]
+        return out
+    n = len(vectors)
+    complex_ = out.dtype.kind == "c"
     with ws:
-        if coef.dtype.kind == "c":
+        # The product, then (complex only) the conjugated query, in one take.
+        registers = ws.take((n + complex_,) + z.shape, out.dtype)
+        if complex_:
             # Conjugating z and the (n, B) result copies less than conjugating the vectors.
-            z = np.conjugate(z, out=ws.take(z.shape, z.dtype))
-        product = np.multiply(vectors, z, out=ws.take(vectors.shape, coef.dtype))
-        np.sum(product, axis=1, out=coef)
-    if coef.dtype.kind == "c":
-        np.conjugate(coef, out=coef)
-    return coef
+            z = np.conjugate(z, out=registers[n])
+        np.add.reduce(np.multiply(vectors, z, out=registers[:n]), axis=1, out=out)
+    if complex_:
+        np.conjugate(out, out=out)
+    return out
 
 
 def _combine(vectors: np.ndarray, coef: np.ndarray, out: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -430,41 +438,54 @@ def _combine(vectors: np.ndarray, coef: np.ndarray, out: np.ndarray, ws: _Worksp
     if vectors.shape[2] == 1:
         out[:, 0] = coef[:, 0] @ vectors[:, :, 0]
         return out
-    # One term at a time through one register, unlike _coefficients: a
-    # stacked product would write n·d·B values that the sum then reads back
-    # from beyond the cache, which made streamed SP-parent shots slower.
-    np.multiply(vectors[0], coef[0], out=out)
+    if len(vectors) == 1:
+        return np.multiply(vectors[0], coef[0], out=out)
     with ws:
+        if out.nbytes <= _STACK_BYTES:
+            # One stacked product and one sum over the terms, in order from
+            # -0.0 (which leaves the first term as it is): the loop's sums.
+            product = ws.take(vectors.shape, out.dtype)
+            np.multiply(vectors, coef[:, None, :], out=product)
+            initial = complex(-0.0, -0.0) if out.dtype.kind == "c" else -0.0
+            return np.add.reduce(product, axis=0, out=out, initial=initial)
+        # One term at a time through one register: a stacked product this
+        # large would be written and read back from beyond the cache, which
+        # made streamed shots slower.
+        np.multiply(vectors[0], coef[0], out=out)
         term = ws.take(out.shape, out.dtype)
         for v, c in zip(vectors[1:], coef[1:]):
             out += np.multiply(v, c, out=term)
     return out
 
 
-def _split(vectors: np.ndarray, z: np.ndarray, out: np.ndarray, ws: _Workspace):
+def _split(vectors: np.ndarray, z: np.ndarray, out: np.ndarray, ws: _Workspace, room: int = 0):
     """Split ``z`` over the span of ``vectors`` and the rest.
 
-    Returns the coefficients ``⟨v_i, z⟩``, the remainder, written to
-    ``out`` (which may be ``z``), and the norms of the remainder and of
-    ``z``.  Classical Gram–Schmidt, with a second pass where the first
-    cancelled more than a third of ``z``'s norm: twice is enough (Kahan and
-    Parlett), so the remainder is orthogonal to the vectors to roundoff even
-    when it is small.  With no vectors the remainder is ``z`` itself.
+    Returns the coefficients ``⟨v_i, z⟩``, the first n rows of an
+    ``(n + room, B)`` array whose last ``room`` rows are left for the
+    caller, the remainder, written to ``out`` (which may be ``z``), and the
+    norms of the remainder and of ``z``.  Classical Gram–Schmidt, with a
+    second pass where the first cancelled more than a third of ``z``'s
+    norm: twice is enough (Kahan and Parlett), so the remainder is
+    orthogonal to the vectors to roundoff even when it is small.  With no
+    vectors the remainder is ``z`` itself.
     """
+    n = len(vectors)
+    coef = np.empty((n + room, z.shape[1]), np.promote_types(vectors.dtype, z.dtype))
     z_norm = _norms(z)
-    if not len(vectors):
+    if not n:
         if out is not z:
             np.copyto(out, z)
-        return np.zeros((0, z.shape[1]), dtype=z.dtype), out, z_norm, z_norm
-    coef = _coefficients(vectors, z, ws)
+        return coef, out, z_norm, z_norm
+    head = _coefficients(vectors, z, ws, coef[:n])
     with ws:
-        np.subtract(z, _combine(vectors, coef, ws.take(z.shape, z.dtype), ws), out=out)
+        np.subtract(z, _combine(vectors, head, ws.take(z.shape, z.dtype), ws), out=out)
     norm = _norms(out)
-    if np.any(norm < (2.0 / 3.0) * z_norm):
-        again = _coefficients(vectors, out, ws)
+    if (norm < (2.0 / 3.0) * z_norm).any():
+        again = _coefficients(vectors, out, ws, np.empty_like(head))
         with ws:
             out -= _combine(vectors, again, ws.take(z.shape, z.dtype), ws)
-        coef += again
+        head += again
         norm = _norms(out)
     return coef, out, norm, z_norm
 
@@ -477,9 +498,14 @@ def _output(y: np.ndarray, dtype, out: np.ndarray | None) -> np.ndarray:
 def _norms(z: np.ndarray) -> np.ndarray:
     """Euclidean norms of the columns of ``z``, ``(d, B)``."""
     if z.dtype.kind != "c":
-        return np.sqrt(np.einsum("ib,ib->b", z, z))
-    parts = np.ascontiguousarray(z).view(np.float64)
-    return np.sqrt(np.einsum("ib,ib->b", parts, parts).reshape(-1, 2).sum(axis=1))
+        squares = np.einsum("ib,ib->b", z, z)
+    else:
+        parts = np.ascontiguousarray(z).view(np.float64)
+        squares = np.einsum("ib,ib->b", parts, parts)
+        # Each column's real and imaginary sums, added: what a sum over the
+        # pair gives.
+        squares = np.add(squares[0::2], squares[1::2])
+    return np.sqrt(squares, out=squares)
 
 
 def _theta(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -545,27 +571,37 @@ class _DeferredDraw:
         return w
 
     def _directions(self, frame: _Frame, z: np.ndarray, room: int):
-        """Split ``z`` over ``frame``: its coefficients, the unit direction x of
-        its remainder, and the remainder's coefficient on x.
+        """Split ``z`` over ``frame``: its coefficients and the unit direction x
+        of its remainder.
 
         x is written to the first of ``room`` slots the frame makes for what
         a reveal adds (:meth:`_Frame.room`).  It is ``None`` when no draw of
-        the batch has a remainder above :data:`REVEAL_RTOL`.  Otherwise draws
-        whose remainder is below it get a fresh direction off the frame
-        instead, with coefficient 0, so every draw of the batch reveals one.
+        the batch has a remainder above :data:`REVEAL_RTOL`, and the
+        coefficients are those on the frame.  Otherwise they run on over the
+        ``room`` directions the reveal adds: the remainder's norm on x, then
+        zeros.  Draws whose remainder is below it get a fresh direction off
+        the frame instead, with coefficient 0, so every draw of the batch
+        reveals one.
         """
-        x = frame.room(room)[0]
-        coef, _, norm, z_norm = _split(frame.vectors, z, x, self._ws)
+        n, x = frame.n, frame.room(room)[0]
+        # Off an empty frame the remainder is z itself, scaled into x below.
+        coef, rest, norm, z_norm = _split(frame.vectors, z, x if n else z, self._ws, room)
         small = norm <= REVEAL_RTOL * z_norm
-        if small.all():
-            return coef, None, None
-        x *= 1.0 / np.where(small, 1.0, norm)
-        if small.any():
+        if not small.any():
+            np.multiply(rest, 1.0 / norm, out=x)
+        elif small.all():
+            return coef[:n], None
+        else:
+            np.multiply(rest, 1.0 / np.where(small, 1.0, norm), out=x)
             with self._ws as ws:
                 out = ws.take((self.dim, int(small.sum())), self._dtype)
                 x[:, small] = self._fresh(frame.vectors[:, :, small], out)
             norm[small] = 0.0
-        return coef, x, norm
+        # The remainder lies along x: its coefficients on the other
+        # directions the reveal adds are 0.
+        coef[n] = norm
+        coef[n + 1 :] = 0.0
+        return coef, x
 
     def _run(self, y, one, out: np.ndarray | None) -> np.ndarray:
         """``one(z, out)`` for ``z = y``; a real draw takes a complex ``y`` part by part."""
@@ -579,7 +615,7 @@ class _DeferredDraw:
                 z = ws.take(y.shape, np.complex128)
                 np.copyto(z, y)
                 return one(z, out)
-        if not np.iscomplexobj(y):
+        if y.dtype.kind != "c":
             if y.dtype == np.float64 and y.flags.c_contiguous:
                 return one(y, out)
             with ws:
@@ -647,19 +683,16 @@ class DeferredUnitary(_Completable, _DeferredDraw):
     def _map(self, z, src: _Frame, dst: _Frame, out: np.ndarray) -> np.ndarray:
         ws = self._ws
         if src.n == self.dim:
-            return _combine(dst.vectors, _coefficients(src.vectors, z, ws), out, ws)
-        coef, x, x_coef = self._directions(src, z, self._copies)
+            coef = np.empty((self.dim, self.size), np.promote_types(self._dtype, z.dtype))
+            return _combine(dst.vectors, _coefficients(src.vectors, z, ws, coef), out, ws)
+        coef, x = self._directions(src, z, self._copies)
         if x is not None:
-            # The remainder is orthogonal to θx, so its coefficient there is 0.
-            added = self._reveal(src, dst, x)
-            new = np.zeros((added, self.size), dtype=coef.dtype)
-            new[0] = x_coef
-            coef = np.concatenate([coef, new])
+            self._reveal(src, dst, x)
         return _combine(dst.vectors, coef, out, ws)
 
-    def _reveal(self, src: _Frame, dst: _Frame, x: np.ndarray) -> int:
-        """Keep the pair of ``x`` (unit, off ``src``, in its room) and a fresh image;
-        return the vectors added."""
+    def _reveal(self, src: _Frame, dst: _Frame, x: np.ndarray) -> None:
+        """Keep the pair of ``x`` (unit, off ``src``, in its room), a fresh image,
+        and, for a quaternionic draw, their θ partners."""
         y = dst.room(self._copies)[0]
         self._fresh(dst.vectors, y)
         if self.special and src.n == self.dim - 1:
@@ -667,13 +700,11 @@ class DeferredUnitary(_Completable, _DeferredDraw):
             y *= np.sign(np.linalg.det(frames[0].T) * np.linalg.det(frames[1].T))
         src.push()
         dst.push()
-        if self.field != "quaternion":
-            return 1
-        _theta(x, src.room(1)[0])
-        src.push()
-        _theta(y, dst.room(1)[0])
-        dst.push()
-        return 2
+        if self.field == "quaternion":
+            _theta(x, src.room(1)[0])
+            src.push()
+            _theta(y, dst.room(1)[0])
+            dst.push()
 
 
 class DeferredSubspace(_DeferredDraw):
@@ -731,13 +762,9 @@ class DeferredSubspace(_DeferredDraw):
     def _project_part(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         settled, ws = self._settled, self._ws
         if 0 < self._left < self._free:
-            coef, x, x_coef = self._directions(settled, z, 2 * self._copies)
+            coef, x = self._directions(settled, z, 2 * self._copies)
             if x is not None:
-                # The remainder lies along x: its coefficients on θx, w, θw are 0.
                 self._reveal(x)
-                new = np.zeros((2 * self._copies, self.size), dtype=coef.dtype)
-                new[0] = x_coef
-                coef = np.concatenate([coef, new])
             return _combine(settled.vectors, self._on_settled(coef), out, ws)
         if self._left == self._free > 0:
             with ws:
@@ -745,7 +772,8 @@ class DeferredSubspace(_DeferredDraw):
                 _combine(settled.vectors, self._on_settled(coef), out, ws)
                 out += rest
             return out
-        coef = _coefficients(settled.vectors, z, ws)
+        coef = np.empty((settled.n, self.size), np.promote_types(self._dtype, z.dtype))
+        coef = _coefficients(settled.vectors, z, ws, coef)
         return _combine(settled.vectors, self._on_settled(coef), out, ws)
 
     def _on_settled(self, coef: np.ndarray) -> np.ndarray:
@@ -753,11 +781,12 @@ class DeferredSubspace(_DeferredDraw):
         if not self._t:
             return coef
         t = np.array(self._t)[:, None, :]
-        s = np.sqrt(t * (1.0 - t))
+        rest = 1.0 - t
+        s = np.sqrt(t * rest)
         c = coef.reshape(len(self._t), 2, self._copies, -1)
         out = np.empty_like(c)
         out[:, 0] = t * c[:, 0] + s * c[:, 1]
-        out[:, 1] = s * c[:, 0] + (1.0 - t) * c[:, 1]
+        out[:, 1] = s * c[:, 0] + rest * c[:, 1]
         return out.reshape(coef.shape)
 
     def _keep(self, v: np.ndarray) -> None:

@@ -98,7 +98,8 @@ def validate_density(rho: np.ndarray, *, tol: float = DENSITY_TOL) -> np.ndarray
     Returns
     -------
     (d, d) complex ndarray
-        C-contiguous complex copy of the validated input.
+        The validated input as a C-contiguous complex128 array: ``rho``
+        itself when it already is one, else a copy.
 
     Raises
     ------
@@ -114,28 +115,56 @@ def validate_density(rho: np.ndarray, *, tol: float = DENSITY_TOL) -> np.ndarray
     one is below ``-tol``; so a state is never rejected without an
     eigenvalue check, and a valid one costs no eigendecomposition.
     """
+    arr, _ = _checked_density(rho, tol)
+    _check_positive(arr, tol)
+    return arr
+
+
+def _checked_density(rho, tol: float) -> tuple[np.ndarray, float]:
+    """``rho`` as C-contiguous complex128, and its Hermitian gap ``max|ρ − ρᴴ|``.
+
+    Runs every check of :func:`validate_density` but positivity, in its
+    order: shape, finite entries, Hermiticity, unit trace.
+    """
     arr = np.ascontiguousarray(rho, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidStateError(f"state must be a square matrix, got shape {arr.shape}")
-    # NaN compares False, so every tolerance check below would pass on it.
-    if not np.isfinite(arr).all():
-        raise InvalidStateError("state has non-finite entries")
     herm_gap = _hermitian_gap(arr)
+    # NaN compares False, so every tolerance check below would pass on it.
+    if not _finite(arr, herm_gap):
+        raise InvalidStateError("state has non-finite entries")
     if herm_gap > tol:
         raise InvalidStateError(f"state is not Hermitian (max deviation {herm_gap:.3e})")
     trace_gap = abs(complex(np.trace(arr)) - 1.0)
     if trace_gap > tol:
         raise InvalidStateError(f"state trace differs from 1 by {trace_gap:.3e}")
-    # Cheaper than eigvalsh; see Notes.  The factorization also fails at
-    # lambda_min = -tol exactly, and by roundoff just above it, so the
-    # eigenvalues decide every rejection.
+    return arr, herm_gap
+
+
+def _finite(arr: np.ndarray, herm_gap: float) -> bool:
+    """Whether every entry of ``arr``, whose Hermitian gap is ``herm_gap``, is finite.
+
+    Entry (i, j) of ``a − aᴴ`` is not finite when ``a_ij`` is not (each of
+    its parts takes one part of ``a_ij`` and one of ``a_ji``), and then
+    neither is the gap; so a finite gap answers at once, and only a gap
+    that is not, which finite entries give by overflow alone, needs the
+    entries read again.
+    """
+    return math.isfinite(herm_gap) or bool(np.isfinite(arr).all())
+
+
+def _check_positive(arr: np.ndarray, tol: float) -> None:
+    """Raise unless the least eigenvalue of Hermitian ``arr`` is at least ``-tol``; see
+    :func:`validate_density`."""
+    # Cheaper than eigvalsh.  The factorization also fails at lambda_min =
+    # -tol exactly, and by roundoff just above it, so the eigenvalues decide
+    # every rejection.
     try:
         np.linalg.cholesky(arr + tol * np.eye(arr.shape[0]))
     except np.linalg.LinAlgError:
         eigmin = float(np.linalg.eigvalsh(arr)[0])
         if eigmin < -tol:
             raise InvalidStateError(f"state has negative eigenvalue {eigmin:.3e}") from None
-    return arr
 
 
 #: Entries of ``a − aᴴ`` that :func:`_hermitian_gap` forms at a time.
@@ -143,18 +172,22 @@ _GAP_BLOCK = 8192
 
 
 def _hermitian_gap(arr: np.ndarray) -> float:
-    """``max|a − aᴴ|`` of a square complex matrix, 0 for an empty one.
+    """``max|a − aᴴ|`` of a square complex matrix, 0 for an empty one; not
+    finite when an entry is not (NaN wherever NumPy's maximum gives NaN).
 
     Entry (j, i) of ``a − aᴴ`` is minus the conjugate of entry (i, j), of the
     same modulus to the bit, so only the upper triangle is formed: a block
     of rows at a time, from column ``i`` on, in one small buffer.  Each
     entry and its modulus are computed as in the whole-matrix expression
-    ``abs(a - a.conj().T)``, so the maximum is the same.
+    ``abs(a - a.conj().T)``, so the maximum is the same.  Where an entry is
+    not finite, inf - inf is NaN with no warning: the entries' own check
+    then speaks.
     """
     d = arr.shape[0]
     if d * d <= _GAP_BLOCK:
         # Small enough for one block: the whole-matrix expression is cheaper.
-        return float(np.max(np.abs(arr - arr.conj().T))) if d else 0.0
+        with np.errstate(invalid="ignore"):
+            return float(np.max(np.abs(arr - arr.conj().T))) if d else 0.0
     rows = max(1, _GAP_BLOCK // d)
     # One allocation: a complex block of differences, then their moduli.
     buffer = np.empty(3 * rows * d)
@@ -164,8 +197,12 @@ def _hermitian_gap(arr: np.ndarray) -> float:
         shape = (min(d, lo + rows) - lo, d - lo)
         block = diff[: shape[0] * shape[1]].reshape(shape)
         np.conjugate(arr[lo:, lo : lo + shape[0]].T, out=block)
-        np.subtract(arr[lo : lo + shape[0], lo:], block, out=block)
-        gap = max(gap, float(np.abs(block, out=modulus[: block.size].reshape(shape)).max()))
+        with np.errstate(invalid="ignore"):
+            np.subtract(arr[lo : lo + shape[0], lo:], block, out=block)
+        peak = float(np.abs(block, out=modulus[: block.size].reshape(shape)).max())
+        if math.isnan(peak):
+            return peak
+        gap = max(gap, peak)
     return gap
 
 
@@ -285,39 +322,75 @@ def sample_outcome(spec: SpaceSpec, rho: np.ndarray, rng=None) -> ShadowRecord:
 
 
 def _validated_state(spec: SpaceSpec, rho: np.ndarray):
-    """Validate ``rho`` against ``spec``; return it with its low-rank factor."""
-    state = validate_density(rho)
-    if state.shape[0] != spec.dim:
+    """Validate ``rho`` against ``spec``; return it with its low-rank factor.
+
+    Raises what :func:`validate_density` raises, then, for a state of
+    another dimension, the dimension error.  Positivity is settled by the
+    factor where it can be.  LAPACK reads the lower triangle of ``rho``, so
+    the matrix judged is H, that triangle made Hermitian.  With ``rho = F +
+    R``, F the factor's part ``L diag(w) Lᴴ``, which is positive
+    semidefinite, and R its residual, ``H = F + (R + Rᴴ)/2 + A`` where A
+    holds half of ``rho_ij − conj(rho_ji)`` at ``i > j`` (and its conjugate
+    at ``j, i``): so by Weyl's inequality no eigenvalue of H lies below
+    ``-(‖R‖_F + ‖A‖_F)``, and ``‖A‖_F`` is at most half the Hermitian gap
+    times ``sqrt(d(d − 1))``, 0 for a Hermitian ``rho``.  When that bound is
+    at most ``DENSITY_TOL/2`` the state is accepted with no LAPACK call; the
+    other half of the tolerance covers the factor's roundoff, O(d·ε) in
+    all.  Otherwise :func:`validate_density`'s Cholesky-then-eigenvalue
+    check decides, as it does for a state of another dimension, so the
+    eigenvalues decide every rejection.
+    """
+    tol = DENSITY_TOL
+    state, herm_gap = _checked_density(rho, tol)
+    d = state.shape[0]
+    if d != spec.dim:
+        _check_positive(state, tol)
         raise InvalidStateError(
-            f"state dimension {state.shape[0]} does not match ensemble dimension {spec.dim}"
+            f"state dimension {d} does not match ensemble dimension {spec.dim}"
         )
-    return state, _state_factor(state)
+    weights, vectors, resid = _state_factor(state, floor=-tol)
+    bound = 0.5 * herm_gap * math.sqrt(d * (d - 1))
+    if resid is None or math.sqrt(np.vdot(resid, resid).real) + bound > 0.5 * tol:
+        _check_positive(state, tol)
+        if resid is None:
+            weights, vectors, _ = _state_factor(state)
+    return state, (weights, vectors)
 
 
-def _state_factor(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights ``w`` and unit vectors ``L`` with ``state = L diag(w) L^†``.
+def _state_factor(state: np.ndarray, floor: float = -math.inf):
+    """Weights ``w`` and unit vectors ``L`` with ``state ≈ L diag(w) L^†``, and
+    the residual ``state − L diag(w) L^†``.
 
     Pivoted Cholesky: each step takes the remaining column with the largest
     diagonal entry, so a rank-r state costs O(d² r) and a pure state gives
     r = 1.  It stops once every diagonal entry left is at most
     ``FACTOR_RTOL`` times the largest one of ``state``; for a validated
-    state what is dropped is below the validation tolerance.
+    state what is dropped is below the validation tolerance.  Each step
+    only lowers the residual's diagonal, so once an entry is below
+    ``floor`` no later step can bring it back: the factor then stops, and
+    the residual is None.
     """
-    resid = state.copy()
+    resid = state
     diag = resid.diagonal().real.copy()
     stop = FACTOR_RTOL * float(diag.max())
     weights, vectors = [], []
     for _ in range(state.shape[0]):
+        if diag.min() < floor:
+            resid = None
+            break
         j = int(np.argmax(diag))
         if diag[j] <= stop:
             break
         col = resid[:, j] / math.sqrt(diag[j])
-        resid -= np.outer(col, col.conj())
+        # The update is written over the outer product: state itself is
+        # never written, and no copy of it is made.
+        update = np.outer(col, col.conj())
+        resid = np.subtract(resid, update, out=update)
         diag = resid.diagonal().real.copy()
         norm2 = float(np.vdot(col, col).real)
         weights.append(norm2)
         vectors.append(col / math.sqrt(norm2))
-    return np.array(weights), np.stack(vectors, axis=1)
+    return np.array(weights), (np.stack(vectors, axis=1) if vectors else None), resid
 
 
 def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int, workspace=None):
@@ -358,22 +431,28 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
     # basis vectors.
     dtype = np.float64 if spec.is_real or spec.is_degenerate else np.complex128
     uniforms = gen.random(count)
-    cum = np.cumsum(weights)
-    # The weights sum to tr(rho) only within the validation tolerance; a
-    # uniform past the last cumulative weight goes to the last component.
-    k = np.minimum(np.searchsorted(cum, uniforms), weights.size - 1)
-    uniforms -= np.concatenate(([0.0], cum[:-1]))[k]
     # Registers are (d, count), batch axis last, as the draw's vectors are;
     # the kernels read their transposes.
     with ws:
-        chosen = np.take(vectors, k, axis=1, out=ws.take((d, count), vectors.dtype), mode="clip")
-        rotated = draw.apply(chosen, ws.take((d, count), np.result_type(chosen, dtype)))
+        chosen = ws.take((d, count), vectors.dtype)
+        if weights.size == 1:
+            # k = 0 and u' = u - 0.0 = u: one component, one weight.
+            scale = weights[0]
+            chosen[...] = vectors
+        else:
+            cum = np.cumsum(weights)
+            # The weights sum to tr(rho) only within the validation
+            # tolerance; a uniform past the last cumulative weight goes to
+            # the last component.
+            k = np.minimum(np.searchsorted(cum, uniforms), weights.size - 1)
+            uniforms -= np.concatenate(([0.0], cum[:-1]))[k]
+            scale = weights[k, None]
+            vectors.take(k, axis=1, out=chosen, mode="clip")
+        rotated = draw.apply(chosen, ws.take((d, count), np.promote_types(chosen.dtype, dtype)))
         probs = _kernels.born_probs(rotated.T, out=ws.take((d, count), np.float64).T)
         _check_probabilities(probs)
         outcomes = _kernels.choose_outcomes(
-            np.multiply(weights[k, None], probs, out=probs),
-            uniforms,
-            cum=ws.take((d, count), np.float64).T,
+            np.multiply(scale, probs, out=probs), uniforms, cum=ws.take((d, count), np.float64).T
         )
     rows = ws.take((d, count), dtype)
     with ws:
@@ -388,7 +467,7 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
 
 def _check_probabilities(probs: np.ndarray) -> None:
     """Assert each row of outcome probabilities sums to 1 within PROB_TOL."""
-    gap = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+    gap = float(np.maximum.reduce(np.abs(np.add.reduce(probs, axis=1) - 1.0)))
     # Written so that a NaN gap fails.
     if not gap <= PROB_TOL:
         raise RuntimeError(
@@ -430,11 +509,16 @@ class EstimationReport:
 def _report_from_estimates(
     estimates: np.ndarray, truth: float | None, projected: bool
 ) -> EstimationReport:
+    # The ufuncs of estimates.mean() and estimates.var(ddof=1), in their
+    # order, without their Python wrappers: the same bits.
     n = int(estimates.size)
-    mean = float(estimates.mean())
-    variance = float(estimates.var(ddof=1)) if n > 1 else math.nan
+    mean = np.add.reduce(estimates) / n
+    variance = math.nan
+    if n > 1:
+        dev = np.subtract(estimates, mean)
+        variance = float(np.add.reduce(np.multiply(dev, dev, out=dev)) / (n - 1))
     return EstimationReport(
-        mean=mean,
+        mean=float(mean),
         variance=variance,
         sem=math.sqrt(variance / n),
         n_samples=n,
@@ -497,9 +581,10 @@ def _as_observable(observable: np.ndarray, dim: int) -> np.ndarray:
     arr = np.ascontiguousarray(observable, dtype=np.complex128)
     if arr.shape != (dim, dim):
         raise ValueError(f"observable shape {arr.shape} does not match dimension {dim}")
-    if not np.isfinite(arr).all():
+    herm_gap = _hermitian_gap(arr)
+    if not _finite(arr, herm_gap):
         raise ValueError("observable has non-finite entries")
-    if _hermitian_gap(arr) > 1e-10:
+    if herm_gap > 1e-10:
         raise ValueError("observable must be Hermitian")
     return arr
 
@@ -634,14 +719,18 @@ def run_estimation(
     ``rho`` with the projection of the observable onto the channel image —
     the quantity the estimator is actually unbiased for (equal to
     ``tr(rho O)`` whenever ``O`` lies in the image).  Outside its shots a
-    call does one Cholesky factorization, the O(d² r) low-rank factor of a
-    rank-r state, and O(d²) more work: the state is validated (no
-    eigendecomposition unless it sits at the positivity edge, see
-    :func:`validate_density`) and factored once, and the observable is
-    checked and split into its channel sectors once.  That split gives
-    ``M⁺(O)``, the ``projected`` flag and the truth ``tr(rho (O - N))``,
-    N being the null-sector part of ``O``.  ``n_shots`` must be at least 2,
-    so that the report's variance and standard error exist.
+    call computes the O(d² r) low-rank factor of a rank-r state and does
+    O(d²) more work: the state is checked and factored once, and the
+    observable is checked and split into its channel sectors once.  The
+    factor's residual R proves the state positive with no LAPACK call (no
+    eigenvalue lies below ``-‖R‖_F``) unless the state sits near the
+    positivity edge; there :func:`validate_density`'s Cholesky-then-eigenvalue
+    check decides, and a rejected state raises what
+    :func:`validate_density` raises.  The
+    split gives ``M⁺(O)``, the ``projected`` flag and the truth
+    ``tr(rho (O - N))``, N being the null-sector part of ``O``.  ``n_shots``
+    must be at least 2, so that the report's variance and standard error
+    exist.
     """
     if _integer(n_shots, "n_shots") < 2:
         raise ValueError("variance estimation needs n_shots >= 2")
@@ -650,7 +739,8 @@ def run_estimation(
     )
     estimates = _streamed_estimates(spec, factor, split.inverse, n_shots, rng, batch_size)
     if truth is None:
-        truth = float(np.vdot(state, obs - split.null).real)
+        # In place: the null part is not read again.
+        truth = float(np.vdot(state, np.subtract(obs, split.null, out=split.null)).real)
     return _report_from_estimates(estimates, truth, split.projected)
 
 

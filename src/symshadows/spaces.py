@@ -253,9 +253,14 @@ def signature_matrix(spec: SpaceSpec) -> np.ndarray:
     """The diagonal sign matrix defining the involution (I_pq or K_pq)."""
     if spec.p is None:
         raise ValueError(f"{spec.family} has no signature matrix")
+    return np.diag(_signature(spec))
+
+
+def _signature(spec: SpaceSpec) -> np.ndarray:
+    """The diagonal of :func:`signature_matrix`."""
     sign = -np.ones(spec.dim)
     sign[_coords(spec, 0, spec.p)] = 1.0
-    return np.diag(sign)
+    return sign
 
 
 @dataclass(frozen=True)
@@ -291,7 +296,7 @@ def _sigma(spec: SpaceSpec) -> _Involution:
         perm, sign = symplectic_pairing(spec.dim)
     else:
         perm = np.arange(spec.dim)
-        sign = np.diag(signature_matrix(spec)).copy() if row.m == "S" else np.ones(spec.dim)
+        sign = _signature(spec) if row.m == "S" else np.ones(spec.dim)
     perm_t = np.argsort(perm)
     return _Involution(perm, sign, perm_t, sign[perm_t], row.conj)
 
@@ -387,8 +392,9 @@ class EnsembleDraw(_Completable):
         ws = self._workspace()
         if self._sign is not None:
             with ws:
+                # ±S y in V's dtype: a complex parent then reads it as it is.
                 y = np.multiply(
-                    self._sign, y, out=ws.take(y.shape, np.result_type(self._sign, y))
+                    self._sign, y, out=ws.take(y.shape, np.promote_types(y.dtype, out.dtype))
                 )
                 a = self.parent.project(y, out)
                 a *= -2.0
@@ -451,7 +457,7 @@ def _grassmannian_sign(spec: SpaceSpec) -> np.ndarray:
     + when m = q; see the module docstring.
     """
     m = min(spec.p, spec.q)
-    return np.diag(signature_matrix(spec)) * (1.0 if m == spec.q else -1.0)
+    return _signature(spec) * (1.0 if m == spec.q else -1.0)
 
 
 def _parent_draw(spec: SpaceSpec, gen: np.random.Generator, size: int, dense: bool):

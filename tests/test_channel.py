@@ -452,3 +452,34 @@ def test_split_holds_two_arrays(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 2.6 * m.nbytes
+
+
+@pytest.mark.parametrize("spec", _SPLIT_SPECS, ids=lambda s: s.label())
+def test_apply_is_the_inverse_of_split_to_the_bit(spec):
+    # apply forms M+(m) alone, without the null part and its norms.
+    gen = RngStream(19).generator()
+    d = spec.dim
+    complex_ = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    for m in (complex_, complex_.real + complex_.real.T, complex_[None].repeat(2, axis=0)):
+        inverse = invert_channel(spec).apply(m)
+        assert inverse.tobytes() == invert_channel(spec).split(m).inverse.tobytes()
+
+
+def test_apply_holds_one_array(monkeypatch):
+    # M+(m) is one (d, d) array, and no norm is taken.
+    spec = make_space("BDI", 128, 80, 48)
+    m = _random_hermitian(128, seed=20)
+    inv = invert_channel(spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("apply took a norm")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    inv.apply(m)
+    tracemalloc.start()
+    try:
+        inv.apply(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * m.nbytes

@@ -1,5 +1,7 @@
 """End-to-end estimator pipeline, aggregation, and the variance sweep."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -74,6 +76,25 @@ def test_validate_density_rejects_non_finite_entries(bad):
         validate_density(rho)
 
 
+@pytest.mark.parametrize("d", [3, 100])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+def test_non_finite_entries_are_found_without_warnings(d, bad):
+    # A conjugate pair of non-finite entries, at a size with one block and
+    # one with several: the Hermitian gap is not finite, which sends both
+    # checks to the entries, and inf - inf warns nothing.
+    rho = np.eye(d, dtype=complex) / d
+    rho[0, d - 1] = bad
+    rho[d - 1, 0] = np.conj(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            validate_density(rho)
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            run_estimation(make_space("U", d), rho, np.eye(d), 2, RngStream(1))
+        with pytest.raises(ValueError, match="observable has non-finite"):
+            shadow_estimates(make_space("U", d), np.eye(d) / d, rho, 2, RngStream(1))
+
+
 def _with_spectrum(eigenvalues, seed):
     """A generic (rotated) Hermitian matrix with the given spectrum."""
     u = haar.haar_unitary(len(eigenvalues), RngStream(seed))
@@ -128,6 +149,118 @@ def test_validate_density_honours_the_callers_tolerance():
     validate_density(rho, tol=1e-3)
     with pytest.raises(InvalidStateError, match="negative eigenvalue"):
         validate_density(rho)
+
+
+def _edge_state(d, eigmin):
+    """A pure state on the first d - 1 coordinates, with ``eigmin`` on the last
+    and the trace made up on the first."""
+    gen = np.random.default_rng(d)
+    psi = np.zeros(d, dtype=complex)
+    psi[:-1] = gen.standard_normal(d - 1) + 1j * gen.standard_normal(d - 1)
+    psi *= np.sqrt(1.0 - eigmin) / np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    rho[-1, -1] = eigmin
+    return rho
+
+
+@pytest.mark.parametrize("d", [4, 32])
+def test_state_factor_certifies_positivity_without_lapack(monkeypatch, d):
+    # The factored part is the pure state, the residual the -0.4·tol entry:
+    # within half the tolerance, so no LAPACK call is made.
+    tol = shadows.DENSITY_TOL
+    rho = _edge_state(d, -0.4 * tol)
+    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(-0.4 * tol, rel=1e-3)
+    counts = _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "cholesky"))
+    _, (weights, _) = shadows._validated_state(make_space("U", d), rho)
+    assert counts == {}
+    assert weights.size == 1
+
+
+@pytest.mark.parametrize("d", [4, 32])
+def test_state_past_the_certificate_goes_to_the_eigenvalue_rule(monkeypatch, d):
+    tol = shadows.DENSITY_TOL
+    counts = _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "cholesky"))
+    # -0.8·tol is past the certificate's half but within the tolerance.
+    edge = _edge_state(d, -0.8 * tol)
+    _, (weights, vectors) = shadows._validated_state(make_space("U", d), edge)
+    assert counts == {"cholesky": 1}
+    expected = shadows._state_factor(edge)
+    np.testing.assert_array_equal(weights, expected[0])
+    np.testing.assert_array_equal(vectors, expected[1])
+    # -2·tol is rejected with validate_density's own message.
+    rho = _edge_state(d, -2 * tol)
+    with pytest.raises(InvalidStateError) as public:
+        validate_density(rho)
+    assert "negative eigenvalue" in str(public.value)
+    with pytest.raises(InvalidStateError) as streamed:
+        run_estimation(make_space("U", d), rho, _traceless_observable(d, 1), 2, RngStream(2))
+    assert str(streamed.value) == str(public.value)
+
+
+def test_state_factor_stops_once_a_diagonal_entry_is_below_the_floor():
+    # The first diagonal entry is -1: no step can raise it, so no step is taken.
+    rho = np.diag([-1.0, 1.0, 1.0]).astype(complex)
+    weights, vectors, resid = shadows._state_factor(rho, floor=-shadows.DENSITY_TOL)
+    assert weights.size == 0 and vectors is None and resid is None
+    with pytest.raises(InvalidStateError, match=r"negative eigenvalue -1\.000e\+00"):
+        shadows._validated_state(make_space("U", 3), rho)
+
+
+def test_skew_part_keeps_a_state_from_the_certificate(monkeypatch):
+    # Hermitian to within the tolerance, but not exactly: the residual alone
+    # would certify it; the skew bound sends it to the LAPACK check, which
+    # reads the lower triangle and accepts it.
+    tol = shadows.DENSITY_TOL
+    rho = _state(8, 71).astype(complex)
+    rho[5, 2] += 0.2 * tol
+    resid = shadows._state_factor(rho)[2]
+    assert np.sqrt(np.vdot(resid, resid).real) <= 0.5 * tol
+    counts = _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "cholesky"))
+    shadows._validated_state(make_space("U", 8), rho)
+    assert counts == {"cholesky": 1}
+
+
+def test_non_positive_state_of_another_dimension_raises_the_eigenvalue_error():
+    # As validate_density then the dimension check: positivity speaks first.
+    rho = np.array([[0.5, 0.9], [0.9, 0.5]])
+    for call in (
+        lambda: run_estimation(make_space("U", 3), rho, np.eye(3), 2, RngStream(1)),
+        lambda: sample_outcome(make_space("U", 3), rho, RngStream(1)),
+    ):
+        with pytest.raises(InvalidStateError, match=r"negative eigenvalue -4\.000e-01"):
+            call()
+    with pytest.raises(InvalidStateError, match="state dimension 2 does not match"):
+        sample_outcome(make_space("U", 3), np.eye(2) / 2, RngStream(1))
+
+
+def _factor_before_the_certificate(state):
+    """The pivoted Cholesky factor as it was computed before it also gave
+    its residual: the reference for the bytes of the factor."""
+    resid = state.copy()
+    diag = resid.diagonal().real.copy()
+    stop = shadows.FACTOR_RTOL * float(diag.max())
+    weights, vectors = [], []
+    for _ in range(state.shape[0]):
+        j = int(np.argmax(diag))
+        if diag[j] <= stop:
+            break
+        col = resid[:, j] / np.sqrt(diag[j])
+        resid -= np.outer(col, col.conj())
+        diag = resid.diagonal().real.copy()
+        norm2 = float(np.vdot(col, col).real)
+        weights.append(norm2)
+        vectors.append(col / np.sqrt(norm2))
+    return np.array(weights), np.stack(vectors, axis=1)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 16])
+def test_state_factor_bytes_do_not_change_with_the_certificate(rank):
+    rho = _state(16, 72) if rank == 1 else _wishart_state(16, rank, 73)
+    _, (weights, vectors) = shadows._validated_state(make_space("U", 16), rho)
+    expected = _factor_before_the_certificate(validate_density(rho))
+    assert weights.size == rank
+    assert weights.tobytes() == expected[0].tobytes()
+    assert vectors.tobytes() == expected[1].tobytes()
 
 
 def test_validate_density_rejects_indefinite_matrix_with_positive_diagonal():
@@ -874,6 +1007,8 @@ def test_record_path_matches_streamed_path(spec, rank):
     "spec", [make_space("AIII", 4, 2, 2), make_space("CI", 4)], ids=lambda s: s.label()
 )
 def test_run_estimation_validates_once_without_eigendecomposition(monkeypatch, spec):
+    # A valid state is accepted by its own factor's residual: no LAPACK call
+    # at all, and the public validate_density is not called either.
     counts = _count_calls(
         monkeypatch,
         shadows,
@@ -882,13 +1017,7 @@ def test_run_estimation_validates_once_without_eigendecomposition(monkeypatch, s
     _count_calls(monkeypatch, channel.ChannelInverse, ("split",), counts)
     _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "cholesky"), counts)
     run_estimation(spec, _state(4, 96), _traceless_observable(4, 97), 40, RngStream(98))
-    assert counts == {
-        "validate_density": 1,
-        "_as_observable": 1,
-        "invert_channel": 1,
-        "split": 1,
-        "cholesky": 1,
-    }
+    assert counts == {"_as_observable": 1, "invert_channel": 1, "split": 1}
 
 
 _ORACLE_SPECS = [

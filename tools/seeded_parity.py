@@ -11,7 +11,10 @@ its own ``src`` on the path and reports, for the same seeds:
 * ``shadow_estimates`` for every family at d = 2, 3, 8 and 32 (and a second
   block split for AIII, BDI and CII), on a pure and on a full-rank state,
   in one default batch and in batches whose last one is short;
-* ``run_estimation`` reports and ``sample_outcome`` records;
+* ``run_estimation`` reports and ``sample_outcome`` records; and at the
+  benchmark's d = 128 cells, AIII(128, 64, 64) and BDI(128, 80, 48), on a
+  pure, a rank-2 and a full-rank state, and on one that only the
+  eigenvalue check accepts (least eigenvalue -0.8·``DENSITY_TOL``);
 * deferred draws used on their own: ``apply``, ``apply_adjoint`` and
   ``matrix()`` of ``sample_point(..., dense=False)``, ``project`` of the
   Haar samplers' ``columns=`` draws, and ``entry_moments``;
@@ -53,6 +56,7 @@ EVEN_ONLY = {"SP", "AII", "DIII", "CI", "CII"}
 COMPLETIONS = (("U", None, None), ("DIII", None, None), ("CI", None, None), ("BDI", 16, 16),
                ("CII", 8, 8))
 SPLIT_DIMS = (1, 2, 3, 8, 32, 128)
+LARGE_CELLS = (("AIII", 128, 64), ("BDI", 128, 80))
 
 
 def _encode(value):
@@ -161,10 +165,57 @@ def emit() -> dict:
         seed=5,
     )
     out["variance_sweep"] = [list(vars(row).values()) for row in shadows.variance_sweep(config)]
+    out.update(_large_cells())
     out.update(_completions())
     out.update(_dense())
     out.update(_splits())
     return _encode(out)
+
+
+def _large_states(d: int, seed: int) -> dict:
+    """Pure, rank-2 and full-rank states, and one just past the factor's
+    positivity certificate: a pure state on the first d - 1 coordinates
+    with -0.8·DENSITY_TOL on the last."""
+    import numpy as np
+
+    from symshadows.shadows import DENSITY_TOL
+
+    gen = np.random.default_rng(seed)
+    states = {}
+    for kind, rank in (("pure", 1), ("rank-2", 2), ("full", d)):
+        g = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+        rho = g @ g.conj().T
+        states[kind] = rho / np.trace(rho).real
+    eigmin = -0.8 * DENSITY_TOL
+    psi = np.zeros(d, dtype=complex)
+    psi[:-1] = gen.standard_normal(d - 1) + 1j * gen.standard_normal(d - 1)
+    psi *= np.sqrt(1.0 - eigmin) / np.linalg.norm(psi)
+    edge = np.outer(psi, psi.conj())
+    edge[-1, -1] = eigmin
+    states["eigenvalue-checked"] = edge
+    return states
+
+
+def _large_cells() -> dict:
+    """``run_estimation`` reports and ``sample_outcome`` records at d = 128."""
+    from symshadows import shadows
+    from symshadows.rng import RngStream
+    from symshadows.spaces import make_space
+
+    out = {}
+    for i, (family, d, p) in enumerate(LARGE_CELLS):
+        spec = make_space(family, d, p=p)
+        obs = shadows.random_observable(d, 0.25, symmetric=spec.is_real, rng=RngStream(i, (12,)))
+        for j, (kind, rho) in enumerate(_large_states(d, 20 + i).items()):
+            key = f"{spec.label()} {kind}"
+            report = shadows.run_estimation(spec, rho, obs, 64, rng=RngStream(i, (13, j)))
+            out[f"run_estimation {key}"] = [
+                report.mean, report.variance, report.sem, report.truth, report.projected
+            ]
+            gen = RngStream(i, (14, j)).generator()
+            records = [shadows.sample_outcome(spec, rho, gen) for _ in range(2)]
+            out[f"sample_outcome {key}"] = [[r.row, r.outcome] for r in records]
+    return out
 
 
 def _completions() -> dict:
