@@ -10,12 +10,13 @@ Two samplers share each group, one per use.
   Numer. Math. 55:83 (1989)).  Reflector ``k`` is the one Householder QR of
   a Ginibre matrix would build from its ``k``-th column, and a gauge (unit
   phases; a Haar Sp(1) element per quaternionic coordinate for SP) makes
-  the law exactly Haar.  :class:`HouseholderDraw` holds the reflectors, about
-  d²/2 Gaussians per draw, and forms the matrices in one NumPy pass over
-  the batch at every d.  Reflector ``k`` fixes the first ``k`` basis
-  vectors, so ``columns=m`` draws only the ``m`` reflectors that the first
-  ``m`` columns depend on and forms only those columns.  A request whose
-  result would exceed physical memory raises ``ValueError`` before drawing.
+  the law exactly Haar.  A private ``HouseholderDraw`` holds the
+  reflectors, about d²/2 Gaussians per draw, and forms the matrices in one
+  NumPy pass over the batch at every d.  Reflector ``k`` fixes the first
+  ``k`` basis vectors, so ``columns=m`` draws only the ``m`` reflectors
+  that the first ``m`` columns depend on and forms only those columns.  A
+  request whose result would exceed physical memory raises ``ValueError``
+  before drawing.
 * **Deferred** (``dense=False``): for code that applies a draw to a few
   vectors.  Haar measure is revealed one direction at a time: given the
   input/output pairs fixed so far, a new direction's image is uniform on the
@@ -32,10 +33,14 @@ Two samplers share each group, one per use.
   first use.  It holds the revealed directions, as many as one measured
   round reveals (``apply`` then ``apply_adjoint`` of every draw), a product
   register of as many, in which the inner products with them are one
-  stacked NumPy product, and the d-vector registers of the arithmetic.  A
-  draw applied past that round, as ``matrix()`` and
-  ``momentlab.entry_moments`` do, moves its directions to an array of its
-  own that doubles as it fills, and its products to arrays of their own.
+  stacked NumPy product, and the d-vector registers of the arithmetic: a
+  combination of the directions is summed a term at a time through one of
+  them, and a query is used as it is when it is C-contiguous in the draw's
+  dtype and otherwise copied into one (a real draw takes a complex query's
+  real and imaginary parts apart).  A draw applied past that round, as
+  ``matrix()`` and ``momentlab.entry_moments`` do, moves its directions to
+  an array of its own that doubles as it fills, and its products to arrays
+  of their own.
 
 The samplers accept ``size=None`` for a single ``(d, d)`` matrix or an
 integer ``size`` for a stacked ``(size, d, d)`` batch, and draw from a
@@ -55,7 +60,6 @@ from .rng import as_generator
 __all__ = [
     "DeferredSubspace",
     "DeferredUnitary",
-    "HouseholderDraw",
     "ginibre",
     "haar_unitary",
     "haar_orthogonal",
@@ -170,12 +174,12 @@ def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
     return z[0] if size is None else z
 
 
-class _MatrixStack:
-    """``shape`` and ``ndim`` of the ``(B, d, d)`` stack that ``matrix()`` returns.
+class _Completable:
+    """A deferred draw of ``(B, d, d)`` matrices that ``apply`` reveals as it is read.
 
-    A draw reports the shape of the matrices it stands for, so code that
-    counts draws by ``result.shape[0]`` counts a draw object and a dense
-    stack alike.
+    It reports the ``shape`` and ``ndim`` of the stack that :meth:`matrix`
+    returns, so code that counts draws by ``result.shape[0]`` counts a draw
+    object and a dense stack alike.
     """
 
     ndim = 3
@@ -183,10 +187,6 @@ class _MatrixStack:
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.size, self.dim, self.dim)
-
-
-class _Completable(_MatrixStack):
-    """A deferred draw of ``(B, d, d)`` matrices that ``apply`` reveals as it is read."""
 
     def matrix(self) -> np.ndarray:
         """Complete the draws and return them as dense ``(B, d, d)`` matrices.
@@ -203,7 +203,7 @@ class _Completable(_MatrixStack):
         return out
 
 
-class HouseholderDraw(_MatrixStack):
+class HouseholderDraw:
     """A batch of Haar draws from U(d), O(d), SO(d) or SP(d), held as reflectors.
 
     The dense samplers' draw: :meth:`matrix` forms it.  Draw ``n`` is
@@ -266,8 +266,6 @@ class HouseholderDraw(_MatrixStack):
             if self.swap is not None:
                 view[a, diag, 1 - a, diag] = self.swap[a * (d // c) + diag]
         for k in range(len(self.offsets) - 1, -1, -1):
-            if k // c >= kept:
-                continue
             lo, m = self.offsets[k], d // c - k // c
             v = self.reflectors[lo : lo + c * m].reshape(c, m, -1)
             sub = view[:, k // c :, :, k // c :]
@@ -287,15 +285,12 @@ REVEAL_RTOL = 1e-12
 _ALIGN = 64
 #: Bytes a workspace holds past its rounds' arrays, for their alignment.
 _SLACK = 4096
-#: Largest ``(d, B)`` result, in bytes, that :func:`_combine` forms from one
-#: stacked product of its terms; a larger one is summed a term at a time.
-_STACK_BYTES = 32768
 #: Complex d-vectors per round that one application of a deferred draw holds
 #: at once besides its frames and its product register: the split's
 #: remainder (or the conjugated query), the remainder of a Grassmannian's
 #: settled split, and a complex copy of a real query (or a real draw's parts
-#: of a complex one).  :func:`_combine` takes its product or one-vector
-#: register only while the product register is free.
+#: of a complex one).  :func:`_combine`'s one-vector register is taken only
+#: while the product register is free.
 _SCRATCH_VECTORS = 3
 
 
@@ -438,23 +433,15 @@ def _combine(vectors: np.ndarray, coef: np.ndarray, out: np.ndarray, ws: _Worksp
     if vectors.shape[2] == 1:
         out[:, 0] = coef[:, 0] @ vectors[:, :, 0]
         return out
-    if len(vectors) == 1:
-        return np.multiply(vectors[0], coef[0], out=out)
-    with ws:
-        if out.nbytes <= _STACK_BYTES:
-            # One stacked product and one sum over the terms, in order from
-            # -0.0 (which leaves the first term as it is): the loop's sums.
-            product = ws.take(vectors.shape, out.dtype)
-            np.multiply(vectors, coef[:, None, :], out=product)
-            initial = complex(-0.0, -0.0) if out.dtype.kind == "c" else -0.0
-            return np.add.reduce(product, axis=0, out=out, initial=initial)
-        # One term at a time through one register: a stacked product this
-        # large would be written and read back from beyond the cache, which
-        # made streamed shots slower.
-        np.multiply(vectors[0], coef[0], out=out)
-        term = ws.take(out.shape, out.dtype)
-        for v, c in zip(vectors[1:], coef[1:]):
-            out += np.multiply(v, c, out=term)
+    # One term at a time through one register, unlike _coefficients: a
+    # stacked product would write n·d·B values that the sum then reads back
+    # from beyond the cache, which made streamed shots slower.
+    np.multiply(vectors[0], coef[0], out=out)
+    if len(vectors) > 1:
+        with ws:
+            term = ws.take(out.shape, out.dtype)
+            for v, c in zip(vectors[1:], coef[1:]):
+                out += np.multiply(v, c, out=term)
     return out
 
 
@@ -604,22 +591,19 @@ class _DeferredDraw:
         return coef, x
 
     def _run(self, y, one, out: np.ndarray | None) -> np.ndarray:
-        """``one(z, out)`` for ``z = y``; a real draw takes a complex ``y`` part by part."""
+        """``one(z, out)`` for ``z = y``; a real draw takes a complex ``y`` part by part.
+
+        Any other ``y`` is used as it is when it is C-contiguous in the
+        draw's dtype, and otherwise copied into one register of it.
+        """
         y = np.asarray(y)
         out = _output(y, self._dtype, out)
         ws = self._workspace()
-        if self.field != "real":
-            if y.dtype == np.complex128:
+        if self.field != "real" or y.dtype.kind != "c":
+            if y.dtype == self._dtype and y.flags.c_contiguous:
                 return one(y, out)
             with ws:
-                z = ws.take(y.shape, np.complex128)
-                np.copyto(z, y)
-                return one(z, out)
-        if y.dtype.kind != "c":
-            if y.dtype == np.float64 and y.flags.c_contiguous:
-                return one(y, out)
-            with ws:
-                z = ws.take(y.shape, np.float64)
+                z = ws.take(y.shape, self._dtype)
                 np.copyto(z, y)
                 return one(z, out)
         with ws:

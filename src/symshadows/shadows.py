@@ -364,8 +364,11 @@ def _state_factor(state: np.ndarray, floor: float = -math.inf):
     Pivoted Cholesky: each step takes the remaining column with the largest
     diagonal entry, so a rank-r state costs O(d² r) and a pure state gives
     r = 1.  It stops once every diagonal entry left is at most
-    ``FACTOR_RTOL`` times the largest one of ``state``; for a validated
-    state what is dropped is below the validation tolerance.  Each step
+    ``FACTOR_RTOL`` times the largest one of ``state``.  What it then drops
+    is not bounded by the validation tolerance: a last pivot p beside an
+    entry c leaves about −|c|²/p on the diagonal, −2.5e-9 (25 times
+    ``DENSITY_TOL``) for the valid state diag(1 − 1e-12, 1e-12, 0) with c
+    = 5e-11 at (1, 2), which the eigenvalue check accepts.  Each step
     only lowers the residual's diagonal, so once an entry is below
     ``floor`` no later step can bring it back: the factor then stops, and
     the residual is None.
@@ -441,9 +444,10 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
             chosen[...] = vectors
         else:
             cum = np.cumsum(weights)
-            # The weights sum to tr(rho) only within the validation
-            # tolerance; a uniform past the last cumulative weight goes to
-            # the last component.
+            # The weights sum to tr(rho) only up to what the factor
+            # dropped, which can exceed the validation tolerance (see
+            # _state_factor); a uniform past the last cumulative weight
+            # goes to the last component.
             k = np.minimum(np.searchsorted(cum, uniforms), weights.size - 1)
             uniforms -= np.concatenate(([0.0], cum[:-1]))[k]
             scale = weights[k, None]

@@ -265,6 +265,16 @@ def test_sweep_config_file_matches_flags(tmp_path, capsys):
          "--instances", "2", "--shots", "60", "--seed", "12"],
     )
     assert by_override == reference
+    # A store_true key, a key with no type, and the --config=FILE spelling.
+    config.write_text(config.read_text() + "symmetric = yes\nout = json\n")
+    by_flags = _run_sweep(
+        tmp_path,
+        "flags.json",
+        ["--dim", "2", "--families", "AIII,U", "--c", "0.0", "--instances", "2",
+         "--shots", "60", "--seed", "11", "--symmetric", "--out", "json"],
+    )
+    assert by_flags.startswith(b"[") and by_flags != by_config
+    assert _run_sweep(tmp_path, "config.json", [f"--config={config}"]) == by_flags
 
 
 def test_sweep_config_rejects_unknown_keys(tmp_path, capsys):

@@ -414,3 +414,43 @@ def test_out_is_returned_and_holds_what_a_new_array_would(make, y_field):
             out = np.full_like(expected, np.nan)
             assert getattr(given, name)(y, out=out) is out
             assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes(), name
+
+
+# ------------------------------------------------------------- query dtypes
+# A query is used as it is when it is C-contiguous in the draw's dtype, and
+# otherwise copied into one register of it; a real draw takes a complex
+# query part by part.  Any query gives the bits of its value cast to
+# C-contiguous float64 or complex128, and is left as it was.
+
+_ADAPTER_DRAWS = {
+    "orthogonal-apply": (lambda g: haar_orthogonal(6, g, size=4, dense=False), "apply"),
+    "unitary-apply_adjoint": (lambda g: haar_unitary(6, g, size=4, dense=False), "apply_adjoint"),
+    "subspace-project": (
+        lambda g: haar_orthogonal(6, g, size=4, dense=False, columns=2), "project"
+    ),
+    "DIII-apply": (lambda g: sample_point(make_space("DIII", 6), g, 4, dense=False), "apply"),
+}
+
+_QUERIES = {
+    "int": lambda q: q.integers(-3, 4, (6, 4)),
+    "float32": lambda q: q.standard_normal((6, 4)).astype(np.float32),
+    "complex64": lambda q: _complex(q, (6, 4)).astype(np.complex64),
+    "fortran": lambda q: np.asfortranarray(q.standard_normal((6, 4))),
+    "strided": lambda q: _complex(q, (6, 8))[:, ::2],
+}
+
+
+@pytest.mark.parametrize("query", _QUERIES.values(), ids=_QUERIES.keys())
+@pytest.mark.parametrize("case", _ADAPTER_DRAWS.values(), ids=_ADAPTER_DRAWS.keys())
+def test_any_query_gives_the_bits_of_its_cast(case, query):
+    make, name = case
+    given, cast = make(RngStream(31)), make(RngStream(31))
+    q = RngStream(32).generator()
+    # The second query meets a frame the first one filled.
+    for _ in range(2):
+        y = query(q)
+        kept = y.copy()
+        z = np.ascontiguousarray(y, dtype=np.complex128 if y.dtype.kind == "c" else np.float64)
+        got, expected = getattr(given, name)(y), getattr(cast, name)(z)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert y.dtype == kept.dtype and np.array_equal(y, kept)

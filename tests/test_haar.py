@@ -134,7 +134,7 @@ def _applies_its_completion(draw, d, size):
     y = gen.standard_normal((d, size)) + 1j * gen.standard_normal((d, size))
     forward, backward = draw.apply(y), draw.apply_adjoint(y)
     g = draw.matrix()
-    assert g.shape == draw.shape
+    assert g.shape == draw.shape and draw.ndim == 3
     np.testing.assert_allclose(forward, np.einsum("nij,jn->in", g, y), atol=1e-13)
     np.testing.assert_allclose(backward, np.einsum("nji,jn->in", g.conj(), y), atol=1e-13)
     assert np.max(np.abs(np.swapaxes(g.conj(), 1, 2) @ g - np.eye(d))) < 1e-13
@@ -146,7 +146,7 @@ def _applies_its_completion(draw, d, size):
 def test_reflector_draw_applies_its_matrix(sampler, d):
     draw = _reflectors(sampler, d, 15, 7)
     assert draw.reflectors.shape == (d * (d + 1) // 2 - 1, 7)
-    assert draw.shape == (7, d, d) and draw.ndim == 3
+    assert (draw.size, draw.dim) == (7, d)
     np.testing.assert_array_equal(draw.matrix(), sampler(d, RngStream(15), size=7))
     deferred = sampler(d, RngStream(15), size=7, dense=False)
     assert isinstance(deferred, DeferredUnitary) and deferred.shape == (7, d, d)
@@ -321,7 +321,7 @@ def test_symplectic_draw_applies_its_matrix(d):
     n = d // 2
     draw = _reflectors(haar_symplectic, d, 15, 7)
     assert draw.reflectors.shape == (2 * (n * (n + 1) - 2), 7)
-    assert draw.shape == (7, d, d) and draw.ndim == 3
+    assert (draw.size, draw.dim) == (7, d)
     np.testing.assert_array_equal(draw.matrix(), haar_symplectic(d, RngStream(15), size=7))
     g = _applies_its_completion(haar_symplectic(d, RngStream(15), size=7, dense=False), d, 7)
     j = symplectic_form(d)

@@ -81,6 +81,17 @@ def test_mc_twirl_matches_closed_form_first_order():
     assert sems.max() <= 5.0
 
 
+def test_mc_twirl_third_order_fixes_a_permutation_of_the_factors():
+    # V^(x)3 commutes with the cyclic shift |a, b, c> -> |b, c, a> of
+    # (C^d)^(x)3, so every draw's term, and the twirl, is the shift itself.
+    d = 2
+    shift = np.zeros((d**3, d**3))
+    for a, b, c in itertools.product(range(d), repeat=3):
+        shift[(b * d + c) * d + a, (a * d + b) * d + c] = 1.0
+    est = mc_twirl(make_space("U", d), 3, shift, 8, RngStream(23))
+    np.testing.assert_allclose(est.mean, shift, rtol=0, atol=1e-12)
+
+
 def test_mc_twirl_rejects_unsupported_order():
     spec = make_space("U", 3)
     with pytest.raises(ValueError):

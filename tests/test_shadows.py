@@ -206,6 +206,28 @@ def test_state_factor_stops_once_a_diagonal_entry_is_below_the_floor():
         shadows._validated_state(make_space("U", 3), rho)
 
 
+def test_a_valid_state_whose_floored_factor_stops_is_factored_again(monkeypatch):
+    # The pivot 1e-12 beside the entry 5e-11 leaves -2.5e-9 on the last
+    # diagonal entry, past the floor, so the floored factor stops.  The
+    # eigenvalues, -4.95e-11, 5.05e-11 and 1, are valid: one Cholesky
+    # accepts the state, whose factor is then the unfloored one.  What that
+    # factor drops is 25 times the tolerance, and its weights sum to
+    # 1 + 2.5e-9.
+    tol = shadows.DENSITY_TOL
+    rho = np.diag([1.0 - 1e-12, 1e-12, 0.0]).astype(complex)
+    rho[1, 2] = rho[2, 1] = 5e-11
+    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(-4.95e-11, rel=1e-3)
+    assert shadows._state_factor(rho, floor=-tol)[2] is None
+    counts = _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "cholesky"))
+    _, (weights, vectors) = shadows._validated_state(make_space("U", 3), rho)
+    assert counts == {"cholesky": 1}
+    expected, expected_vectors, resid = shadows._state_factor(rho)
+    np.testing.assert_array_equal(weights, expected)
+    np.testing.assert_array_equal(vectors, expected_vectors)
+    np.testing.assert_allclose(weights, [1.0, 2.501e-9], rtol=1e-9)
+    assert resid[2, 2].real == pytest.approx(-25 * tol, rel=1e-6)
+
+
 def test_skew_part_keeps_a_state_from_the_certificate(monkeypatch):
     # Hermitian to within the tolerance, but not exactly: the residual alone
     # would certify it; the skew bound sends it to the LAPACK check, which

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symshadows import haar
+from symshadows import haar, spaces
 from symshadows.haar import (
     DeferredSubspace,
     haar_orthogonal,
@@ -137,6 +137,7 @@ def test_spec_properties():
     assert not spec.is_group and not spec.is_degenerate
     assert make_space("AIII", 4, p=4, q=0).is_degenerate
     assert make_space("U", 4).is_group
+    assert make_space("U", 4).signature is None
     assert make_space("BDI", 4).is_real
     assert not make_space("AI", 4).is_real
     assert "AIII" in make_space("AIII", 4).label()
@@ -401,6 +402,8 @@ def test_signed_symmetry_is_signed_permutation():
         assert (support.sum(axis=0) == 1).all() and (support.sum(axis=1) == 1).all(), family
         values = h[support]
         assert np.allclose(np.abs(values), 1.0), family
+    # An empty block has nothing to flip.
+    assert spaces._fix_det(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_signed_symmetry_respects_family_structure():

@@ -136,3 +136,10 @@ def test_a_fit_with_zero_sem_passes_at_its_target():
     # AII(d=2) is U(2)/SU(2): every draw gives the exact mixing weight
     checks = run_suite("channel", space="AII", dim=2, samples=2000)
     assert all_passed(checks), [c for c in checks if not c.passed]
+
+
+def test_channel_suite_on_a_group_fits_no_mixing_weight():
+    # A group has no mixing weight: the fit loop skips it.
+    checks = run_suite("channel", space="U", dim=2, samples=2000)
+    assert all_passed(checks), [c for c in checks if not c.passed]
+    assert not [c for c in checks if "fit-mixing-weight" in c.name]
