@@ -593,8 +593,6 @@ def _signed_perm(d: int, gen: np.random.Generator) -> np.ndarray:
 
 def _fix_det(m: np.ndarray) -> np.ndarray:
     """Flip one signed entry so det(m) = +1 (m a signed permutation block)."""
-    if m.shape[0] == 0:
-        return m
     if np.linalg.det(m) < 0:
         col = 0
         row = int(np.argmax(np.abs(m[:, col])))

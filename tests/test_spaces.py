@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symshadows import haar, spaces
+from symshadows import haar
 from symshadows.haar import (
     DeferredSubspace,
     haar_orthogonal,
@@ -402,8 +402,6 @@ def test_signed_symmetry_is_signed_permutation():
         assert (support.sum(axis=0) == 1).all() and (support.sum(axis=1) == 1).all(), family
         values = h[support]
         assert np.allclose(np.abs(values), 1.0), family
-    # An empty block has nothing to flip.
-    assert spaces._fix_det(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_signed_symmetry_respects_family_structure():

@@ -2,19 +2,19 @@
 
 Usage, from the root of a checkout::
 
-    python tools/traffic_census.py [--workload NAME ...] [--rounds N] [--seed S] [--tiny]
+    python tools/traffic_census.py [--rounds N] [--tiny]
 
-Every named workload of ``perfbench/workloads.py`` (all three by default)
-runs in this one process, as the benchmark's worker runs it: set-up, the
-determinism re-run of its first call, ``N`` rounds (2 by default) and its
-final checks.  ``sys.settrace`` records every line of ``src/symshadows``
-that runs; code elsewhere, NumPy's included, is not traced.  The benchmark
-files are imported, not changed.
+Every workload of ``perfbench/workloads.py`` runs in this one process with
+seed 7, as the benchmark's worker runs it: set-up, the determinism re-run
+of its first call, ``N`` rounds (2 by default) and its final checks.  The
+standard library's ``trace`` counter records every line that runs; only
+the lines of ``src/symshadows`` are reported.  The benchmark files are
+imported, not changed.
 
 For each function of ``src/symshadows`` with an executable line that no
 workload ran, one line is printed: ``module.py:first-line qualname``, the
 count of its unrun lines against its executable lines, and their line
-numbers as ranges, or ``never called``.  A summary line ends the output.
+numbers as ranges, or ``never called`` when none of them ran.  A summary line ends the output.
 Nested functions and classes count apart; module-level code runs at import
 and is not listed.  Seeded inputs make the census the same from run to
 run.
@@ -25,12 +25,13 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+import trace
 import types
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "symshadows"
+SEED = 7
 
 
 def _load():
@@ -60,44 +61,29 @@ def executable_lines(path: Path) -> dict[tuple[int, str], set[int]]:
     for code in _functions(module):
         name = getattr(code, "co_qualname", code.co_name)
         lines = {line for _, _, line in code.co_lines() if line is not None}
-        # The def line runs as the call event, which census counts there.
-        table[(code.co_firstlineno, name)] = lines | {code.co_firstlineno}
+        # The def line reports no line event unless the body is on it too.
+        if len(lines) > 1:
+            lines.discard(code.co_firstlineno)
+        table[(code.co_firstlineno, name)] = lines
     return table
 
 
-def census(names, rounds: int, seed: int, tiny: bool) -> dict[str, Counter]:
-    """Run each workload of ``names``; per workload, the times each
-    ``(file name, line)`` of ``src/symshadows`` ran."""
-    workloads = _load()
-    prefix = str(PACKAGE) + "/"
+def _run(workload, rounds: int) -> None:
+    workload.setup()
+    workload.first_call_is_deterministic()
+    for r in range(rounds):
+        workload.run_round(r)
+    workload.final_checks()
 
-    def local(frame, event, arg):
-        if event == "line":
-            hits[(frame.f_code.co_filename, frame.f_lineno)] += 1
-        return local
 
-    def tracer(frame, event, arg):
-        code = frame.f_code
-        if not code.co_filename.startswith(prefix):
-            return None
-        hits[(code.co_filename, code.co_firstlineno)] += 1
-        return local
-
-    counts = {}
-    for name in names:
-        workload = workloads[name](seed, tiny=tiny)
-        hits = Counter()
-        sys.settrace(tracer)
-        try:
-            workload.setup()
-            workload.first_call_is_deterministic()
-            for r in range(rounds):
-                workload.run_round(r)
-            workload.final_checks()
-        finally:
-            sys.settrace(None)
-        counts[name] = hits
-    return counts
+def census(rounds: int, tiny: bool) -> dict[str, set]:
+    """Run each workload; per workload, the ``(file name, line)`` pairs that ran."""
+    ran = {}
+    for name, workload in _load().items():
+        tracer = trace.Trace(count=1, trace=0)
+        tracer.runfunc(_run, workload(SEED, tiny=tiny), rounds)
+        ran[name] = set(tracer.results().counts)
+    return ran
 
 
 def _ranges(lines) -> str:
@@ -114,11 +100,9 @@ def _ranges(lines) -> str:
     return ", ".join(parts)
 
 
-def report(counts: dict[str, Counter]) -> list[str]:
-    """The output lines for the runs of ``counts``."""
-    ran = set()
-    for hits in counts.values():
-        ran.update(hits)
+def report(runs: dict[str, set]) -> list[str]:
+    """The output lines for the runs of ``runs``."""
+    ran = set().union(*runs.values())
     out, total, unrun_total = [], 0, 0
     for path in sorted(PACKAGE.glob("*.py")):
         for (first, name), lines in sorted(executable_lines(path).items()):
@@ -128,33 +112,23 @@ def report(counts: dict[str, Counter]) -> list[str]:
             if not unrun:
                 continue
             where = f"{path.name}:{first} {name}"
-            if first in unrun:
+            if unrun == lines:
                 out.append(f"{where}: never called")
             else:
                 out.append(f"{where}: {len(unrun)}/{len(lines)} lines unrun: {_ranges(unrun)}")
     out.append(
         f"{total - unrun_total} of {total} executable lines ran in "
-        f"{', '.join(counts)}"
+        f"{', '.join(runs)}"
     )
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--workload", action="append", default=None,
-        help="a workload to run (repeatable; default: every workload)",
-    )
     parser.add_argument("--rounds", type=int, default=2, help="rounds per workload (default 2)")
-    parser.add_argument("--seed", type=int, default=7, help="workload seed (default 7)")
     parser.add_argument("--tiny", action="store_true", help="the workloads' tiny sizes")
     args = parser.parse_args(argv)
-    known = list(_load())
-    names = args.workload or known
-    unknown = sorted(set(names) - set(known))
-    if unknown:
-        parser.error(f"unknown workload(s): {', '.join(unknown)}")
-    for line in report(census(names, args.rounds, args.seed, args.tiny)):
+    for line in report(census(args.rounds, args.tiny)):
         print(line)
     return 0
 
