@@ -96,16 +96,28 @@ def proj_orthogonal(v: np.ndarray) -> np.ndarray:
     return np.stack([ynorm, ynorm, yswap, ydeph], axis=1)
 
 
-def proj_symplectic(v: np.ndarray, jperm: np.ndarray, jsign: np.ndarray) -> np.ndarray:
+def proj_symplectic(v: np.ndarray, jsign: np.ndarray) -> np.ndarray:
     """Projections onto the six-term symplectic-parent delta basis.
 
-    ``jperm[a]`` is the symplectic partner of index ``a`` and ``jsign[a]``
-    the sign of the form entry coupling ``a`` to its partner.
+    The symplectic partner of index ``a`` is ``a# = a ± d/2``
+    (:func:`symshadows.haar.symplectic_pairing`), so a row's partners are its
+    two halves swapped, and ``jsign[a]`` is the sign of the form entry
+    coupling ``a`` to ``a#``.
     """
+    n = v.shape[-1] // 2
     a2 = np.abs(v) ** 2
     ynorm = (a2.sum(axis=2) ** 2).sum(axis=1)
-    form = (jsign[None, None, :] * v * v[:, :, jperm]).sum(axis=2)
+    form = _swapped_product(jsign[None, None, :] * v, v, n).sum(axis=2)
     yform = (np.abs(form) ** 2).sum(axis=1)
     ydeph = (a2**2).sum(axis=(1, 2))
-    ypair = (a2 * a2[:, :, jperm]).sum(axis=(1, 2))
+    ypair = _swapped_product(a2, a2, n).sum(axis=(1, 2))
     return np.stack([ynorm, ynorm, yform, ydeph, ypair, ypair], axis=1)
+
+
+def _swapped_product(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """``x[..., a] * y[..., a#]`` with ``a# = a ± n``: each half of ``x`` times
+    the other half of ``y``, with no index copy of ``y``."""
+    out = np.empty_like(x)
+    np.multiply(x[..., :n], y[..., n:], out=out[..., :n])
+    np.multiply(x[..., n:], y[..., :n], out=out[..., n:])
+    return out

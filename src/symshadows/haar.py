@@ -11,8 +11,9 @@ Two samplers share each group, one per use.
   a Ginibre matrix would build from its ``k``-th column, and a gauge (unit
   phases; a Haar Sp(1) element per quaternionic coordinate for SP) makes
   the law exactly Haar.  A private ``HouseholderDraw`` holds the
-  reflectors, about d²/2 Gaussians per draw, and forms the matrices in one
-  NumPy pass over the batch at every d.  Reflector ``k`` fixes the first
+  reflectors, about d²/2 Gaussians per draw, and forms the matrices a
+  cache-sized block of draws at a time, one NumPy pass per reflector and
+  block, at every d.  Reflector ``k`` fixes the first
   ``k`` basis vectors, so ``columns=m`` draws only the ``m`` reflectors
   that the first ``m`` columns depend on and forms only those columns.  A
   request whose result would exceed physical memory raises ``ValueError``
@@ -174,6 +175,28 @@ def ginibre(kind: str, n: int, rng=None, size: int | None = None) -> np.ndarray:
     return z[0] if size is None else z
 
 
+#: Bytes of dense draws that one step of the dense code works on: Householder
+#: formation (:meth:`HouseholderDraw.matrix`), the coset map
+#: (``spaces._coset_matrix``), and a fit's projections and pair products
+#: (``momentlab``) each take a batch this many bytes of draws at a time, so
+#: their temporaries stay in cache and no stack is held twice.  The blocks
+#: change no bits: every draw's arithmetic is the same in any block.  Sizes
+#: tried on the seven d = 8 fits of 2048 draws of the benchmark's
+#: ``sweep_fit`` round (median of 17 rounds, three runs, 2-vCPU VM), with the
+#: minor faults of an AII(8) fit of 2048 draws run alone after two others:
+#: 64 KiB 96-120 ms, 0 faults; 128 KiB 89-98 ms, 0; 256 KiB 87-90 ms, 993;
+#: 512 KiB 84-103 ms, 1121.  128 KiB is the largest whose fits stay within
+#: the heap glibc keeps from one fit to the next.
+_DENSE_BLOCK_BYTES = 2**17
+
+
+def _draw_blocks(size: int, draw_bytes: int) -> list[slice]:
+    """Consecutive slices of ``size`` draws (or rows), ``draw_bytes`` each, of at
+    most :data:`_DENSE_BLOCK_BYTES` (one draw at least); the first is the longest."""
+    step = max(1, _DENSE_BLOCK_BYTES // draw_bytes)
+    return [slice(lo, min(lo + step, size)) for lo in range(0, size, step)]
+
+
 class _Completable:
     """A deferred draw of ``(B, d, d)`` matrices that ``apply`` reveals as it is read.
 
@@ -252,26 +275,35 @@ class HouseholderDraw:
         ``d/2, …, d/2 + m - 1``.  They depend on reflectors ``0, …, m-1``
         alone.  Reflectors are applied to ``D`` right to left, and ``H_k``
         only touches the trailing ``k//c, …`` coordinate block of the
-        partial product, so a full draw costs d³/3 rather than d³.  One
-        NumPy pass applies each reflector to the whole batch, at every d
-        and for every group.
+        partial product, so a full draw costs d³/3 rather than d³.  The
+        draws are formed a block at a time (:func:`_draw_blocks`), one NumPy
+        pass per reflector and block, batch axis last in one reused buffer,
+        and each block's transpose is copied into the result: no second
+        stack.  A draw's bits do not depend on its block.
         """
         d, c = self.dim, self._blocks
         kept = d // c if columns is None else columns
-        out = np.zeros((d, c * kept, self.size), dtype=self.signs.dtype)
-        view = out.reshape(c, d // c, c, kept, self.size)
+        out = np.empty((self.size, d, c * kept), dtype=self.signs.dtype)
+        blocks = _draw_blocks(self.size, out[0].nbytes)
+        # Each block's (d, c·kept, b) view of this buffer is contiguous.
+        work = np.empty(out[blocks[0]].size, dtype=out.dtype)
         diag = np.arange(kept)
-        for a in range(c):
-            view[a, diag, a, diag] = self.signs[a * (d // c) + diag]
-            if self.swap is not None:
-                view[a, diag, 1 - a, diag] = self.swap[a * (d // c) + diag]
-        for k in range(len(self.offsets) - 1, -1, -1):
-            lo, m = self.offsets[k], d // c - k // c
-            v = self.reflectors[lo : lo + c * m].reshape(c, m, -1)
-            sub = view[:, k // c :, :, k // c :]
-            coef = np.einsum("aib,aicjb->cjb", v.conj(), sub) * self.tau[k]
-            sub -= v[:, :, None, None, :] * coef[None, None]
-        return np.ascontiguousarray(out.transpose(2, 0, 1))
+        for s in blocks:
+            block = work[: out[s].size].reshape(d, c * kept, -1)
+            block[...] = 0
+            view = block.reshape(c, d // c, c, kept, -1)
+            for a in range(c):
+                view[a, diag, a, diag] = self.signs[a * (d // c) + diag, s]
+                if self.swap is not None:
+                    view[a, diag, 1 - a, diag] = self.swap[a * (d // c) + diag, s]
+            for k in range(len(self.offsets) - 1, -1, -1):
+                lo, m = self.offsets[k], d // c - k // c
+                v = self.reflectors[lo : lo + c * m, s].reshape(c, m, -1)
+                sub = view[:, k // c :, :, k // c :]
+                coef = np.einsum("aib,aicjb->cjb", v.conj(), sub) * self.tau[k, s]
+                sub -= v[:, :, None, None, :] * coef[None, None]
+            out[s] = block.transpose(2, 0, 1)
+        return out
 
 
 #: A query whose part outside the directions a deferred draw has revealed is
@@ -833,6 +865,14 @@ def _haar_reflectors(
     else:
         flat = gen.standard_normal((n, 2 * size))
         x = flat.view(np.complex128)
+    full = m == d
+    r = m - 1 if full else m
+    # The draw's own arrays before any temporary: the temporaries, freed,
+    # then join the free top of the heap, which the formation reuses.  The
+    # other order costs the third AII(8) fit of 2048 draws in a process
+    # about 1100 minor faults against none.
+    tau = np.empty((r, size))
+    signs = np.ones((d, size), dtype=x.dtype)
     # Column norms one segment at a time: np.add.reduceat over axis 0 is
     # several times slower here.
     norm2 = np.empty((m, flat.shape[1]))
@@ -844,13 +884,10 @@ def _haar_reflectors(
     heads = x[offsets]
     head_abs = np.abs(heads)
     phase = np.where(head_abs > 0, heads / np.where(head_abs > 0, head_abs, 1.0), 1.0)
-    full = m == d
-    r = m - 1 if full else m
     reflectors = x[: n - 1] if full else x
     reflectors[offsets[:r]] += (phase * norm)[:r]
     denom = (norm * (norm + head_abs))[:r]
-    tau = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
-    signs = np.ones((d, size), dtype=phase.dtype)
+    tau[...] = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
     signs[:m] = -phase
     if full:
         signs[-1] = phase[-1]

@@ -72,6 +72,7 @@ from .haar import (
     _SLACK,
     _Completable,
     _count,
+    _draw_blocks,
     _draw_bytes,
     _integer,
     _output,
@@ -435,20 +436,46 @@ def _round_bytes(spec: SpaceSpec) -> int:
 
 def _coset_matrix(spec: SpaceSpec, g: np.ndarray) -> np.ndarray:
     """V from dense parent draws ``g``, ``(B, d, d)``; for the Grassmannians
-    ``g`` is ``(B, d, c·m)``, an orthonormal basis W of P's range."""
-    if spec.p is not None:
-        # In place: the fits draw large dense batches.
-        v = g @ np.swapaxes(g.conj(), -1, -2)
-        v *= -2.0
-        v += np.eye(spec.dim)
-        v *= _grassmannian_sign(spec)[:, None]
-        return v
+    ``g`` is ``(B, d, c·m)``, an orthonormal basis W of P's range.
+
+    The draws are mapped a block at a time (:func:`~symshadows.haar._draw_blocks`),
+    so that a temporary holds one block.  A σ quotient's V is formed in one
+    reused buffer of a block and written over that block of ``g``, which is
+    returned: ``g`` must be the caller's own.  A Grassmannian's blocks of
+    W Wᴴ are written into V and finished there.  A draw's bits do not
+    depend on its block.
+    """
     if spec.is_group:
         return g
-    if _FAMILIES[spec.family].m == "1":
-        # AI: σ(g) = ḡ, so V = gᵀ g without involution's fancy-index copy.
-        return np.ascontiguousarray(np.swapaxes(g, -1, -2)) @ g
-    return np.swapaxes(involution(spec, g).conj(), -1, -2) @ g
+    d = spec.dim
+    if spec.p is not None:
+        v = np.empty((len(g), d, d), dtype=g.dtype)
+        eye, sign = np.eye(d), _grassmannian_sign(spec)[:, None]
+        for s in _draw_blocks(len(g), v[0].nbytes):
+            # As the whole-batch map: a real W times its own transposed view, a syrk.
+            block = np.matmul(g[s], np.swapaxes(g[s].conj(), -1, -2), out=v[s])
+            block *= -2.0
+            block += eye
+            block *= sign
+        return v
+    blocks = _draw_blocks(len(g), g[0].nbytes)
+    # Each block's (b, d, d) view of these buffers is contiguous.
+    work = np.empty(g[blocks[0]].size, dtype=g.dtype)
+    ai = _FAMILIES[spec.family].m == "1"
+    if ai:
+        gt = np.empty_like(work)
+    for s in blocks:
+        block = work[: g[s].size].reshape(g[s].shape)
+        if ai:
+            # AI: σ(g) = ḡ, so V = gᵀ g, from a contiguous gᵀ: g's own
+            # transposed view would make it a syrk, with other bits.
+            t = gt[: g[s].size].reshape(g[s].shape)
+            np.copyto(t, np.swapaxes(g[s], -1, -2))
+            np.matmul(t, g[s], out=block)
+        else:
+            np.matmul(np.swapaxes(involution(spec, g[s]).conj(), -1, -2), g[s], out=block)
+        g[s] = block
+    return g
 
 
 def _grassmannian_sign(spec: SpaceSpec) -> np.ndarray:

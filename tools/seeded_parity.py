@@ -22,9 +22,12 @@ its own ``src`` on the path and reports, for the same seeds:
   ``sample_point(..., dense=False)`` for U, DIII, CI, BDI(32, 16, 16) and
   CII(32, 8, 8), whose frames outgrow a measured round's;
 * dense draws: ``sample_point`` and ``sample_subgroup`` for every family
-  (and the second block splits) at d = 8, 23, 24, 32 and 64;
+  (and the second block splits) at d = 8, 23, 24, 32 and 64, and in
+  batches of 700 draws at d = 8 and 100 at d = 24, which span several
+  blocks of the dense formation and coset map;
 * ``fit_channel_coefficients`` for one family per parent group (AI, DIII,
-  CI) at d = 8 and 24;
+  CI) at d = 8 and 24 with 256 samples, and for AII and CI at d = 8 with
+  2048, the benchmark's count;
 * ``variance_sweep`` rows;
 * ``invert_channel(spec).split`` (``inverse``, ``null`` and ``projected``)
   of a complex, a real-symmetric and a diagonal observable, for every family
@@ -52,6 +55,11 @@ from pathlib import Path
 DIMS = (2, 3, 8, 32)
 DENSE_DIMS = (8, 23, 24, 32, 64)
 FIT_FAMILIES = ("AI", "DIII", "CI")
+# Dense batch sizes per d that span several blocks of draws.
+BLOCKED_BATCHES = {8: 700, 24: 100}
+# Fits at the benchmark's sample count, several blocks of draws per batch.
+BENCH_FIT_FAMILIES = ("AII", "CI")
+BENCH_FIT_SAMPLES = 2048
 EVEN_ONLY = {"SP", "AII", "DIII", "CI", "CII"}
 COMPLETIONS = (("U", None, None), ("DIII", None, None), ("CI", None, None), ("BDI", 16, 16),
                ("CII", 8, 8))
@@ -288,14 +296,25 @@ def _dense() -> dict:
         out[f"dense sample_subgroup {spec.label()}"] = sample_subgroup(
             spec, RngStream(i, (9,)), size
         )
-    for d in (8, 24):
-        for family in FIT_FAMILIES:
-            fit = fit_channel_coefficients(make_space(family, d), 256, RngStream(d, (10,)))
-            out[f"fit {family}({d})"] = [
-                fit.coefficients, fit.standard_errors, fit.residual_norm,
-                fit.mixing_weight, fit.mixing_weight_sem,
-                fit.dephasing_weight, fit.dephasing_weight_sem,
-            ]
+    # Batches that span several blocks of the dense formation and coset map.
+    for i, spec in enumerate(_specs(tuple(BLOCKED_BATCHES))):
+        size = BLOCKED_BATCHES[spec.dim]
+        out[f"dense sample_point {size} {spec.label()}"] = sample_point(
+            spec, RngStream(i, (15,)), size
+        )
+        out[f"dense sample_subgroup {size} {spec.label()}"] = sample_subgroup(
+            spec, RngStream(i, (16,)), size
+        )
+    fits = [(family, d, 256) for d in (8, 24) for family in FIT_FAMILIES]
+    fits += [(family, 8, BENCH_FIT_SAMPLES) for family in BENCH_FIT_FAMILIES]
+    for family, d, n in fits:
+        fit = fit_channel_coefficients(make_space(family, d), n, RngStream(d, (10,)))
+        key = f"fit {family}({d})" if n == 256 else f"fit {family}({d}) {n}"
+        out[key] = [
+            fit.coefficients, fit.standard_errors, fit.residual_norm,
+            fit.mixing_weight, fit.mixing_weight_sem,
+            fit.dephasing_weight, fit.dephasing_weight_sem,
+        ]
     return out
 
 
