@@ -36,7 +36,7 @@ from . import _kernels
 # Nothing here calls apply_channel; it stays a module attribute because the
 # benchmark's tracer (perfbench/tracing.py) wraps shadows.apply_channel by name.
 from .channel import apply_channel, invert_channel  # noqa: F401
-from .haar import _SLACK, _integer, _refuse_bytes, _refuse_oversize, _Workspace
+from .haar import _SLACK, _draw_blocks, _integer, _refuse_bytes, _refuse_oversize, _Workspace
 from .rng import RngStream, as_generator
 from .spaces import (
     EnsembleDraw,
@@ -167,38 +167,36 @@ def _check_positive(arr: np.ndarray, tol: float) -> None:
             raise InvalidStateError(f"state has negative eigenvalue {eigmin:.3e}") from None
 
 
-#: Entries of ``a − aᴴ`` that :func:`_hermitian_gap` forms at a time.
-_GAP_BLOCK = 8192
-
-
 def _hermitian_gap(arr: np.ndarray) -> float:
     """``max|a − aᴴ|`` of a square complex matrix, 0 for an empty one; not
     finite when an entry is not (NaN wherever NumPy's maximum gives NaN).
 
     Entry (j, i) of ``a − aᴴ`` is minus the conjugate of entry (i, j), of the
     same modulus to the bit, so only the upper triangle is formed: a block
-    of rows at a time, from column ``i`` on, in one small buffer.  Each
-    entry and its modulus are computed as in the whole-matrix expression
+    of rows at a time (:func:`~symshadows.haar._draw_blocks`, 16 bytes an
+    entry), from column ``i`` on, in one small buffer.  Each entry and its
+    modulus are computed as in the whole-matrix expression
     ``abs(a - a.conj().T)``, so the maximum is the same.  Where an entry is
     not finite, inf - inf is NaN with no warning: the entries' own check
     then speaks.
     """
     d = arr.shape[0]
-    if d * d <= _GAP_BLOCK:
-        # Small enough for one block: the whole-matrix expression is cheaper.
-        with np.errstate(invalid="ignore"):
-            return float(np.max(np.abs(arr - arr.conj().T))) if d else 0.0
-    rows = max(1, _GAP_BLOCK // d)
+    if not d:
+        # An empty state goes on to the trace check; 16·d bytes a row is 0.
+        return 0.0
+    blocks = _draw_blocks(d, 16 * d)
+    rows = blocks[0].stop
     # One allocation: a complex block of differences, then their moduli.
     buffer = np.empty(3 * rows * d)
     diff, modulus = buffer[: 2 * rows * d].view(np.complex128), buffer[2 * rows * d :]
     gap = 0.0
-    for lo in range(0, d, rows):
-        shape = (min(d, lo + rows) - lo, d - lo)
+    for s in blocks:
+        lo = s.start
+        shape = (s.stop - lo, d - lo)
         block = diff[: shape[0] * shape[1]].reshape(shape)
-        np.conjugate(arr[lo:, lo : lo + shape[0]].T, out=block)
+        np.conjugate(arr[lo:, s].T, out=block)
         with np.errstate(invalid="ignore"):
-            np.subtract(arr[lo : lo + shape[0], lo:], block, out=block)
+            np.subtract(arr[s, lo:], block, out=block)
         peak = float(np.abs(block, out=modulus[: block.size].reshape(shape)).max())
         if math.isnan(peak):
             return peak

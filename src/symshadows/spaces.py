@@ -56,9 +56,10 @@ K is stated once, as the diagonal blocks of :func:`_k_blocks` read off
 the K column of the table; :func:`sample_subgroup` draws Haar on each block
 and :func:`sample_signed_symmetry` a signed permutation.
 
-Each coset representative V inherits an exact algebraic structure from σ
-(e.g. type AI gives symmetric unitaries V = gᵀg); these relations are frozen
-here as per-family structural witnesses used throughout the test batteries.
+Each coset representative V inherits one exact relation from σ,
+σ(V) = Vᴴ (type AI, for one, gives symmetric unitaries V = gᵀg).
+:func:`structural_witness` checks it, with unitarity and the parent's
+facts read off the table, for the test batteries and ``verify``.
 """
 
 from __future__ import annotations
@@ -692,13 +693,13 @@ def sample_signed_symmetry(spec: SpaceSpec, rng=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Structural witnesses
+# Structural witness
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class WitnessResult:
-    """Outcome of the per-family structural checks on sampled matrices."""
+    """Outcome of the structural checks on sampled matrices."""
 
     passed: bool
     residual: float
@@ -716,52 +717,29 @@ def structural_witness(spec, v: np.ndarray, tol: float = 1e-12) -> WitnessResult
     Accepts a single matrix or a stack; the reported residual is the maximum
     absolute violation over all checks and all stacked samples.
 
-    Checks per family (on top of unitarity, which is always included):
-
-    * U: none further.  O/SO: realness (and det +1 for SO).
-      SP: ``VᵀJV = J``.
-    * AI: ``V = Vᵀ``.  AII: ``JV`` antisymmetric.
-    * AIII: ``I_pq V`` Hermitian.  BDI: real, ``I_pq V`` symmetric.
-    * DIII: real, ``JV`` antisymmetric.
-    * CI: ``VᵀJV = J`` and ``JV`` anti-Hermitian.
-    * CII: ``VᵀJV = J`` and ``K_pq V`` Hermitian.
+    Every member is unitary, and lies in its parent: real for an O parent
+    (det +1 for SO), ``VᵀJV = J`` for an SP parent.  A quotient's member
+    V = σ(g)⁻¹g also satisfies the one relation ``σ(V) = Vᴴ``; a family's
+    classical form of it is ``κ(σ(V) − Vᴴ) M = 0``, with σ(g) = M κ(g) Mᵀ,
+    so its residual is the same: AI gives ``V = Vᵀ``, AII and DIII ``JV``
+    antisymmetric, CI ``JV`` anti-Hermitian, AIII and CII ``I_pq V`` or
+    ``K_pq V`` Hermitian, BDI ``I_pq V`` symmetric.
     """
     v = np.asarray(v)
     if v.ndim == 2:
         v = v[None]
     d = spec.dim
-    eye = np.eye(d)
     tv = np.swapaxes(v, -1, -2)
     hv = tv.conj()
-    residuals = [_maxabs(hv @ v - eye)]
-    fam = spec.family
+    residuals = [_maxabs(hv @ v - np.eye(d))]
     if spec.is_real:
         residuals.append(_maxabs(v.imag))
-    if fam == "SO":
+    if spec.family == "SO":
         residuals.append(_maxabs(np.linalg.det(v.real) - 1.0))
-    if fam in ("SP", "CI", "CII"):
+    if spec.parent == "SP":
         j = symplectic_form(d)
         residuals.append(_maxabs(tv @ j @ v - j))
-    if fam == "AI":
-        residuals.append(_maxabs(v - tv))
-    if fam == "AII":
-        j = symplectic_form(d)
-        jv = j @ v
-        residuals.append(_maxabs(jv + np.swapaxes(jv, -1, -2)))
-    if fam in ("AIII", "BDI"):
-        iv = signature_matrix(spec) @ v
-        ivt = np.swapaxes(iv, -1, -2)
-        residuals.append(_maxabs(iv - (ivt if fam == "BDI" else ivt.conj())))
-    if fam == "DIII":
-        j = symplectic_form(d)
-        jv = j @ v
-        residuals.append(_maxabs(jv + np.swapaxes(jv, -1, -2)))
-    if fam == "CI":
-        j = symplectic_form(d)
-        jv = j @ v
-        residuals.append(_maxabs(jv + np.swapaxes(jv, -1, -2).conj()))
-    if fam == "CII":
-        kv = signature_matrix(spec) @ v
-        residuals.append(_maxabs(kv - np.swapaxes(kv, -1, -2).conj()))
+    if not spec.is_group:
+        residuals.append(_maxabs(involution(spec, v) - hv))
     residual = max(residuals)
-    return WitnessResult(residual <= tol, residual, tol, fam)
+    return WitnessResult(residual <= tol, residual, tol, spec.family)

@@ -591,6 +591,17 @@ def test_console_script_smoke():
     _assert_help_lists_subcommands(script)
 
 
+def test_distribution_is_named_after_the_package():
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == "symshadows"
+    assert "symshadows" in project["scripts"]
+
+
 @pytest.mark.skipif(
     shutil.which("symshadows") is None,
     reason="no installed symshadows executable on PATH",

@@ -95,6 +95,37 @@ def test_non_finite_entries_are_found_without_warnings(d, bad):
             shadow_estimates(make_space("U", d), np.eye(d) / d, rho, 2, RngStream(1))
 
 
+def _whole_gap(a):
+    """The whole-matrix Hermitian gap that ``shadows._hermitian_gap`` forms in blocks."""
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(a - a.conj().T))) if len(a) else 0.0
+
+
+# 90 is the last d whose upper triangle is one block of rows.
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 90, 91, 128])
+@pytest.mark.parametrize(
+    "bad", [None, np.nan, np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)]
+)
+def test_hermitian_gap_is_the_whole_matrix_gap(d, bad):
+    gen = np.random.default_rng(d)
+    a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    cases = [a, (a + a.conj().T) / 2]
+    if bad is not None:
+        for i, j in ((0, d - 1), (d - 1, d // 2)):
+            b = a.copy()
+            b[i, j] = bad
+            # A conjugate pair; of infinities, it makes inf - inf in both entries.
+            pair = b.copy()
+            pair[j, i] = np.conj(bad)
+            cases += [b, pair]
+    for c in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = shadows._hermitian_gap(np.ascontiguousarray(c))
+        np.testing.assert_equal(gap, _whole_gap(c))
+    assert shadows._hermitian_gap(np.zeros((0, 0), dtype=complex)) == 0.0
+
+
 def _with_spectrum(eigenvalues, seed):
     """A generic (rotated) Hermitian matrix with the given spectrum."""
     u = haar.haar_unitary(len(eigenvalues), RngStream(seed))

@@ -250,6 +250,74 @@ def test_witness_negative_control():
     result = structural_witness(spec, v)
     assert not result.passed
     assert result.residual > 1e-3
+    # nor is a generic parent element of any quotient sigma-twisted
+    for i, family in enumerate(QUOTIENT_FAMILIES):
+        spec = make_space(family, 4)
+        result = structural_witness(spec, _parent_haar(spec, RngStream(12, (i,)), 1))
+        assert not result.passed, family
+        assert result.residual > 1e-3, family
+
+
+def _parent_haar(spec, rng, size):
+    """Haar draws of the parent group, SO(d) for an O parent."""
+    d = spec.dim
+    if spec.parent == "O":
+        return haar_orthogonal(d, rng, special=True, size=size)
+    return {"U": haar_unitary, "SP": haar_symplectic}[spec.parent](d, rng, size=size)
+
+
+def _witness_reference(spec, v):
+    """The residual of the per-family relations, one written out for each family.
+
+    Unitarity and the parent's facts, then AI: V = Vᵀ; AII and DIII: JV
+    antisymmetric; AIII: I_pq V Hermitian; BDI: I_pq V symmetric; CI: JV
+    anti-Hermitian; CII: K_pq V Hermitian.
+    """
+    v = np.asarray(v)
+    if v.ndim == 2:
+        v = v[None]
+    d, fam = spec.dim, spec.family
+    j = symplectic_form(d) if d % 2 == 0 else None
+    tv = np.swapaxes(v, -1, -2)
+
+    def maxabs(x):
+        return float(np.max(np.abs(x))) if x.size else 0.0
+
+    residuals = [maxabs(tv.conj() @ v - np.eye(d))]
+    if spec.is_real:
+        residuals.append(maxabs(v.imag))
+    if fam == "SO":
+        residuals.append(maxabs(np.linalg.det(v.real) - 1.0))
+    if spec.parent == "SP":
+        residuals.append(maxabs(tv @ j @ v - j))
+    if fam == "AI":
+        residuals.append(maxabs(v - tv))
+    if fam in ("AII", "DIII"):
+        jv = j @ v
+        residuals.append(maxabs(jv + np.swapaxes(jv, -1, -2)))
+    if fam == "CI":
+        jv = j @ v
+        residuals.append(maxabs(jv + np.swapaxes(jv, -1, -2).conj()))
+    if fam in ("AIII", "BDI", "CII"):
+        sv = signature_matrix(spec) @ v
+        svt = np.swapaxes(sv, -1, -2)
+        residuals.append(maxabs(sv - (svt if fam == "BDI" else svt.conj())))
+    return max(residuals)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_witness_matches_per_family_relations(d):
+    # One relation, sigma(V) = V^H, gives each family's own residual to the
+    # bit, on members (residual ~1e-15) and on generic parent draws (~1).
+    for i, spec in enumerate(_every_split((d,))):
+        for seed in (0, 1):
+            members = sample_point(spec, RngStream(seed, (d, i)), size=8)
+            generic = _parent_haar(spec, RngStream(seed, (d, i, 1)), 8)
+            for v in (members, generic):
+                assert structural_witness(spec, v).residual == _witness_reference(spec, v), (
+                    spec.label()
+                )
+            assert structural_witness(spec, members).passed, spec.label()
 
 
 def test_sample_point_shapes_and_determinism():

@@ -29,12 +29,17 @@ its own ``src`` on the path and reports, for the same seeds:
   CI) at d = 8 and 24 with 256 samples, and for AII and CI at d = 8 with
   2048, the benchmark's count;
 * ``variance_sweep`` rows;
+* ``structural_witness`` residuals and verdicts for every family (and the
+  second block splits) at d = 2, 3, 4 and 8, on 16 draws of the ensemble
+  and on 16 Haar draws of its parent group, which a quotient's relation
+  rejects;
 * ``invert_channel(spec).split`` (``inverse``, ``null`` and ``projected``)
   of a complex, a real-symmetric and a diagonal observable, for every family
   at d = 1, 2, 3, 8, 32 and 128 with its default blocks and, where it takes
   blocks, p = 0 (one empty block) and p = 1; at d = 128 the two arrays are
   compared by the SHA-256 digest of their bytes;
-* the stdout of the ``estimate`` and ``sweep`` commands.
+* the stdout of the ``estimate`` and ``sweep`` commands, and of ``verify
+  --suite witness`` at ``--dim`` 4 and 5.
 
 Floats are compared bit for bit.  The script prints every output that
 differs, with the largest absolute difference of its floats (real and
@@ -64,6 +69,7 @@ EVEN_ONLY = {"SP", "AII", "DIII", "CI", "CII"}
 COMPLETIONS = (("U", None, None), ("DIII", None, None), ("CI", None, None), ("BDI", 16, 16),
                ("CII", 8, 8))
 SPLIT_DIMS = (1, 2, 3, 8, 32, 128)
+WITNESS_DIMS = (2, 3, 4, 8)
 LARGE_CELLS = (("AIII", 128, 64), ("BDI", 128, 80))
 
 
@@ -173,11 +179,31 @@ def emit() -> dict:
         seed=5,
     )
     out["variance_sweep"] = [list(vars(row).values()) for row in shadows.variance_sweep(config)]
+    out.update(_witnesses())
     out.update(_large_cells())
     out.update(_completions())
     out.update(_dense())
     out.update(_splits())
     return _encode(out)
+
+
+def _witnesses() -> dict:
+    """Structural witnesses of ensemble draws and of generic parent draws."""
+    from symshadows.haar import haar_orthogonal, haar_symplectic, haar_unitary
+    from symshadows.rng import RngStream
+    from symshadows.spaces import sample_point, structural_witness
+
+    out = {}
+    for i, spec in enumerate(_specs(WITNESS_DIMS)):
+        sampler = {"U": haar_unitary, "O": haar_orthogonal, "SP": haar_symplectic}[spec.parent]
+        draws = {
+            "draws": sample_point(spec, RngStream(i, (17,)), 16),
+            "parent": sampler(spec.dim, RngStream(i, (18,)), size=16),
+        }
+        for kind, v in draws.items():
+            result = structural_witness(spec, v)
+            out[f"witness {spec.label()} {kind}"] = [result.residual, result.passed]
+    return out
 
 
 def _large_states(d: int, seed: int) -> dict:
@@ -338,6 +364,10 @@ def _cli_outputs(env: dict, workdir: Path) -> dict:
              "--shots", "300", "--seed", "4"]
     from_cli["cli sweep csv"] = _run_cli(sweep, env)
     from_cli["cli sweep json"] = _run_cli(sweep + ["--out", "json"], env)
+    for d in (4, 5):
+        from_cli[f"cli verify witness {d}"] = _run_cli(
+            ["verify", "--suite", "witness", "--dim", str(d)], env
+        )
     return from_cli
 
 
