@@ -25,14 +25,18 @@ Two samplers share each group, one per use.
   squared length of a Haar subspace's projection of a fresh direction is
   Beta-distributed (:class:`DeferredSubspace`, the span of the first
   ``columns`` columns).  Applying a draw to k vectors costs k fresh Gaussian
-  d-vectors and O(k²d), whatever d.  :meth:`DeferredUnitary.matrix`
+  d-vectors and O(k²d), whatever d.  :meth:`DeferredUnitary.measure` takes
+  a fresh draw's measured row and outcome for a state vector from their
+  law instead: one fresh Gaussian d-vector per draw, no Born
+  probabilities.  :meth:`DeferredUnitary.matrix`
   completes a draw from its own generator, which it advances, with the same
   law.  Every operation (``apply``, ``apply_adjoint``, ``project``) writes
   to an ``out`` array when one is given and returns it.  A deferred draw
   works in a workspace, one allocation: a streamed call's (see
   :func:`symshadows.shadows.shadow_estimates`), or one of its own, made at
-  first use.  It holds the revealed directions, as many as one measured
-  round reveals (``apply`` then ``apply_adjoint`` of every draw), a product
+  first use.  It holds the revealed directions, as many as one streamed
+  round reveals (``measure`` of a group draw; ``apply`` then
+  ``apply_adjoint`` of a quotient's parent, or of a draw on its own), a product
   register of as many, in which the inner products with them are one
   stacked NumPy product, and the d-vector registers of the arithmetic: a
   combination of the directions is summed a term at a time through one of
@@ -396,6 +400,22 @@ def _draw_bytes(dim: int, field: str, applications: int, subspace: bool) -> int:
     return ((frames + 1) * capacity * itemsize + _SCRATCH_VECTORS * 16) * dim
 
 
+def _measured_capacity(field: str) -> int:
+    """Directions each frame of a :class:`DeferredUnitary` gains in :meth:`~DeferredUnitary.measure`:
+    one, and its θ partner for a quaternionic draw."""
+    return 2 if field == "quaternion" else 1
+
+
+def _measure_bytes(dim: int, field: str) -> int:
+    """Workspace bytes per round of :meth:`DeferredUnitary.measure`.
+
+    Its frames' pair, one d-vector register (the conjugated component, or
+    a real draw's axis) and the two extra Gaussians.
+    """
+    itemsize = 8 if field == "real" else 16
+    return (2 * _measured_capacity(field) + 1) * itemsize * dim + 16
+
+
 class _Frame:
     """Orthonormal vectors ``v_0, …, v_{n-1}``, stacked ``(n, d, B)``.
 
@@ -516,15 +536,19 @@ def _output(y: np.ndarray, dtype, out: np.ndarray | None) -> np.ndarray:
 
 def _norms(z: np.ndarray) -> np.ndarray:
     """Euclidean norms of the columns of ``z``, ``(d, B)``."""
-    if z.dtype.kind != "c":
-        squares = np.einsum("ib,ib->b", z, z)
-    else:
-        parts = np.ascontiguousarray(z).view(np.float64)
-        squares = np.einsum("ib,ib->b", parts, parts)
-        # Each column's real and imaginary sums, added: what a sum over the
-        # pair gives.
-        squares = np.add(squares[0::2], squares[1::2])
+    squares = _squared_norms(z)
     return np.sqrt(squares, out=squares)
+
+
+def _squared_norms(z: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of the columns of ``z``, ``(d, B)``."""
+    if z.dtype.kind != "c":
+        return np.einsum("ib,ib->b", z, z)
+    parts = np.ascontiguousarray(z).view(np.float64)
+    squares = np.einsum("ib,ib->b", parts, parts)
+    # Each column's real and imaginary sums, added: what a sum over the pair
+    # gives.
+    return np.add(squares[0::2], squares[1::2])
 
 
 def _theta(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -562,9 +586,8 @@ class _DeferredDraw:
     def _frames(self) -> tuple[_Frame, ...]:
         raise NotImplementedError
 
-    def _use(self, workspace: _Workspace, applications: int) -> None:
-        """Work in ``workspace``, with frames sized for ``applications`` per draw."""
-        capacity = _frame_capacity(self.dim, self.field, applications, self._SUBSPACE)
+    def _use(self, workspace: _Workspace, capacity: int) -> None:
+        """Work in ``workspace``, with frames of ``capacity`` directions per draw."""
         for frame in self._frames():
             frame._store = workspace.take((capacity, self.dim, self.size), self._dtype)
         self._ws = workspace
@@ -572,7 +595,7 @@ class _DeferredDraw:
     def _workspace(self) -> _Workspace:
         if self._ws is None:
             nbytes = self.size * _draw_bytes(self.dim, self.field, 2, self._SUBSPACE) + _SLACK
-            self._use(_Workspace(nbytes), 2)
+            self._use(_Workspace(nbytes), _frame_capacity(self.dim, self.field, 2, self._SUBSPACE))
         return self._ws
 
     def _fresh(self, vectors: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -695,6 +718,96 @@ class DeferredUnitary(_Completable, _DeferredDraw):
     def apply_adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Return ``gᴴ y`` for stacked vectors ``y`` of shape ``(d, B)``, in ``out`` if given."""
         return self._run(y, lambda z, o: self._map(z, self._outputs, self._inputs, o), out)
+
+    def measure(self, u: np.ndarray, out: np.ndarray | None = None):
+        """Measure ``g u`` in the computational basis: outcomes ``w`` and rows ``g[w, :]``.
+
+        ``u`` is ``(d, B)``, a unit vector per draw.  Returns the ``(B,)``
+        int64 outcomes and the rows as the columns of a ``(d, B)`` array,
+        real for a real draw, written to ``out`` when it is given.  The draw
+        must be fresh: nothing applied to it yet.
+
+        The pair is drawn from its law, with no Born probabilities.  Every
+        row of a Haar draw is uniform on the unit sphere of its field, so
+        ``w`` is uniform and the row ``r`` has density ``d·|r·u|²`` there.
+        One fresh Gaussian d-vector ``z`` and two more Gaussians ``g`` per
+        draw give it, with ``e`` the axis below:
+
+        * complex (U, SP), ``e = u``: ``conj(r) = a·u + √(1 − |a|²)·n``,
+          ``n`` the direction of ``z`` off ``u``, ``a`` of the phase of
+          ``⟨u, z⟩`` and ``|a|² = (|⟨u, z⟩|² + |g|²)/(‖z‖² + |g|²)``,
+          which is Beta(2, d − 1);
+        * real (O, SO): with ``u = x + iy``, ``(r·x)² + (r·y)²`` is
+          ``‖x‖²(r·x̂)² + ‖y‖²(r·ŷ)²``, so ``e`` is ``x̂`` or ``ŷ`` with
+          those weights, and ``r = ±√t·e + √(1 − t)·n`` with the sign of
+          ``e·z`` and ``t = ((e·z)² + ‖g‖²)/(‖z‖² + ‖g‖²)``, which is
+          Beta(3/2, (d − 1)/2).  SO(1) = {1} has the one row 1.
+
+        The frames keep the pair ``conj(r) ↦ e_w`` (and its θ partner for
+        SP), so :meth:`matrix` completes a draw whose row ``w`` is ``r``:
+        ``(g, w)`` has the law of a Haar draw and its Born outcome.
+        """
+        if self.revealed:
+            raise ValueError("measure needs a draw that nothing has been applied to")
+        u = np.ascontiguousarray(u, dtype=np.complex128)
+        out = np.empty(u.shape, self._dtype) if out is None else out
+        ws, gen, size = self._workspace(), self._gen, self.size
+        src, dst = self._inputs, self._outputs
+        # conj(r) is drawn in the input frame's slot, where it is kept.
+        s = src.room(self._copies)[0]
+        with ws:
+            extra = ws.take((2, size), np.float64)
+            gen.standard_normal(out=s if self.field == "real" else s.view(np.float64))
+            gen.standard_normal(out=extra)
+            outcomes = gen.integers(self.dim, size=size)
+            extra = np.einsum("kb,kb->b", extra, extra)
+            if self.field == "real":
+                axis = term = self._axis(u, ws.take(u.shape, np.float64))
+                c = np.einsum("ib,ib->b", axis, s)
+                coef = np.copysign(np.sqrt(c * c + extra) - np.abs(c), c)
+            else:
+                axis, term = u, ws.take(u.shape, np.complex128)
+                # A multiply and a sum: a complex einsum takes twice as long.
+                c = np.add.reduce(np.multiply(np.conjugate(u, out=term), s, out=term), axis=0)
+                modulus = np.abs(c)
+                phase = np.where(modulus > 0, c / np.where(modulus > 0, modulus, 1.0), 1.0)
+                coef = phase * (np.sqrt(modulus * modulus + extra) - modulus)
+            # z's part c along the axis becomes c + coef, of squared modulus
+            # |c|² + ‖g‖², so the vector's squared norm is ‖z‖² + ‖g‖².
+            scale = 1.0 / np.sqrt(_squared_norms(s) + extra)
+            # In s's dtype: a complex array times a float vector is slower.
+            s *= scale.astype(s.dtype)
+            s += np.multiply(axis, coef * scale, out=term)
+        if self.special and self.dim == 1:
+            s[...] = 1.0
+        src.push()
+        basis = dst.room(self._copies)[0]
+        basis.fill(0.0)
+        basis[outcomes, np.arange(size)] = 1.0
+        dst.push()
+        if self.field == "quaternion":
+            _theta(s, src.room(1)[0])
+            src.push()
+            _theta(basis, dst.room(1)[0])
+            dst.push()
+        if self.field == "real":
+            np.copyto(out, s)
+        else:
+            np.conjugate(s, out=out)
+        return outcomes, out
+
+    def _axis(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """A real draw's axis for :meth:`measure`, into ``out``: ``x̂`` or ``ŷ`` of
+        ``u = x + iy``, with probabilities ``‖x‖²`` and ``‖y‖²``."""
+        parts = u.view(np.float64)
+        squares = np.einsum("ib,ib->b", parts, parts)
+        xx, yy = squares[0::2], squares[1::2]
+        # The uniform is below 1, so an empty part is never picked.
+        real = self._gen.random(self.size) * (xx + yy) < xx
+        np.copyto(out, u.real)
+        np.copyto(out, u.imag, where=~real)
+        out *= 1.0 / np.sqrt(np.where(real, xx, yy))
+        return out
 
     def _map(self, z, src: _Frame, dst: _Frame, out: np.ndarray) -> np.ndarray:
         ws = self._ws

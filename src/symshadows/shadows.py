@@ -8,11 +8,14 @@ index ``w``, the classical shadow of Huang, Kueng & Preskill (Nat. Phys.
 so a round first picks one pure component ``u_k`` of
 ``rho = sum_k w_k u_k u_k^†`` with probability ``w_k`` and then measures
 ``V u_k``: the outcome has the same law, at every rank.  No round forms
-``V``: it applies the draw to the chosen component for the Born
-probabilities and to the measured basis vector for the row.  The draw is
-deferred (:mod:`symshadows.haar`): it reveals only the directions these two
-vectors read, so a shot draws a few fresh Gaussian d-vectors and costs O(d)
-per revealed direction, for every family.  Linear functionals
+``V``, whose draw is deferred (:mod:`symshadows.haar`).  A quotient's round
+applies it to the chosen component for the Born probabilities and to the
+measured basis vector for the row, revealing only the directions these two
+vectors read: a few fresh Gaussian d-vectors, at O(d) per revealed
+direction.  A group's round (U, O, SO, SP) draws the outcome and the row
+from their law instead: the outcome is uniform, and the row has density
+``d·|<r, u_k>|²`` on the unit sphere, drawn from one fresh d-vector
+(:meth:`~symshadows.haar.DeferredUnitary.measure`).  Linear functionals
 ``tr(rho O)`` are then estimated by applying the pseudo-inverse of the
 measurement channel to the *observable* (the adjoint trick: the channel is
 self-adjoint in the Hilbert-Schmidt inner product), so each record
@@ -36,7 +39,15 @@ from . import _kernels
 # Nothing here calls apply_channel; it stays a module attribute because the
 # benchmark's tracer (perfbench/tracing.py) wraps shadows.apply_channel by name.
 from .channel import apply_channel, invert_channel  # noqa: F401
-from .haar import _SLACK, _draw_blocks, _integer, _refuse_bytes, _refuse_oversize, _Workspace
+from .haar import (
+    _SLACK,
+    _draw_blocks,
+    _integer,
+    _refuse_bytes,
+    _refuse_oversize,
+    _squared_norms,
+    _Workspace,
+)
 from .rng import RngStream, as_generator
 from .spaces import (
     EnsembleDraw,
@@ -71,7 +82,11 @@ __all__ = [
 #: Tolerance for density-matrix validation (Hermiticity, trace, positivity).
 DENSITY_TOL = 1e-10
 
-#: Tolerance for the per-draw check that outcome probabilities sum to one.
+#: Largest Hermitian gap ``max|O − Oᴴ|`` an observable may have.
+_OBSERVABLE_TOL = 1e-10
+
+#: Tolerance for the per-draw checks that outcome probabilities sum to one
+#: and that a measured row has squared norm one.
 PROB_TOL = 1e-10
 
 #: The low-rank factor of a state stops once every diagonal entry left is at
@@ -167,7 +182,7 @@ def _check_positive(arr: np.ndarray, tol: float) -> None:
             raise InvalidStateError(f"state has negative eigenvalue {eigmin:.3e}") from None
 
 
-def _hermitian_gap(arr: np.ndarray) -> float:
+def _hermitian_gap(arr: np.ndarray, tol: float | None = None) -> float:
     """``max|a − aᴴ|`` of a square complex matrix, 0 for an empty one; not
     finite when an entry is not (NaN wherever NumPy's maximum gives NaN).
 
@@ -175,10 +190,18 @@ def _hermitian_gap(arr: np.ndarray) -> float:
     same modulus to the bit, so only the upper triangle is formed: a block
     of rows at a time (:func:`~symshadows.haar._draw_blocks`, 16 bytes an
     entry), from column ``i`` on, in one small buffer.  Each entry and its
-    modulus are computed as in the whole-matrix expression
-    ``abs(a - a.conj().T)``, so the maximum is the same.  Where an entry is
-    not finite, inf - inf is NaN with no warning: the entries' own check
-    then speaks.
+    modulus are computed as in the whole-matrix expression ``abs(a -
+    a.conj().T)``, so the maximum is the same.  Where an entry is not
+    finite, inf - inf is NaN with no warning: the entries' own check then
+    speaks.
+
+    With ``tol``, only the side of ``tol`` the gap lies on is sought, and
+    the complex modulus (a hypot, about three times the cost of a float
+    ``abs``) is mostly not needed.  The largest real or imaginary part m of
+    the entries, read off the float view, bounds the gap to ``[m, √2·m]``.
+    So m is returned when it decides, above ``tol`` or with √2·m (and a
+    margin for its rounding) at most ``tol``, and the gap otherwise: a value
+    on the gap's side of ``tol``, finite exactly when the gap is.
     """
     d = arr.shape[0]
     if not d:
@@ -186,8 +209,9 @@ def _hermitian_gap(arr: np.ndarray) -> float:
         return 0.0
     blocks = _draw_blocks(d, 16 * d)
     rows = blocks[0].stop
-    # One allocation: a complex block of differences, then their moduli.
-    buffer = np.empty(3 * rows * d)
+    # One allocation: a complex block of differences, then the moduli of its
+    # parts or of its entries.
+    buffer = np.empty(4 * rows * d)
     diff, modulus = buffer[: 2 * rows * d].view(np.complex128), buffer[2 * rows * d :]
     gap = 0.0
     for s in blocks:
@@ -197,11 +221,23 @@ def _hermitian_gap(arr: np.ndarray) -> float:
         np.conjugate(arr[lo:, s].T, out=block)
         with np.errstate(invalid="ignore"):
             np.subtract(arr[s, lo:], block, out=block)
-        peak = float(np.abs(block, out=modulus[: block.size].reshape(shape)).max())
+        if tol is None:
+            peak = float(np.abs(block, out=modulus[: block.size].reshape(shape)).max())
+        else:
+            parts = block.view(np.float64)
+            peak = float(np.abs(parts, out=modulus[: parts.size].reshape(parts.shape)).max())
         if math.isnan(peak):
             return peak
         gap = max(gap, peak)
-    return gap
+    if tol is None or gap > tol or gap * _SQRT2_ABOVE <= tol:
+        return gap
+    return _hermitian_gap(arr)
+
+
+#: √2 and a margin past the rounding of its product with a float, so that
+#: ``m·_SQRT2_ABOVE <= tol`` proves that a modulus of parts at most m is at
+#: most ``tol``.
+_SQRT2_ABOVE = math.sqrt(2.0) * (1.0 + 2.0**-40)
 
 
 def random_pure_state(dim: int, rng=None) -> np.ndarray:
@@ -397,14 +433,21 @@ def _state_factor(state: np.ndarray, floor: float = -math.inf):
 def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int, workspace=None):
     """Run ``count`` protocol rounds on the state ``sum_k w_k u_k u_kᴴ``.
 
-    Each round draws a rotation ``V`` and a uniform ``u``.  ``u`` picks
-    the component ``k``, the first with cumulative weight ``W_k >= u``;
-    then ``u' = u - W_{k-1}``, uniform on ``[0, w_k)``, picks the outcome
-    from ``w_k |V u_k|²``.  So ``P(k, w | V) = w_k |<w|V u_k>|²``, whose
-    sum over ``k`` is the Born law ``<w|V rho Vᴴ|w>``; for a pure state
-    ``k = 0`` and ``u' = u``.  No rotation matrix is formed: the draw is
-    applied to the chosen components and, for the outcome rows
-    ``V[w, :]``, to the measured basis vectors, ``conj(Vᴴ e_w)``.
+    Each round draws a rotation ``V`` and measures ``V u_k`` for one
+    component ``k``, picked with probability ``w_k``: a uniform ``u``
+    picks the first ``k`` with cumulative weight ``W_k >= u`` (a pure state
+    has ``k = 0``).  So ``P(k, w | V) = w_k |<w|V u_k>|²``, whose sum over
+    ``k`` is the Born law ``<w|V rho Vᴴ|w>``.  No rotation matrix is
+    formed.
+
+    * A group's draw is measured from the law of its row
+      (:meth:`~symshadows.haar.DeferredUnitary.measure`): one fresh
+      d-vector per round, no Born probabilities, and no uniform for a pure
+      state.  Each row must have squared norm 1 within ``PROB_TOL``.
+    * Any other draw is applied to the chosen components, and
+      ``u' = u - W_{k-1}``, uniform on ``[0, w_k)``, picks the outcome
+      from ``w_k |V u_k|²``, whose sum over ``w`` must be ``w_k`` within
+      ``PROB_TOL``.  The outcome rows are ``conj(Vᴴ e_w)``.
 
     The draw and every (d, count) array of the batch live in ``workspace``
     (a streamed call's, sized by :func:`_batch_bytes` for at least
@@ -428,28 +471,25 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
         # Any other draw (sample_point replaced by a fixed rotation, say)
         # works in arrays of its own: the returned arrays are used.
         draw._use(ws)
+    measured = isinstance(draw, EnsembleDraw) and spec.is_group
     # V's dtype: a degenerate draw is the identity, whose rows are the real
     # basis vectors.
     dtype = np.float64 if spec.is_real or spec.is_degenerate else np.complex128
+    if measured:
+        uniforms = None if weights.size == 1 else gen.random(count)
+        rows = ws.take((d, count), dtype)
+        with ws:
+            chosen = ws.take((d, count), vectors.dtype)
+            _choose_components(weights, vectors, uniforms, chosen)
+            outcomes, rows = draw.parent.measure(chosen, rows)
+        _check_rows(rows)
+        return draw, outcomes, rows.T
     uniforms = gen.random(count)
     # Registers are (d, count), batch axis last, as the draw's vectors are;
     # the kernels read their transposes.
     with ws:
         chosen = ws.take((d, count), vectors.dtype)
-        if weights.size == 1:
-            # k = 0 and u' = u - 0.0 = u: one component, one weight.
-            scale = weights[0]
-            chosen[...] = vectors
-        else:
-            cum = np.cumsum(weights)
-            # The weights sum to tr(rho) only up to what the factor
-            # dropped, which can exceed the validation tolerance (see
-            # _state_factor); a uniform past the last cumulative weight
-            # goes to the last component.
-            k = np.minimum(np.searchsorted(cum, uniforms), weights.size - 1)
-            uniforms -= np.concatenate(([0.0], cum[:-1]))[k]
-            scale = weights[k, None]
-            vectors.take(k, axis=1, out=chosen, mode="clip")
+        scale = _choose_components(weights, vectors, uniforms, chosen)
         rotated = draw.apply(chosen, ws.take((d, count), np.promote_types(chosen.dtype, dtype)))
         probs = _kernels.born_probs(rotated.T, out=ws.take((d, count), np.float64).T)
         _check_probabilities(probs)
@@ -467,6 +507,24 @@ def _measure_batch(spec: SpaceSpec, factor, gen: np.random.Generator, count: int
     return draw, outcomes, rows.T
 
 
+def _choose_components(weights, vectors, uniforms, out: np.ndarray):
+    """Each round's component ``u_k`` into the columns of ``out``, picked by
+    ``uniforms``, which become ``u' = u - W_{k-1}`` (a single component needs
+    none); returns the weights ``w_k``."""
+    if weights.size == 1:
+        # k = 0 and u' = u - 0.0 = u: one component, one weight.
+        out[...] = vectors
+        return weights[0]
+    cum = np.cumsum(weights)
+    # The weights sum to tr(rho) only up to what the factor dropped, which
+    # can exceed the validation tolerance (see _state_factor); a uniform
+    # past the last cumulative weight goes to the last component.
+    k = np.minimum(np.searchsorted(cum, uniforms), weights.size - 1)
+    uniforms -= np.concatenate(([0.0], cum[:-1]))[k]
+    vectors.take(k, axis=1, out=out, mode="clip")
+    return weights[k, None]
+
+
 def _check_probabilities(probs: np.ndarray) -> None:
     """Assert each row of outcome probabilities sums to 1 within PROB_TOL."""
     gap = float(np.maximum.reduce(np.abs(np.add.reduce(probs, axis=1) - 1.0)))
@@ -474,6 +532,18 @@ def _check_probabilities(probs: np.ndarray) -> None:
     if not gap <= PROB_TOL:
         raise RuntimeError(
             f"outcome probabilities sum to 1 only within {gap:.3e}; "
+            "the sampled rotation is not unitary to tolerance"
+        )
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """Assert each measured row, a column of ``rows`` ``(d, B)``, has squared
+    norm 1 within PROB_TOL."""
+    gap = float(np.maximum.reduce(np.abs(_squared_norms(rows) - 1.0)))
+    # Written so that a NaN gap fails.
+    if not gap <= PROB_TOL:
+        raise RuntimeError(
+            f"measured rows have squared norm 1 only within {gap:.3e}; "
             "the sampled rotation is not unitary to tolerance"
         )
 
@@ -583,10 +653,10 @@ def _as_observable(observable: np.ndarray, dim: int) -> np.ndarray:
     arr = np.ascontiguousarray(observable, dtype=np.complex128)
     if arr.shape != (dim, dim):
         raise ValueError(f"observable shape {arr.shape} does not match dimension {dim}")
-    herm_gap = _hermitian_gap(arr)
+    herm_gap = _hermitian_gap(arr, _OBSERVABLE_TOL)
     if not _finite(arr, herm_gap):
         raise ValueError("observable has non-finite entries")
-    if herm_gap > 1e-10:
+    if herm_gap > _OBSERVABLE_TOL:
         raise ValueError("observable must be Hermitian")
     return arr
 
@@ -624,14 +694,16 @@ def shadow_estimates(
     batch_size : int, optional
         Rounds drawn per batch; defaults to ``2_000_000 // d**2`` (at most
         ``n_shots``).  A batch holds O(d) numbers per round for every
-        family: the directions its deferred draws revealed (a few
-        length-``d`` vectors), a product register as large, the rotated
-        component of ``rho`` and the outcome row.  The call allocates them
-        once, as one workspace for its largest batch that every batch
-        reuses: per round, 12 complex d-vectors (16·d bytes each) for U, O
-        and SO, 15 for AIII and BDI, 18 for SP, 21 for AI, AII and DIII,
-        23 for CII and 33 for CI (fewer at small d); 6 to 16.5 KiB per
-        round at d = 32.  A ``ValueError`` naming ``batch_size`` refuses,
+        family.  A quotient's: the directions its deferred draws revealed
+        (a few length-``d`` vectors), a product register as large, the
+        rotated component of ``rho`` and the outcome row.  A group's: the
+        measured row and the pair its draw keeps, a register, and a mixed
+        state's chosen component.  The call allocates them once, as one
+        workspace for its largest batch that every batch reuses: per round,
+        3.5 complex d-vectors (16·d bytes each) for O and SO, 5 for U, 7
+        for SP, 15 for AIII and BDI, 21 for AI, AII and DIII, 23 for CII
+        and 33 for CI (fewer at small d); 1.8 to 16.5 KiB per round at d =
+        32.  A ``ValueError`` naming ``batch_size`` refuses,
         before the state is checked, a batch whose workspace would exceed
         physical memory.
 
@@ -675,19 +747,24 @@ def _prepare(spec: SpaceSpec, rho, observable, n_shots: int, batch_size):
 
 
 #: Complex d-vectors per round that :func:`_measure_batch` and the
-#: estimator hold at once besides the draw's: the chosen component, its
-#: image, and the probabilities and their cumulative sums, of a half each;
-#: later the rows and the product of the quadratic form.
+#: estimator hold at once besides the draw's, on the Born path: the chosen
+#: component, its image, and the probabilities and their cumulative sums,
+#: of a half each; later the rows and the product of the quadratic form.
 _MEASURE_VECTORS = 3
+#: The same for a group's measured draw: the rows and a mixed state's
+#: chosen components, later the rows and the product.
+_GROUP_MEASURE_VECTORS = 2
 
 
 def _batch_bytes(spec: SpaceSpec, rounds: int) -> int:
     """Bytes of one workspace for batches of up to ``rounds`` rounds of ``spec``.
 
-    ``(_MEASURE_VECTORS + c) · 16·d`` per round, with ``c`` the draw's
-    frames, register and scratch in complex d-vectors.
+    ``v · 16·d`` per round, ``v`` being :data:`_GROUP_MEASURE_VECTORS` for a
+    group and :data:`_MEASURE_VECTORS` otherwise, plus the draw's frames,
+    registers and scratch (:func:`~symshadows.spaces._round_bytes`).
     """
-    return rounds * (_round_bytes(spec) + _MEASURE_VECTORS * 16 * spec.dim) + _SLACK
+    vectors = _GROUP_MEASURE_VECTORS if spec.is_group else _MEASURE_VECTORS
+    return rounds * (_round_bytes(spec) + vectors * 16 * spec.dim) + _SLACK
 
 
 def _streamed_estimates(spec, factor, x, n_shots, rng, batch_size) -> np.ndarray:

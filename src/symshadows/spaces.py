@@ -37,8 +37,10 @@ it.  It drives :func:`involution` and :func:`sample_point`; with
 ``V y = σ(g)ᴴ(g y)`` and ``Vᴴ y = gᴴ(σ(g) y)`` to vectors without forming
 V, through a deferred parent draw that reveals only the directions it is
 applied to (:class:`~symshadows.haar.DeferredUnitary`): a pure-state shot
-draws 2 fresh d-vectors for a group and 4 for AI, AII, DIII and CI (a real
-parent reveals a complex vector's real and imaginary parts apart).
+draws 4 fresh d-vectors for AI, AII, DIII and CI (a real parent reveals a
+complex vector's real and imaginary parts apart).  A group's draw is the
+parent itself, and a streamed shot of it is measured from the law of its
+row (:meth:`~symshadows.haar.DeferredUnitary.measure`): one fresh d-vector.
 
 AIII, BDI and CII are Grassmannians, and are drawn without σ.  With
 S = I_pq (K_pq for CII) and P_q the projector onto the q-block,
@@ -75,7 +77,10 @@ from .haar import (
     _count,
     _draw_blocks,
     _draw_bytes,
+    _frame_capacity,
     _integer,
+    _measure_bytes,
+    _measured_capacity,
     _output,
     _refuse_oversize,
     _Workspace,
@@ -324,7 +329,8 @@ class EnsembleDraw(_Completable):
     a :class:`~symshadows.haar.DeferredUnitary` ``g``, or for the
     Grassmannians a :class:`~symshadows.haar.DeferredSubspace` of rank
     ``min(p, q)`` with projector P, and it draws only the directions that
-    ``apply`` and ``apply_adjoint`` read.  The draw and its parent work in
+    ``apply`` and ``apply_adjoint`` read; a group's is measured through
+    :attr:`parent` in a streamed round.  The draw and its parent work in
     one workspace: a streamed call's (:meth:`_use`), or their own, made at
     first use and sized for one ``apply`` and one ``apply_adjoint``.  Both
     write their result to ``out`` when it is given (a streamed call gives
@@ -347,10 +353,19 @@ class EnsembleDraw(_Completable):
             self._involution = _sigma(spec)
 
     def _use(self, workspace: _Workspace) -> None:
-        """Work in ``workspace``, with the parent's frames sized for one measured round."""
+        """Work in ``workspace``, with the parent's frames sized for one streamed round:
+        a group's :meth:`~symshadows.haar.DeferredUnitary.measure`, or a
+        quotient's ``apply`` and ``apply_adjoint``."""
         self._ws = workspace
         if self.parent is not None:
-            self.parent._use(workspace, _parent_applications(self.spec))
+            spec, field = self.spec, _field(self.spec)
+            if spec.is_group:
+                capacity = _measured_capacity(field)
+            else:
+                capacity = _frame_capacity(
+                    spec.dim, field, _parent_applications(spec), spec.p is not None
+                )
+            self.parent._use(workspace, capacity)
 
     def _workspace(self) -> _Workspace:
         if self._ws is None:
@@ -364,6 +379,8 @@ class EnsembleDraw(_Completable):
         if self.parent is None:
             np.copyto(out, y)
             return out
+        if self.spec.is_group:
+            return self.parent.apply(y, out)
         ws = self._workspace()
         if self._sign is not None:
             a = self.parent.project(y, out)
@@ -372,8 +389,6 @@ class EnsembleDraw(_Completable):
             a *= self._sign
             return a
         sigma = self._involution
-        if sigma is None:
-            return self.parent.apply(y, out)
         with ws:
             a = self.parent.apply(y, ws.take(y.shape, out.dtype))
             a = sigma.mt(a, ws.take(y.shape, out.dtype))
@@ -391,6 +406,8 @@ class EnsembleDraw(_Completable):
         if self.parent is None:
             np.copyto(out, y)
             return out
+        if self.spec.is_group:
+            return self.parent.apply_adjoint(y, out)
         ws = self._workspace()
         if self._sign is not None:
             with ws:
@@ -403,8 +420,6 @@ class EnsembleDraw(_Completable):
                 a += y
             return a
         sigma = self._involution
-        if sigma is None:
-            return self.parent.apply_adjoint(y, out)
         with ws:
             a = sigma.mt(y, ws.take(y.shape, y.dtype))
             if sigma.conj:
@@ -416,22 +431,29 @@ class EnsembleDraw(_Completable):
 
 
 def _parent_applications(spec: SpaceSpec) -> int:
-    """Parent applications in one ``apply`` and one ``apply_adjoint`` of V.
+    """Parent applications in one ``apply`` and one ``apply_adjoint`` of a quotient's V.
 
-    One each for a group or a Grassmannian, two each for a σ map.
+    One each for a Grassmannian, two each for a σ map.
     """
-    return 2 if spec.is_group or spec.p is not None else 4
+    return 2 if spec.p is not None else 4
+
+
+def _field(spec: SpaceSpec) -> str:
+    """The field of ``spec``'s parent draws: 'complex', 'real' or 'quaternion'."""
+    return {"U": "complex", "O": "real", "SP": "quaternion"}[spec.parent]
 
 
 def _round_bytes(spec: SpaceSpec) -> int:
-    """Workspace bytes per round of a deferred draw of ``spec``, its parent's included."""
+    """Workspace bytes per streamed round of a deferred draw of ``spec``, its
+    parent's included: a group's draw is measured, a quotient's applied."""
     if spec.is_degenerate:
         return 0
-    field = {"U": "complex", "O": "real", "SP": "quaternion"}[spec.parent]
-    parent = _draw_bytes(spec.dim, field, _parent_applications(spec), spec.p is not None)
+    if spec.is_group:
+        return _measure_bytes(spec.dim, _field(spec))
+    parent = _draw_bytes(spec.dim, _field(spec), _parent_applications(spec), spec.p is not None)
     # Complex d-vectors V holds besides its parent's: σ's three registers
     # around the parent's two applications, or ±S y for a Grassmannian's Vᴴ.
-    coset = 0 if spec.is_group else 1 if spec.p is not None else 3
+    coset = 1 if spec.p is not None else 3
     return parent + coset * 16 * spec.dim
 
 

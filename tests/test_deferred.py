@@ -8,7 +8,7 @@ witness, and agree with every vector applied before it.
 import numpy as np
 import pytest
 
-from symshadows import shadows
+from symshadows import _kernels, shadows
 from symshadows.channel import apply_channel, invert_channel
 from symshadows.haar import (
     DeferredSubspace,
@@ -342,7 +342,7 @@ def test_deferred_draw_types():
     assert draw.shape == (3, 4, 4) and draw.ndim == 3 and draw.revealed == 0
 
 
-@pytest.mark.parametrize(
+_TRACE_MOMENT_CASES = pytest.mark.parametrize(
     "sampler, d, moments",
     [(haar_unitary, 3, {"|tr|^2": 1.0, "tr^2": 0.0}),
      (haar_orthogonal, 3, {"tr": 0.0, "tr^2": 1.0}),
@@ -353,6 +353,19 @@ def test_deferred_draw_types():
      (haar_symplectic, 4, {"|tr|^2": 1.0, "tr g^2": -1.0})],
     ids=["U3", "O3", "SO2", "SO3", "SP4"],
 )
+
+
+def _check_trace_moments(g, moments):
+    n = len(g)
+    tr = np.trace(g, axis1=1, axis2=2)
+    values = {"tr": tr.real, "tr^2": (tr**2).real, "|tr|^2": np.abs(tr) ** 2,
+              "tr g^2": np.einsum("nij,nji->n", g, g).real}
+    for name, expected in moments.items():
+        x = values[name]
+        assert abs(x.mean() - expected) <= 5 * x.std(ddof=1) / np.sqrt(n), name
+
+
+@_TRACE_MOMENT_CASES
 def test_completed_draws_have_haar_trace_moments(sampler, d, moments):
     # Half revealed by a state and a measured row, half completed: the
     # trace moments of Haar measure tell a wrong completion law, or a wrong
@@ -364,13 +377,21 @@ def test_completed_draws_have_haar_trace_moments(sampler, d, moments):
     e = np.zeros((d, n))
     e[0] = 1.0
     draw.apply_adjoint(e)
+    _check_trace_moments(draw.matrix(), moments)
+
+
+@_TRACE_MOMENT_CASES
+def test_measured_draws_complete_to_haar_draws(sampler, d, moments):
+    # A measured (g, w) has the law of a Haar draw and its Born outcome, so
+    # the completed g is Haar: its trace moments tell a wrong row law, or a
+    # wrong SO orientation, from the right one.
+    n = 20_000
+    draw = sampler(d, RngStream(26, (d,)).generator(), size=n, dense=False)
+    u = _complex(RngStream(27).generator(), (d, n))
+    outcomes, rows = draw.measure(u / np.linalg.norm(u, axis=0))
     g = draw.matrix()
-    tr = np.trace(g, axis1=1, axis2=2)
-    values = {"tr": tr.real, "tr^2": (tr**2).real, "|tr|^2": np.abs(tr) ** 2,
-              "tr g^2": np.einsum("nij,nji->n", g, g).real}
-    for name, expected in moments.items():
-        x = values[name]
-        assert abs(x.mean() - expected) <= 5 * x.std(ddof=1) / np.sqrt(n), name
+    np.testing.assert_allclose(g[np.arange(n), outcomes], rows.T, rtol=0, atol=1e-12)
+    _check_trace_moments(g, moments)
 
 
 def test_completion_from_a_generator_that_cannot_spawn():
@@ -454,3 +475,98 @@ def test_any_query_gives_the_bits_of_its_cast(case, query):
         got, expected = getattr(given, name)(y), getattr(cast, name)(z)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         assert y.dtype == kept.dtype and np.array_equal(y, kept)
+
+
+# ------------------------------------------------ group shots from their law
+# A streamed shot of U, O, SO or SP is drawn from the law of its measured
+# row (DeferredUnitary.measure), not from Born probabilities of a revealed
+# draw.  The law is checked against the estimator's target, against Born
+# sampling on dense draws, and through the completion it leaves.
+
+_GROUPS = ("U", "O", "SO", "SP")
+
+
+def _group_specs(dims):
+    return [make_space(f, d) for d in dims for f in _GROUPS if d % 2 == 0 or f != "SP"]
+
+
+def _rank2_state(d, gen):
+    a = _complex(gen, (d, 2))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("rank", ["pure", "rank2"])
+@pytest.mark.parametrize("spec", _group_specs((2, 3, 4)), ids=_label)
+def test_group_shots_from_their_law_are_unbiased(spec, rank):
+    # Criterion 07's check at d = 2, 3 and 4, on a pure and a rank-2 state.
+    d, n = spec.dim, 100_000
+    seed = 3300 + 10 * d + _GROUPS.index(spec.family)
+    gen = RngStream(seed, (0,)).generator()
+    rho = random_pure_state(d, gen) if rank == "pure" else _rank2_state(d, gen)
+    obs = random_observable(d, 0.5, symmetric=spec.is_real, rng=RngStream(seed, (1,)))
+    values = shadow_estimates(spec, rho, obs, n, RngStream(seed, (2,)))
+    truth = float(np.trace(rho @ apply_channel(spec, invert_channel(spec).apply(obs))).real)
+    sem = float(values.std(ddof=1) / np.sqrt(n))
+    assert abs(float(values.mean()) - truth) <= 5 * sem
+
+
+def _ks_distance(a, b):
+    """Two-sample Kolmogorov–Smirnov statistic: the largest gap of the empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    points = np.concatenate([a, b])
+    return float(np.max(np.abs(
+        np.searchsorted(a, points, side="right") / a.size
+        - np.searchsorted(b, points, side="right") / b.size
+    )))
+
+
+@pytest.mark.parametrize("d", [4, 32])
+@pytest.mark.parametrize("family", _GROUPS)
+def test_measured_rows_follow_the_born_law_of_dense_draws(family, d):
+    # Two-sample tests of the law path against Born sampling on dense
+    # sample_point draws, on |<r, u>|² and on the shot's estimate, at the
+    # 0.1% level: c(α) = sqrt(ln(2/α)/2) = 1.95.
+    spec = make_space(family, d)
+    n = 20_000 if d == 4 else 4_000
+    gen = RngStream(34, (d,)).generator()
+    u = _complex(gen, d)
+    u /= np.linalg.norm(u)
+    rho = np.outer(u, u.conj())
+    x = invert_channel(spec).apply(random_observable(d, 0.5, rng=gen))
+    _, factor = shadows._validated_state(spec, rho)
+    _, _, rows = shadows._measure_batch(spec, factor, RngStream(35).generator(), n)
+    measured = [np.abs(rows @ u) ** 2, _kernels.row_quadratic(rows.astype(complex), x)]
+    dense_rows = []
+    born = RngStream(36).generator()
+    for _ in range(n // 1000):
+        v = sample_point(spec, born, 1000).astype(complex)
+        w = _kernels.choose_outcomes(np.abs(v @ u) ** 2, born.random(1000))
+        dense_rows.append(v[np.arange(1000), w])
+    dense_rows = np.concatenate(dense_rows)
+    dense = [np.abs(dense_rows @ u) ** 2, _kernels.row_quadratic(dense_rows, x)]
+    bound = 1.95 * np.sqrt(2.0 / n)
+    for name, a, b in zip(("|<r, u>|^2", "estimate"), measured, dense):
+        assert _ks_distance(a, b) <= bound, name
+
+
+@pytest.mark.parametrize("rank", ["pure", "rank2"])
+@pytest.mark.parametrize("spec", _group_specs((1, 2, 3, 4, 8)), ids=_label)
+def test_measured_rows_are_rows_of_their_completion(spec, rank):
+    # Row w of draw.matrix() is the returned row, and the completion passes
+    # the structural witness (SO's det +1 included, SO(1) = {1}).
+    d, count = spec.dim, 64
+    gen = RngStream(37, (d,)).generator()
+    rho = random_pure_state(d, gen) if rank == "pure" else _rank2_state(d, gen)
+    _, factor = shadows._validated_state(spec, rho)
+    draw, outcomes, rows = shadows._measure_batch(spec, factor, RngStream(38).generator(), count)
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-14)
+    v = _check_completion(spec, draw, [])
+    np.testing.assert_allclose(rows, v[np.arange(count), outcomes], rtol=0, atol=1e-12)
+
+
+def test_measure_needs_a_fresh_draw():
+    draw = haar_unitary(4, RngStream(41), 3, dense=False)
+    draw.apply(np.eye(4)[:, :3])
+    with pytest.raises(ValueError, match="nothing has been applied"):
+        draw.measure(np.eye(4)[:, :3])

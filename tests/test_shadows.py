@@ -126,6 +126,30 @@ def test_hermitian_gap_is_the_whole_matrix_gap(d, bad):
     assert shadows._hermitian_gap(np.zeros((0, 0), dtype=complex)) == 0.0
 
 
+@pytest.mark.parametrize("d", [2, 91])
+def test_hermitian_gap_against_a_tolerance_keeps_the_gaps_side(d):
+    # With tol the float view decides outside its √2 band and the exact gap
+    # inside it: the result lies on the exact gap's side of tol, and is
+    # finite exactly when the gap is.  Deviations of modulus near tol, at
+    # phases that put them inside and outside the band.
+    tol = 1e-10
+    gen = np.random.default_rng(d)
+    a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    hermitian = (a + a.conj().T) / 2
+    for size in (0.0, 0.5, 0.7, 0.71, 0.72, 0.9, 1.0, 1.01, 1.4, 1.5):
+        for phase in (1.0, 1j, np.exp(0.25j * np.pi), np.exp(0.3j)):
+            m = hermitian.copy()
+            m[0, d - 1] += size * tol * phase
+            exact, decided = shadows._hermitian_gap(m), shadows._hermitian_gap(m, tol)
+            assert (decided > tol) == (exact > tol), (size, phase)
+    for bad in (np.nan, np.inf, complex(np.inf, np.nan)):
+        m = hermitian.copy()
+        m[d - 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(shadows._hermitian_gap(m, tol))
+
+
 def _with_spectrum(eigenvalues, seed):
     """A generic (rotated) Hermitian matrix with the given spectrum."""
     u = haar.haar_unitary(len(eigenvalues), RngStream(seed))
@@ -474,6 +498,17 @@ def test_probability_check_fails_on_a_nan_sum():
     shadows._check_probabilities(np.array([[0.25, 0.75]]))
     with pytest.raises(RuntimeError):
         shadows._check_probabilities(np.array([[0.25, np.nan]]))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_row_check_fails_on_a_row_off_the_unit_sphere_or_nan(dtype):
+    # Rows are the columns of a (d, B) array, as a measured draw returns them.
+    rows = np.array([[0.6, 1.0], [0.8, 0.0]], dtype=dtype)
+    shadows._check_rows(rows)
+    for bad in (0.8 + 2e-10, np.nan):
+        rows[1, 0] = bad
+        with pytest.raises(RuntimeError, match="squared norm"):
+            shadows._check_rows(rows)
 
 
 def test_estimate_observable_flags_null_space_components():
@@ -876,7 +911,9 @@ def _grid_observable(d, field, gen):
 @example(spec=make_space("AII", 2), rank="pure", field="real", seed=11)
 def test_matrix_free_shots_match_materialized_rotations(spec, rank, field, seed):
     # Each streamed shot against the dense arithmetic on the completion of
-    # the draw it measured, with the same uniforms.
+    # the draw it measured.  A quotient's outcomes are replayed from the
+    # same uniforms; a group's shot is drawn from the law of its row, so its
+    # row must be row w of the completion.
     d, count = spec.dim, 6
     gen = np.random.default_rng(seed)
     rho = validate_density(_grid_state(d, rank, gen))
@@ -890,7 +927,10 @@ def test_matrix_free_shots_match_materialized_rotations(spec, rank, field, seed)
     replay = np.random.default_rng(seed + 1)
     sample_point(spec, replay, count, dense=False)
     uniforms = replay.random(count)
-    if rank == "pure":
+    if spec.is_group:
+        np.testing.assert_allclose(rows, v[np.arange(count), outcomes], rtol=0, atol=1e-12)
+        dense_outcomes = outcomes
+    elif rank == "pure":
         vc = v.astype(complex)
         probs = np.einsum("nwa,ab,nwb->nw", vc, rho, vc.conj(), optimize=True).real
         probs = np.clip(probs, 0.0, None)
@@ -1000,33 +1040,42 @@ def test_mixed_state_estimates_keep_mean_and_second_moment(spec, rank):
 
 @pytest.mark.parametrize(
     "spec",
-    [make_space("U", 5), make_space("BDI", 6, 2, 4), make_space("CII", 8, 3, 1),
-     make_space("AIII", 4, 4, 0), make_space("AIII", 6, 2, 4), make_space("BDI", 7, 5, 2)],
+    [make_space("U", 5), make_space("O", 5), make_space("SO", 5), make_space("SP", 6),
+     make_space("BDI", 6, 2, 4), make_space("CII", 8, 3, 1), make_space("AIII", 4, 4, 0),
+     make_space("AIII", 6, 2, 4), make_space("BDI", 7, 5, 2)],
     ids=lambda s: s.label(),
 )
 @pytest.mark.parametrize("rank", ["pure", "mixed"])
 def test_streamed_draws_go_through_the_module_level_samplers(monkeypatch, spec, rank):
-    # A wrapper set on spaces.haar_* or shadows.sample_point (a tracer) must
-    # see every draw of the estimator, counted as result.shape[0].
+    # A wrapper set on spaces.haar_* or shadows.sample_point, as the
+    # benchmark's tracer (perfbench/tracing.py) sets them, must see every
+    # draw of the estimator, counted as result.shape[0]: a traced run fails
+    # unless a streamed call counts exactly n_shots on each.  A group's
+    # measured shots keep that count.
     counts = {}
 
-    def counting(owner, name, key):
+    def counting(owner, name):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             result = original(*args, **kwargs)
-            counts[key] = counts.get(key, 0) + (result.shape[0] if result.ndim == 3 else 1)
+            counts[name] = counts.get(name, 0) + (result.shape[0] if result.ndim == 3 else 1)
             return result
 
         monkeypatch.setattr(owner, name, wrapper)
 
     for name in ("haar_unitary", "haar_orthogonal", "haar_symplectic"):
-        counting(spaces, name, "parent")
-    counting(shadows, "sample_point", "ensemble")
+        counting(spaces, name)
+    counting(shadows, "sample_point")
     d = spec.dim
     rho = _state(d, 88) if rank == "pure" else np.eye(d) / d
-    shadow_estimates(spec, rho, _traceless_observable(d, 89), 50, RngStream(87), batch_size=16)
-    expected = {"ensemble": 50} if spec.is_degenerate else {"parent": 50, "ensemble": 50}
+    obs = _traceless_observable(d, 89)
+    sampler = {"U": "haar_unitary", "O": "haar_orthogonal", "SP": "haar_symplectic"}[spec.parent]
+    expected = {"sample_point": 50} if spec.is_degenerate else {"sample_point": 50, sampler: 50}
+    shadow_estimates(spec, rho, obs, 50, RngStream(87), batch_size=16)
+    assert counts == expected
+    counts.clear()
+    run_estimation(spec, rho, obs, 50, RngStream(86))
     assert counts == expected
 
 
